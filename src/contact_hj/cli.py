@@ -8,7 +8,6 @@ mistyped key fails fast instead of silently running defaults.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -221,7 +220,7 @@ def _cmd_trace(args) -> int:
     write_curve_csv(os.path.join(run_dir, "curve.csv"), curve, idx)
     action = exponential_action(curve, idx, model, evaluator, lam, config.c,
                                 boundary_field=out.field)
-    vz = float(out.field.interpolate(np.array([z]) if model.dim == 2 else z))
+    vz = float(out.field.interpolate(np.reshape(z, (1, -1)))[0])
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
                "horizon": horizon, "kind": args.kind,
                "defect_max": curve.defect_max, "warning": curve.warning,

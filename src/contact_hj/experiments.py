@@ -18,16 +18,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Domain, DomainError, GridField, UniformGrid, atomic_write_text
+from .grid import Domain, DomainError, UniformGrid, atomic_write_text
 from .hamiltonian import (HamiltonianModel, LagrangianEvaluator, ModelError,
                           check_assumptions)
 from .measures import (closedness_defect, default_battery, discounted_measure,
                        mather_defect, selection_functional,
                        weak_limit_diagnostics, write_measure_csv)
 from .solver import (CMismatchError, ControlSet, SolveParams, SolverError,
-                     estimate_critical_value, mane_potential, solve_ergodic,
-                     solve_state_constraint)
-from .trajectory import backtrace, compute_indices, write_curve_csv
+                     mane_potential, solve_ergodic, solve_state_constraint)
+from .trajectory import backtrace, compute_indices
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
            "vanishing_discount_sweep", "localization_study", "measure_study",
@@ -385,8 +384,7 @@ def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
                                 "converged"], solve_rows)
 
     pts = _window_points(config.window, config.node_density())
-    vals = {lam: fields[lam].interpolate(pts if model.dim == 2 else pts[:, 0])
-            for lam in config.lambdas}
+    vals = {lam: fields[lam].interpolate(pts) for lam in config.lambdas}
 
     cauchy_rows = []
     for a, b in zip(config.lambdas, config.lambdas[1:]):
@@ -426,13 +424,13 @@ def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
 
     mane = mane_potential(model, grid, origin, config.c, params,
                           controls=controls, evaluator=evaluator)
-    proxy_w = proxy.interpolate(pts if model.dim == 2 else pts[:, 0])
-    mane_w = mane.interpolate(pts if model.dim == 2 else pts[:, 0])
+    proxy_w = proxy.interpolate(pts)
+    mane_w = mane.interpolate(pts)
     gap = float(np.max(np.abs(proxy_w - mane_w)))
     report.add_table("limit_proxy", ["quantity", "value"],
                      [["proxy_vs_mane_window_sup", gap],
-                      ["proxy_at_origin", float(proxy.interpolate(
-                          np.array([origin]) if model.dim == 2 else 0.0))],
+                      ["proxy_at_origin",
+                       float(proxy.interpolate(np.array([origin]))[0])],
                       ["ergodic_residual", proxy_out.final_residual]])
     report.add_verdict("proxy_matches_mane", gap <= 5e-2, gap, "<= 5e-2",
                        "limit_proxy", [0])
@@ -444,9 +442,8 @@ def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
     def trace_cell(key):
         lam, probe = key
         horizon = config.trace_horizon(lam, kappa_lo)
-        z = probe if model.dim == 2 else probe[0]
         curve = backtrace(fields[lam], model, evaluator, controls, lam,
-                          config.c, z, horizon, params.dt)
+                          config.c, probe, horizon, params.dt)
         idx = compute_indices(curve, model, evaluator, fields[lam], lam,
                               "kappa")
         mu = discounted_measure(curve, idx, lam)
@@ -506,7 +503,6 @@ def localization_study(config: ExperimentConfig, z=None, workers=None,
     if z is None:
         z = config.probes[0]
     z = tuple(z) if isinstance(z, (list, tuple)) else (float(z),)
-    z_arg = z if model.dim == 2 else z[0]
 
     r_trunc = config.truncation_radius or max(config.radii) + 2.0
     if r_trunc <= max(config.radii):
@@ -530,8 +526,7 @@ def localization_study(config: ExperimentConfig, z=None, workers=None,
                                      controls=controls, evaluator=evaluator,
                                      v0=warm)
         warm = out.field.values
-        u_z[lam] = float(out.field.interpolate(
-            np.array([z]) if model.dim == 2 else z_arg))
+        u_z[lam] = float(out.field.interpolate(np.array([z]))[0])
         trunc_rows.append([lam, r_trunc, u_z[lam], out.iterations,
                            out.final_residual])
     report.add_table("truncated", ["lambda", "R_trunc", "u_at_z",
@@ -543,8 +538,7 @@ def localization_study(config: ExperimentConfig, z=None, workers=None,
         out = solve_state_constraint(model, grid_r, lam, config.c,
                                      params, controls=controls,
                                      evaluator=evaluator)
-        return float(out.field.interpolate(
-            np.array([z]) if model.dim == 2 else z_arg))
+        return float(out.field.interpolate(np.array([z]))[0])
 
     keys = [(lam, r) for lam in config.lambdas for r in config.radii]
     cells = _run_cells(cell, keys, workers)
@@ -627,9 +621,8 @@ def measure_study(config: ExperimentConfig, probes=None, workers=None,
     def cell(key):
         lam, probe = key
         horizon = config.trace_horizon(lam, kappa_lo)
-        zz = probe if model.dim == 2 else probe[0]
         curve = backtrace(fields[lam], model, evaluator, controls, lam,
-                          config.c, zz, horizon, params.dt)
+                          config.c, probe, horizon, params.dt)
         idx = compute_indices(curve, model, evaluator, fields[lam], lam,
                               "kappa")
         mu = discounted_measure(curve, idx, lam)

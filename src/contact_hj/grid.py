@@ -1,4 +1,4 @@
-"""Masked uniform grids, multilinear interpolation, discrete gradients.
+"""Masked uniform grids and multilinear interpolation.
 
 Ball domains are realized as boolean masks over a Cartesian box grid; there
 is no body-fitted meshing. Interpolation stencils that poke out of the mask
@@ -250,49 +250,6 @@ class GridField:
             out = ((1 - tx) * ((1 - ty) * v00 + ty * v01)
                    + tx * ((1 - ty) * v10 + ty * v11))
         return float(out[0]) if squeeze else out
-
-    # -- gradients -----------------------------------------------------------
-
-    def gradient(self) -> np.ndarray:
-        """Per-node gradient, shape grid.shape + (dim,).
-
-        Central differences where both axis neighbors are in-mask, one-sided
-        at mask boundaries, zero where no in-mask neighbor exists.
-        """
-        grid = self.grid
-        v = self.values
-        mask = grid.mask
-        out = np.zeros(grid.shape + (grid.dim,))
-        for k in range(grid.dim):
-            d = grid.dx[k]
-            vp = np.roll(v, -1, axis=k)
-            vm = np.roll(v, 1, axis=k)
-            mp = np.roll(mask, -1, axis=k)
-            mm = np.roll(mask, 1, axis=k)
-            # rolled-over edges are not neighbors
-            edge_hi = [slice(None)] * grid.dim
-            edge_hi[k] = slice(-1, None)
-            edge_lo = [slice(None)] * grid.dim
-            edge_lo[k] = slice(0, 1)
-            mp = mp.copy()
-            mp[tuple(edge_hi)] = False
-            mm = mm.copy()
-            mm[tuple(edge_lo)] = False
-            central = mp & mm
-            fwd = mp & ~mm
-            bwd = mm & ~mp
-            g = np.zeros(grid.shape)
-            g[central] = (vp[central] - vm[central]) / (2 * d)
-            g[fwd] = (vp[fwd] - v[fwd]) / d
-            g[bwd] = (v[bwd] - vm[bwd]) / d
-            g[~mask] = 0.0
-            out[..., k] = g
-        return out
-
-    def gradient_at(self, node_idx) -> np.ndarray:
-        if isinstance(node_idx, (int, np.integer)):
-            node_idx = (int(node_idx),)
-        return self.gradient()[tuple(node_idx)]
 
     # -- persistence -----------------------------------------------------------
 

@@ -42,7 +42,7 @@ class ModelError(ValueError):
     """Inconsistent model definition or evaluation request."""
 
 
-class ExtentError(RuntimeError):
+class ExtentError(ModelError):
     """Legendre maximizer escaped the largest allowed momentum lattice."""
 
 
@@ -689,9 +689,6 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
         checks.append(AssumptionCheck("H3", "not-applicable",
                                       note="no u dependence"))
     else:
-        du_vals = []
-        for u in us:
-            du_vals.append(model.du_h(xs, np.tile(ps[0], (len(xs), 1)), float(u)))
         du_all = []
         for p in ps[:: max(1, len(ps) // 11)]:
             for u in (-u_span, 0.0, u_span):

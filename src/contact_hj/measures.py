@@ -9,7 +9,7 @@ many directions.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,9 +158,7 @@ def selection_functional(mu: WeightedSampleMeasure, w_field: GridField,
     Raises DomainError (from interpolation) when the measure's support
     escapes the field's mask.
     """
-    dim = w_field.grid.dim
-    wvals = np.asarray(w_field.interpolate(
-        mu.points if dim == 2 else mu.points[:, 0]), dtype=float)
+    wvals = np.asarray(w_field.interpolate(mu.points), dtype=float)
     du = np.asarray(evaluator.partial_u_l(mu.points, mu.velocities,
                                           np.zeros(len(mu.weights))),
                     dtype=float)

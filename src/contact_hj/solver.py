@@ -8,11 +8,15 @@ so residuals eventually decay geometrically; the iteration exploits that by
 extrapolating the geometric tail every few dozen sweeps, which cuts the sweep
 count by orders of magnitude at small λ without touching the operator.
 
-Because feet x - Δt*a shift every node by the same fraction of a cell, each
-control's interpolation is two (1D) or four (2D) constant-weight gathers
-through precomputed index tables; a sweep is a handful of vectorized passes.
+Because feet x - Δt*a lie within one cell of their node and shift every
+node by the same fraction of a cell, each control's foot value is a fixed
+combination of the node's 3^d stencil neighbours, in any dimension: the
+candidates of a sweep are one matrix product, stencil values times a
+3^d x controls table of tensor-product hat weights, taken over the in-mask
+nodes only.
 """
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -33,6 +37,7 @@ __all__ = [
 _ACCEL_PERIOD = 32
 _ACCEL_TAIL = 8
 _FLOAT_FLOOR = 1e-13
+_ROW_CHUNK = 1024  # in-mask rows per block of a sweep; bounds its temporaries
 
 
 class SolverError(RuntimeError):
@@ -134,87 +139,70 @@ class SolveOutcome:
 
 
 class SweepKernel:
-    """Precomputed gather tables and per-control data for one grid setup."""
+    """Stencil and weight tables of the one-cell sweep for one grid setup."""
 
     def __init__(self, grid: UniformGrid, evaluator: LagrangianEvaluator,
-                 controls: ControlSet, dt: float, constrained: bool = True):
+                 controls: ControlSet, dt: float):
         model = evaluator.model
         if controls.dim != grid.dim or model.dim != grid.dim:
             raise SolverError("dimension mismatch between grid/model/controls")
         self.grid = grid
         self.evaluator = evaluator
-        self.controls = controls
         self.dt = float(dt)
-        self.constrained = constrained
-        dim = grid.dim
-        for k in range(dim):
-            if self.dt * controls.max_speed > grid.dx[k] + 1e-12:
-                raise SolverError(
-                    "feet move more than one cell per step; shrink dt")
-        pts = grid.points()
-        mask_flat = grid.mask.ravel()
-        self.mask_flat = mask_flat
-        self.in_idx = np.where(mask_flat)[0]
-        rmap = grid.replacement_map
+        if any(self.dt * controls.max_speed > dx + 1e-12 for dx in grid.dx):
+            raise SolverError("feet move more than one cell per step; shrink dt")
+        self.mask_flat = grid.mask.ravel()
+        self.in_idx = np.where(self.mask_flat)[0]
+        in_pts = grid.points()[self.in_idx]
+        self.speeds = controls.speeds
 
-        # gather tables per base-offset combo (offsets are in {-1, 0, 1})
-        if dim == 1:
-            n = grid.shape[0]
-            i = np.arange(n)
-            self._gather = {(b,): rmap[np.clip(i + b, 0, n - 1)]
-                            for b in (-1, 0, 1)}
-        else:
-            nx, ny = grid.shape
-            ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-            self._gather = {}
-            for bx in (-1, 0, 1):
-                for by in (-1, 0, 1):
-                    flat = (np.clip(ii + bx, 0, nx - 1) * ny
-                            + np.clip(jj + by, 0, ny - 1))
-                    self._gather[(bx, by)] = rmap[flat.ravel()]
+        # the 3^d neighbours of each in-mask node, clipped to the box and
+        # mapped into the mask
+        offsets = np.array(list(itertools.product((-1, 0, 1),
+                                                  repeat=grid.dim)))
+        node = np.column_stack(np.unravel_index(self.in_idx, grid.shape))
+        nbrs = np.clip(node[:, None, :] + offsets,
+                       0, np.array(grid.shape) - 1)
+        self.stencil = grid.replacement_map[
+            np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid.shape)]
 
+        # hat weights of each control's foot offset, one column per control
         ctrl = controls.controls
-        m = len(ctrl)
-        base = np.empty((m, dim), dtype=int)
-        frac = np.empty((m, dim))
-        for k in range(dim):
+        self.weights = np.ones((len(offsets), len(ctrl)))
+        for k in range(grid.dim):
             delta = -self.dt * ctrl[:, k] / grid.dx[k]
-            b = np.floor(delta).astype(int)
+            b = np.floor(delta)
             t = delta - b
             snap_hi = t > 1.0 - 1e-12
             b[snap_hi] += 1
             t[snap_hi] = 0.0
             t[t < 1e-12] = 0.0
-            base[:, k] = b
-            frac[:, k] = t
-        self.base = base
-        self.frac = frac
-        self.speeds = controls.speeds
+            o = offsets[:, k, None]
+            self.weights *= (np.where(o == b, 1.0 - t, 0.0)
+                             + np.where(o == b + 1, t, 0.0))
 
-        if constrained:
-            adm = np.empty((m, grid.size), dtype=bool)
-            for j in range(m):
-                feet = pts - self.dt * ctrl[j]
-                adm[j] = grid.domain.contains(feet, slack=1e-9)
-            self.admissible = adm
-            covered = np.any(adm[:, self.in_idx], axis=0)
-            if not np.all(covered):
-                bad = pts[self.in_idx[np.argmin(covered)]]
-                raise SolverError(
-                    f"no admissible control at node {bad.tolist()}; "
-                    "mask too thin for this control set")
-        else:
-            self.admissible = None
+        admissible = np.empty((len(in_pts), len(ctrl)), dtype=bool)
+        for j, a in enumerate(ctrl):
+            admissible[:, j] = grid.domain.contains(in_pts - self.dt * a,
+                                                    slack=1e-9)
+        covered = np.any(admissible, axis=1)
+        if not np.all(covered):
+            bad = in_pts[np.argmin(covered)]
+            raise SolverError(
+                f"no admissible control at node {bad.tolist()}; "
+                "mask too thin for this control set")
+        self.blocked = ~admissible
 
-        self.f_flat = model.f(pts)
-        self.phi_flat = model.phi(pts) if model.coupling.kind == "linear" \
+        self.f_in = model.f(in_pts)
+        self.phi_in = model.phi(in_pts) if model.coupling.kind == "linear" \
             else None
         self.separable = model.separable_coupling
+        # per-control sup term at u = 0: the whole cost for separable
+        # couplings, the λ = 0 and explicit-discount cost for p-coupled ones
         if self.separable:
-            self.conj = np.asarray(evaluator.conjugate_speeds(self.speeds))
+            self.cost = np.asarray(evaluator.conjugate_speeds(self.speeds))
         else:
-            # u-slot frozen at zero; used by λ=0 and explicit-discount paths
-            self.conj0 = evaluator._radial_sup(self.speeds, 0.0)
+            self.cost = evaluator._radial_sup(self.speeds, 0.0)
         kappa = model.kappa_bounds(controls.max_speed)
         self.kappa_lo = max(kappa[0], 0.0)
         span = max(hi - lo for lo, hi in grid.domain.box)
@@ -223,25 +211,6 @@ class SweepKernel:
 
     # -- one sweep ---------------------------------------------------------
 
-    def _interp(self, v: np.ndarray, j: int) -> np.ndarray:
-        base = self.base[j]
-        frac = self.frac[j]
-        if self.grid.dim == 1:
-            g0 = self._gather[(base[0],)]
-            g1 = self._gather[(base[0] + 1,)]
-            t = frac[0]
-            if t == 0.0:
-                return v[g0]
-            return (1.0 - t) * v[g0] + t * v[g1]
-        bx, by = base
-        tx, ty = frac
-        g00 = self._gather[(bx, by)]
-        g01 = self._gather[(bx, by + 1)]
-        g10 = self._gather[(bx + 1, by)]
-        g11 = self._gather[(bx + 1, by + 1)]
-        return ((1 - tx) * ((1 - ty) * v[g00] + ty * v[g01])
-                + tx * ((1 - ty) * v[g10] + ty * v[g11]))
-
     def step(self, v: np.ndarray, lam: float, c: float, mode: str = "contact",
              table=None) -> np.ndarray:
         """One Lax-Oleinik sweep over the flat value buffer.
@@ -249,39 +218,38 @@ class SweepKernel:
         mode "contact": v'(x) = min_a Δt*(L(x,a,λv(x)) + c) + I[v](x-Δt·a).
         mode "discount0": v'(x) = min_a Δt*L(x,a,0) + exp(-λΔt)*I[v](x-Δt·a),
         the classical discounted problem used for critical-value estimation.
+        Out-of-mask nodes keep their values.
         """
         dt = self.dt
-        m = len(self.speeds)
-        best = np.full(self.grid.size, np.inf)
-        discount = math.exp(-lam * dt) if mode == "discount0" else 1.0
         contact_coupled = (mode == "contact" and not self.separable
-                          and lam != 0.0)
-        if contact_coupled:
-            if table is None:
-                raise SolverError("p-coupled contact sweep needs a sup-table")
-            w_rows = table.values(lam * v)  # (m, N)
-        for j in range(m):
-            interp = self._interp(v, j)
+                           and lam != 0.0)
+        if contact_coupled and table is None:
+            raise SolverError("p-coupled contact sweep needs a sup-table")
+        discount = math.exp(-lam * dt) if mode == "discount0" else 1.0
+        v_in = v[self.in_idx]
+        best = np.empty(len(v_in))
+        for lo in range(0, len(v_in), _ROW_CHUNK):
+            rows = slice(lo, lo + _ROW_CHUNK)
+            cand = v[self.stencil[rows]] @ self.weights
             if mode == "discount0":
-                cand = dt * (self.conj if self.separable else self.conj0)[j] \
-                    + discount * interp
-            elif contact_coupled:
-                cand = dt * w_rows[j] + interp
+                cand *= discount
+            if contact_coupled:
+                cand += dt * table.values(lam * v_in[rows]).T
             else:
-                base_j = (self.conj if self.separable else self.conj0)[j]
-                cand = dt * base_j + interp
-            if self.admissible is not None:
-                cand = np.where(self.admissible[j], cand, np.inf)
-            np.minimum(best, cand, out=best)
+                cand += dt * self.cost
+            np.copyto(cand, np.inf, where=self.blocked[rows])
+            np.min(cand, axis=1, out=best[rows])
         if mode == "discount0":
-            out = best + dt * self.f_flat
+            best += dt * self.f_in
         elif contact_coupled:
-            out = best + dt * (self.f_flat - lam * v + c)
+            best += dt * (self.f_in - lam * v_in + c)
         else:
-            out = best + dt * (self.f_flat + c)
-            if self.phi_flat is not None and lam != 0.0:
-                out -= dt * lam * self.phi_flat * v
-        return np.where(self.mask_flat, out, v)
+            best += dt * (self.f_in + c)
+            if self.phi_in is not None and lam != 0.0:
+                best -= dt * lam * self.phi_in * v_in
+        out = v.copy()
+        out[self.in_idx] = best
+        return out
 
 
 def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):
@@ -407,11 +375,9 @@ def _setup(model, grid, params, controls, evaluator):
 
 def lax_oleinik_step(v: GridField, model: HamiltonianModel,
                      evaluator: LagrangianEvaluator, controls: ControlSet,
-                     lam: float, c: float, dt: float,
-                     constrained: bool = True) -> GridField:
+                     lam: float, c: float, dt: float) -> GridField:
     """One sweep of the operator on a field; mainly a testing surface."""
-    kernel = SweepKernel(v.grid, evaluator, controls, dt,
-                         constrained=constrained)
+    kernel = SweepKernel(v.grid, evaluator, controls, dt)
     flat = v.values.ravel().copy()
     table = _ensure_table(kernel, None, lam, flat)
     out = kernel.step(flat, lam, c, mode="contact", table=table)
@@ -430,8 +396,7 @@ def solve_state_constraint(model: HamiltonianModel, grid: UniformGrid,
         raise SolverError("state-constraint solve needs a u-coupling")
     params, controls, evaluator = _setup(model, grid, params, controls,
                                          evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt,
-                         constrained=True)
+    kernel = SweepKernel(grid, evaluator, controls, params.dt)
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
     v, iters, res, ok, extras = _iterate(kernel, start, lam, c, params)
     fld = GridField(grid, v.reshape(grid.shape),
@@ -473,8 +438,7 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
         raise SolverError("lam_sequence must be strictly decreasing, >= 2 long")
     params, controls, evaluator = _setup(model, grid, params, controls,
                                          evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt,
-                         constrained=True)
+    kernel = SweepKernel(grid, evaluator, controls, params.dt)
     if x0 is None:
         x0 = np.zeros(grid.dim)
     table = []
@@ -489,7 +453,7 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
                 f"discounted solve at lam={lam:g} stalled at residual {res:g}")
         fld = GridField(grid, v.reshape(grid.shape),
                         meta={"kind": "discounted", "lambda": lam, "c": 0.0})
-        c_est = -lam * np.asarray(fld.interpolate(np.atleast_1d(x0))).reshape(-1)[0]
+        c_est = -lam * fld.interpolate(np.reshape(x0, (1, -1)))[0]
         table.append((lam, float(c_est)))
         outcomes.append(SolveOutcome(fld, iters, res, ok, extras))
         start = v  # warm start the next, smaller λ
@@ -520,8 +484,7 @@ def solve_ergodic(model: HamiltonianModel, grid: UniformGrid, c: float,
     """
     params, controls, evaluator = _setup(model, grid, params, controls,
                                          evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt,
-                         constrained=True)
+    kernel = SweepKernel(grid, evaluator, controls, params.dt)
     if anchor is None:
         anchor = np.zeros(grid.dim)
     anchor_idx = np.ravel_multi_index(grid.nearest_node(anchor), grid.shape)
@@ -574,7 +537,7 @@ def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
                                          evaluator=evaluator, v0=v0)
         prev_vals = outcome.field.values.ravel()
         prev_mask = grid.mask.ravel()
-        val = float(np.asarray(outcome.field.interpolate(probe)).reshape(-1)[0])
+        val = float(outcome.field.interpolate(probe[None, :])[0])
         history.append((r, val))
         if len(history) >= 2 and stabilized_at is None:
             if abs(history[-1][1] - history[-2][1]) < stab_tol:
@@ -598,8 +561,7 @@ def mane_potential(model: HamiltonianModel, grid: UniformGrid, y, c: float,
     """
     params, controls, evaluator = _setup(model, grid, params, controls,
                                          evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt,
-                         constrained=True)
+    kernel = SweepKernel(grid, evaluator, controls, params.dt)
     pin = np.ravel_multi_index(grid.nearest_node(y), grid.shape)
     if not kernel.mask_flat[pin]:
         raise SolverError("pin point lies outside the mask")
@@ -641,8 +603,7 @@ def aubry_indicator(model: HamiltonianModel, grid: UniformGrid, c: float,
         lvals = np.array([
             evaluator.legendre(node, a, 0.0) for a in ctrl])
         interp = np.full(len(ctrl), np.inf)
-        interp[ok] = s_field.interpolate(feet[ok] if model.dim == 2
-                                         else feet[ok, 0])
+        interp[ok] = s_field.interpolate(feet[ok])
         cand = dt * (lvals + c) + interp
         out[i] = float(np.min(cand))  # S(y) = 0 at the pin by construction
     return out

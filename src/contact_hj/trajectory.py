@@ -9,7 +9,7 @@ discounted measures, so the same convention is used everywhere.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
     n_bad = 0
     x = z.copy()
     for k in range(n_steps):
-        v_here = float(field.interpolate(x if grid.dim == 2 else x[0]))
+        v_here = float(field.interpolate(x[None, :])[0])
         level = lam * v_here
         lvals = np.asarray(evaluator.legendre(
             np.tile(x, (len(ctrl), 1)), ctrl, level), dtype=float)
@@ -98,8 +98,7 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
         if not np.any(ok):
             raise SolverError(f"no admissible control at {x.tolist()}")
         vals = np.full(len(ctrl), np.inf)
-        vals[ok] = field.interpolate(feet[ok] if grid.dim == 2
-                                     else feet[ok, 0])
+        vals[ok] = field.interpolate(feet[ok])
         cand = dt * (lvals + c) + vals
         j = int(np.argmin(cand))
         defect = abs(v_here - float(cand[j]))
@@ -133,9 +132,7 @@ def compute_indices(curve: Curve, model, evaluator: LagrangianEvaluator,
     n = curve.segments
     xk = curve.points[:n]
     ak = curve.velocities
-    grid = field.grid
-    field_vals = field.interpolate(xk if grid.dim == 2 else xk[:, 0])
-    a_levels = lam * np.asarray(field_vals, dtype=float)
+    a_levels = lam * np.asarray(field.interpolate(xk), dtype=float)
     b_level = 0.0 if kind in ("kappa", "K") else -lam * c0
     values = np.asarray(evaluator.discount_index(
         xk, ak, a_levels, np.full(n, b_level)), dtype=float)
@@ -166,10 +163,7 @@ def exponential_action(curve: Curve, indices: IndexSeries, model,
     total = float(np.sum(w * (lvals + c) * curve.dt))
     if boundary_field is not None:
         tail_w = math.exp(lam * float(indices.cumulative[-1]))
-        endpoint = curve.points[-1]
-        dim = boundary_field.grid.dim
-        tail_v = float(boundary_field.interpolate(
-            endpoint if dim == 2 else endpoint[0]))
+        tail_v = float(boundary_field.interpolate(curve.points[-1:])[0])
         total += tail_w * tail_v
     return total
 

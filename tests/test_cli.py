@@ -173,6 +173,18 @@ def test_measure_reports_defects(cfg_file):
     assert np.sum(data[:, 2]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tabulated_kinetic_extent_error_is_exit_2(cfg_file, capsys):
+    # the control speeds reach past the table, so the Legendre maximizer
+    # sits on its boundary
+    path, _ = cfg_file
+    kinetic = {"type": "tabulated", "dp": 0.1,
+               "values": [0.5 * (0.1 * k) ** 2 for k in range(11)]}
+    rc = main(["solve", "--config", path, "--set",
+               "model.kinetic=" + json.dumps(kinetic), "--stamp", "t"])
+    assert rc == 2
+    assert "tabulated kinetic boundary" in capsys.readouterr().err
+
+
 def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     path, _ = cfg_file
     rc = main(["trace", "--config", path, "--z", "1,2", "--stamp", "t"])

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from contact_hj.experiments import (ConfigError, ExperimentConfig,
-                                    builtin_models, localization_study,
-                                    make_run_dir, measure_study,
-                                    run_assumption_check,
+                                    _run_cells, builtin_models,
+                                    localization_study, make_run_dir,
+                                    measure_study, run_assumption_check,
                                     vanishing_discount_sweep, worker_count)
+from contact_hj.hamiltonian import HamiltonianModel, LagrangianEvaluator
 
 QL_MODEL = {"dim": 1, "kinetic": {"type": "quadratic"},
             "potential": "1 - exp(-x^2)",
@@ -214,6 +215,35 @@ def test_localization_gap_shrinks_with_radius(tmp_path):
     assert gaps[-1] <= cfg.gap_tol
     plateau = report.tables["plateau"]["rows"]
     assert plateau[0][1] != "none"
+
+
+def test_2d_drivers_run_every_cell(tmp_path):
+    model = dict(QL_MODEL, dim=2, potential="1 - exp(-(x^2 + y^2))")
+    cfg = coarse(tmp_path, model=model,
+                 grid={"box": [[-6.0, 6.0]] * 2, "shape": [21, 21]},
+                 lambdas=[0.4, 0.2], radii=[2.0, 3.0],
+                 probes=[[0.0, 0.0], [0.5, -0.5]], horizon=4.0,
+                 window=[[-1.0, 1.0]] * 2, controls={"da": 1.0})
+    loc = localization_study(cfg, workers=1,
+                             run_dir=os.path.join(tmp_path, "loc"))
+    assert [r[5] for r in loc.tables["gaps"]["rows"]] == ["ok"] * 4
+    sweep = vanishing_discount_sweep(cfg, workers=1,
+                                     run_dir=os.path.join(tmp_path, "sweep"))
+    assert [r[4] for r in sweep.tables["selection"]["rows"]] == ["ok"] * 4
+
+
+def test_run_cells_records_extent_errors():
+    # tabulated p^2/2 on [0, 1]: speeds beyond 1 push the maximizer out
+    model = HamiltonianModel.from_json(dict(
+        QL_MODEL, kinetic={"type": "tabulated", "dp": 0.1,
+                           "values": [0.5 * (0.1 * k) ** 2
+                                      for k in range(11)]}))
+    ev = LagrangianEvaluator(model)
+    cells = _run_cells(lambda s: ev.legendre(0.0, s, 0.0), [0.5, 3.0], 1)
+    assert cells[0.5][0] == "ok"
+    status, payload = cells[3.0]
+    assert status == "error"
+    assert payload.startswith("ExtentError")
 
 
 def test_localization_validates_truncation_radius(tmp_path):

@@ -79,38 +79,6 @@ def test_ball_interpolation_uses_replacement_inside_stencil():
     assert fld.interpolate(1.0) == pytest.approx(7.0)
 
 
-def test_gradient_linear_field():
-    grid = line_grid(n=21)
-    fld = GridField(grid, 0.7 * grid.axes[0])
-    g = fld.gradient()
-    np.testing.assert_allclose(g[:, 0], 0.7, atol=1e-12)
-
-
-def test_gradient_quadratic_central_exact():
-    grid = UniformGrid(Domain.full_box([(0.0, 2.0)]), 21)  # dx = 0.1
-    fld = GridField(grid, grid.axes[0] ** 2)
-    i = int(round(1.0 / 0.1))
-    assert fld.gradient_at((i,))[0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_gradient_one_sided_at_ball_boundary():
-    grid = UniformGrid(Domain.ball([(-10.0, 10.0)], radius=5.0), 401)  # dx 0.05
-    fld = GridField(grid, np.abs(grid.axes[0]))
-    g = fld.gradient()[:, 0]
-    # rightmost in-mask node uses a one-sided difference; slope of |x| is 1
-    edge = np.max(np.where(grid.mask)[0])
-    assert g[edge] == pytest.approx(1.0, abs=1e-1)
-
-
-def test_gradient_2d_mixed():
-    grid = UniformGrid(Domain.full_box([(-1.0, 1.0)] * 2), (21, 21))
-    gx, gy = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-    fld = GridField(grid, 2.0 * gx - 3.0 * gy)
-    g = fld.gradient()
-    np.testing.assert_allclose(g[..., 0], 2.0, atol=1e-12)
-    np.testing.assert_allclose(g[..., 1], -3.0, atol=1e-12)
-
-
 def test_2d_interpolation_bilinear():
     grid = UniformGrid(Domain.full_box([(0.0, 1.0)] * 2), (11, 11))
     gx, gy = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")

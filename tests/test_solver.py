@@ -106,38 +106,66 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
     # independent per-node minimization with hand-rolled interpolation
     grid = UniformGrid(Domain.full_box(((-1.0, 1.0),)), (21,))
     cs = ControlSet.build(1, max_speed=2.0, da=0.5)
-    dt = 0.025
     lam, c = 0.3, 0.7
     rng = np.random.RandomState(7)
     vals = rng.uniform(-1.0, 3.0, size=grid.shape)
-    out = lax_oleinik_step(GridField(grid, vals), ql_model, ql_evaluator,
-                           cs, lam, c, dt)
-
     xs = grid.axes[0]
     n = len(xs)
     dx = xs[1] - xs[0]
     f = 1.0 - np.exp(-xs ** 2)
-    expected = np.empty(n)
-    for i in range(n):
+    # at dt = 0.05 the fastest feet land exactly one cell away
+    for dt in (0.025, 0.05):
+        out = lax_oleinik_step(GridField(grid, vals), ql_model, ql_evaluator,
+                               cs, lam, c, dt)
+        expected = np.empty(n)
+        for i in range(n):
+            best = math.inf
+            for a in cs.controls[:, 0]:
+                foot = xs[i] - dt * a
+                if foot < xs[0] - 1e-9 or foot > xs[-1] + 1e-9:
+                    continue
+                delta = -dt * a / dx
+                b = math.floor(delta)
+                t = delta - b
+                if t > 1.0 - 1e-12:
+                    b += 1
+                    t = 0.0
+                if t < 1e-12:
+                    t = 0.0
+                i0 = min(max(i + b, 0), n - 1)
+                i1 = min(max(i + b + 1, 0), n - 1)
+                interp = (1.0 - t) * vals[i0] + t * vals[i1]
+                best = min(best, dt * 0.5 * a * a + interp)
+            expected[i] = best + dt * (f[i] + c) - dt * lam * vals[i]
+        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-13)
+
+    # 2D ball mask: per node and control, admissible feet by domain test,
+    # foot values by field interpolation, L from the evaluator
+    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-(x^2 + y^2))"),
+                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    ev = LagrangianEvaluator(model)
+    grid = UniformGrid(Domain.ball(((-1.5, 1.5),) * 2, 1.0), (13, 13))
+    cs = ControlSet.build(2, max_speed=2.0, da=0.5)
+    dt = 0.1
+    vals = rng.uniform(-1.0, 3.0, size=grid.shape)
+    fld = GridField(grid, vals)
+    out = lax_oleinik_step(fld, model, ev, cs, lam, c, dt)
+
+    expected = vals.ravel().copy()  # out-of-mask nodes keep their values
+    for i in np.where(grid.mask.ravel())[0]:
+        x = grid.points()[i]
+        level = lam * expected[i]
         best = math.inf
-        for a in cs.controls[:, 0]:
-            foot = xs[i] - dt * a
-            if foot < xs[0] - 1e-9 or foot > xs[-1] + 1e-9:
+        for a in cs.controls:
+            foot = x - dt * a
+            if not grid.domain.contains(foot[None, :], slack=1e-9)[0]:
                 continue
-            delta = -dt * a / dx
-            b = math.floor(delta)
-            t = delta - b
-            if t > 1.0 - 1e-12:
-                b += 1
-                t = 0.0
-            if t < 1e-12:
-                t = 0.0
-            i0 = min(max(i + b, 0), n - 1)
-            i1 = min(max(i + b + 1, 0), n - 1)
-            interp = (1.0 - t) * vals[i0] + t * vals[i1]
-            best = min(best, dt * 0.5 * a * a + interp)
-        expected[i] = best + dt * (f[i] + c) - dt * lam * vals[i]
-    np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-13)
+            interp = fld.interpolate(foot[None, :])[0]
+            best = min(best, dt * (ev.legendre(x, a, level) + c) + interp)
+        expected[i] = best
+    np.testing.assert_allclose(out.values.ravel(), expected, rtol=0,
+                               atol=1e-12)
 
 
 def test_step_monotone_on_ordered_pairs(ql_model, ql_evaluator, controls1d):
