@@ -15,8 +15,8 @@ import numpy as np
 
 from .experiments import (ConfigError, ExperimentConfig, builtin_models,
                           localization_study, make_run_dir, measure_study,
-                          run_assumption_check, vanishing_discount_sweep,
-                          worker_count)
+                          read_config_file, run_assumption_check,
+                          vanishing_discount_sweep, worker_count)
 from .grid import DomainError, atomic_write_text
 from .hamiltonian import LagrangianEvaluator, ModelError
 from .measures import (closedness_defect, default_battery, discounted_measure,
@@ -61,17 +61,7 @@ def _load_config(args) -> ExperimentConfig:
                               + ", ".join(sorted(presets)))
         data = presets[args.preset].to_dict()
     elif args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"config {args.config}: line {exc.lineno} col {exc.colno}:"
-                    f" {exc.msg}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
+        data = read_config_file(args.config)
     else:
         raise ConfigError("give --config FILE or --preset NAME")
     _apply_overrides(data, args.set)

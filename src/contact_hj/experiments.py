@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 
 _GRID_KEYS = {"box", "shape", "kind", "radius"}
-_SOLVER_KEYS = {"dt", "tol", "max_iters", "damping"}
+_SOLVER_KEYS = {"dt", "tol", "max_iters"}
 _CONTROL_KEYS = {"max_speed", "da"}
 _TOP_KEYS = {"name", "model", "c", "grid", "lambdas", "radii", "probes",
              "horizon", "window", "solver", "controls", "truncation_radius",
@@ -49,6 +49,21 @@ def _reject_unknown(data: dict, allowed: set, where: str) -> None:
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown config key {where}{key!r}")
+
+
+def read_config_file(path) -> dict:
+    """The JSON object held by a config file; ConfigError when there is none."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno} "
+                          f"col {exc.colno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return data
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,6 @@ class ExperimentConfig:
         _reject_unknown(solver, _SOLVER_KEYS, "solver.")
         solver.setdefault("tol", 1e-8)
         solver.setdefault("max_iters", 50000)
-        solver.setdefault("damping", 1.0)
         solver.setdefault("dt", None)
 
         controls = dict(data.get("controls", {}))
@@ -153,14 +167,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}")
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict(read_config_file(path))
 
     def to_dict(self) -> dict:
         return {
@@ -194,8 +201,7 @@ class ExperimentConfig:
     def build_params(self) -> SolveParams:
         s = self.solver
         return SolveParams(dt=s["dt"], tol=float(s["tol"]),
-                           max_iters=int(s["max_iters"]),
-                           damping=float(s["damping"]))
+                           max_iters=int(s["max_iters"]))
 
     def build_controls(self, dim: int) -> ControlSet:
         return ControlSet.build(dim, max_speed=self.controls.get("max_speed"),
@@ -787,7 +793,7 @@ def run_assumption_check(config: ExperimentConfig) -> dict:
     expected = config.expect_assumptions
     mismatches = {}
     for name, want in expected.items():
-        got = report.status(name)
+        got = report[name].status
         if got != want:
             mismatches[name] = {"expected": want, "got": got}
     return {"report": report.to_json(),

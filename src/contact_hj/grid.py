@@ -156,8 +156,9 @@ class UniformGrid:
 
         Out-of-mask nodes take the closer of the two axis-nearest in-mask
         nodes, preferring the first axis on ties. Nodes with no in-mask
-        node on either axis line map to themselves; valid interpolation
-        queries never touch those.
+        node on either axis line map to themselves and keep their own,
+        out-of-mask value. Sweep stencils on thin balls can reach such
+        nodes; SweepKernel rejects those grids.
         """
         if self._rmap is not None:
             return self._rmap

@@ -330,6 +330,7 @@ class HamiltonianModel:
 
 
 _EXTENT_CAP = 160.0
+_TABLE_DU = 5e-3  # u spacing of the sup-term tables of p-coupled sweeps
 
 
 class LagrangianEvaluator:
@@ -342,8 +343,7 @@ class LagrangianEvaluator:
     """
 
     def __init__(self, model: HamiltonianModel, p_extent: float = 20.0,
-                 p_spacing: float = 0.01, mode: str = "auto",
-                 table_du: float = 5e-3):
+                 p_spacing: float = 0.01, mode: str = "auto"):
         if mode not in ("auto", "closed", "gridsup"):
             raise ModelError(f"unknown evaluator mode {mode!r}")
         if mode == "closed" and not model.has_closed_lagrangian:
@@ -351,7 +351,6 @@ class LagrangianEvaluator:
         self.model = model
         self.p_extent = float(p_extent)
         self.p_spacing = float(p_spacing)
-        self.table_du = float(table_du)
         self.mode = mode
         self.uses_closed_form = (
             model.has_closed_lagrangian if mode == "auto" else mode == "closed"
@@ -512,7 +511,7 @@ class _ConjugateTable:
 
     def __init__(self, evaluator: LagrangianEvaluator, speeds: np.ndarray,
                  u_lo: float, u_hi: float):
-        du = evaluator.table_du
+        du = _TABLE_DU
         pad = 4.0 * du
         lo = u_lo - pad
         hi = max(u_hi + pad, lo + 2 * du)
@@ -556,12 +555,6 @@ class AssumptionCheck:
 @dataclass(frozen=True)
 class AssumptionReport:
     checks: tuple
-
-    def status(self, name: str) -> str:
-        for c in self.checks:
-            if c.name == name:
-                return c.status
-        raise KeyError(name)
 
     def __getitem__(self, name: str) -> AssumptionCheck:
         for c in self.checks:

@@ -12,8 +12,11 @@ Because feet x - Δt*a lie within one cell of their node and shift every
 node by the same fraction of a cell, each control's foot value is a fixed
 combination of the node's 3^d stencil neighbours, in any dimension: the
 candidates of a sweep are one matrix product, stencil values times a
-3^d x controls table of tensor-product hat weights, taken over the in-mask
-nodes only.
+3^d x controls table of tensor-product hat weights.
+
+The iterate is the vector of in-mask values alone, and stencils point at
+positions in it; out-of-mask values pass through from v0. A stencil that
+reaches a node with no in-mask replacement raises SolverError.
 """
 
 import itertools
@@ -110,11 +113,8 @@ class SolveParams:
     dt: float = None  # resolved from the grid/controls when omitted
     tol: float = 1e-8
     max_iters: int = 50000
-    damping: float = 1.0
 
     def resolve(self, grid: UniformGrid, controls: ControlSet) -> "SolveParams":
-        if self.damping <= 0 or self.damping > 1:
-            raise SolverError("damping must lie in (0, 1]")
         dt = self.dt
         if dt is None:
             dt = 0.5 * min(grid.dx) / controls.max_speed
@@ -151,20 +151,27 @@ class SweepKernel:
         self.dt = float(dt)
         if any(self.dt * controls.max_speed > dx + 1e-12 for dx in grid.dx):
             raise SolverError("feet move more than one cell per step; shrink dt")
-        self.mask_flat = grid.mask.ravel()
-        self.in_idx = np.where(self.mask_flat)[0]
+        self.in_idx = np.flatnonzero(grid.mask)
         in_pts = grid.points()[self.in_idx]
         self.speeds = controls.speeds
 
-        # the 3^d neighbours of each in-mask node, clipped to the box and
-        # mapped into the mask
+        # the 3^d neighbours of each in-mask node, clipped to the box, mapped
+        # into the mask and stored as positions into in_idx
         offsets = np.array(list(itertools.product((-1, 0, 1),
                                                   repeat=grid.dim)))
         node = np.column_stack(np.unravel_index(self.in_idx, grid.shape))
         nbrs = np.clip(node[:, None, :] + offsets,
                        0, np.array(grid.shape) - 1)
-        self.stencil = grid.replacement_map[
-            np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid.shape)]
+        position = np.full(grid.size, -1)
+        position[self.in_idx] = np.arange(len(self.in_idx))
+        self.stencil = position[grid.replacement_map[
+            np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid.shape)]]
+        outside = np.any(self.stencil < 0, axis=1)
+        if np.any(outside):
+            bad = in_pts[np.argmax(outside)]
+            raise SolverError(
+                f"stencil of node {bad.tolist()} reaches a node with no "
+                "in-mask replacement; mask too thin for this grid")
 
         # hat weights of each control's foot offset, one column per control
         ctrl = controls.controls
@@ -213,12 +220,13 @@ class SweepKernel:
 
     def step(self, v: np.ndarray, lam: float, c: float, mode: str = "contact",
              table=None) -> np.ndarray:
-        """One Lax-Oleinik sweep over the flat value buffer.
+        """One Lax-Oleinik sweep: in-mask values in, in-mask values out.
 
+        v and the result hold one value per node of in_idx, in that order;
+        solves pass the out-of-mask values of their v0 through unchanged.
         mode "contact": v'(x) = min_a Δt*(L(x,a,λv(x)) + c) + I[v](x-Δt·a).
         mode "discount0": v'(x) = min_a Δt*L(x,a,0) + exp(-λΔt)*I[v](x-Δt·a),
         the classical discounted problem used for critical-value estimation.
-        Out-of-mask nodes keep their values.
         """
         dt = self.dt
         contact_coupled = (mode == "contact" and not self.separable
@@ -226,15 +234,14 @@ class SweepKernel:
         if contact_coupled and table is None:
             raise SolverError("p-coupled contact sweep needs a sup-table")
         discount = math.exp(-lam * dt) if mode == "discount0" else 1.0
-        v_in = v[self.in_idx]
-        best = np.empty(len(v_in))
-        for lo in range(0, len(v_in), _ROW_CHUNK):
+        best = np.empty(len(v))
+        for lo in range(0, len(v), _ROW_CHUNK):
             rows = slice(lo, lo + _ROW_CHUNK)
             cand = v[self.stencil[rows]] @ self.weights
             if mode == "discount0":
                 cand *= discount
             if contact_coupled:
-                cand += dt * table.values(lam * v_in[rows]).T
+                cand += dt * table.values(lam * v[rows]).T
             else:
                 cand += dt * self.cost
             np.copyto(cand, np.inf, where=self.blocked[rows])
@@ -242,21 +249,19 @@ class SweepKernel:
         if mode == "discount0":
             best += dt * self.f_in
         elif contact_coupled:
-            best += dt * (self.f_in - lam * v_in + c)
+            best += dt * (self.f_in - lam * v + c)
         else:
             best += dt * (self.f_in + c)
             if self.phi_in is not None and lam != 0.0:
-                best -= dt * lam * self.phi_in * v_in
-        out = v.copy()
-        out[self.in_idx] = best
-        return out
+                best -= dt * lam * self.phi_in * v
+        return best
 
 
 def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):
     """(Re)build the sup-term table when the iterate's u-range escapes it."""
     if kernel.separable or lam == 0.0:
         return None
-    u = lam * v[kernel.in_idx]
+    u = lam * v
     lo, hi = float(np.min(u)), float(np.max(u))
     pad = 0.25 * max(hi - lo, 1.0)
     if table is None or not table.covers(lo, hi):
@@ -266,15 +271,18 @@ def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):
 
 
 def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
-             params: SolveParams, mode: str = "contact", pin_idx=None,
-             anchor_idx=None, mismatch_guard: bool = False):
-    """Fixed-point loop with geometric-tail extrapolation for λ > 0."""
-    mask = kernel.mask_flat
-    v = np.asarray(v0, dtype=float).ravel().copy()
-    if pin_idx is not None:
-        v[pin_idx] = 0.0
-    if anchor_idx is not None:
-        v[mask] -= v[anchor_idx]
+             params: SolveParams, mode: str = "contact", pin_pos=None,
+             anchor_pos=None, mismatch_guard: bool = False):
+    """Fixed-point loop with geometric-tail extrapolation for λ > 0.
+
+    Runs on the in-mask values of v0, which pin_pos and anchor_pos index,
+    and returns a copy of v0 with those values replaced.
+    """
+    v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
+    if pin_pos is not None:
+        v[pin_pos] = 0.0
+    if anchor_pos is not None:
+        v -= v[anchor_pos]
     dt = kernel.dt
     if mode == "discount0":
         gain = -math.expm1(-lam * dt)
@@ -297,19 +305,15 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
     for it in range(1, params.max_iters + 1):
         table = _ensure_table(kernel, table, lam, v)
         v_new = kernel.step(v, lam, c, mode=mode, table=table)
-        if pin_idx is not None:
-            v_new[pin_idx] = 0.0
+        if pin_pos is not None:
+            v_new[pin_pos] = 0.0
         drift = None
-        if anchor_idx is not None:
-            drift = float(v_new[anchor_idx])
-            v_new[mask] -= drift
+        if anchor_pos is not None:
+            drift = float(v_new[anchor_pos])
+            v_new -= drift
             drift_rate = drift / dt
-        if params.damping < 1.0:
-            v_new = v + params.damping * (v_new - v)
-            if pin_idx is not None:
-                v_new[pin_idx] = 0.0
         diff = v_new - v
-        res = float(np.max(np.abs(diff[mask])))
+        res = float(np.max(np.abs(diff)))
         if accel_backup is not None:
             # first sweep after an extrapolation: keep it only if it helped
             back_v, back_res = accel_backup
@@ -326,7 +330,7 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
                 and abs(drift) > 10.0 * params.tol \
                 and res < 2.0 * abs(drift) + 1e-15:
             raise CMismatchError(rate=drift / dt, drift=drift, iteration=it)
-        scale = max(1.0, float(np.max(np.abs(v_new[mask]))))
+        scale = max(1.0, float(np.max(np.abs(v_new))))
         v, v_prev_diff = v_new, diff
         if res <= target or res <= _FLOAT_FLOOR * scale:
             converged = True
@@ -346,10 +350,10 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
             if 0.0 < rho < 1.0 - 1e-9 and spread <= 0.5 * (1.0 - rho):
                 accel_backup = (v.copy(), res)
                 v = v + v_prev_diff * (rho / (1.0 - rho))
-                if pin_idx is not None:
-                    v[pin_idx] = 0.0
-                if anchor_idx is not None:
-                    v[mask] -= v[anchor_idx]
+                if pin_pos is not None:
+                    v[pin_pos] = 0.0
+                if anchor_pos is not None:
+                    v -= v[anchor_pos]
                 ratios.clear()
                 prev_res = None
     extras = {
@@ -357,7 +361,9 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
         "error_bound": res / gain if gain > 0 else None,
         "drift_rate": drift_rate,
     }
-    return v, it, res, converged, extras
+    out = np.array(v0, dtype=float).ravel()
+    out[kernel.in_idx] = v
+    return out, it, res, converged, extras
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +384,11 @@ def lax_oleinik_step(v: GridField, model: HamiltonianModel,
                      lam: float, c: float, dt: float) -> GridField:
     """One sweep of the operator on a field; mainly a testing surface."""
     kernel = SweepKernel(v.grid, evaluator, controls, dt)
-    flat = v.values.ravel().copy()
-    table = _ensure_table(kernel, None, lam, flat)
-    out = kernel.step(flat, lam, c, mode="contact", table=table)
-    return v.with_values(out.reshape(v.grid.shape))
+    out = v.values.copy()
+    v_in = out.flat[kernel.in_idx]
+    table = _ensure_table(kernel, None, lam, v_in)
+    out.flat[kernel.in_idx] = kernel.step(v_in, lam, c, table=table)
+    return v.with_values(out)
 
 
 def solve_state_constraint(model: HamiltonianModel, grid: UniformGrid,
@@ -444,7 +451,6 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
     table = []
     outcomes = []
     start = np.zeros(grid.size)
-    fld = None
     for lam in lams:
         v, iters, res, ok, extras = _iterate(kernel, start, lam, 0.0, params,
                                              mode="discount0")
@@ -488,12 +494,13 @@ def solve_ergodic(model: HamiltonianModel, grid: UniformGrid, c: float,
     if anchor is None:
         anchor = np.zeros(grid.dim)
     anchor_idx = np.ravel_multi_index(grid.nearest_node(anchor), grid.shape)
-    if not kernel.mask_flat[anchor_idx]:
+    if not grid.mask.flat[anchor_idx]:
         raise SolverError("anchor lies outside the mask")
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
-    v, iters, res, ok, extras = _iterate(kernel, start, 0.0, c, params,
-                                         anchor_idx=anchor_idx,
-                                         mismatch_guard=True)
+    v, iters, res, ok, extras = _iterate(
+        kernel, start, 0.0, c, params,
+        anchor_pos=np.searchsorted(kernel.in_idx, anchor_idx),
+        mismatch_guard=True)
     fld = GridField(grid, v.reshape(grid.shape),
                     meta={"kind": "ergodic", "lambda": 0.0, "c": c})
     return SolveOutcome(fld, iters, res, ok, extras)
@@ -522,21 +529,17 @@ def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
         per_unit = 20 if dim == 1 else 13
         shape = tuple(int(round((hi - lo) * per_unit)) + 1 for lo, hi in box)
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
-    prev_vals = None
-    prev_mask = None
     history = []
     outcome = None
     stabilized_at = None
     for r in radii:
         grid = UniformGrid(Domain.ball(box, r), shape)
-        v0 = None
-        if prev_vals is not None:
-            v0 = np.where(prev_mask, prev_vals, 0.0)
+        # solves pass out-of-mask values through, so nodes new to this
+        # ball start from the zeros of the first start vector
+        v0 = None if outcome is None else outcome.field.values
         outcome = solve_state_constraint(model, grid, lam, c, params=params,
                                          controls=controls,
                                          evaluator=evaluator, v0=v0)
-        prev_vals = outcome.field.values.ravel()
-        prev_mask = grid.mask.ravel()
         val = float(outcome.field.interpolate(probe[None, :])[0])
         history.append((r, val))
         if len(history) >= 2 and stabilized_at is None:
@@ -563,12 +566,13 @@ def mane_potential(model: HamiltonianModel, grid: UniformGrid, y, c: float,
                                          evaluator)
     kernel = SweepKernel(grid, evaluator, controls, params.dt)
     pin = np.ravel_multi_index(grid.nearest_node(y), grid.shape)
-    if not kernel.mask_flat[pin]:
+    if not grid.mask.flat[pin]:
         raise SolverError("pin point lies outside the mask")
     start = np.full(grid.size, 1e6)
     start[pin] = 0.0
-    v, iters, res, ok, extras = _iterate(kernel, start, 0.0, c, params,
-                                         pin_idx=pin)
+    v, iters, res, ok, extras = _iterate(
+        kernel, start, 0.0, c, params,
+        pin_pos=np.searchsorted(kernel.in_idx, pin))
     if not ok:
         raise SolverError(
             f"pinned solve did not settle (residual {res:g} after {iters} "

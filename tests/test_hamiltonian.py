@@ -227,19 +227,19 @@ def test_kappa_bounds(quad_lin, arctan_model):
 def test_assumptions_quadratic_linear(quad_lin):
     report = check_assumptions(quad_lin)
     for name in ("H1", "H2", "H3", "H4", "P1", "P2", "P3"):
-        assert report.status(name) == "verified-on-samples", (
+        assert report[name].status == "verified-on-samples", (
             name, report[name].witness)
 
 
 def test_assumptions_arctan(arctan_model):
     report = check_assumptions(arctan_model)
-    assert report.status("H1") == "verified-on-samples"
-    assert report.status("H3") == "verified-on-samples"
+    assert report["H1"].status == "verified-on-samples"
+    assert report["H3"].status == "verified-on-samples"
     # du_H grows like |p|^2: the global bound fails at larger radii
-    assert report.status("H4") == "violated"
+    assert report["H4"].status == "violated"
     assert report["H4"].witness["du_h"] > report["H4"].witness["local_cap"]
     # arctan is concave in u > 0: joint convexity fails
-    assert report.status("P2") == "violated"
+    assert report["P2"].status == "violated"
 
 
 def test_assumptions_detect_nonmonotone():
@@ -248,16 +248,16 @@ def test_assumptions_detect_nonmonotone():
         coupling=LinearCoupling(phi=parse("0 - 1"), kappa_lo=-1.0,
                                 kappa_hi=-1.0))
     report = check_assumptions(bad)
-    assert report.status("H1") == "violated"
-    assert report.status("H3") == "violated"
+    assert report["H1"].status == "violated"
+    assert report["H3"].status == "violated"
 
 
 def test_assumptions_none_coupling():
     bare = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                             potential=parse("1 - exp(-x^2)"))
     report = check_assumptions(bare)
-    assert report.status("H3") == "not-applicable"
-    assert report.status("H4") == "not-applicable"
+    assert report["H3"].status == "not-applicable"
+    assert report["H4"].status == "not-applicable"
 
 
 def test_lower_bound_m0(quad_lin):

@@ -54,13 +54,6 @@ def test_params_resolve_default_dt(grid201, controls1d):
     assert p.dt == pytest.approx(0.5 * 0.1 / 6.0)
 
 
-def test_params_resolve_rejects_bad_damping(grid201, controls1d):
-    with pytest.raises(SolverError, match="damping"):
-        SolveParams(damping=0.0).resolve(grid201, controls1d)
-    with pytest.raises(SolverError, match="damping"):
-        SolveParams(damping=1.5).resolve(grid201, controls1d)
-
-
 def test_params_resolve_rejects_huge_dt(grid201, controls1d):
     with pytest.raises(SolverError, match="beyond the grid box"):
         SolveParams(dt=4.0).resolve(grid201, controls1d)
@@ -281,6 +274,41 @@ def test_nonconvergence_reported_not_raised(ql_model, grid201):
                                  SolveParams(tol=1e-14, max_iters=5))
     assert not out.converged
     assert out.iterations == 5
+
+
+def test_thin_ball_mask_raises():
+    # The mask's bounding-square corners are in-mask here, so the diagonal
+    # stencil neighbour of such a corner has no in-mask node on either of
+    # its grid lines; a solve would read that node's out-of-mask start value.
+    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-(x^2 + y^2))"),
+                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    grid = UniformGrid(Domain.ball(((-1.0, 1.0),) * 2, 0.55,
+                                   center=(0.1, 0.05)), (9, 9))
+    cs = ControlSet.build(2, max_speed=1.0, da=0.25)
+    with pytest.raises(SolverError, match="mask too thin for this grid"):
+        solve_state_constraint(model, grid, 0.5, 0.0, controls=cs)
+
+
+def test_out_of_mask_start_values_pass_through(ql_model, ql_evaluator):
+    grid = UniformGrid(Domain.ball(((-4.0, 4.0),), 2.0), (41,))
+    cs = ControlSet.build(1, max_speed=2.0, da=0.5)
+    outside = ~grid.mask
+    v0 = np.where(outside, np.random.RandomState(3).uniform(-50.0, 50.0,
+                                                             grid.shape), 0.0)
+    p = SolveParams(tol=1e-6)
+    theta = solve_state_constraint(ql_model, grid, 0.2, 0.0, p, controls=cs,
+                                   evaluator=ql_evaluator, v0=v0)
+    erg = solve_ergodic(ql_model, grid, 0.0, p, controls=cs,
+                        evaluator=ql_evaluator, v0=v0)
+    mane = mane_potential(ql_model, grid, 0.0, 0.0, p, controls=cs,
+                          evaluator=ql_evaluator)
+    assert theta.converged and erg.converged
+    for fld in (theta.field, erg.field):
+        np.testing.assert_array_equal(fld.values[outside], v0[outside])
+        assert np.all(np.abs(fld.values[grid.mask]) < 10.0)
+    np.testing.assert_array_equal(mane.values[outside], 1e6)
+    assert np.all(mane.values[grid.mask] < 10.0)
 
 
 def test_no_admissible_control_raises(ql_model, ql_evaluator, grid201):
