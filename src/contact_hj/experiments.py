@@ -350,6 +350,12 @@ def _probe_label(p) -> str:
     return "_".join(f"{v:g}" for v in p)
 
 
+def _note_trace_warning(report, lam, probe, curve) -> None:
+    if curve.warning:
+        report.notes.append(
+            f"trace lam={lam:g} z={_probe_label(probe)}: {curve.warning}")
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -465,6 +471,7 @@ def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
             sel_rows.append([lam, _probe_label(probe), "nan", 0.0, payload])
             continue
         curve, idx, mu, horizon = payload
+        _note_trace_warning(report, lam, probe, curve)
         value = selection_functional(mu, proxy, model, evaluator)
         sel_values.append(value)
         sel_rows.append([lam, _probe_label(probe), value, horizon, "ok"])
@@ -650,6 +657,7 @@ def measure_study(config: ExperimentConfig, probes=None, workers=None,
                                 "nan", 0.0, payload])
             continue
         mu, curve, idx, closed, mather, support, horizon = payload
+        _note_trace_warning(report, lam, probe, curve)
         measures_by_probe[probe][lam] = mu
         defect_rows.append([lam, _probe_label(probe), closed, mather,
                             support, horizon, "ok"])

@@ -222,35 +222,44 @@ class GridField:
         if not np.all(ok):
             bad = pts[np.argmin(ok)]
             raise DomainError(f"query point {bad.tolist()} outside the domain")
+        out = self.interpolate_unchecked(pts)
+        return float(out[0]) if squeeze else out
+
+    def interpolate_unchecked(self, pts: np.ndarray) -> np.ndarray:
+        """interpolate() without the domain check, on (P, dim) float points.
+
+        For callers whose points have already passed a domain test at least
+        as strict as interpolate()'s half-cell slack.
+        """
+        grid = self.grid
         rmap = grid.replacement_map
         vals_flat = self.values.ravel()
-        pos, base, t = [], [], []
+        base, t = [], []
         for k in range(grid.dim):
             p = (pts[:, k] - grid.axes[k][0]) / grid.dx[k]
-            b = np.clip(np.floor(p).astype(int), 0, grid.shape[k] - 2)
+            b = np.minimum(np.maximum(np.floor(p).astype(int), 0),
+                           grid.shape[k] - 2)
             w = p - b
             # snap to exact node hits so node queries reproduce node values
             w[np.abs(w) < 1e-9] = 0.0
             w[np.abs(w - 1.0) < 1e-9] = 1.0
-            w = np.clip(w, 0.0, 1.0)
+            w = np.minimum(np.maximum(w, 0.0), 1.0)
             base.append(b)
             t.append(w)
         if grid.dim == 1:
             i0 = base[0]
             v0 = vals_flat[rmap[i0]]
             v1 = vals_flat[rmap[i0 + 1]]
-            out = (1 - t[0]) * v0 + t[0] * v1
-        else:
-            ny = grid.shape[1]
-            i0 = base[0] * ny + base[1]
-            v00 = vals_flat[rmap[i0]]
-            v01 = vals_flat[rmap[i0 + 1]]
-            v10 = vals_flat[rmap[i0 + ny]]
-            v11 = vals_flat[rmap[i0 + ny + 1]]
-            tx, ty = t
-            out = ((1 - tx) * ((1 - ty) * v00 + ty * v01)
-                   + tx * ((1 - ty) * v10 + ty * v11))
-        return float(out[0]) if squeeze else out
+            return (1 - t[0]) * v0 + t[0] * v1
+        ny = grid.shape[1]
+        i0 = base[0] * ny + base[1]
+        v00 = vals_flat[rmap[i0]]
+        v01 = vals_flat[rmap[i0 + 1]]
+        v10 = vals_flat[rmap[i0 + ny]]
+        v11 = vals_flat[rmap[i0 + ny + 1]]
+        tx, ty = t
+        return ((1 - tx) * ((1 - ty) * v00 + ty * v01)
+                + tx * ((1 - ty) * v10 + ty * v11))
 
     # -- persistence -----------------------------------------------------------
 

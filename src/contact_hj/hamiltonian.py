@@ -223,14 +223,14 @@ class HamiltonianModel:
 
     def f(self, x):
         pts = _as_points(x, self.dim)
-        out = self.potential(**self._env(pts))
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
+        return np.full(pts.shape[:-1], self.potential(**self._env(pts)),
+                       dtype=float)
 
     def phi(self, x):
         pts = _as_points(x, self.dim)
         if self.coupling.kind == "linear":
-            out = self.coupling.phi(**self._env(pts))
-            return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
+            return np.full(pts.shape[:-1], self.coupling.phi(**self._env(pts)),
+                           dtype=float)
         return np.zeros(pts.shape[:-1])
 
     # -- evaluation --------------------------------------------------------

@@ -604,8 +604,7 @@ def aubry_indicator(model: HamiltonianModel, grid: UniformGrid, c: float,
         node = grid.node_point(grid.nearest_node(y))
         feet = node[None, :] - dt * ctrl
         ok = grid.domain.contains(feet, slack=1e-9)
-        lvals = np.array([
-            evaluator.legendre(node, a, 0.0) for a in ctrl])
+        lvals = evaluator.legendre(node[None, :], ctrl, 0.0)
         interp = np.full(len(ctrl), np.inf)
         interp[ok] = s_field.interpolate(feet[ok])
         cand = dt * (lvals + c) + interp

@@ -2,7 +2,10 @@
 
 A curve is traced by greedy one-step descent of the dynamic programming
 operator on a converged field; the per-step defect is recorded rather than
-assumed zero. Discount indices are difference quotients of the Lagrangian in
+assumed zero. For separable couplings the per-control sup term of the
+Lagrangian is computed once per curve, and each step interpolates the field
+once, at the admissible feet; the chosen foot's value is the next step's
+field value. Discount indices are difference quotients of the Lagrangian in
 its u slot between the field level and a reference level; their left-Riemann
 cumulative integrals weight both the representation formulas and the
 discounted measures, so the same convention is used everywhere.
@@ -70,6 +73,11 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
     is chosen (first hit in lexicographic control order on ties). Steps whose
     one-step value disagrees with the field by more than defect_tol are
     counted and surface as a warning on the curve, which is still returned.
+
+    L keeps legendre()'s arithmetic: for separable couplings the per-control
+    sup term is computed once per curve and each step adds f(x) -
+    phi(x)*λ*v(x); p-coupled models call legendre() once per step. v(x) is
+    the interpolated value of the foot chosen at the step before.
     """
     grid = field.grid
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -82,23 +90,28 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
     if defect_tol is None:
         defect_tol = 10.0 * 1e-8 + max(grid.dx) ** 2
     ctrl = controls.controls
+    step = dt * ctrl
+    sup = (evaluator.conjugate_speeds(controls.speeds)
+           if model.separable_coupling else None)
     pts = np.empty((n_steps + 1, grid.dim))
     vel = np.empty((n_steps, grid.dim))
     pts[0] = z
     defect_max = 0.0
     n_bad = 0
-    x = z.copy()
+    x1 = z[None, :]
+    v_here = float(field.interpolate(x1)[0])
     for k in range(n_steps):
-        v_here = float(field.interpolate(x[None, :])[0])
         level = lam * v_here
-        lvals = np.asarray(evaluator.legendre(
-            np.tile(x, (len(ctrl), 1)), ctrl, level), dtype=float)
-        feet = x[None, :] - dt * ctrl
+        if sup is None:
+            lvals = evaluator.legendre(x1, ctrl, level)
+        else:
+            lvals = sup + model.f(x1) - model.phi(x1) * level
+        feet = x1 - step
         ok = grid.domain.contains(feet, slack=1e-9)
         if not np.any(ok):
-            raise SolverError(f"no admissible control at {x.tolist()}")
+            raise SolverError(f"no admissible control at {x1[0].tolist()}")
         vals = np.full(len(ctrl), np.inf)
-        vals[ok] = field.interpolate(feet[ok])
+        vals[ok] = field.interpolate_unchecked(feet[ok])
         cand = dt * (lvals + c) + vals
         j = int(np.argmin(cand))
         defect = abs(v_here - float(cand[j]))
@@ -107,8 +120,9 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
         if defect > defect_tol:
             n_bad += 1
         vel[k] = ctrl[j]
-        x = feet[j]
-        pts[k + 1] = x
+        x1 = feet[j:j + 1]
+        pts[k + 1] = x1[0]
+        v_here = float(vals[j])
     warning = ""
     if n_bad:
         warning = (f"{n_bad}/{n_steps} steps exceeded the DPP defect "

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from contact_hj import experiments
 from contact_hj.experiments import (ConfigError, ExperimentConfig,
                                     _run_cells, builtin_models,
                                     localization_study, make_run_dir,
@@ -305,6 +307,31 @@ def test_measure_study_deterministic_across_workers(tmp_path):
     assert set(outs[1]) == set(outs[4])
     for fname in outs[1]:
         assert outs[1][fname] == outs[4][fname], fname
+
+
+def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
+    real = experiments.backtrace
+
+    def warn_at_small_lambda(field, model, evaluator, controls, lam, *args):
+        curve = real(field, model, evaluator, controls, lam, *args)
+        if lam == 0.2:
+            curve = dataclasses.replace(curve, warning="3/9 steps exceeded")
+        return curve
+
+    monkeypatch.setattr(experiments, "backtrace", warn_at_small_lambda)
+    cfg = coarse(tmp_path, grid={"box": [[-10.0, 10.0]], "shape": [41]},
+                 lambdas=[0.4, 0.2], probes=[0.0, 1.5], horizon=2.0,
+                 window=[[-1.0, 1.0]])
+    expected = ["trace lam=0.2 z=0: 3/9 steps exceeded",
+                "trace lam=0.2 z=1.5: 3/9 steps exceeded"]
+    for name, driver in (("measures", measure_study),
+                         ("sweep", vanishing_discount_sweep)):
+        run_dir = os.path.join(tmp_path, name)
+        report = driver(cfg, workers=1, run_dir=run_dir)
+        trace_notes = [n for n in report.notes if n.startswith("trace ")]
+        assert trace_notes == expected, name
+        with open(os.path.join(run_dir, "report.json")) as handle:
+            assert json.load(handle)["notes"] == report.notes
 
 
 # ---------------------------------------------------------------------------

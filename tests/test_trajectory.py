@@ -6,8 +6,10 @@ import pytest
 from contact_hj.expressions import parse
 from contact_hj.grid import Domain, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
-                                    LagrangianEvaluator, QuadraticKinetic)
-from contact_hj.solver import SolveParams, SolverError, solve_state_constraint
+                                    LagrangianEvaluator, LinearCoupling,
+                                    QuadraticKinetic)
+from contact_hj.solver import (ControlSet, SolveParams, SolverError,
+                               solve_state_constraint)
 from contact_hj.trajectory import (INDEX_KINDS, backtrace, compute_indices,
                                    exponential_action, write_curve_csv)
 
@@ -32,6 +34,102 @@ def arctan_solve():
                                  SolveParams(tol=1e-6), evaluator=ev)
     assert out.converged
     return model, ev, out.field
+
+
+def reference_backtrace(field, model, evaluator, controls, lam, c, z,
+                        horizon, dt, defect_tol=None):
+    """Plain per-step loop: Legendre over every control at the tiled point,
+    the public interpolate on the admitted feet and afresh at each point.
+
+    Returns (points, velocities, defect_max, warning, blocked_steps), where
+    blocked_steps counts the steps at which some control was inadmissible.
+    """
+    grid = field.grid
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    n_steps = int(math.ceil(horizon / dt - 1e-12))
+    if defect_tol is None:
+        defect_tol = 10.0 * 1e-8 + max(grid.dx) ** 2
+    ctrl = controls.controls
+    pts = np.empty((n_steps + 1, grid.dim))
+    vel = np.empty((n_steps, grid.dim))
+    pts[0] = z
+    defect_max = 0.0
+    n_bad = 0
+    blocked = 0
+    x = z.copy()
+    for k in range(n_steps):
+        v_here = float(field.interpolate(x[None, :])[0])
+        level = lam * v_here
+        lvals = np.asarray(evaluator.legendre(
+            np.tile(x, (len(ctrl), 1)), ctrl, level), dtype=float)
+        feet = x[None, :] - dt * ctrl
+        ok = grid.domain.contains(feet, slack=1e-9)
+        blocked += int(not np.all(ok))
+        vals = np.full(len(ctrl), np.inf)
+        vals[ok] = field.interpolate(feet[ok])
+        cand = dt * (lvals + c) + vals
+        j = int(np.argmin(cand))
+        defect = abs(v_here - float(cand[j]))
+        defect_max = max(defect_max, defect)
+        n_bad += defect > defect_tol
+        vel[k] = ctrl[j]
+        x = feet[j]
+        pts[k + 1] = x
+    warning = ""
+    if n_bad:
+        warning = (f"{n_bad}/{n_steps} steps exceeded the DPP defect "
+                   f"tolerance {defect_tol:.3g} (worst {defect_max:.3g})")
+    return pts, vel, defect_max, warning, blocked
+
+
+def assert_matches_reference(field, model, evaluator, controls, lam, c, z,
+                             horizon, dt, defect_tol=None) -> tuple:
+    args = (field, model, evaluator, controls, lam, c, z, horizon, dt,
+            defect_tol)
+    curve = backtrace(*args)
+    pts, vel, defect_max, warning, blocked = reference_backtrace(*args)
+    assert np.array_equal(curve.points, pts)
+    assert np.array_equal(curve.velocities, vel)
+    assert curve.defect_max == defect_max
+    assert curve.warning == warning
+    return curve, blocked
+
+
+@pytest.mark.parametrize("z", [0.0, 2.0])
+def test_backtrace_matches_reference_quadratic_linear(
+        z, theta_005, ql_model, ql_evaluator, controls1d):
+    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
+    curve, _ = assert_matches_reference(theta_005.field, ql_model,
+                                        ql_evaluator, controls1d, 0.05, 0.0,
+                                        z, 10.0, dt)
+    assert curve.warning == ""
+
+
+def test_backtrace_matches_reference_arctan(arctan_solve, controls1d):
+    model, ev, field = arctan_solve
+    dt = SolveParams().resolve(field.grid, controls1d).dt
+    assert_matches_reference(field, model, ev, controls1d, 0.2, math.pi,
+                             1.5, 3.0, dt)
+
+
+def test_backtrace_matches_reference_on_a_2d_ball_boundary():
+    # the potential falls toward (-2, 0) on the ball boundary: the curve
+    # reaches the boundary there, and controls leaving the ball are blocked
+    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
+                             potential=parse("2 + x"),
+                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    ev = LagrangianEvaluator(model)
+    grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.0), (25, 25))
+    controls = ControlSet.build(2, da=1.0)
+    params = SolveParams(tol=1e-6).resolve(grid, controls)
+    out = solve_state_constraint(model, grid, 0.4, 0.0, params,
+                                 controls=controls, evaluator=ev)
+    assert out.converged
+    curve, blocked = assert_matches_reference(out.field, model, ev, controls,
+                                              0.4, 0.0, (0.5, 1.5), 4.0,
+                                              params.dt)
+    assert blocked >= 10
+    np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
 
 
 def test_backtrace_stationary_at_the_well(theta_005, ql_model, ql_evaluator,
@@ -85,8 +183,9 @@ def test_backtrace_flags_inconsistent_fields(theta_005, ql_model,
     bad = theta_005.field.with_values(theta_005.field.values
                                       + 0.5 * np.sin(5.0 * xs))
     dt = SolveParams().resolve(grid, controls1d).dt
-    curve = backtrace(bad, ql_model, ql_evaluator, controls1d,
-                      0.05, 0.0, 1.0, 2.0, dt, defect_tol=1e-4)
+    curve, _ = assert_matches_reference(bad, ql_model, ql_evaluator,
+                                        controls1d, 0.05, 0.0, 1.0, 2.0, dt,
+                                        defect_tol=1e-4)
     assert "defect" in curve.warning
     assert curve.defect_max > 1e-4
 
