@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.workers = worker_count(args.workers)
     try:
+        args.workers = worker_count(args.workers)
         return _COMMANDS[args.command](args)
     except (ConfigError, ModelError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -2,19 +2,25 @@
 
 Potentials, coupling coefficients, and test functions are stored as tiny
 expression trees so that model definitions serialize to plain strings in
-config files and round-trip exactly. The grammar covers +, -, *, /, powers,
-the functions exp/sin/cos, numeric literals, pi, and the variables x (and y
-in two dimensions). Trees evaluate vectorized over numpy arrays and support
-exact symbolic differentiation, which is what the test-function battery uses
-for gradient rules.
+config files and round-trip exactly. The grammar is a subset of Python
+expression syntax: the binary operators + - * / and the power, written ^ or
+**; unary - and +; parentheses; finite decimal number literals; the constant
+pi; the variables x (and y in two dimensions); and one-argument calls of exp,
+sin and cos. parse reads a string with Python's ast module and rejects every
+other node. Trees evaluate vectorized over numpy arrays and support exact
+symbolic differentiation, which is what the test-function battery uses for
+gradient rules.
 """
 
+import ast
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "parse", "ParseError"]
+__all__ = ["Expr", "parse", "ParseError", "coordinate_names", "point_env"]
 
 
 class ParseError(ValueError):
@@ -23,6 +29,17 @@ class ParseError(ValueError):
 
 _FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
 _VARIABLES = ("x", "y")
+
+
+def coordinate_names(dim: int) -> tuple:
+    """The variable names of the coordinates of a dim-dimensional point."""
+    return _VARIABLES[:dim]
+
+
+def point_env(pts: np.ndarray) -> dict:
+    """Bind the coordinate names to the columns of (..., dim) points."""
+    return {name: pts[..., i]
+            for i, name in enumerate(_VARIABLES[:pts.shape[-1]])}
 
 
 @dataclass(frozen=True)
@@ -213,121 +230,54 @@ def _render(e: Expr, parent_prec: int) -> str:
 
 # -- parser ---------------------------------------------------------------
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_e = False
-            while j < n and (text[j].isdigit() or text[j] == "." or
-                             text[j] in "eE" and not seen_e or
-                             text[j] in "+-" and j > i and text[j - 1] in "eE"):
-                if text[j] in "eE":
-                    seen_e = True
-                j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if text.startswith("**", i):
-            tokens.append(("op", "**"))
-            i += 2
-            continue
-        if ch in "+-*/()^":
-            tokens.append(("op", "**" if ch == "^" else ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = Expr("add" if op == "+" else "sub", args=(node, rhs))
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.factor()
-            node = Expr("mul" if op == "*" else "div", args=(node, rhs))
-        return node
-
-    def factor(self) -> Expr:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return Expr("neg", args=(self.factor(),))
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.factor()
-        node = self.atom()
-        if self.peek() == ("op", "**"):
-            self.take()
-            exponent = self.factor()
-            node = Expr("pow", args=(node, exponent))
-        return node
-
-    def atom(self) -> Expr:
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return _num(float(value))
-        if kind == "name":
-            self.take()
-            if value in _FUNCTIONS:
-                self.take("op", "(")
-                inner = self.expr()
-                self.take("op", ")")
-                return _call(value, inner)
-            if value in _VARIABLES:
-                return Expr("var", name=value)
-            if value == "pi":
-                return _num(math.pi)
-            raise ParseError(f"unknown name {value!r}")
-        if (kind, value) == ("op", "("):
-            self.take()
-            inner = self.expr()
-            self.take("op", ")")
-            return inner
-        raise ParseError(f"unexpected token {value!r}")
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div",
+           ast.Pow: "pow"}
 
 
 def parse(text: str) -> Expr:
-    """Parse a scalar expression string into an Expr tree."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    parser.take("end")
-    return node
+    """Parse a scalar expression string into an Expr tree.
+
+    Whitespace is collapsed, decimal digits become ASCII, leading zeros of
+    numbers (01) go and ^ becomes **; Python's parser builds the syntax tree
+    and any node outside the module docstring's grammar raises ParseError.
+    """
+    src = re.sub(r"\d", lambda m: str(int(m[0])), " ".join(text.split()))
+    bad = re.search(r"[^\w.+\-*/()^ ]", src, re.ASCII)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r} in {text!r}")
+    src = re.sub(r"(?<![\w.])0+(?=\d)", "", src).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyntaxWarning)
+            body = ast.parse(src, mode="eval").body
+        return _convert(body, src)
+    except SyntaxError as exc:
+        raise ParseError(f"invalid expression {text!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
+
+
+def _convert(node: ast.expr, src: str) -> Expr:
+    match node:
+        case ast.BinOp(op=op, left=left, right=right) if type(op) in _BINARY:
+            return Expr(_BINARY[type(op)],
+                        args=(_convert(left, src), _convert(right, src)))
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            return Expr("neg", args=(_convert(operand, src),))
+        case ast.UnaryOp(op=ast.UAdd(), operand=operand):
+            return _convert(operand, src)
+        case ast.Name(id=name) if name in _VARIABLES:
+            return Expr("var", name=name)
+        case ast.Name(id="pi"):
+            return _num(math.pi)
+        case ast.Call(func=ast.Name(id=fn), args=[arg],
+                      keywords=[]) if fn in _FUNCTIONS:
+            return _call(fn, _convert(arg, src))
+    literal = src[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal):
+        value = float(literal)
+        if math.isfinite(value):
+            return _num(value)
+        raise ParseError(f"number {literal!r} is not finite")
+    raise ParseError(f"unsupported expression {literal!r}")

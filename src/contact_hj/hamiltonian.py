@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import Expr, parse
+from .expressions import Expr, coordinate_names, parse, point_env
 
 __all__ = [
     "QuadraticKinetic",
@@ -209,27 +209,21 @@ class HamiltonianModel:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ModelError("dim must be 1 or 2")
-        extra = self.potential.variables - ({"x"} if self.dim == 1 else {"x", "y"})
+        extra = self.potential.variables - set(coordinate_names(self.dim))
         if extra:
             raise ModelError(f"potential uses unknown variables {sorted(extra)}")
 
     # -- pieces ------------------------------------------------------------
 
-    def _env(self, pts: np.ndarray) -> dict:
-        env = {"x": pts[..., 0]}
-        if self.dim == 2:
-            env["y"] = pts[..., 1]
-        return env
-
     def f(self, x):
         pts = _as_points(x, self.dim)
-        return np.full(pts.shape[:-1], self.potential(**self._env(pts)),
+        return np.full(pts.shape[:-1], self.potential(**point_env(pts)),
                        dtype=float)
 
     def phi(self, x):
         pts = _as_points(x, self.dim)
         if self.coupling.kind == "linear":
-            return np.full(pts.shape[:-1], self.coupling.phi(**self._env(pts)),
+            return np.full(pts.shape[:-1], self.coupling.phi(**point_env(pts)),
                            dtype=float)
         return np.zeros(pts.shape[:-1])
 

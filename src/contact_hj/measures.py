@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, parse
+from .expressions import Expr, coordinate_names, parse, point_env
 from .grid import GridField, atomic_write_text
 from .hamiltonian import LagrangianEvaluator
 from .trajectory import Curve, IndexSeries
@@ -63,23 +63,17 @@ class TestFunction:
     @staticmethod
     def from_text(text: str, dim: int) -> "TestFunction":
         e = parse(text)
-        grads = tuple(e.diff(var) for var in ("x", "y")[:dim])
+        grads = tuple(e.diff(var) for var in coordinate_names(dim))
         return TestFunction(name=text, expr=e, gradient=grads)
-
-    def _env(self, pts: np.ndarray) -> dict:
-        env = {"x": pts[:, 0]}
-        if pts.shape[1] == 2:
-            env["y"] = pts[:, 1]
-        return env
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        return np.broadcast_to(np.asarray(self.expr(**self._env(pts)),
+        return np.broadcast_to(np.asarray(self.expr(**point_env(pts)),
                                           dtype=float), (len(pts),))
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        env = self._env(pts)
+        env = point_env(pts)
         cols = [np.broadcast_to(np.asarray(g(**env), dtype=float), (len(pts),))
                 for g in self.gradient]
         return np.column_stack(cols)

@@ -61,6 +61,24 @@ def test_override_into_scalar_is_exit_2(cfg_file, capsys):
     assert "non-object" in capsys.readouterr().err
 
 
+def test_non_finite_literal_is_exit_2(capsys):
+    rc = main(["check", "--preset", "quadratic-linear",
+               "--set", "model.potential=1e400*x^2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "not finite" in err
+
+
+def test_bad_worker_env_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("CONTACT_HJ_WORKERS", "many")
+    rc = main(["solve", "--preset", "quadratic-linear"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "CONTACT_HJ_WORKERS" in err
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": \n 7,}')

@@ -75,3 +75,38 @@ def test_parse_errors():
 def test_nonconstant_exponent_diff_rejected():
     with pytest.raises(ParseError):
         parse("x^x").diff("x")
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("01 + x", "1 + x"),
+    ("+x", "x"),
+    ("x^2**3 - 2**x^2", "x**(2**3) - 2**(x**2)"),
+    ("x\t+\n1", "x + 1"),
+    (".5", "0.5"),
+    ("3.", "3"),
+    ("2E+2", "200"),
+])
+def test_parse_accepts_grammar_forms(text, rendered):
+    assert str(parse(text)) == rendered
+
+
+@pytest.mark.parametrize("text", [
+    "0x10", "1_0", "1j", "True", "x # c", "x < 1", "x if x else 1",
+    "exp(x, x)", "exp(x=1)", "x.real", "[x]", "lambda: 1", "e",
+])
+def test_parse_rejects_python_only_forms(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+@pytest.mark.parametrize("text", ["1.2.3", "1.5e", "1e400*x^2"])
+def test_parse_rejects_malformed_and_non_finite_numbers(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_parse_emits_no_syntax_warning(recwarn):
+    for bad in ["2x", "1and x"]:
+        with pytest.raises(ParseError):
+            parse(bad)
+    assert not [w for w in recwarn if issubclass(w.category, SyntaxWarning)]
