@@ -15,16 +15,16 @@ import numpy as np
 
 from .experiments import (ConfigError, ExperimentConfig, builtin_models,
                           localization_study, make_run_dir, measure_study,
-                          read_config_file, run_assumption_check,
-                          vanishing_discount_sweep, worker_count)
+                          read_config_file, run_assumption_check, setup,
+                          trace_curve, trace_measure,
+                          vanishing_discount_sweep)
 from .grid import DomainError, atomic_write_text
-from .hamiltonian import LagrangianEvaluator, ModelError
-from .measures import (closedness_defect, default_battery, discounted_measure,
-                       mather_defect, write_measure_csv)
+from .hamiltonian import ModelError
+from .measures import (closedness_defect, default_battery, mather_defect,
+                       write_measure_csv)
 from .solver import (CMismatchError, SolverError, estimate_critical_value,
                      mane_potential, solve_ergodic, solve_state_constraint)
-from .trajectory import (INDEX_KINDS, backtrace, compute_indices,
-                         exponential_action, write_curve_csv)
+from .trajectory import INDEX_KINDS, exponential_action, write_curve_csv
 
 __all__ = ["main"]
 
@@ -76,24 +76,6 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _print_verdicts(args, report) -> None:
-    for v in report.verdicts:
-        flag = "PASS" if v["passed"] else "FAIL"
-        _say(args, f"{flag} {v['name']}: {v['observed']} ({v['threshold']})")
-    _say(args, f"report: {report.experiment} "
-               f"{'passed' if report.passed else 'FAILED'} "
-               f"in {report.runtime.get('seconds', 0.0):.1f}s")
-
-
-def _runtime_pieces(config: ExperimentConfig):
-    model = config.build_model()
-    evaluator = LagrangianEvaluator(model)
-    controls = config.build_controls(model.dim)
-    grid = config.build_grid()
-    params = config.build_params().resolve(grid, controls)
-    return model, evaluator, controls, grid, params
-
-
 def _pick_lam(args, config: ExperimentConfig) -> float:
     if getattr(args, "lam", None) is not None:
         return float(args.lam)
@@ -136,7 +118,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_critical(args) -> int:
     config = _load_config(args)
-    model, evaluator, controls, grid, params = _runtime_pieces(config)
+    model, evaluator, controls, grid, params = setup(config)
     try:
         est = estimate_critical_value(model, grid, config.lambdas, params,
                                       controls=controls, evaluator=evaluator)
@@ -146,17 +128,25 @@ def _cmd_critical(args) -> int:
     run_dir = make_run_dir(config.outdir, "critical", args.stamp)
     atomic_write_text(os.path.join(run_dir, "critical.json"),
                       json.dumps(est.to_json(), indent=2) + "\n")
-    _say(args, f"c_est = {est.value:.6g} (richardson {est.richardson:.6g}, "
+    _say(args, f"c_est = {est.richardson:.6g} (Richardson-extrapolated; "
                f"m0 = {est.m0:.6g})")
     return 0
 
 
-def _cmd_solve(args) -> int:
+def _solve(args):
+    """Config, runtime, discount, probe point and the state-constraint solve
+    of solve, trace and measure."""
     config = _load_config(args)
-    model, evaluator, controls, grid, params = _runtime_pieces(config)
+    rt = setup(config)
     lam = _pick_lam(args, config)
-    out = solve_state_constraint(model, grid, lam, config.c, params,
-                                 controls=controls, evaluator=evaluator)
+    z = _pick_z(args, config, rt.model.dim)
+    out = solve_state_constraint(rt.model, rt.grid, lam, config.c, rt.params,
+                                 controls=rt.controls, evaluator=rt.evaluator)
+    return config, rt, lam, z, out
+
+
+def _cmd_solve(args) -> int:
+    config, _, lam, _, out = _solve(args)
     run_dir = make_run_dir(config.outdir, "solve", args.stamp)
     out.field.to_csv(os.path.join(run_dir, "field.csv"))
     atomic_write_text(os.path.join(run_dir, "outcome.json"),
@@ -168,7 +158,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ergodic(args) -> int:
     config = _load_config(args)
-    model, evaluator, controls, grid, params = _runtime_pieces(config)
+    model, evaluator, controls, grid, params = setup(config)
     out = solve_ergodic(model, grid, config.c, params, controls=controls,
                         evaluator=evaluator)
     run_dir = make_run_dir(config.outdir, "ergodic", args.stamp)
@@ -182,7 +172,7 @@ def _cmd_ergodic(args) -> int:
 
 def _cmd_mane(args) -> int:
     config = _load_config(args)
-    model, evaluator, controls, grid, params = _runtime_pieces(config)
+    model, evaluator, controls, grid, params = setup(config)
     y = _pick_z(args, config, model.dim) if args.z else (0.0,) * model.dim
     if model.dim == 1 and isinstance(y, tuple):
         y = y[0]
@@ -195,22 +185,15 @@ def _cmd_mane(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config = _load_config(args)
-    model, evaluator, controls, grid, params = _runtime_pieces(config)
-    lam = _pick_lam(args, config)
-    z = _pick_z(args, config, model.dim)
-    out = solve_state_constraint(model, grid, lam, config.c, params,
-                                 controls=controls, evaluator=evaluator)
-    kappa_lo = max(model.kappa_bounds(evaluator.p_extent)[0], 0.0)
-    horizon = args.horizon or config.trace_horizon(lam, kappa_lo)
-    curve = backtrace(out.field, model, evaluator, controls, lam, config.c,
-                      z, horizon, params.dt)
-    idx = compute_indices(curve, model, evaluator, out.field, lam, args.kind)
+    config, rt, lam, z, out = _solve(args)
+    field = out.field
+    curve, idx, horizon = trace_curve(rt, config, field, lam, z, args.horizon,
+                                      args.kind)
     run_dir = make_run_dir(config.outdir, "trace", args.stamp)
     write_curve_csv(os.path.join(run_dir, "curve.csv"), curve, idx)
-    action = exponential_action(curve, idx, model, evaluator, lam, config.c,
-                                boundary_field=out.field)
-    vz = float(out.field.interpolate(np.reshape(z, (1, -1)))[0])
+    action = exponential_action(curve, idx, rt.model, rt.evaluator, lam,
+                                config.c, boundary_field=field)
+    vz = float(field.interpolate(np.reshape(z, (1, -1)))[0])
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
                "horizon": horizon, "kind": args.kind,
                "defect_max": curve.defect_max, "warning": curve.warning,
@@ -226,25 +209,17 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    config = _load_config(args)
-    model, evaluator, controls, grid, params = _runtime_pieces(config)
-    lam = _pick_lam(args, config)
-    z = _pick_z(args, config, model.dim)
-    out = solve_state_constraint(model, grid, lam, config.c, params,
-                                 controls=controls, evaluator=evaluator)
-    kappa_lo = max(model.kappa_bounds(evaluator.p_extent)[0], 0.0)
-    horizon = args.horizon or config.trace_horizon(lam, kappa_lo)
-    curve = backtrace(out.field, model, evaluator, controls, lam, config.c,
-                      z, horizon, params.dt)
-    idx = compute_indices(curve, model, evaluator, out.field, lam, "kappa")
-    mu = discounted_measure(curve, idx, lam)
-    battery = default_battery(model.dim)
+    config, rt, lam, z, out = _solve(args)
+    curve, idx, mu, horizon = trace_measure(rt, config, out.field, lam, z,
+                                            args.horizon)
+    battery = default_battery(rt.model.dim)
     run_dir = make_run_dir(config.outdir, "measure", args.stamp)
     write_measure_csv(os.path.join(run_dir, "measure.csv"), mu)
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
                "horizon": horizon,
                "closedness_defect": closedness_defect(mu, battery),
-               "mather_defect": mather_defect(mu, model, evaluator, config.c),
+               "mather_defect": mather_defect(mu, rt.model, rt.evaluator,
+                                              config.c),
                "support_radius": mu.support_radius,
                "weight_sum": float(np.sum(mu.weights))}
     atomic_write_text(os.path.join(run_dir, "measure.json"),
@@ -255,34 +230,32 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    run_dir = (make_run_dir(config.outdir, "vanishing_discount", args.stamp)
+def _run_driver(args, config, driver, experiment: str, **kwargs) -> int:
+    run_dir = (make_run_dir(config.outdir, experiment, args.stamp)
                if args.stamp else None)
-    report = vanishing_discount_sweep(config, workers=args.workers,
-                                      run_dir=run_dir)
-    _print_verdicts(args, report)
+    report = driver(config, run_dir=run_dir, **kwargs)
+    for v in report.verdicts:
+        flag = "PASS" if v["passed"] else "FAIL"
+        _say(args, f"{flag} {v['name']}: {v['observed']} ({v['threshold']})")
+    _say(args, f"report: {report.experiment} "
+               f"{'passed' if report.passed else 'FAILED'} "
+               f"in {report.runtime.get('seconds', 0.0):.1f}s")
     return 0 if report.passed else 1
+
+
+def _cmd_sweep(args) -> int:
+    return _run_driver(args, _load_config(args), vanishing_discount_sweep,
+                       "vanishing_discount")
 
 
 def _cmd_localize(args) -> int:
     config = _load_config(args)
     z = _pick_z(args, config, config.build_model().dim)
-    run_dir = (make_run_dir(config.outdir, "localization", args.stamp)
-               if args.stamp else None)
-    report = localization_study(config, z=z, workers=args.workers,
-                                run_dir=run_dir)
-    _print_verdicts(args, report)
-    return 0 if report.passed else 1
+    return _run_driver(args, config, localization_study, "localization", z=z)
 
 
 def _cmd_measures_study(args) -> int:
-    config = _load_config(args)
-    run_dir = (make_run_dir(config.outdir, "measures", args.stamp)
-               if args.stamp else None)
-    report = measure_study(config, workers=args.workers, run_dir=run_dir)
-    _print_verdicts(args, report)
-    return 0 if report.passed else 1
+    return _run_driver(args, _load_config(args), measure_study, "measures")
 
 
 _COMMANDS = {
@@ -312,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override, repeatable")
         p.add_argument("--out", help="output directory root")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (default CONTACT_HJ_WORKERS "
-                            "or 1)")
         p.add_argument("--stamp", help="fixed run-directory name instead of "
                                        "a timestamp")
         p.add_argument("--quiet", "-q", action="store_true")
@@ -333,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.workers = worker_count(args.workers)
         return _COMMANDS[args.command](args)
     except (ConfigError, ModelError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

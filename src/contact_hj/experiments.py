@@ -1,11 +1,11 @@
 """End-to-end studies: discount sweeps, localization tables, measure scans.
 
-Each driver consumes a validated ExperimentConfig, runs its sweep cells
-through a bounded thread pool, and assembles a ConvergenceReport whose
-verdicts cite the table rows they were computed from. Cell failures are
-recorded in the tables and the sweep continues; only configuration errors
-abort a run. All artifacts (CSV tables, gnuplot .dat files, report.json)
-are written atomically under out/<experiment>/<timestamp>/.
+Each driver consumes a validated ExperimentConfig, runs its sweep cells in
+order, and assembles a ConvergenceReport whose verdicts cite the table rows
+they were computed from. Cell failures are recorded in the tables and the
+sweep continues; only configuration errors abort a run. All artifacts (CSV
+tables, gnuplot .dat files, report.json) are written atomically under
+out/<experiment>/<timestamp>/.
 """
 
 import datetime
@@ -13,8 +13,8 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .trajectory import backtrace, compute_indices
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
            "vanishing_discount_sweep", "localization_study", "measure_study",
-           "builtin_models", "worker_count"]
+           "builtin_models", "Runtime", "setup", "discount_chain",
+           "trace_curve", "trace_measure"]
 
 
 class ConfigError(ValueError):
@@ -187,9 +188,9 @@ class ExperimentConfig:
     def build_model(self) -> HamiltonianModel:
         return HamiltonianModel.from_json(self.model)
 
-    def build_grid(self, kind=None, radius=None, box=None, shape=None) -> UniformGrid:
-        box = tuple(tuple(b) for b in (box or self.grid["box"]))
-        shape = tuple(int(s) for s in (shape or self.grid["shape"]))
+    def build_grid(self, kind=None, radius=None) -> UniformGrid:
+        box = tuple(tuple(b) for b in self.grid["box"])
+        shape = tuple(int(s) for s in self.grid["shape"])
         kind = kind or self.grid["kind"]
         if kind == "ball":
             radius = radius if radius is not None else self.grid.get("radius")
@@ -211,6 +212,19 @@ class ExperimentConfig:
         """Nodes per unit length along the first axis of the main grid."""
         lo, hi = self.grid["box"][0]
         return (int(self.grid["shape"][0]) - 1) / (hi - lo)
+
+    def trunc_radius(self) -> float:
+        """The truncation radius: the configured one, else max(radii) + 2."""
+        return self.truncation_radius or max(self.radii) + 2.0
+
+    def localization_grid(self, radius: float) -> UniformGrid:
+        """Ball of the given radius in a box two units wider, at the main
+        grid's node density; the grids the localization study solves on."""
+        half = radius + 2.0
+        n = int(round(2 * half * self.node_density())) + 1
+        dim = len(self.grid["box"])
+        return UniformGrid(Domain.ball(((-half, half),) * dim, radius),
+                           (n,) * dim)
 
     def trace_horizon(self, lam: float, kappa_lo: float) -> float:
         """Horizon keeping the tail weight e^{lam*beta(-T)} at or below 0.1."""
@@ -284,39 +298,10 @@ class ConvergenceReport:
                           json.dumps(self.to_json(), indent=2) + "\n")
 
 
-def worker_count(workers=None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("CONTACT_HJ_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"CONTACT_HJ_WORKERS={env!r} is not an integer")
-    return 1
-
-
-def _run_cells(fn, keys, workers: int) -> dict:
-    """Evaluate fn over cell keys; returns key -> (status, payload).
-
-    Results are keyed, so assembly order (and therefore every artifact) is
-    independent of the pool size.
-    """
-    out = {}
-    if workers <= 1:
-        for key in keys:
-            out[key] = _guard(fn, key)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(_guard, fn, key) for key in keys}
-        for key in keys:
-            out[key] = futures[key].result()
-    return out
-
-
-def _guard(fn, key):
+def _guard(fn, *args):
+    """("ok", fn(*args)), or ("error", message) for a cell error."""
     try:
-        return ("ok", fn(key))
+        return ("ok", fn(*args))
     except (SolverError, DomainError, CMismatchError, ValueError) as exc:
         return ("error", f"{type(exc).__name__}: {exc}")
 
@@ -357,39 +342,85 @@ def _note_trace_warning(report, lam, probe, curve) -> None:
 
 
 # ---------------------------------------------------------------------------
+# pipeline stages shared by the drivers and the CLI
+
+
+class Runtime(NamedTuple):
+    """The solver-side objects of a config on one grid."""
+
+    model: HamiltonianModel
+    evaluator: LagrangianEvaluator
+    controls: ControlSet
+    grid: UniformGrid
+    params: SolveParams     # resolved on grid
+
+
+def setup(config: ExperimentConfig, grid: UniformGrid = None) -> Runtime:
+    """Model, evaluator, controls and params resolved on grid (default: the
+    config's main grid)."""
+    model = config.build_model()
+    evaluator = LagrangianEvaluator(model)
+    controls = config.build_controls(model.dim)
+    grid = config.build_grid() if grid is None else grid
+    params = config.build_params().resolve(grid, controls)
+    return Runtime(model, evaluator, controls, grid, params)
+
+
+def discount_chain(rt: Runtime, config: ExperimentConfig):
+    """Yield (lam, outcome) of the state-constraint solves over the discount
+    schedule, each warm-started from the previous field."""
+    warm = None
+    for lam in config.lambdas:
+        out = solve_state_constraint(rt.model, rt.grid, lam, config.c,
+                                     rt.params, controls=rt.controls,
+                                     evaluator=rt.evaluator, v0=warm)
+        warm = out.field.values
+        yield lam, out
+
+
+def trace_curve(rt: Runtime, config: ExperimentConfig, field, lam: float, z,
+                horizon: float = None, kind: str = "kappa"):
+    """(curve, index series, horizon) of the backtrace from z on field; a
+    falsy horizon means the config's tail rule."""
+    kappa_lo = max(rt.model.kappa_bounds(rt.evaluator.p_extent)[0], 0.0)
+    horizon = horizon or config.trace_horizon(lam, kappa_lo)
+    curve = backtrace(field, rt.model, rt.evaluator, rt.controls, lam,
+                      config.c, z, horizon, rt.params.dt)
+    idx = compute_indices(curve, rt.model, rt.evaluator, field, lam, kind)
+    return curve, idx, horizon
+
+
+def trace_measure(rt: Runtime, config: ExperimentConfig, field, lam: float,
+                  z, horizon: float = None):
+    """(curve, kappa series, discounted measure, horizon) traced from z."""
+    curve, idx, horizon = trace_curve(rt, config, field, lam, z, horizon)
+    return curve, idx, discounted_measure(curve, idx, lam), horizon
+
+
+# ---------------------------------------------------------------------------
 # drivers
 
 
-def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
+def vanishing_discount_sweep(config: ExperimentConfig,
                              run_dir=None) -> ConvergenceReport:
     """Sweep the discount parameter and compare against the ergodic limit.
 
     Solves the truncated maximal field for each discount in the schedule
-    (warm-started along the chain, so the lambda chain itself is sequential),
-    then checks window Cauchy decrease, decay of lam*u, the ergodic polish of
-    the smallest-lambda field against the pinned semi-distance, and the
-    selection functional of that limit proxy against every traced measure.
+    (warm-started along the chain), then checks window Cauchy decrease, decay
+    of lam*u, the ergodic polish of the smallest-lambda field against the
+    pinned semi-distance, and the selection functional of that limit proxy
+    against every traced measure.
     """
     t_start = time.monotonic()
-    workers = worker_count(workers)
-    model = config.build_model()
-    evaluator = LagrangianEvaluator(model)
-    controls = config.build_controls(model.dim)
-    r_trunc = config.truncation_radius or max(config.radii) + 2.0
-    grid = config.build_grid(kind="ball", radius=r_trunc)
-    params = config.build_params().resolve(grid, controls)
-    kappa_lo = max(model.kappa_bounds(evaluator.p_extent)[0], 0.0)
+    rt = setup(config, config.build_grid(kind="ball",
+                                         radius=config.trunc_radius()))
+    model, evaluator, controls, grid, params = rt
 
     report = ConvergenceReport("vanishing_discount", config.to_dict())
     fields = {}
     solve_rows = []
-    warm = None
-    for lam in config.lambdas:
-        out = solve_state_constraint(model, grid, lam, config.c, params,
-                                     controls=controls, evaluator=evaluator,
-                                     v0=warm)
+    for lam, out in discount_chain(rt, config):
         fields[lam] = out.field
-        warm = out.field.values
         solve_rows.append([lam, out.iterations, out.final_residual,
                            out.converged])
     report.add_table("solves", ["lambda", "iterations", "residual",
@@ -451,22 +482,12 @@ def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
                        "limit_proxy", [1])
 
     # traced measures for every (lambda, probe) cell, selection vs the proxy
-    def trace_cell(key):
-        lam, probe = key
-        horizon = config.trace_horizon(lam, kappa_lo)
-        curve = backtrace(fields[lam], model, evaluator, controls, lam,
-                          config.c, probe, horizon, params.dt)
-        idx = compute_indices(curve, model, evaluator, fields[lam], lam,
-                              "kappa")
-        mu = discounted_measure(curve, idx, lam)
-        return curve, idx, mu, horizon
-
     keys = [(lam, probe) for lam in config.lambdas for probe in config.probes]
-    cells = _run_cells(trace_cell, keys, workers)
     sel_rows = []
     sel_values = []
     for lam, probe in keys:
-        status, payload = cells[(lam, probe)]
+        status, payload = _guard(trace_measure, rt, config, fields[lam], lam,
+                                 probe)
         if status != "ok":
             sel_rows.append([lam, _probe_label(probe), "nan", 0.0, payload])
             continue
@@ -482,8 +503,7 @@ def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
                        bool(sel_values) and worst >= -1e-2, worst,
                        ">= -1e-2", "selection", range(len(sel_rows)))
 
-    if run_dir is None:
-        run_dir = make_run_dir(config.outdir, "vanishing_discount")
+    run_dir = run_dir or make_run_dir(config.outdir, report.experiment)
     for lam in config.lambdas:
         fields[lam].to_csv(os.path.join(run_dir, f"field_lam{lam:g}.csv"))
     proxy.to_csv(os.path.join(run_dir, "limit_proxy_field.csv"))
@@ -496,12 +516,12 @@ def vanishing_discount_sweep(config: ExperimentConfig, workers=None,
                                + [proxy_w, mane_w])
         report.add_table("profiles", cols, rows.tolist())
     report.runtime = {"seconds": time.monotonic() - t_start,
-                      "workers": workers, "cells": len(keys)}
+                      "cells": len(keys)}
     report.write(run_dir)
     return report
 
 
-def localization_study(config: ExperimentConfig, z=None, workers=None,
+def localization_study(config: ExperimentConfig, z=None,
                        run_dir=None) -> ConvergenceReport:
     """Tabulate the truncated-maximal vs constrained-ball gap over (lam, R).
 
@@ -509,64 +529,44 @@ def localization_study(config: ExperimentConfig, z=None, workers=None,
     the probe gap stays within gap_tol on two consecutive radii.
     """
     t_start = time.monotonic()
-    workers = worker_count(workers)
-    model = config.build_model()
-    evaluator = LagrangianEvaluator(model)
-    controls = config.build_controls(model.dim)
     if z is None:
         z = config.probes[0]
     z = tuple(z) if isinstance(z, (list, tuple)) else (float(z),)
-
-    r_trunc = config.truncation_radius or max(config.radii) + 2.0
+    r_trunc = config.trunc_radius()
     if r_trunc <= max(config.radii):
         raise ConfigError("truncation radius must exceed every scheduled R")
-    density = config.node_density()
-
-    def ball_grid(radius):
-        box = tuple((-radius - 2.0, radius + 2.0) for _ in range(model.dim))
-        n = int(round(2 * (radius + 2.0) * density)) + 1
-        return UniformGrid(Domain.ball(box, radius), (n,) * model.dim)
-
-    grid_tr = ball_grid(r_trunc)
-    params = config.build_params().resolve(grid_tr, controls)
+    rt = setup(config, config.localization_grid(r_trunc))
+    at_z = np.array([z])
 
     report = ConvergenceReport("localization", config.to_dict())
     u_z = {}
-    warm = None
     trunc_rows = []
-    for lam in config.lambdas:
-        out = solve_state_constraint(model, grid_tr, lam, config.c, params,
-                                     controls=controls, evaluator=evaluator,
-                                     v0=warm)
-        warm = out.field.values
-        u_z[lam] = float(out.field.interpolate(np.array([z]))[0])
+    for lam, out in discount_chain(rt, config):
+        u_z[lam] = float(out.field.interpolate(at_z)[0])
         trunc_rows.append([lam, r_trunc, u_z[lam], out.iterations,
                            out.final_residual])
     report.add_table("truncated", ["lambda", "R_trunc", "u_at_z",
                                    "iterations", "residual"], trunc_rows)
 
-    def cell(key):
-        lam, radius = key
-        grid_r = ball_grid(radius)
-        out = solve_state_constraint(model, grid_r, lam, config.c,
-                                     params, controls=controls,
-                                     evaluator=evaluator)
-        return float(out.field.interpolate(np.array([z]))[0])
+    def cell(lam, radius):
+        out = solve_state_constraint(rt.model,
+                                     config.localization_grid(radius), lam,
+                                     config.c, rt.params, controls=rt.controls,
+                                     evaluator=rt.evaluator)
+        return float(out.field.interpolate(at_z)[0])
 
     keys = [(lam, r) for lam in config.lambdas for r in config.radii]
-    cells = _run_cells(cell, keys, workers)
-
     gap_rows = []
     sign_ok = True
     worst_sign = 0.0
     for lam, radius in keys:
-        status, payload = cells[(lam, radius)]
+        status, payload = _guard(cell, lam, radius)
         if status != "ok":
             gap_rows.append([lam, radius, "nan", u_z[lam], "nan", payload])
             continue
         gap = payload - u_z[lam]
         worst_sign = min(worst_sign, gap)
-        if gap < -2 * params.tol:
+        if gap < -2 * rt.params.tol:
             sign_ok = False
         gap_rows.append([lam, radius, payload, u_z[lam], gap, "ok"])
     report.add_table("gaps", ["lambda", "R", "theta_at_z", "u_at_z", "gap",
@@ -592,15 +592,14 @@ def localization_study(config: ExperimentConfig, z=None, workers=None,
     lam_z = max((row[0] for row in found), default="none")
     report.notes.append(f"empirical lambda_z: {lam_z}")
 
-    if run_dir is None:
-        run_dir = make_run_dir(config.outdir, "localization")
+    run_dir = run_dir or make_run_dir(config.outdir, report.experiment)
     report.runtime = {"seconds": time.monotonic() - t_start,
-                      "workers": workers, "cells": len(keys), "z": list(z)}
+                      "cells": len(keys), "z": list(z)}
     report.write(run_dir)
     return report
 
 
-def measure_study(config: ExperimentConfig, probes=None, workers=None,
+def measure_study(config: ExperimentConfig,
                   run_dir=None) -> ConvergenceReport:
     """Trace measures per (lambda, probe); scan defects against the discount.
 
@@ -608,37 +607,17 @@ def measure_study(config: ExperimentConfig, probes=None, workers=None,
     runs the weak-limit diagnostics per probe.
     """
     t_start = time.monotonic()
-    workers = worker_count(workers)
-    model = config.build_model()
-    evaluator = LagrangianEvaluator(model)
-    controls = config.build_controls(model.dim)
-    grid = config.build_grid()
-    params = config.build_params().resolve(grid, controls)
-    kappa_lo = max(model.kappa_bounds(evaluator.p_extent)[0], 0.0)
-    if probes is None:
-        probes = config.probes
-    probes = tuple(tuple(p) if isinstance(p, (list, tuple)) else (float(p),)
-                   for p in probes)
+    rt = setup(config)
+    model, evaluator = rt.model, rt.evaluator
+    probes = config.probes
     battery = default_battery(model.dim)
 
     report = ConvergenceReport("measures", config.to_dict())
-    fields = {}
-    warm = None
-    for lam in config.lambdas:
-        out = solve_state_constraint(model, grid, lam, config.c, params,
-                                     controls=controls, evaluator=evaluator,
-                                     v0=warm)
-        fields[lam] = out.field
-        warm = out.field.values
+    fields = {lam: out.field for lam, out in discount_chain(rt, config)}
 
-    def cell(key):
-        lam, probe = key
-        horizon = config.trace_horizon(lam, kappa_lo)
-        curve = backtrace(fields[lam], model, evaluator, controls, lam,
-                          config.c, probe, horizon, params.dt)
-        idx = compute_indices(curve, model, evaluator, fields[lam], lam,
-                              "kappa")
-        mu = discounted_measure(curve, idx, lam)
+    def cell(lam, probe):
+        curve, idx, mu, horizon = trace_measure(rt, config, fields[lam], lam,
+                                                probe)
         closed = closedness_defect(mu, battery)
         mather = mather_defect(mu, model, evaluator, config.c)
         dist = mu.points - np.asarray([0.0] * model.dim)
@@ -646,12 +625,10 @@ def measure_study(config: ExperimentConfig, probes=None, workers=None,
         return mu, curve, idx, closed, mather, support, horizon
 
     keys = [(lam, probe) for lam in config.lambdas for probe in probes]
-    cells = _run_cells(cell, keys, workers)
-
     defect_rows = []
     measures_by_probe = {p: {} for p in probes}
     for lam, probe in keys:
-        status, payload = cells[(lam, probe)]
+        status, payload = _guard(cell, lam, probe)
         if status != "ok":
             defect_rows.append([lam, _probe_label(probe), "nan", "nan",
                                 "nan", 0.0, payload])
@@ -720,14 +697,13 @@ def measure_study(config: ExperimentConfig, probes=None, workers=None,
                        max(finals) if finals else "nan", "<= 5e-2",
                        "weak_limit", range(len(weak_rows)))
 
-    if run_dir is None:
-        run_dir = make_run_dir(config.outdir, "measures")
+    run_dir = run_dir or make_run_dir(config.outdir, report.experiment)
     for probe in probes:
         for lam, mu in measures_by_probe[probe].items():
             name = f"measure_lam{lam:g}_z{_probe_label(probe)}.csv"
             write_measure_csv(os.path.join(run_dir, name), mu)
     report.runtime = {"seconds": time.monotonic() - t_start,
-                      "workers": workers, "cells": len(keys)}
+                      "cells": len(keys)}
     report.write(run_dir)
     return report
 
@@ -789,6 +765,8 @@ def builtin_models() -> dict:
                   "coupling": {"type": "linear", "phi": "1",
                                "bounds": {"kappa_lo": 1.0, "kappa_hi": 1.0}}},
         "c": 0.0,
+        # the truncation ball, max(radii) + 2, must fit the [-6, 6]^2 box
+        "radii": [1.0, 2.0, 3.0],
         "expect_assumptions": dict(base_expect),
     })
     return presets

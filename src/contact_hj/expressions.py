@@ -7,9 +7,9 @@ expression syntax: the binary operators + - * / and the power, written ^ or
 **; unary - and +; parentheses; finite decimal number literals; the constant
 pi; the variables x (and y in two dimensions); and one-argument calls of exp,
 sin and cos. parse reads a string with Python's ast module and rejects every
-other node. Trees evaluate vectorized over numpy arrays and support exact
-symbolic differentiation, which is what the test-function battery uses for
-gradient rules.
+other node, and every tree deeper than MAX_DEPTH. Trees evaluate vectorized
+over numpy arrays and support exact symbolic differentiation, which is what
+the test-function battery uses for gradient rules.
 """
 
 import ast
@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "parse", "ParseError", "coordinate_names", "point_env"]
+__all__ = ["Expr", "parse", "ParseError", "coordinate_names", "point_env",
+           "MAX_DEPTH"]
+
+# Evaluation, diff and str recurse per tree level, and a derivative can be
+# three times deeper than its tree; this keeps both well inside Python's
+# default recursion limit, with room for the driver's own frames.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -240,7 +246,8 @@ def parse(text: str) -> Expr:
 
     Whitespace is collapsed, decimal digits become ASCII, leading zeros of
     numbers (01) go and ^ becomes **; Python's parser builds the syntax tree
-    and any node outside the module docstring's grammar raises ParseError.
+    and any node outside the module docstring's grammar, or nested more than
+    MAX_DEPTH levels deep, raises ParseError.
     """
     src = re.sub(r"\d", lambda m: str(int(m[0])), " ".join(text.split()))
     bad = re.search(r"[^\w.+\-*/()^ ]", src, re.ASCII)
@@ -258,22 +265,26 @@ def parse(text: str) -> Expr:
         raise ParseError("expression is nested too deeply") from None
 
 
-def _convert(node: ast.expr, src: str) -> Expr:
+def _convert(node: ast.expr, src: str, depth: int = 1) -> Expr:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression is nested more than {MAX_DEPTH} "
+                         "levels deep")
     match node:
         case ast.BinOp(op=op, left=left, right=right) if type(op) in _BINARY:
             return Expr(_BINARY[type(op)],
-                        args=(_convert(left, src), _convert(right, src)))
+                        args=(_convert(left, src, depth + 1),
+                              _convert(right, src, depth + 1)))
         case ast.UnaryOp(op=ast.USub(), operand=operand):
-            return Expr("neg", args=(_convert(operand, src),))
+            return Expr("neg", args=(_convert(operand, src, depth + 1),))
         case ast.UnaryOp(op=ast.UAdd(), operand=operand):
-            return _convert(operand, src)
+            return _convert(operand, src, depth + 1)
         case ast.Name(id=name) if name in _VARIABLES:
             return Expr("var", name=name)
         case ast.Name(id="pi"):
             return _num(math.pi)
         case ast.Call(func=ast.Name(id=fn), args=[arg],
                       keywords=[]) if fn in _FUNCTIONS:
-            return _call(fn, _convert(arg, src))
+            return _call(fn, _convert(arg, src, depth + 1))
     literal = src[node.col_offset:node.end_col_offset]
     if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal):
         value = float(literal)

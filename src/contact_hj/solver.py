@@ -413,7 +413,6 @@ def solve_state_constraint(model: HamiltonianModel, grid: UniformGrid,
 
 @dataclass
 class CriticalValueEstimate:
-    value: float
     table: list  # (lam, c_est) pairs
     richardson: float
     m0: float
@@ -421,7 +420,8 @@ class CriticalValueEstimate:
     outcomes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {"value": self.value,
+        # "value" stays for readers of critical.json that predate "richardson"
+        return {"value": self.richardson,
                 "table": [{"lambda": l, "c_est": e} for l, e in self.table],
                 "richardson": self.richardson, "m0": self.m0,
                 "margin": self.margin}
@@ -472,9 +472,9 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
         raise SolverError(
             f"critical value estimate {richardson:.6g} sits below the lower "
             f"bound m0={m0:.6g} by more than {margin:g}")
-    return CriticalValueEstimate(value=float(richardson), table=table,
-                                 richardson=float(richardson), m0=float(m0),
-                                 margin=margin, outcomes=outcomes)
+    return CriticalValueEstimate(table=table, richardson=float(richardson),
+                                 m0=float(m0), margin=margin,
+                                 outcomes=outcomes)
 
 
 def solve_ergodic(model: HamiltonianModel, grid: UniformGrid, c: float,

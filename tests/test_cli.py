@@ -70,13 +70,17 @@ def test_non_finite_literal_is_exit_2(capsys):
     assert "not finite" in err
 
 
-def test_bad_worker_env_is_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("CONTACT_HJ_WORKERS", "many")
-    rc = main(["solve", "--preset", "quadratic-linear"])
-    assert rc == 2
+def test_expression_depth_bound_is_exit_2(cfg_file, capsys):
+    # "+0" terms leave the potential as it is and add one tree level each
+    path, _ = cfg_file
+    base = "1 - exp(-x^2)"          # 5 levels deep
+    for extra, want in ((95, 0), (96, 2)):
+        rc = main(["solve", "--config", path, "--stamp", f"d{extra}",
+                   "--set", "model.potential=" + base + "+0" * extra])
+        assert rc == want
     err = capsys.readouterr().err
     assert "configuration error" in err
-    assert "CONTACT_HJ_WORKERS" in err
+    assert "nested more than" in err
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
@@ -212,8 +216,7 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
 
 def test_localize_passes_at_the_origin(cfg_file, capsys):
     path, _ = cfg_file
-    rc = main(["localize", "--config", path, "--z", "0", "--stamp", "t",
-               "--workers", "2"])
+    rc = main(["localize", "--config", path, "--z", "0", "--stamp", "t"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS comparison_sign" in out
@@ -225,7 +228,7 @@ def test_sweep_exit_1_on_failed_verdict(cfg_file, capsys):
     # two coarse discounts cannot meet the Cauchy-tail thresholds; the
     # command must say so and exit nonzero
     path, _ = cfg_file
-    rc = main(["sweep", "--config", path, "--stamp", "t", "--workers", "2"])
+    rc = main(["sweep", "--config", path, "--stamp", "t"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out

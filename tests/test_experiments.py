@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from contact_hj import experiments
-from contact_hj.experiments import (ConfigError, ExperimentConfig,
-                                    _run_cells, builtin_models,
-                                    localization_study, make_run_dir,
-                                    measure_study, run_assumption_check,
-                                    vanishing_discount_sweep, worker_count)
+from contact_hj.experiments import (ConfigError, ExperimentConfig, _guard,
+                                    builtin_models, localization_study,
+                                    make_run_dir, measure_study,
+                                    run_assumption_check,
+                                    vanishing_discount_sweep)
 from contact_hj.hamiltonian import HamiltonianModel, LagrangianEvaluator
 
 QL_MODEL = {"dim": 1, "kinetic": {"type": "quadratic"},
@@ -114,17 +114,6 @@ def test_config_builders(tmp_path):
     assert deflt.trace_horizon(0.2, 1.0) == pytest.approx(40.0)
 
 
-def test_worker_count(monkeypatch):
-    assert worker_count(4) == 4
-    monkeypatch.setenv("CONTACT_HJ_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("CONTACT_HJ_WORKERS", "many")
-    with pytest.raises(ConfigError, match="CONTACT_HJ_WORKERS"):
-        worker_count()
-    monkeypatch.delenv("CONTACT_HJ_WORKERS")
-    assert worker_count() == 1
-
-
 def test_make_run_dir_with_stamp(tmp_path):
     d1 = make_run_dir(tmp_path, "sweep", stamp="fixed")
     assert d1 == os.path.join(tmp_path, "sweep", "fixed")
@@ -141,7 +130,7 @@ def sweep_report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("sweep")
     cfg = coarse(tmp)
     run_dir = os.path.join(tmp, "run")
-    report = vanishing_discount_sweep(cfg, workers=2, run_dir=run_dir)
+    report = vanishing_discount_sweep(cfg, run_dir=run_dir)
     return report, run_dir
 
 
@@ -189,7 +178,7 @@ def test_sweep_tables_and_artifacts(sweep_report):
 def test_localization_records_cell_errors(tmp_path):
     cfg = coarse(tmp_path, radii=[0.5, 3.0, 4.0, 5.0])
     run_dir = os.path.join(tmp_path, "run")
-    report = localization_study(cfg, z=1.0, workers=2, run_dir=run_dir)
+    report = localization_study(cfg, z=1.0, run_dir=run_dir)
     rows = report.tables["gaps"]["rows"]
     assert len(rows) == 8
     # probing z=1 on the R=0.5 ball escapes the mask: recorded, not raised
@@ -210,7 +199,7 @@ def test_localization_records_cell_errors(tmp_path):
 
 def test_localization_gap_shrinks_with_radius(tmp_path):
     cfg = coarse(tmp_path, lambdas=[0.1])
-    report = localization_study(cfg, z=1.0, workers=2,
+    report = localization_study(cfg, z=1.0,
                                 run_dir=os.path.join(tmp_path, "run"))
     rows = report.tables["gaps"]["rows"]
     gaps = [abs(r[4]) for r in rows]
@@ -226,22 +215,22 @@ def test_2d_drivers_run_every_cell(tmp_path):
                  lambdas=[0.4, 0.2], radii=[2.0, 3.0],
                  probes=[[0.0, 0.0], [0.5, -0.5]], horizon=4.0,
                  window=[[-1.0, 1.0]] * 2, controls={"da": 1.0})
-    loc = localization_study(cfg, workers=1,
-                             run_dir=os.path.join(tmp_path, "loc"))
+    loc = localization_study(cfg, run_dir=os.path.join(tmp_path, "loc"))
     assert [r[5] for r in loc.tables["gaps"]["rows"]] == ["ok"] * 4
-    sweep = vanishing_discount_sweep(cfg, workers=1,
+    sweep = vanishing_discount_sweep(cfg,
                                      run_dir=os.path.join(tmp_path, "sweep"))
     assert [r[4] for r in sweep.tables["selection"]["rows"]] == ["ok"] * 4
 
 
-def test_run_cells_records_extent_errors():
+def test_guard_records_extent_errors():
     # tabulated p^2/2 on [0, 1]: speeds beyond 1 push the maximizer out
     model = HamiltonianModel.from_json(dict(
         QL_MODEL, kinetic={"type": "tabulated", "dp": 0.1,
                            "values": [0.5 * (0.1 * k) ** 2
                                       for k in range(11)]}))
     ev = LagrangianEvaluator(model)
-    cells = _run_cells(lambda s: ev.legendre(0.0, s, 0.0), [0.5, 3.0], 1)
+    cells = {s: _guard(lambda v: ev.legendre(0.0, v, 0.0), s)
+             for s in (0.5, 3.0)}
     assert cells[0.5][0] == "ok"
     status, payload = cells[3.0]
     assert status == "error"
@@ -251,7 +240,7 @@ def test_run_cells_records_extent_errors():
 def test_localization_validates_truncation_radius(tmp_path):
     cfg = coarse(tmp_path, truncation_radius=4.0)
     with pytest.raises(ConfigError, match="truncation radius"):
-        localization_study(cfg, z=0.0, workers=1,
+        localization_study(cfg, z=0.0,
                            run_dir=os.path.join(tmp_path, "run"))
 
 
@@ -260,7 +249,7 @@ def measures_report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("measures")
     cfg = coarse(tmp, lambdas=[0.2, 0.1, 0.05])
     run_dir = os.path.join(tmp, "run")
-    report = measure_study(cfg, workers=2, run_dir=run_dir)
+    report = measure_study(cfg, run_dir=run_dir)
     return report, run_dir
 
 
@@ -292,23 +281,6 @@ def test_measure_study_tables(measures_report):
                 run_dir, f"measure_lam{lam:g}_z{z}.csv"))
 
 
-def test_measure_study_deterministic_across_workers(tmp_path):
-    cfg = coarse(tmp_path, lambdas=[0.2, 0.1], probes=[1.0])
-    outs = {}
-    for w in (1, 4):
-        run_dir = os.path.join(tmp_path, f"run{w}")
-        measure_study(cfg, workers=w, run_dir=run_dir)
-        payload = {}
-        for fname in sorted(os.listdir(run_dir)):
-            if fname.endswith(".csv") or fname.endswith(".dat"):
-                with open(os.path.join(run_dir, fname), "rb") as fh:
-                    payload[fname] = fh.read()
-        outs[w] = payload
-    assert set(outs[1]) == set(outs[4])
-    for fname in outs[1]:
-        assert outs[1][fname] == outs[4][fname], fname
-
-
 def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
     real = experiments.backtrace
 
@@ -327,7 +299,7 @@ def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
     for name, driver in (("measures", measure_study),
                          ("sweep", vanishing_discount_sweep)):
         run_dir = os.path.join(tmp_path, name)
-        report = driver(cfg, workers=1, run_dir=run_dir)
+        report = driver(cfg, run_dir=run_dir)
         trace_notes = [n for n in report.notes if n.startswith("trace ")]
         assert trace_notes == expected, name
         with open(os.path.join(run_dir, "report.json")) as handle:
@@ -347,6 +319,16 @@ def test_builtin_model_roster():
         assert cfg.name == name
     assert presets["arctan"].c == pytest.approx(np.pi)
     assert presets["quadratic-2d"].build_model().dim == 2
+
+
+def test_preset_grids_build():
+    # the truncated grid sweep solves on, and the ball grids localize solves on
+    for name, cfg in builtin_models().items():
+        r_trunc = cfg.trunc_radius()
+        assert r_trunc > max(cfg.radii), name
+        assert cfg.build_grid(kind="ball", radius=r_trunc).mask.any(), name
+        for radius in cfg.radii + (r_trunc,):
+            assert cfg.localization_grid(radius).mask.any(), (name, radius)
 
 
 def test_assumption_expectations_hold():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contact_hj.expressions import ParseError, parse
+from contact_hj.expressions import MAX_DEPTH, ParseError, parse
 
 
 def test_parse_arithmetic():
@@ -110,3 +110,33 @@ def test_parse_emits_no_syntax_warning(recwarn):
         with pytest.raises(ParseError):
             parse(bad)
     assert not [w for w in recwarn if issubclass(w.category, SyntaxWarning)]
+
+
+_DEEP_FORMS = {
+    "sum": lambda d: "+".join(["x"] * d),
+    "negation": lambda d: "-" * (d - 1) + "x",
+    "quotient": lambda d: "/".join(["x"] * d),
+    "call": lambda d: "cos(" * (d - 1) + "x" + ")" * (d - 1),
+}
+
+
+def _with_frames(frames, fn):
+    # stands in for the driver frames below a model evaluation
+    return fn() if frames == 0 else _with_frames(frames - 1, fn)
+
+
+@pytest.mark.parametrize("form", sorted(_DEEP_FORMS))
+def test_depth_bound(form):
+    deepest = parse(_DEEP_FORMS[form](MAX_DEPTH))
+    xs = np.linspace(0.5, 1.5, 5)
+
+    def use():
+        deepest(x=xs)
+        str(deepest)
+        grad = deepest.diff("x")
+        grad(x=xs)
+        return str(grad)
+
+    assert _with_frames(300, use)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse(_DEEP_FORMS[form](MAX_DEPTH + 1))

@@ -329,11 +329,11 @@ def test_critical_value_gaussian_well(ql_model, ql_evaluator, controls1d,
                                   SolveParams(tol=1e-8),
                                   controls=controls1d,
                                   evaluator=ql_evaluator)
-    assert abs(est.value) <= 0.02
+    assert abs(est.richardson) <= 0.02
     assert est.m0 == pytest.approx(0.0, abs=1e-6)
     assert len(est.table) == 3
-    assert est.richardson == est.value
     js = est.to_json()
+    assert js["value"] == js["richardson"] == est.richardson
     assert len(js["table"]) == 3 and js["m0"] == est.m0
 
 
@@ -344,7 +344,7 @@ def test_critical_value_shifted_potential(ql_evaluator, controls1d):
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (201,))
     est = estimate_critical_value(model, grid, (0.2, 0.1, 0.05),
                                   SolveParams(tol=1e-8), controls=controls1d)
-    assert -1.02 <= est.value <= -0.98
+    assert -1.02 <= est.richardson <= -0.98
     assert est.m0 == pytest.approx(-1.0, abs=1e-6)
 
 
