@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import Domain, DomainError, UniformGrid, atomic_write_text
-from .hamiltonian import (HamiltonianModel, LagrangianEvaluator, ModelError,
-                          check_assumptions)
+from .hamiltonian import (P_EXTENT, HamiltonianModel, LagrangianEvaluator,
+                          ModelError, check_assumptions)
 from .measures import (closedness_defect, default_battery, discounted_measure,
                        mather_defect, selection_functional,
                        weak_limit_diagnostics, write_measure_csv)
@@ -382,7 +382,7 @@ def trace_curve(rt: Runtime, config: ExperimentConfig, field, lam: float, z,
                 horizon: float = None, kind: str = "kappa"):
     """(curve, index series, horizon) of the backtrace from z on field; a
     falsy horizon means the config's tail rule."""
-    kappa_lo = max(rt.model.kappa_bounds(rt.evaluator.p_extent)[0], 0.0)
+    kappa_lo = max(rt.model.kappa_bounds(P_EXTENT)[0], 0.0)
     horizon = horizon or config.trace_horizon(lam, kappa_lo)
     curve = backtrace(field, rt.model, rt.evaluator, rt.controls, lam,
                       config.c, z, horizon, rt.params.dt)

@@ -7,10 +7,19 @@ The model family is deliberately small and fully serializable:
 * coupling in the u slot: none, linear phi(x)*u, or the arctan form
   (|p|^2 + 1)*(arctan(u) + shift) + u.
 
-Every kinetic and coupling here is radial in p, so Legendre transforms reduce
-to a one-dimensional maximization along the ray spanned by v. The grid-based
-evaluator exploits that: it maximizes r*|v| - h(r, u) over a uniform r-lattice,
-doubling the lattice extent whenever the maximizer lands on the boundary.
+Every coupling is phi(x)*u plus a momentum term m(|p|, u), radial in p like
+the kinetic, so the Lagrangian L(x, v, u) = sup_p [p.v - H(x, p, u)] reduces
+to a maximization along the ray spanned by v and splits as
+
+    L(x, v, u) = W(|v|, u) + f(x) - phi(x)*u,
+    W(s, u) = sup_r [r*s - kinetic(r) - m(r, u)],
+
+with outer factor phi = 0 for none, phi(x) for linear and 1 for arctan.
+Only arctan has a momentum term, (r^2 + 1)*(arctan(u) + shift); the other
+couplings are separable: W does not depend on u, and closed-form kinetics
+give it as their conjugate. Otherwise the grid-based evaluator maximizes
+r*s - kinetic(r) - m(r, u) over a uniform r-lattice, doubling the lattice
+extent whenever the maximizer lands on the boundary.
 """
 
 import json
@@ -124,17 +133,32 @@ class TabulatedKinetic:
 
 # ---------------------------------------------------------------------------
 # couplings
+#
+# Each coupling gives its outer factor phi at points (outer), its momentum
+# term m(r, u) inside the Legendre sup (momentum_term), whether that term is
+# free of u (separable), its value and u-derivative inside H (term, du) and
+# the bounds of du_H over |p| <= p_radius (kappa_bounds).
 
 
 @dataclass(frozen=True)
 class NoCoupling:
     kind = "none"
+    separable = True
+
+    def outer(self, pts):
+        return 0.0
+
+    def momentum_term(self, r, u):
+        return 0.0
 
     def term(self, phi_x, p_norm2, u):
         return 0.0
 
     def du(self, phi_x, p_norm2, u):
         return np.zeros(np.broadcast(phi_x, p_norm2, u).shape)
+
+    def kappa_bounds(self, p_radius):
+        return (0.0, 0.0)
 
     def to_json(self):
         return {"type": "none"}
@@ -148,6 +172,13 @@ class LinearCoupling:
     kappa_lo: float = 0.0
     kappa_hi: float = 1.0
     kind = "linear"
+    separable = True
+
+    def outer(self, pts):
+        return self.phi(**point_env(pts))
+
+    def momentum_term(self, r, u):
+        return 0.0
 
     def term(self, phi_x, p_norm2, u):
         return phi_x * u
@@ -155,6 +186,9 @@ class LinearCoupling:
     def du(self, phi_x, p_norm2, u):
         return np.broadcast_to(np.asarray(phi_x, dtype=float),
                                np.broadcast(phi_x, p_norm2, u).shape)
+
+    def kappa_bounds(self, p_radius):
+        return (self.kappa_lo, self.kappa_hi)
 
     def to_json(self):
         return {"type": "linear", "phi": str(self.phi),
@@ -167,12 +201,22 @@ class ArctanCoupling:
 
     shift: float = math.pi
     kind = "arctan"
+    separable = False
+
+    def outer(self, pts):
+        return 1.0
+
+    def momentum_term(self, r, u):
+        return (np.square(r) + 1.0) * (math.atan(u) + self.shift)
 
     def term(self, phi_x, p_norm2, u):
         return (p_norm2 + 1.0) * (np.arctan(u) + self.shift) + u
 
     def du(self, phi_x, p_norm2, u):
         return (p_norm2 + 1.0) / (1.0 + np.square(u)) + 1.0
+
+    def kappa_bounds(self, p_radius):
+        return (1.0, p_radius ** 2 + 2.0)
 
     def to_json(self):
         return {"type": "arctan", "shift": self.shift}
@@ -221,23 +265,19 @@ class HamiltonianModel:
                        dtype=float)
 
     def phi(self, x):
+        """Outer factor of u in the coupling, one value per point."""
         pts = _as_points(x, self.dim)
-        if self.coupling.kind == "linear":
-            return np.full(pts.shape[:-1], self.coupling.phi(**point_env(pts)),
-                           dtype=float)
-        return np.zeros(pts.shape[:-1])
+        return np.full(pts.shape[:-1], self.coupling.outer(pts), dtype=float)
 
     # -- evaluation --------------------------------------------------------
 
     def eval_h(self, x, p, u):
         """H(x, p, u), broadcast over batched inputs."""
-        pts = _as_points(x, self.dim)
         mom = _as_points(p, self.dim)
         u = np.asarray(u, dtype=float)
         p_norm2 = np.sum(np.square(mom), axis=-1)
         kin = self.kinetic.radial(np.sqrt(p_norm2))
-        phi_x = self.phi(x) if self.coupling.kind == "linear" else 0.0
-        val = kin - self.f(x) + self.coupling.term(phi_x, p_norm2, u)
+        val = kin - self.f(x) + self.coupling.term(self.phi(x), p_norm2, u)
         return val if np.ndim(val) else float(val)
 
     def du_h(self, x, p, u):
@@ -245,27 +285,12 @@ class HamiltonianModel:
         mom = _as_points(p, self.dim)
         u = np.asarray(u, dtype=float)
         p_norm2 = np.sum(np.square(mom), axis=-1)
-        phi_x = self.phi(x) if self.coupling.kind == "linear" else 0.0
-        val = self.coupling.du(phi_x, p_norm2, u)
+        val = self.coupling.du(self.phi(x), p_norm2, u)
         return val if np.ndim(val) else float(val)
 
     def kappa_bounds(self, p_radius: float) -> tuple:
         """Bounds on du_H over momenta |p| <= p_radius (all x, u)."""
-        if self.coupling.kind == "linear":
-            return (self.coupling.kappa_lo, self.coupling.kappa_hi)
-        if self.coupling.kind == "arctan":
-            return (1.0, p_radius ** 2 + 2.0)
-        return (0.0, 0.0)
-
-    @property
-    def has_closed_lagrangian(self) -> bool:
-        separable = self.coupling.kind in ("none", "linear")
-        closed_kin = isinstance(self.kinetic, (QuadraticKinetic, PowerKinetic))
-        return separable and closed_kin
-
-    @property
-    def separable_coupling(self) -> bool:
-        return self.coupling.kind in ("none", "linear")
+        return self.coupling.kappa_bounds(p_radius)
 
     # -- serialization -----------------------------------------------------
 
@@ -323,60 +348,50 @@ class HamiltonianModel:
 # Lagrangian evaluation
 
 
+P_EXTENT = 20.0  # initial extent of the radial momentum lattice
+P_SPACING = 0.01  # spacing of the radial momentum lattice
 _EXTENT_CAP = 160.0
 _TABLE_DU = 5e-3  # u spacing of the sup-term tables of p-coupled sweeps
 
 
-class LagrangianEvaluator:
-    """Legendre transform L(x, v, u) = sup_p [p.v - H(x, p, u)].
+def _lattice(extent: float) -> np.ndarray:
+    return P_SPACING * np.arange(int(round(extent / P_SPACING)) + 1)
 
-    Closed forms are used when the kinetic has an explicit conjugate and the
-    coupling does not touch p. Otherwise the supremum is taken over a uniform
-    radial momentum lattice of the given extent and spacing; if the maximizer
-    sits on the lattice boundary the extent is doubled, up to a hard cap.
+
+class LagrangianEvaluator:
+    """Legendre transform L(x, v, u) = W(|v|, u) + f(x) - phi(x)*u.
+
+    W is the kinetic conjugate when the kinetic has one and the coupling is
+    separable. Otherwise the supremum is taken over the radial momentum
+    lattice of spacing P_SPACING and extent P_EXTENT; if the maximizer sits
+    on the lattice boundary the extent is doubled, up to a hard cap.
     """
 
-    def __init__(self, model: HamiltonianModel, p_extent: float = 20.0,
-                 p_spacing: float = 0.01, mode: str = "auto"):
-        if mode not in ("auto", "closed", "gridsup"):
-            raise ModelError(f"unknown evaluator mode {mode!r}")
-        if mode == "closed" and not model.has_closed_lagrangian:
-            raise ModelError("closed-form Lagrangian unavailable for this model")
+    def __init__(self, model: HamiltonianModel):
         self.model = model
-        self.p_extent = float(p_extent)
-        self.p_spacing = float(p_spacing)
-        self.mode = mode
-        self.uses_closed_form = (
-            model.has_closed_lagrangian if mode == "auto" else mode == "closed"
-        )
+        self.uses_closed_form = model.coupling.separable and not isinstance(
+            model.kinetic, TabulatedKinetic)
 
     # -- radial grid supremum ----------------------------------------------
 
     def _reduced_h(self, r: np.ndarray, u: float) -> np.ndarray:
-        """kinetic(r) plus the p-dependent part of the coupling at level u."""
-        vals = self.model.kinetic.radial(r)
-        if self.model.coupling.kind == "arctan":
-            shift = self.model.coupling.shift
-            vals = vals + (np.square(r) + 1.0) * (math.atan(u) + shift)
-        return vals
-
-    def _lattice(self, extent: float) -> np.ndarray:
-        n = int(round(extent / self.p_spacing))
-        return self.p_spacing * np.arange(n + 1)
+        """kinetic(r) plus the momentum term of the coupling at level u."""
+        return self.model.kinetic.radial(r) + \
+            self.model.coupling.momentum_term(r, u)
 
     def _radial_sup(self, speeds: np.ndarray, u: float) -> np.ndarray:
         """max over the r-lattice of r*s - reduced_h(r, u), per speed s."""
         speeds = np.asarray(speeds, dtype=float)
-        extent = self.p_extent
+        extent = P_EXTENT
         if isinstance(self.model.kinetic, TabulatedKinetic):
-            r = self._lattice(min(extent, self.model.kinetic.extent))
+            r = _lattice(min(extent, self.model.kinetic.extent))
             payoff = np.outer(speeds, r) - self._reduced_h(r, u)[None, :]
             best = np.argmax(payoff, axis=1)
             if np.any(best == len(r) - 1):
                 raise ExtentError("maximizer on the tabulated kinetic boundary")
             return payoff[np.arange(len(speeds)), best]
         while True:
-            r = self._lattice(extent)
+            r = _lattice(extent)
             payoff = np.outer(speeds, r) - self._reduced_h(r, u)[None, :]
             best = np.argmax(payoff, axis=1)
             if not np.any(best == len(r) - 1):
@@ -388,12 +403,12 @@ class LagrangianEvaluator:
             extent = min(2.0 * extent, _EXTENT_CAP)
 
     def _sup_term(self, speeds: np.ndarray, u) -> np.ndarray:
-        """sup_p [p.v - kinetic - p-coupling] for |v| = speeds, level(s) u."""
+        """W(|v|, u) for |v| = speeds at level(s) u."""
         speeds = np.atleast_1d(np.asarray(speeds, dtype=float))
-        u = np.asarray(u, dtype=float)
         if self.uses_closed_form:
-            return self.model.kinetic.conjugate_speed(speeds) * np.ones(
-                np.broadcast(speeds, u).shape)
+            return self.model.kinetic.conjugate_speed(speeds)
+        u = np.asarray(0.0 if self.model.coupling.separable else u,
+                       dtype=float)
         if u.ndim == 0:
             return self._radial_sup(speeds, float(u))
         speeds_b, u_b = np.broadcast_arrays(speeds, u)
@@ -419,46 +434,30 @@ class LagrangianEvaluator:
     def legendre(self, x, v, u):
         """L(x, v, u); inputs broadcast, scalar in gives scalar out."""
         model = self.model
-        pts = _as_points(x, model.dim)
         vel = _as_points(v, model.dim)
         u_arr = np.asarray(u, dtype=float)
         speeds = np.sqrt(np.sum(np.square(vel), axis=-1))
-        f_x = model.f(x)
-        if model.coupling.kind == "linear":
-            sup = self._sup_term(speeds, 0.0)
-            val = sup + f_x - model.phi(x) * u_arr
-        elif model.coupling.kind == "none":
-            sup = self._sup_term(speeds, 0.0)
-            val = sup + f_x
-        else:  # arctan: the -u part is analytic, the sup is taken at level u
-            sup = self._sup_term(speeds, u_arr)
-            val = sup + f_x - u_arr
-        val = np.asarray(val)
+        val = np.asarray(self._sup_term(speeds, u_arr) + model.f(x)
+                         - model.phi(x) * u_arr)
         scalar_in = (val.size == 1 and np.ndim(u) == 0
                      and np.asarray(x, dtype=float).ndim <= 1
                      and np.asarray(v, dtype=float).ndim <= 1)
         return float(val.reshape(-1)[0]) if scalar_in else val
 
     def conjugate_speeds(self, speeds: np.ndarray) -> np.ndarray:
-        """Kinetic conjugate values for separable couplings."""
-        if not self.model.separable_coupling:
-            raise ModelError("conjugate_speeds applies to separable couplings only")
-        return np.asarray(self._sup_term(np.asarray(speeds, dtype=float), 0.0))
+        """W(speeds, 0): the sup term at u = 0, at every u if separable."""
+        return self._sup_term(speeds, 0.0)
 
     def coupling_table(self, speeds: np.ndarray, u_lo: float, u_hi: float):
         """Sup-term table over (control speeds) x (u lattice) for p-coupled models."""
         return _ConjugateTable(self, np.asarray(speeds, dtype=float), u_lo, u_hi)
 
     def partial_u_l(self, x, v, u, eps: float = 1e-6):
-        """One-sided derivative of L in the u slot (forward difference)."""
-        model = self.model
-        if model.coupling.kind == "linear":
-            out = -model.phi(x)
+        """Derivative of L in the u slot: -phi(x) for separable couplings,
+        a forward difference otherwise."""
+        if self.model.coupling.separable:
+            out = -self.model.phi(x)
             return float(out) if np.size(out) == 1 and np.ndim(u) == 0 else out
-        if model.coupling.kind == "none":
-            out = np.zeros(np.broadcast(np.asarray(u, dtype=float),
-                                        model.f(x)).shape)
-            return 0.0 if out.size == 1 and np.ndim(u) == 0 else out
         u_arr = np.asarray(u, dtype=float)
         hi = self.legendre(x, v, u_arr + eps)
         lo = self.legendre(x, v, u_arr)
@@ -498,7 +497,7 @@ class LagrangianEvaluator:
 class _ConjugateTable:
     """Linear-in-u interpolation of the Legendre sup term on a u lattice.
 
-    Solver sweeps for p-coupled models read L(x, v, u) = W(|v|, u) - u + f(x)
+    Solver sweeps for p-coupled models read L(x, v, u) = W(|v|, u) + f(x) - u
     thousands of times per iteration; W is precomputed here on a lattice fine
     enough that the interpolation error sits far below solver tolerances.
     """
@@ -581,20 +580,28 @@ def _ball_samples(radius, n, dim):
     return np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
 
 
-def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
-                      u_span: float = 2.0, n_x: int = 13, n_p: int = 13,
-                      theta: float = 0.5, eps_h2: float = 0.5) -> AssumptionReport:
+# sample sizes of check_assumptions: x box half-width, momentum radius, u
+# range, x and p samples per axis, P1 contraction factor, H2 momentum radius
+_CHECK_HALF = 6.0
+_P_RADIUS = 6.0
+_U_SPAN = 2.0
+_N_X = 13
+_N_P = 13
+_THETA = 0.5
+_EPS_H2 = 0.5
+
+
+def check_assumptions(model: HamiltonianModel) -> AssumptionReport:
     """Sampled verification of the structure assumptions on H.
 
     Each check samples a deterministic lattice and records its worst margin
     and witness. A passing status means verified on those samples, nothing
     stronger; violations come with the offending sample point.
     """
-    if box is None:
-        box = ((-6.0, 6.0),) * model.dim
-    xs = _sample_points(box, n_x, model.dim)
-    ps = _ball_samples(p_radius, n_p, model.dim)
-    us = np.linspace(-u_span, u_span, 9)
+    box = ((-_CHECK_HALF, _CHECK_HALF),) * model.dim
+    xs = _sample_points(box, _N_X, model.dim)
+    ps = _ball_samples(_P_RADIUS, _N_P, model.dim)
+    us = np.linspace(-_U_SPAN, _U_SPAN, 9)
     checks = []
 
     def h(x, p, u):
@@ -630,10 +637,10 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
                                 "p2": p2.tolist(), "u": u}
     conv_ok = conv_worst <= 1e-9
     # H1c: coercivity on bounded x sets
-    radii = [p_radius / 3.0, 2.0 * p_radius / 3.0, p_radius]
+    radii = [_P_RADIUS / 3.0, 2.0 * _P_RADIUS / 3.0, _P_RADIUS]
     ring_mins = []
     for r in radii:
-        ring = _ball_samples(r, n_p, model.dim)
+        ring = _ball_samples(r, _N_P, model.dim)
         norms = np.sqrt(np.sum(np.square(ring), axis=1))
         shell = ring[norms >= r - 1e-9] if model.dim == 2 else \
             np.array([[-r], [r]])
@@ -654,7 +661,7 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
     for x in xs:
         vals = h(np.tile(x, (len(ps), 1)), ps, 0.0)
         m0 = max(m0, float(np.min(vals)))
-    small_p = _ball_samples(eps_h2, 7, model.dim)
+    small_p = _ball_samples(_EPS_H2, 7, model.dim)
     if model.dim == 1:
         boundary = np.array([[box[0][0]], [box[0][1]]])
     else:
@@ -668,7 +675,7 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
     checks.append(AssumptionCheck(
         "H2", "verified-on-samples" if h2_margin > 0 else "violated",
         margin=h2_margin,
-        witness={"m0": m0, "boundary_max": worst_h2, "eps": eps_h2},
+        witness={"m0": m0, "boundary_max": worst_h2, "eps": _EPS_H2},
         note="boundary samples of H at small momenta stay below m0"))
 
     # H3: local bounds on du_H for |p| <= p_radius
@@ -678,7 +685,7 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
     else:
         du_all = []
         for p in ps[:: max(1, len(ps) // 11)]:
-            for u in (-u_span, 0.0, u_span):
+            for u in (-_U_SPAN, 0.0, _U_SPAN):
                 du_all.append(model.du_h(xs, np.tile(p, (len(xs), 1)), u))
         du_all = np.concatenate([np.atleast_1d(d) for d in du_all])
         kappa_lo, kappa_hi = float(np.min(du_all)), float(np.max(du_all))
@@ -690,7 +697,7 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
             "H3", "verified-on-samples" if kappa_lo > 0 else "violated",
             margin=kappa_lo,
             witness={"kappa_lo": kappa_lo, "kappa_hi": kappa_hi,
-                     "p_radius": p_radius, "omega_at_du_0.25": omega},
+                     "p_radius": _P_RADIUS, "omega_at_du_0.25": omega},
             note="du_H bounds on the sampled momentum ball; modulus is an "
                  "empirical estimate"))
 
@@ -703,7 +710,7 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
         growth_witness = {}
         violated = False
         for mult in (1.0, 2.0, 4.0):
-            ring = _ball_samples(mult * p_radius, n_p, model.dim)
+            ring = _ball_samples(mult * _P_RADIUS, _N_P, model.dim)
             cap = -math.inf
             arg = None
             for u in (-1.0, 0.0, 1.0):
@@ -729,14 +736,14 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
     tau = model.kinetic.homogeneity
     if tau is not None:
         h0 = 0.0  # min of |p|^tau / tau
-        c_theta = (1.0 - theta ** tau) * h0
+        c_theta = (1.0 - _THETA ** tau) * h0
     else:
         c_theta = None
     worst_p1 = -math.inf
     wit_p1 = {}
     for p in ps[:: max(1, len(ps) // 11)]:
         for u in (0.0, 1.0):
-            gap = h(x_sub, np.tile(theta * p, (len(x_sub), 1)), u) - \
+            gap = h(x_sub, np.tile(_THETA * p, (len(x_sub), 1)), u) - \
                 h(x_sub, np.tile(p, (len(x_sub), 1)), u)
             j = int(np.argmax(gap))
             if gap[j] > worst_p1:
@@ -745,10 +752,10 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
     if c_theta is None:
         c_theta = max(0.0, worst_p1)
         p1_ok = True
-        p1_note = f"empirical constant at theta={theta}"
+        p1_note = f"empirical constant at theta={_THETA}"
     else:
         p1_ok = worst_p1 <= c_theta + 1e-9
-        p1_note = f"C_theta=(1-theta^tau)*min_kinetic at theta={theta}"
+        p1_note = f"C_theta=(1-theta^tau)*min_kinetic at theta={_THETA}"
     checks.append(AssumptionCheck(
         "P1", "verified-on-samples" if p1_ok else "violated",
         margin=c_theta - worst_p1, witness=wit_p1,
@@ -777,15 +784,15 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
     # P3: uniform bounds and coercivity across u
     vals_bounded = []
     coercive_gaps = []
-    for u in (-u_span, 0.0, u_span):
-        ring = _ball_samples(p_radius, n_p, model.dim)
+    for u in (-_U_SPAN, 0.0, _U_SPAN):
+        ring = _ball_samples(_P_RADIUS, _N_P, model.dim)
         vals = np.concatenate([np.atleast_1d(h(xs, np.tile(q, (len(xs), 1)), u))
                                for q in ring[:: max(1, len(ring) // 9)]])
         vals_bounded.append(float(np.max(np.abs(vals))))
-        lo_ring = _ball_samples(p_radius / 3.0, n_p, model.dim)
+        lo_ring = _ball_samples(_P_RADIUS / 3.0, _N_P, model.dim)
         hi_min = min(float(np.min(h(xs, np.tile(q, (len(xs), 1)), u)))
                      for q in ring[:: max(1, len(ring) // 9)]
-                     if np.linalg.norm(q) >= p_radius - 1e-9)
+                     if np.linalg.norm(q) >= _P_RADIUS - 1e-9)
         lo_min = min(float(np.min(h(xs, np.tile(q, (len(xs), 1)), u)))
                      for q in lo_ring[:: max(1, len(lo_ring) // 9)])
         coercive_gaps.append(hi_min - lo_min)
@@ -799,14 +806,11 @@ def check_assumptions(model: HamiltonianModel, box=None, p_radius: float = 6.0,
     return AssumptionReport(checks=tuple(checks))
 
 
-def lower_bound_m0(model: HamiltonianModel, x_points: np.ndarray,
-                   p_extent: float = 20.0, p_spacing: float = 0.01) -> float:
+def lower_bound_m0(model: HamiltonianModel, x_points: np.ndarray) -> float:
     """max over x samples of min over the momentum lattice of H(x, p, 0)."""
-    r = p_spacing * np.arange(int(round(p_extent / p_spacing)) + 1)
+    r = _lattice(P_EXTENT)
     kin = model.kinetic.radial(np.minimum(
         r, getattr(model.kinetic, "extent", math.inf)))
-    if model.coupling.kind == "arctan":
-        kin = kin + (np.square(r) + 1.0) * model.coupling.shift
-    min_over_p = float(np.min(kin))
+    min_over_p = float(np.min(kin + model.coupling.momentum_term(r, 0.0)))
     f_vals = model.f(x_points)
     return float(np.max(-f_vals)) + min_over_p

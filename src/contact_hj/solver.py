@@ -201,15 +201,10 @@ class SweepKernel:
         self.blocked = ~admissible
 
         self.f_in = model.f(in_pts)
-        self.phi_in = model.phi(in_pts) if model.coupling.kind == "linear" \
-            else None
-        self.separable = model.separable_coupling
+        self.phi_in = model.phi(in_pts)
         # per-control sup term at u = 0: the whole cost for separable
         # couplings, the λ = 0 and explicit-discount cost for p-coupled ones
-        if self.separable:
-            self.cost = np.asarray(evaluator.conjugate_speeds(self.speeds))
-        else:
-            self.cost = evaluator._radial_sup(self.speeds, 0.0)
+        self.cost = evaluator.conjugate_speeds(self.speeds)
         kappa = model.kappa_bounds(controls.max_speed)
         self.kappa_lo = max(kappa[0], 0.0)
         span = max(hi - lo for lo, hi in grid.domain.box)
@@ -225,41 +220,37 @@ class SweepKernel:
         v and the result hold one value per node of in_idx, in that order;
         solves pass the out-of-mask values of their v0 through unchanged.
         mode "contact": v'(x) = min_a Δt*(L(x,a,λv(x)) + c) + I[v](x-Δt·a).
-        mode "discount0": v'(x) = min_a Δt*L(x,a,0) + exp(-λΔt)*I[v](x-Δt·a),
-        the classical discounted problem used for critical-value estimation.
+        mode "discount0":
+        v'(x) = min_a Δt*(L(x,a,0) + c) + exp(-λΔt)*I[v](x-Δt·a), the
+        classical discounted problem used for critical-value estimation.
+        The sup term is the u = 0 row, or the table at λv when one is passed:
+        p-coupled contact sweeps at λ > 0 need one (see _ensure_table).
         """
         dt = self.dt
-        contact_coupled = (mode == "contact" and not self.separable
-                           and lam != 0.0)
-        if contact_coupled and table is None:
-            raise SolverError("p-coupled contact sweep needs a sup-table")
         discount = math.exp(-lam * dt) if mode == "discount0" else 1.0
+        level = lam if mode == "contact" else 0.0
         best = np.empty(len(v))
         for lo in range(0, len(v), _ROW_CHUNK):
             rows = slice(lo, lo + _ROW_CHUNK)
             cand = v[self.stencil[rows]] @ self.weights
             if mode == "discount0":
                 cand *= discount
-            if contact_coupled:
-                cand += dt * table.values(lam * v[rows]).T
-            else:
-                cand += dt * self.cost
+            cand += dt * (self.cost if table is None
+                          else table.values(level * v[rows]).T)
             np.copyto(cand, np.inf, where=self.blocked[rows])
             np.min(cand, axis=1, out=best[rows])
-        if mode == "discount0":
-            best += dt * self.f_in
-        elif contact_coupled:
-            best += dt * (self.f_in - lam * v + c)
-        else:
-            best += dt * (self.f_in + c)
-            if self.phi_in is not None and lam != 0.0:
-                best -= dt * lam * self.phi_in * v
+        best += dt * (self.f_in + c)
+        best -= dt * level * self.phi_in * v
         return best
 
 
-def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):
-    """(Re)build the sup-term table when the iterate's u-range escapes it."""
-    if kernel.separable or lam == 0.0:
+def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray,
+                  mode: str = "contact"):
+    """(Re)build the sup-term table when the iterate's u-range escapes it.
+
+    Only p-coupled contact sweeps at λ > 0 read one."""
+    if mode != "contact" or lam == 0.0 \
+            or kernel.evaluator.model.coupling.separable:
         return None
     u = lam * v
     lo, hi = float(np.min(u)), float(np.max(u))
@@ -272,11 +263,12 @@ def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):
 
 def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
              params: SolveParams, mode: str = "contact", pin_pos=None,
-             anchor_pos=None, mismatch_guard: bool = False):
+             anchor_pos=None):
     """Fixed-point loop with geometric-tail extrapolation for λ > 0.
 
     Runs on the in-mask values of v0, which pin_pos and anchor_pos index,
-    and returns a copy of v0 with those values replaced.
+    and returns a copy of v0 with those values replaced. With an anchor, a
+    steady drift after burn-in raises CMismatchError.
     """
     v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
     if pin_pos is not None:
@@ -303,7 +295,7 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
     accel_backup = None  # (iterate, residual) to restore if a jump misfires
     accel_period = _ACCEL_PERIOD
     for it in range(1, params.max_iters + 1):
-        table = _ensure_table(kernel, table, lam, v)
+        table = _ensure_table(kernel, table, lam, v, mode)
         v_new = kernel.step(v, lam, c, mode=mode, table=table)
         if pin_pos is not None:
             v_new[pin_pos] = 0.0
@@ -326,7 +318,7 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
                 cooldown = _ACCEL_TAIL
                 accel_period = min(2 * accel_period, 4096)
                 continue
-        if mismatch_guard and drift is not None and it > burn_in \
+        if drift is not None and it > burn_in \
                 and abs(drift) > 10.0 * params.tol \
                 and res < 2.0 * abs(drift) + 1e-15:
             raise CMismatchError(rate=drift / dt, drift=drift, iteration=it)
@@ -465,9 +457,7 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
         start = v  # warm start the next, smaller λ
     (l1, e1), (l2, e2) = table[-2], table[-1]
     richardson = e2 + l2 * (e2 - e1) / (l1 - l2)
-    m0 = lower_bound_m0(model, grid.points()[grid.mask.ravel()],
-                        p_extent=evaluator.p_extent,
-                        p_spacing=evaluator.p_spacing)
+    m0 = lower_bound_m0(model, grid.points()[grid.mask.ravel()])
     if richardson < m0 - margin:
         raise SolverError(
             f"critical value estimate {richardson:.6g} sits below the lower "
@@ -499,8 +489,7 @@ def solve_ergodic(model: HamiltonianModel, grid: UniformGrid, c: float,
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
     v, iters, res, ok, extras = _iterate(
         kernel, start, 0.0, c, params,
-        anchor_pos=np.searchsorted(kernel.in_idx, anchor_idx),
-        mismatch_guard=True)
+        anchor_pos=np.searchsorted(kernel.in_idx, anchor_idx))
     fld = GridField(grid, v.reshape(grid.shape),
                     meta={"kind": "ergodic", "lambda": 0.0, "c": c})
     return SolveOutcome(fld, iters, res, ok, extras)

@@ -3,12 +3,13 @@
 A curve is traced by greedy one-step descent of the dynamic programming
 operator on a converged field; the per-step defect is recorded rather than
 assumed zero. For separable couplings the per-control sup term of the
-Lagrangian is computed once per curve, and each step interpolates the field
-once, at the admissible feet; the chosen foot's value is the next step's
-field value. Discount indices are difference quotients of the Lagrangian in
-its u slot between the field level and a reference level; their left-Riemann
-cumulative integrals weight both the representation formulas and the
-discounted measures, so the same convention is used everywhere.
+Lagrangian is computed once per curve, for p-coupled ones once per step at
+the step's level; each step interpolates the field once, at the admissible
+feet, and the chosen foot's value is the next step's field value. Discount
+indices are difference quotients of the Lagrangian in its u slot between
+the field level and a reference level; their left-Riemann cumulative
+integrals weight both the representation formulas and the discounted
+measures, so the same convention is used everywhere.
 """
 
 import math
@@ -74,10 +75,10 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
     one-step value disagrees with the field by more than defect_tol are
     counted and surface as a warning on the curve, which is still returned.
 
-    L keeps legendre()'s arithmetic: for separable couplings the per-control
-    sup term is computed once per curve and each step adds f(x) -
-    phi(x)*λ*v(x); p-coupled models call legendre() once per step. v(x) is
-    the interpolated value of the foot chosen at the step before.
+    L keeps legendre()'s arithmetic, W + f(x) - phi(x)*λ*v(x): the sup term
+    W is the u = 0 row for separable couplings, computed once per curve, and
+    the lattice sup at level λ*v(x) for p-coupled ones. v(x) is the
+    interpolated value of the foot chosen at the step before.
     """
     grid = field.grid
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -91,8 +92,9 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
         defect_tol = 10.0 * 1e-8 + max(grid.dx) ** 2
     ctrl = controls.controls
     step = dt * ctrl
-    sup = (evaluator.conjugate_speeds(controls.speeds)
-           if model.separable_coupling else None)
+    speeds = controls.speeds
+    row = (evaluator.conjugate_speeds(speeds)
+           if model.coupling.separable else None)
     pts = np.empty((n_steps + 1, grid.dim))
     vel = np.empty((n_steps, grid.dim))
     pts[0] = z
@@ -102,10 +104,8 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
     v_here = float(field.interpolate(x1)[0])
     for k in range(n_steps):
         level = lam * v_here
-        if sup is None:
-            lvals = evaluator.legendre(x1, ctrl, level)
-        else:
-            lvals = sup + model.f(x1) - model.phi(x1) * level
+        sup = row if row is not None else evaluator._radial_sup(speeds, level)
+        lvals = sup + model.f(x1) - model.phi(x1) * level
         feet = x1 - step
         ok = grid.domain.contains(feet, slack=1e-9)
         if not np.any(ok):

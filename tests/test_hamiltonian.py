@@ -81,21 +81,22 @@ def test_fenchel_young(quad_lin):
 
 
 def test_gridsup_matches_closed_form(quad_lin):
-    closed = LagrangianEvaluator(quad_lin, mode="closed")
-    grid = LagrangianEvaluator(quad_lin, mode="gridsup", p_spacing=0.01)
+    ev = LagrangianEvaluator(quad_lin)
+    assert ev.uses_closed_form
     rng = np.random.RandomState(5)
     for _ in range(25):
         x, v, u = rng.uniform(-2.5, 2.5, size=3)
-        assert grid.legendre(x, v, u) == pytest.approx(
-            closed.legendre(x, v, u), abs=5e-5)
+        lattice = (ev._radial_sup(np.array([abs(v)]), u)[0]
+                   + float(quad_lin.f(x)) - float(quad_lin.phi(x)) * u)
+        assert lattice == pytest.approx(ev.legendre(x, v, u), abs=5e-5)
 
 
 def test_gridsup_power_kinetic():
     model = HamiltonianModel(dim=1, kinetic=PowerKinetic(tau=3.0),
                              potential=parse("0"), coupling=NoCoupling())
-    ev = LagrangianEvaluator(model, mode="gridsup", p_spacing=0.01)
+    ev = LagrangianEvaluator(model)
     # sup_p [1.7 p - |p|^3/3] = |1.7|^{1.5}/1.5
-    assert ev.legendre(0.0, 1.7, 0.0) == pytest.approx(
+    assert ev._radial_sup(np.array([1.7]), 0.0)[0] == pytest.approx(
         abs(1.7) ** 1.5 / 1.5, abs=5e-5)
 
 
@@ -170,21 +171,23 @@ def test_tabulated_kinetic_interp_and_extent():
     model = HamiltonianModel(dim=1, kinetic=TabulatedKinetic(dp=dp, values=vals),
                              potential=parse("0"))
     assert model.eval_h(0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-3)
-    ev = LagrangianEvaluator(model, p_spacing=0.01)
-    assert ev.legendre(0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-3)
+    ev = LagrangianEvaluator(model)
+    assert ev._radial_sup(np.array([1.0]), 0.0)[0] == pytest.approx(
+        0.5, abs=1e-3)
     with pytest.raises(ExtentError):
-        ev.legendre(0.0, 10.0, 0.0)  # maximizer beyond the table
+        ev._radial_sup(np.array([10.0]), 0.0)  # maximizer beyond the table
 
 
 def test_extent_doubling_and_cap():
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("0"))
-    ev = LagrangianEvaluator(model, mode="gridsup", p_extent=1.0,
-                             p_spacing=0.01)
-    # maximizer p = v = 3 lies beyond the initial extent; doubling reaches it
-    assert ev.legendre(0.0, 3.0, 0.0) == pytest.approx(4.5, abs=5e-5)
+    ev = LagrangianEvaluator(model)
+    # maximizer p = v = 30 lies beyond the initial extent 20; doubling
+    # reaches it
+    assert ev._radial_sup(np.array([30.0]), 0.0)[0] == pytest.approx(
+        450.0, abs=5e-5)
     with pytest.raises(ExtentError):
-        ev.legendre(0.0, 200.0, 0.0)  # beyond the hard cap
+        ev._radial_sup(np.array([200.0]), 0.0)  # beyond the hard cap 160
 
 
 def test_json_roundtrip(quad_lin, arctan_model):

@@ -5,9 +5,9 @@ import pytest
 
 from contact_hj.expressions import parse
 from contact_hj.grid import Domain, GridField, UniformGrid
-from contact_hj.hamiltonian import (HamiltonianModel, LagrangianEvaluator,
-                                    LinearCoupling, NoCoupling,
-                                    QuadraticKinetic)
+from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
+                                    LagrangianEvaluator, LinearCoupling,
+                                    NoCoupling, QuadraticKinetic)
 from contact_hj.solver import (CMismatchError, ControlSet, SolveParams,
                                SolverError, aubry_indicator,
                                estimate_critical_value, lax_oleinik_step,
@@ -132,32 +132,46 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
             expected[i] = best + dt * (f[i] + c) - dt * lam * vals[i]
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-13)
 
-    # 2D ball mask: per node and control, admissible feet by domain test,
-    # foot values by field interpolation, L from the evaluator
+    def enumerate_step(fld, ev, cs, dt):
+        # per node and control, admissible feet by domain test, foot values
+        # by field interpolation, L from the evaluator at level lam * v
+        grid = fld.grid
+        expected = fld.values.ravel().copy()  # out-of-mask nodes keep theirs
+        for i in np.where(grid.mask.ravel())[0]:
+            x = grid.points()[i]
+            level = lam * expected[i]
+            best = math.inf
+            for a in cs.controls:
+                foot = x - dt * a
+                if not grid.domain.contains(foot[None, :], slack=1e-9)[0]:
+                    continue
+                interp = fld.interpolate(foot[None, :])[0]
+                best = min(best, dt * (ev.legendre(x, a, level) + c) + interp)
+            expected[i] = best
+        return expected
+
+    # p-coupled model: the sweep reads the sup term from the u-table, the
+    # enumeration takes the lattice sup of legendre at level lam * v
+    model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-x^2)"),
+                             coupling=ArctanCoupling(shift=math.pi))
+    ev = LagrangianEvaluator(model)
+    fld = GridField(grid, rng.uniform(-1.0, 3.0, size=grid.shape))
+    out = lax_oleinik_step(fld, model, ev, cs, lam, c, 0.05)
+    np.testing.assert_allclose(out.values, enumerate_step(fld, ev, cs, 0.05),
+                               rtol=0, atol=1e-6)
+
+    # 2D ball mask
     model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
                              potential=parse("1 - exp(-(x^2 + y^2))"),
                              coupling=LinearCoupling(parse("1"), 1.0, 1.0))
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.ball(((-1.5, 1.5),) * 2, 1.0), (13, 13))
     cs = ControlSet.build(2, max_speed=2.0, da=0.5)
-    dt = 0.1
-    vals = rng.uniform(-1.0, 3.0, size=grid.shape)
-    fld = GridField(grid, vals)
-    out = lax_oleinik_step(fld, model, ev, cs, lam, c, dt)
-
-    expected = vals.ravel().copy()  # out-of-mask nodes keep their values
-    for i in np.where(grid.mask.ravel())[0]:
-        x = grid.points()[i]
-        level = lam * expected[i]
-        best = math.inf
-        for a in cs.controls:
-            foot = x - dt * a
-            if not grid.domain.contains(foot[None, :], slack=1e-9)[0]:
-                continue
-            interp = fld.interpolate(foot[None, :])[0]
-            best = min(best, dt * (ev.legendre(x, a, level) + c) + interp)
-        expected[i] = best
-    np.testing.assert_allclose(out.values.ravel(), expected, rtol=0,
+    fld = GridField(grid, rng.uniform(-1.0, 3.0, size=grid.shape))
+    out = lax_oleinik_step(fld, model, ev, cs, lam, c, 0.1)
+    np.testing.assert_allclose(out.values.ravel(),
+                               enumerate_step(fld, ev, cs, 0.1), rtol=0,
                                atol=1e-12)
 
 
@@ -346,6 +360,28 @@ def test_critical_value_shifted_potential(ql_evaluator, controls1d):
                                   SolveParams(tol=1e-8), controls=controls1d)
     assert -1.02 <= est.richardson <= -0.98
     assert est.m0 == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_critical_value_builds_no_sup_table(monkeypatch):
+    # the discounted solves read L at u = 0 only: a p-coupled model needs
+    # the u = 0 row, never a table over u
+    model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-x^2)"),
+                             coupling=ArctanCoupling(shift=math.pi))
+    builds = []
+    build = LagrangianEvaluator.coupling_table
+
+    def counting_build(self, *args):
+        builds.append(args)
+        return build(self, *args)
+
+    monkeypatch.setattr(LagrangianEvaluator, "coupling_table", counting_build)
+    grid = UniformGrid(Domain.full_box(((-3.0, 3.0),)), (31,))
+    est = estimate_critical_value(model, grid, (0.4, 0.2),
+                                  SolveParams(tol=1e-6),
+                                  controls=ControlSet.build(1, da=0.5))
+    assert builds == []
+    assert est.richardson >= est.m0 - est.margin
 
 
 def test_critical_value_rejects_bad_sequence(ql_model, grid201):
