@@ -18,7 +18,7 @@ from .experiments import (ConfigError, ExperimentConfig, builtin_models,
                           read_config_file, run_assumption_check, setup,
                           trace_curve, trace_measure,
                           vanishing_discount_sweep)
-from .grid import DomainError, atomic_write_text
+from .grid import atomic_write_text
 from .hamiltonian import ModelError
 from .measures import (closedness_defect, default_battery, mather_defect,
                        write_measure_csv)
@@ -84,7 +84,10 @@ def _pick_lam(args, config: ExperimentConfig) -> float:
 
 def _pick_z(args, config: ExperimentConfig, dim: int):
     if getattr(args, "z", None) is not None:
-        parts = [float(v) for v in args.z.split(",")]
+        try:
+            parts = [float(v) for v in args.z.split(",")]
+        except ValueError:
+            raise ConfigError(f"--z needs numbers, got {args.z!r}") from None
         if len(parts) != dim:
             raise ConfigError(f"--z needs {dim} coordinate(s)")
         return tuple(parts) if dim == 2 else parts[0]
@@ -191,7 +194,7 @@ def _cmd_trace(args) -> int:
                                       args.kind)
     run_dir = make_run_dir(config.outdir, "trace", args.stamp)
     write_curve_csv(os.path.join(run_dir, "curve.csv"), curve, idx)
-    action = exponential_action(curve, idx, rt.model, rt.evaluator, lam,
+    action = exponential_action(curve, idx, rt.evaluator, lam,
                                 config.c, boundary_field=field)
     vz = float(field.interpolate(np.reshape(z, (1, -1)))[0])
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
@@ -218,7 +221,7 @@ def _cmd_measure(args) -> int:
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
                "horizon": horizon,
                "closedness_defect": closedness_defect(mu, battery),
-               "mather_defect": mather_defect(mu, rt.model, rt.evaluator,
+               "mather_defect": mather_defect(mu, rt.evaluator,
                                               config.c),
                "support_radius": mu.support_radius,
                "weight_sum": float(np.sum(mu.weights))}
@@ -311,7 +314,7 @@ def main(argv=None) -> int:
         print(f"configuration error: the assigned critical constant is off "
               f"(drift rate {exc.rate:+.4g}): {exc}", file=sys.stderr)
         return 2
-    except (SolverError, DomainError) as exc:
+    except (SolverError, ValueError) as exc:  # cell errors, as in _guard
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

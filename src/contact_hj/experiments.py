@@ -46,10 +46,28 @@ _TOP_KEYS = {"name", "model", "c", "grid", "lambdas", "radii", "probes",
              "gap_tol", "stab_tol", "outdir", "expect_assumptions"}
 
 
-def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    for key in data:
+def _number(value, key: str) -> float:
+    """float(value), or ConfigError naming the config key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} needs a number, got {value!r}") from None
+
+
+def _numbers(values, key: str) -> tuple:
+    """A list of numbers as floats, or ConfigError naming the config key."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key!r} needs a list, got {values!r}")
+    return tuple(_number(v, key) for v in values)
+
+
+def _check_keys(data: dict, allowed: set, where: str, numeric=()) -> None:
+    """ConfigError for an unknown key or a non-number under a numeric key."""
+    for key, value in data.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key {where}{key!r}")
+        if key in numeric and value is not None:
+            _number(value, where + key)
 
 
 def read_config_file(path) -> dict:
@@ -92,7 +110,7 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        _reject_unknown(data, _TOP_KEYS, "")
+        _check_keys(data, _TOP_KEYS, "")
         if "model" not in data:
             raise ConfigError("config needs a 'model' descriptor")
         try:
@@ -102,11 +120,14 @@ class ExperimentConfig:
         dim = model.dim
 
         grid = dict(data.get("grid", {}))
-        _reject_unknown(grid, _GRID_KEYS, "grid.")
+        _check_keys(grid, _GRID_KEYS, "grid.", numeric={"radius"})
         if "box" not in grid:
             grid["box"] = [[-10.0, 10.0]] if dim == 1 else [[-6.0, 6.0]] * 2
         if "shape" not in grid:
             grid["shape"] = [401] if dim == 1 else [161, 161]
+        for side in grid["box"]:
+            _numbers(side, "grid.box")
+        _numbers(grid["shape"], "grid.shape")
         if len(grid["box"]) != dim or len(grid["shape"]) != dim:
             raise ConfigError("grid box/shape rank does not match model dim")
         grid.setdefault("kind", "box")
@@ -114,34 +135,36 @@ class ExperimentConfig:
             raise ConfigError(f"grid.kind must be box or ball, got {grid['kind']!r}")
 
         solver = dict(data.get("solver", {}))
-        _reject_unknown(solver, _SOLVER_KEYS, "solver.")
+        _check_keys(solver, _SOLVER_KEYS, "solver.", numeric=_SOLVER_KEYS)
         solver.setdefault("tol", 1e-8)
         solver.setdefault("max_iters", 50000)
         solver.setdefault("dt", None)
 
         controls = dict(data.get("controls", {}))
-        _reject_unknown(controls, _CONTROL_KEYS, "controls.")
+        _check_keys(controls, _CONTROL_KEYS, "controls.",
+                        numeric=_CONTROL_KEYS)
 
-        lams = tuple(float(l) for l in data.get("lambdas", (0.2, 0.1, 0.05, 0.025)))
+        lams = _numbers(data.get("lambdas", (0.2, 0.1, 0.05, 0.025)), "lambdas")
         if any(l <= 0 for l in lams):
             raise ConfigError("lambdas must be positive")
         if any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigError("lambdas must be strictly decreasing")
-        radii = tuple(float(r) for r in data.get("radii", (2, 3, 4, 5, 6)))
+        radii = _numbers(data.get("radii", (2, 3, 4, 5, 6)), "radii")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing")
 
         probes = data.get("probes", [0.0, 1.0] if dim == 1 else [[0.0, 0.0]])
-        probes = tuple(tuple(p) if isinstance(p, (list, tuple)) else (float(p),)
-                       for p in probes)
+        probes = tuple(tuple(p) if isinstance(p, (list, tuple))
+                       else (_number(p, "probes"),) for p in probes)
         for p in probes:
+            _numbers(p, "probes")
             if len(p) != dim:
                 raise ConfigError(f"probe {p} does not match model dim")
 
         window = data.get("window", [-3.0, 3.0] if dim == 1 else [[-2, 2], [-2, 2]])
         if dim == 1 and not isinstance(window[0], (list, tuple)):
             window = [window]
-        window = tuple(tuple(float(v) for v in w) for w in window)
+        window = tuple(_numbers(w, "window") for w in window)
         if len(window) != dim:
             raise ConfigError("window rank does not match model dim")
 
@@ -149,19 +172,20 @@ class ExperimentConfig:
         return ExperimentConfig(
             name=str(data.get("name", "custom")),
             model=model.to_json(),
-            c=float(data.get("c", 0.0)),
+            c=_number(data.get("c", 0.0), "c"),
             grid=grid,
             lambdas=lams,
             radii=radii,
             probes=probes,
-            horizon=None if horizon is None else float(horizon),
+            horizon=None if horizon is None else _number(horizon, "horizon"),
             window=window,
             solver=solver,
             controls=controls,
             truncation_radius=(None if data.get("truncation_radius") is None
-                               else float(data["truncation_radius"])),
-            gap_tol=float(data.get("gap_tol", 1e-3)),
-            stab_tol=float(data.get("stab_tol", 1e-3)),
+                               else _number(data["truncation_radius"],
+                                            "truncation_radius")),
+            gap_tol=_number(data.get("gap_tol", 1e-3), "gap_tol"),
+            stab_tol=_number(data.get("stab_tol", 1e-3), "stab_tol"),
             outdir=str(data.get("outdir", "out")),
             expect_assumptions=dict(data.get("expect_assumptions", {})),
         )
@@ -386,7 +410,7 @@ def trace_curve(rt: Runtime, config: ExperimentConfig, field, lam: float, z,
     horizon = horizon or config.trace_horizon(lam, kappa_lo)
     curve = backtrace(field, rt.model, rt.evaluator, rt.controls, lam,
                       config.c, z, horizon, rt.params.dt)
-    idx = compute_indices(curve, rt.model, rt.evaluator, field, lam, kind)
+    idx = compute_indices(curve, rt.evaluator, field, lam, kind)
     return curve, idx, horizon
 
 
@@ -493,7 +517,7 @@ def vanishing_discount_sweep(config: ExperimentConfig,
             continue
         curve, idx, mu, horizon = payload
         _note_trace_warning(report, lam, probe, curve)
-        value = selection_functional(mu, proxy, model, evaluator)
+        value = selection_functional(mu, proxy, evaluator)
         sel_values.append(value)
         sel_rows.append([lam, _probe_label(probe), value, horizon, "ok"])
     report.add_table("selection", ["lambda", "probe", "functional",
@@ -619,7 +643,7 @@ def measure_study(config: ExperimentConfig,
         curve, idx, mu, horizon = trace_measure(rt, config, fields[lam], lam,
                                                 probe)
         closed = closedness_defect(mu, battery)
-        mather = mather_defect(mu, model, evaluator, config.c)
+        mather = mather_defect(mu, evaluator, config.c)
         dist = mu.points - np.asarray([0.0] * model.dim)
         support = float(np.sum(mu.weights * np.sqrt(np.sum(dist ** 2, axis=1))))
         return mu, curve, idx, closed, mather, support, horizon
@@ -684,7 +708,7 @@ def measure_study(config: ExperimentConfig,
         fam = measures_by_probe[probe]
         if len(fam) < 2:
             continue
-        rep = weak_limit_diagnostics(fam, battery, model, evaluator)
+        rep = weak_limit_diagnostics(fam, battery, evaluator)
         for (a, b), d in zip(zip(rep.lambdas, rep.lambdas[1:]),
                              rep.discrepancies):
             weak_rows.append([_probe_label(probe), a, b, d])

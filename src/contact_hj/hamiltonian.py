@@ -18,8 +18,9 @@ with outer factor phi = 0 for none, phi(x) for linear and 1 for arctan.
 Only arctan has a momentum term, (r^2 + 1)*(arctan(u) + shift); the other
 couplings are separable: W does not depend on u, and closed-form kinetics
 give it as their conjugate. Otherwise the grid-based evaluator maximizes
-r*s - kinetic(r) - m(r, u) over a uniform r-lattice, doubling the lattice
-extent whenever the maximizer lands on the boundary.
+r*s - kinetic(r) - m(r, u) over a uniform r-lattice, for any broadcast mix
+of speeds s and levels u, in blocks of bounded size; each level doubles its
+lattice extent while its maximizer lands on the boundary.
 """
 
 import json
@@ -119,9 +120,6 @@ class TabulatedKinetic:
             raise ExtentError("momentum outside tabulated kinetic extent")
         vals = np.asarray(self.values, dtype=float)
         return np.interp(r, self.dp * np.arange(len(vals)), vals)
-
-    def conjugate_speed(self, s):
-        raise ModelError("tabulated kinetic has no closed-form conjugate")
 
     @property
     def homogeneity(self):
@@ -351,7 +349,9 @@ class HamiltonianModel:
 P_EXTENT = 20.0  # initial extent of the radial momentum lattice
 P_SPACING = 0.01  # spacing of the radial momentum lattice
 _EXTENT_CAP = 160.0
+_BLOCK = 1 << 15  # elements per temporary of the lattice sup (256 KB)
 _TABLE_DU = 5e-3  # u spacing of the sup-term tables of p-coupled sweeps
+_DU_EPS = 1e-6  # forward-difference step of partial_u_l
 
 
 def _lattice(extent: float) -> np.ndarray:
@@ -363,71 +363,70 @@ class LagrangianEvaluator:
 
     W is the kinetic conjugate when the kinetic has one and the coupling is
     separable. Otherwise the supremum is taken over the radial momentum
-    lattice of spacing P_SPACING and extent P_EXTENT; if the maximizer sits
-    on the lattice boundary the extent is doubled, up to a hard cap.
+    lattice of spacing P_SPACING and extent P_EXTENT. A level u whose
+    maximizer sits on the lattice edge at any of its speeds is redone at
+    double the extent, up to a hard cap (tabulated kinetics stay at their
+    table extent). Payoffs are formed in blocks of at most _BLOCK elements,
+    however many speeds and levels a call asks for.
     """
 
     def __init__(self, model: HamiltonianModel):
         self.model = model
-        self.uses_closed_form = model.coupling.separable and not isinstance(
-            model.kinetic, TabulatedKinetic)
+        self.uses_closed_form = model.coupling.separable and hasattr(
+            model.kinetic, "conjugate_speed")
 
     # -- radial grid supremum ----------------------------------------------
 
-    def _reduced_h(self, r: np.ndarray, u: float) -> np.ndarray:
-        """kinetic(r) plus the momentum term of the coupling at level u."""
-        return self.model.kinetic.radial(r) + \
-            self.model.coupling.momentum_term(r, u)
-
-    def _radial_sup(self, speeds: np.ndarray, u: float) -> np.ndarray:
-        """max over the r-lattice of r*s - reduced_h(r, u), per speed s."""
-        speeds = np.asarray(speeds, dtype=float)
-        extent = P_EXTENT
-        if isinstance(self.model.kinetic, TabulatedKinetic):
-            r = _lattice(min(extent, self.model.kinetic.extent))
-            payoff = np.outer(speeds, r) - self._reduced_h(r, u)[None, :]
-            best = np.argmax(payoff, axis=1)
-            if np.any(best == len(r) - 1):
-                raise ExtentError("maximizer on the tabulated kinetic boundary")
-            return payoff[np.arange(len(speeds)), best]
+    def _radial_sup(self, speeds, u) -> np.ndarray:
+        """max over the r-lattice of r*s - kinetic(r) - m(r, u), elementwise
+        over the broadcast (speeds, u)."""
+        speeds, u = np.broadcast_arrays(speeds, u)
+        out = np.empty(speeds.shape)
+        flat_s, flat_o = speeds.reshape(-1), out.reshape(-1)
+        levels, level_of = np.unique(u.reshape(-1), return_inverse=True)
+        pending = np.argsort(level_of, kind="stable")
+        level_of = level_of[pending]  # grouped by level
+        kinetic, coupling = self.model.kinetic, self.model.coupling
+        tabulated = isinstance(kinetic, TabulatedKinetic)
+        cap = min(P_EXTENT, kinetic.extent) if tabulated else _EXTENT_CAP
+        extent = min(P_EXTENT, cap)
         while True:
             r = _lattice(extent)
-            payoff = np.outer(speeds, r) - self._reduced_h(r, u)[None, :]
-            best = np.argmax(payoff, axis=1)
-            if not np.any(best == len(r) - 1):
-                return payoff[np.arange(len(speeds)), best]
-            if extent >= _EXTENT_CAP:
+            kin = kinetic.radial(r)
+            edge = np.empty(len(pending), dtype=bool)
+            # blocks of at most _BLOCK payoff elements, each at one level
+            new_level = np.diff(level_of, prepend=-1) != 0
+            cuts = np.union1d(np.flatnonzero(new_level), np.arange(
+                0, len(pending), max(1, _BLOCK // len(r)))).tolist()
+            for lo, hi in zip(cuts, cuts[1:] + [len(pending)]):
+                if new_level[lo]:
+                    row = kin + coupling.momentum_term(
+                        r, float(levels[level_of[lo]]))
+                payoff = np.multiply.outer(flat_s[pending[lo:hi]], r)
+                payoff -= row
+                best = payoff.argmax(axis=1)
+                flat_o[pending[lo:hi]] = payoff[np.arange(hi - lo), best]
+                edge[lo:hi] = best == len(r) - 1
+                del payoff  # the next block reuses its memory, not new pages
+            if not np.any(edge):
+                return out
+            if extent >= cap:
                 raise ExtentError(
-                    f"Legendre maximizer escaped the momentum lattice at "
-                    f"extent {extent:g} (cap {_EXTENT_CAP:g})")
-            extent = min(2.0 * extent, _EXTENT_CAP)
+                    "maximizer on the tabulated kinetic boundary" if tabulated
+                    else f"Legendre maximizer escaped the momentum lattice at "
+                         f"extent {extent:g} (cap {_EXTENT_CAP:g})")
+            # the levels with an edge maximizer start over at double extent
+            redo = np.isin(level_of, level_of[edge])
+            pending, level_of = pending[redo], level_of[redo]
+            extent = min(2.0 * extent, cap)
 
     def _sup_term(self, speeds: np.ndarray, u) -> np.ndarray:
         """W(|v|, u) for |v| = speeds at level(s) u."""
         speeds = np.atleast_1d(np.asarray(speeds, dtype=float))
         if self.uses_closed_form:
             return self.model.kinetic.conjugate_speed(speeds)
-        u = np.asarray(0.0 if self.model.coupling.separable else u,
-                       dtype=float)
-        if u.ndim == 0:
-            return self._radial_sup(speeds, float(u))
-        speeds_b, u_b = np.broadcast_arrays(speeds, u)
-        out = np.empty(speeds_b.shape)
-        flat_s = speeds_b.reshape(-1)
-        flat_u = u_b.reshape(-1)
-        flat_o = out.reshape(-1)
-        # group identical levels so each lattice sweep is vectorized
-        order = np.argsort(flat_u, kind="stable")
-        sorted_u = flat_u[order]
-        start = 0
-        while start < len(sorted_u):
-            stop = start
-            while stop < len(sorted_u) and sorted_u[stop] == sorted_u[start]:
-                stop += 1
-            idx = order[start:stop]
-            flat_o[idx] = self._radial_sup(flat_s[idx], float(sorted_u[start]))
-            start = stop
-        return out
+        return self._radial_sup(
+            speeds, 0.0 if self.model.coupling.separable else u)
 
     # -- public operations ---------------------------------------------------
 
@@ -452,46 +451,32 @@ class LagrangianEvaluator:
         """Sup-term table over (control speeds) x (u lattice) for p-coupled models."""
         return _ConjugateTable(self, np.asarray(speeds, dtype=float), u_lo, u_hi)
 
-    def partial_u_l(self, x, v, u, eps: float = 1e-6):
+    def partial_u_l(self, x, v, u):
         """Derivative of L in the u slot: -phi(x) for separable couplings,
-        a forward difference otherwise."""
+        a forward difference of step _DU_EPS otherwise."""
         if self.model.coupling.separable:
             out = -self.model.phi(x)
             return float(out) if np.size(out) == 1 and np.ndim(u) == 0 else out
-        u_arr = np.asarray(u, dtype=float)
-        hi = self.legendre(x, v, u_arr + eps)
-        lo = self.legendre(x, v, u_arr)
-        return (np.asarray(hi) - np.asarray(lo)) / eps if np.ndim(hi) \
-            else (hi - lo) / eps
+        u = np.asarray(u, dtype=float)
+        hi = self.legendre(x, v, u + _DU_EPS)
+        return (hi - self.legendre(x, v, u)) / _DU_EPS
 
     def discount_index(self, x, v, level_a, level_b):
         """Difference quotient of L in u between level_a and level_b.
 
-        Degenerates to the one-sided derivative at level_b when the levels
+        Degenerates to the one-sided derivative at level_b where the levels
         coincide. Symmetric in its levels and nonpositive whenever the model
         is monotone in u.
         """
         a = np.asarray(level_a, dtype=float)
         b = np.asarray(level_b, dtype=float)
-        if a.ndim == 0 and b.ndim == 0:
-            if float(a) == float(b):
-                return self.partial_u_l(x, v, float(b))
-            la = self.legendre(x, v, float(a))
-            lb = self.legendre(x, v, float(b))
-            return (np.asarray(la) - np.asarray(lb)) / (float(a) - float(b))
-        a_b, b_b = np.broadcast_arrays(a, b)
-        la = np.asarray(self.legendre(x, v, a_b))
-        lb = np.asarray(self.legendre(x, v, b_b))
-        out = np.empty(np.broadcast(a_b, b_b).shape)
-        same = a_b == b_b
-        diff = ~same
+        diff = self.legendre(x, v, a) - self.legendre(x, v, b)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out[diff] = (la[diff] - lb[diff]) / (a_b[diff] - b_b[diff])
+            out = diff / (a - b)
+        same = a == b
         if np.any(same):
-            dplus = np.asarray(self.partial_u_l(x, v, b_b))
-            dplus = np.broadcast_to(dplus, out.shape)
-            out[same] = dplus[same]
-        return out
+            out = np.where(same, self.partial_u_l(x, v, b), out)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 class _ConjugateTable:
@@ -504,16 +489,13 @@ class _ConjugateTable:
 
     def __init__(self, evaluator: LagrangianEvaluator, speeds: np.ndarray,
                  u_lo: float, u_hi: float):
-        du = _TABLE_DU
-        pad = 4.0 * du
+        pad = 4.0 * _TABLE_DU
         lo = u_lo - pad
-        hi = max(u_hi + pad, lo + 2 * du)
-        n = int(math.ceil((hi - lo) / du)) + 1
-        self.u_grid = lo + du * np.arange(n)
-        self.du = du
-        self.speeds = speeds
-        rows = [evaluator._radial_sup(speeds, float(u)) for u in self.u_grid]
-        self.w = np.asarray(rows)  # shape (n_u, n_speeds)
+        hi = max(u_hi + pad, lo + 2 * _TABLE_DU)
+        n = int(math.ceil((hi - lo) / _TABLE_DU)) + 1
+        self.u_grid = lo + _TABLE_DU * np.arange(n)
+        # w[i, j] = W(speeds[j], u_grid[i])
+        self.w = evaluator._radial_sup(speeds, self.u_grid[:, None])
 
     def covers(self, u_lo: float, u_hi: float) -> bool:
         return self.u_grid[0] <= u_lo and u_hi <= self.u_grid[-1]
@@ -521,7 +503,7 @@ class _ConjugateTable:
     def values(self, u: np.ndarray) -> np.ndarray:
         """W(speed_j, u_i) as a (n_speeds, n_points) matrix."""
         u = np.asarray(u, dtype=float)
-        pos = (u - self.u_grid[0]) / self.du
+        pos = (u - self.u_grid[0]) / _TABLE_DU
         idx = np.clip(np.floor(pos).astype(int), 0, len(self.u_grid) - 2)
         t = pos - idx
         return (self.w[idx, :] * (1.0 - t)[:, None]
@@ -559,12 +541,8 @@ class AssumptionReport:
         return {"checks": [c.to_json() for c in self.checks]}
 
 
-def _sample_axis(lo, hi, n):
-    return np.linspace(lo, hi, n)
-
-
 def _sample_points(box, n, dim):
-    axes = [_sample_axis(lo, hi, n) for lo, hi in box]
+    axes = [np.linspace(lo, hi, n) for lo, hi in box]
     if dim == 1:
         return axes[0][:, None]
     gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
@@ -603,9 +581,7 @@ def check_assumptions(model: HamiltonianModel) -> AssumptionReport:
     ps = _ball_samples(_P_RADIUS, _N_P, model.dim)
     us = np.linspace(-_U_SPAN, _U_SPAN, 9)
     checks = []
-
-    def h(x, p, u):
-        return model.eval_h(x, p, u)
+    h = model.eval_h
 
     # H1a: monotone (nondecreasing) in u
     worst = math.inf
@@ -678,10 +654,11 @@ def check_assumptions(model: HamiltonianModel) -> AssumptionReport:
         witness={"m0": m0, "boundary_max": worst_h2, "eps": _EPS_H2},
         note="boundary samples of H at small momenta stay below m0"))
 
-    # H3: local bounds on du_H for |p| <= p_radius
+    # H3: local bounds on du_H for |p| <= p_radius; H4: a global upper bound
     if model.coupling.kind == "none":
-        checks.append(AssumptionCheck("H3", "not-applicable",
-                                      note="no u dependence"))
+        checks += [AssumptionCheck(name, "not-applicable",
+                                   note="no u dependence")
+                   for name in ("H3", "H4")]
     else:
         du_all = []
         for p in ps[:: max(1, len(ps) // 11)]:
@@ -700,12 +677,7 @@ def check_assumptions(model: HamiltonianModel) -> AssumptionReport:
                      "p_radius": _P_RADIUS, "omega_at_du_0.25": omega},
             note="du_H bounds on the sampled momentum ball; modulus is an "
                  "empirical estimate"))
-
-    # H4: global upper bound on du_H, probed at growing momentum radii
-    if model.coupling.kind == "none":
-        checks.append(AssumptionCheck("H4", "not-applicable",
-                                      note="no u dependence"))
-    else:
+        # H4 probes du_H at growing momentum radii
         local_cap = None
         growth_witness = {}
         violated = False

@@ -137,8 +137,8 @@ def closedness_defect(mu: WeightedSampleMeasure,
     return worst
 
 
-def mather_defect(mu: WeightedSampleMeasure, model,
-                  evaluator: LagrangianEvaluator, c: float) -> float:
+def mather_defect(mu: WeightedSampleMeasure, evaluator: LagrangianEvaluator,
+                  c: float) -> float:
     """<mu, L(x, v, 0)> + c; tends to 0 for measures from minimizers."""
     lvals = np.asarray(evaluator.legendre(mu.points, mu.velocities, 0.0),
                        dtype=float)
@@ -146,7 +146,7 @@ def mather_defect(mu: WeightedSampleMeasure, model,
 
 
 def selection_functional(mu: WeightedSampleMeasure, w_field: GridField,
-                         model, evaluator: LagrangianEvaluator) -> float:
+                         evaluator: LagrangianEvaluator) -> float:
     """<mu, w(x) * ∂_u L(x, v, 0)>: the discriminating functional for ℰ.
 
     Raises DomainError (from interpolation) when the measure's support
@@ -174,7 +174,7 @@ class WeakLimitReport:
 
 
 def weak_limit_diagnostics(measures: dict, battery: TestFunctionBattery,
-                           model, evaluator: LagrangianEvaluator) -> WeakLimitReport:
+                           evaluator: LagrangianEvaluator) -> WeakLimitReport:
     """Pairwise weak*-proxy discrepancies across a λ-family of measures.
 
     The proxy metric pairs measure differences against the battery plus

@@ -132,7 +132,7 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
                  defect_max=defect_max, warning=warning)
 
 
-def compute_indices(curve: Curve, model, evaluator: LagrangianEvaluator,
+def compute_indices(curve: Curve, evaluator: LagrangianEvaluator,
                     field: GridField, lam: float, kind: str,
                     c0: float = 0.0) -> IndexSeries:
     """Discount index series along a curve.
@@ -155,7 +155,7 @@ def compute_indices(curve: Curve, model, evaluator: LagrangianEvaluator,
                        cumulative=cumulative)
 
 
-def exponential_action(curve: Curve, indices: IndexSeries, model,
+def exponential_action(curve: Curve, indices: IndexSeries,
                        evaluator: LagrangianEvaluator, lam: float, c: float,
                        u_level: str = "zero", c0: float = 0.0,
                        boundary_field: GridField = None) -> float:

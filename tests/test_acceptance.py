@@ -261,7 +261,7 @@ def test_measure_defect_decay_and_index_signs(
     for kind, field in (("kappa", theta_005.field), ("K", maximal.field),
                         ("k_bold", theta_005.field),
                         ("K_bold", maximal.field)):
-        series[kind] = compute_indices(curve, ql_model, ql_evaluator, field,
+        series[kind] = compute_indices(curve, ql_evaluator, field,
                                        0.05, kind, c0=1.0)
         assert float(np.max(series[kind].values)) <= 1e-12
     dominance = float(np.min(series["K_bold"].values
@@ -296,7 +296,7 @@ def test_scheme_monotonicity_dpp_windows_and_curvewise_bound(
     for z in (1.0, 2.0):
         curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
                           0.05, 0.0, z, 20.0, dt)
-        idx = compute_indices(curve, ql_model, ql_evaluator, theta_005.field,
+        idx = compute_indices(curve, ql_evaluator, theta_005.field,
                               0.05, "kappa")
         n = curve.segments
         for _ in range(15):

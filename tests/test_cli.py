@@ -214,6 +214,27 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     assert "--z needs 1 coordinate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", "CFG", "--set", "c=abc"],
+    ["check", "--config", "CFG", "--set", 'lambdas=["x"]'],
+    ["check", "--config", "CFG", "--set", 'probes=["a"]'],
+    ["check", "--config", "CFG", "--set", 'horizon="h"'],
+    ["check", "--config", "CFG", "--set", "gap_tol=[1]"],
+    ["check", "--config", "CFG", "--set", 'grid.box=[[-1,"a"]]'],
+    ["check", "--preset", "quadratic-2d", "--set", "window=[-2,2]"],
+    ["solve", "--config", "CFG", "--set", 'solver.tol="abc"'],
+    ["solve", "--config", "CFG", "--set", 'controls.da="q"'],
+    ["localize", "--config", "CFG", "--z", "abc"],
+    ["solve", "--config", "CFG", "--set", "model.potential=1/x"],
+    ["critical", "--config", "CFG", "--set", "model.potential=1/x"],
+])
+def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
+    path, out = cfg_file
+    argv = [path if arg == "CFG" else arg for arg in argv]
+    assert main(argv + ["--out", out, "--stamp", "t"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_localize_passes_at_the_origin(cfg_file, capsys):
     path, _ = cfg_file
     rc = main(["localize", "--config", path, "--z", "0", "--stamp", "t"])

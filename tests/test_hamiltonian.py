@@ -5,12 +5,17 @@ momentum grids (2e6 points on [-50, 50]) independent of the evaluator.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from contact_hj import hamiltonian
 from contact_hj.expressions import parse
 from contact_hj.hamiltonian import (
+    _EXTENT_CAP,
+    P_EXTENT,
+    _lattice,
     ArctanCoupling,
     ExtentError,
     HamiltonianModel,
@@ -278,3 +283,119 @@ def test_two_dimensional_eval():
     assert model.eval_h((0.0, 0.0), (3.0, 4.0), 2.0) == pytest.approx(14.5)
     ev = LagrangianEvaluator(model)
     assert ev.legendre((0.0, 0.0), (3.0, 4.0), 0.0) == pytest.approx(12.5)
+
+
+def reference_radial_sup(model, speeds, u):
+    """Lattice sup at the single level u, one speeds x lattice payoff per
+    extent: the extent doubles while any speed's maximizer sits on the
+    lattice edge (tabulated kinetics stay at their table extent).
+
+    Returns the sups and the extent they were taken at.
+    """
+    speeds = np.asarray(speeds, dtype=float)
+
+    def reduced_h(r):
+        return model.kinetic.radial(r) + model.coupling.momentum_term(r, u)
+
+    extent = P_EXTENT
+    if isinstance(model.kinetic, TabulatedKinetic):
+        extent = min(extent, model.kinetic.extent)
+        r = _lattice(extent)
+        payoff = np.outer(speeds, r) - reduced_h(r)[None, :]
+        best = np.argmax(payoff, axis=1)
+        if np.any(best == len(r) - 1):
+            raise ExtentError("maximizer on the tabulated kinetic boundary")
+        return payoff[np.arange(len(speeds)), best], extent
+    while True:
+        r = _lattice(extent)
+        payoff = np.outer(speeds, r) - reduced_h(r)[None, :]
+        best = np.argmax(payoff, axis=1)
+        if not np.any(best == len(r) - 1):
+            return payoff[np.arange(len(speeds)), best], extent
+        if extent >= _EXTENT_CAP:
+            raise ExtentError("maximizer escaped the momentum lattice")
+        extent = min(2.0 * extent, _EXTENT_CAP)
+
+
+_KINETICS = {
+    "quadratic": QuadraticKinetic(),
+    "power": PowerKinetic(tau=1.5),
+    # p^2/2 tabulated on [0, 30]: the lattice stops at P_EXTENT = 20
+    "tabulated": TabulatedKinetic(
+        dp=0.05, values=tuple(0.5 * (0.05 * k) ** 2 for k in range(601))),
+}
+_COUPLINGS = {
+    "none": NoCoupling(),
+    "linear": LinearCoupling(phi=parse("1 + x^2"), kappa_lo=1.0,
+                             kappa_hi=37.0),
+    "arctan": ArctanCoupling(shift=math.pi),
+}
+
+
+@pytest.mark.parametrize("coupling", sorted(_COUPLINGS))
+@pytest.mark.parametrize("kinetic", sorted(_KINETICS))
+def test_radial_sup_matches_per_level_reference(kinetic, coupling):
+    model = HamiltonianModel(dim=1, kinetic=_KINETICS[kinetic],
+                             potential=parse("0"),
+                             coupling=_COUPLINGS[coupling])
+    ev = LagrangianEvaluator(model)
+    levels = np.array([-10.0, -0.75, 0.0, 0.3, 2.5])
+    # fastest maximizer per level: 0, 1 and 2 doublings of P_EXTENT = 20
+    # (all inside the table for the tabulated kinetic)
+    tops = ([5.0, 10.0, 15.0, 5.0, 10.0] if kinetic == "tabulated"
+            else [75.0, 35.0, 15.0, 75.0, 35.0])
+    # the speed whose maximizer is r solves s = d/dr [kinetic + m](r, u)
+    top_speeds = [
+        (model.kinetic.radial(r + 1e-6) - model.kinetic.radial(r - 1e-6)
+         + model.coupling.momentum_term(r + 1e-6, u)
+         - model.coupling.momentum_term(r - 1e-6, u)) / 2e-6
+        for r, u in zip(tops, levels)]
+    speeds = np.linspace(0.0, 1.0, 233)[None, :] * np.array(top_speeds)[:, None]
+    # several blocks per level
+    assert speeds.shape[1] * len(_lattice(P_EXTENT)) > 4 * hamiltonian._BLOCK
+    refs = [reference_radial_sup(model, s, float(u))
+            for s, u in zip(speeds, levels)]
+    extents = {extent for _, extent in refs}
+    assert extents == ({20.0} if kinetic == "tabulated" else {20.0, 40.0, 80.0})
+    want = np.stack([vals for vals, _ in refs])
+    got = ev._radial_sup(speeds, levels[:, None])
+    assert np.array_equal(got, want)
+    # the same pairs shuffled into one flat call: each level still doubles
+    # on its own speeds
+    perm = np.random.RandomState(3).permutation(want.size)
+    flat_u = np.broadcast_to(levels[:, None], want.shape).reshape(-1)
+    assert np.array_equal(ev._radial_sup(speeds.reshape(-1)[perm],
+                                         flat_u[perm]),
+                          want.reshape(-1)[perm])
+
+
+def test_coupling_table_matches_stacked_reference(arctan_model):
+    ev = LagrangianEvaluator(arctan_model)
+    speeds = np.linspace(0.0, 6.0, 97)
+    table = ev.coupling_table(speeds, -1.3, 0.4)
+    want = np.stack([reference_radial_sup(arctan_model, speeds, float(u))[0]
+                     for u in table.u_grid])
+    assert np.array_equal(table.w, want)
+
+
+# one speeds x lattice payoff for 830 speeds alone takes 13 MB
+_PEAK_BYTES = 4 << 20
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_sup_memory_is_bounded(arctan_model):
+    ev = LagrangianEvaluator(arctan_model)
+    speeds = np.linspace(0.0, 6.0, 830)
+    x = np.zeros(830)
+    assert _peak_bytes(lambda: ev.legendre(x, speeds, 0.4)) < _PEAK_BYTES
+    assert _peak_bytes(lambda: ev.partial_u_l(x, speeds, 0.4)) < _PEAK_BYTES
+    assert _peak_bytes(lambda: ev.coupling_table(
+        speeds[:97], -1.0, 1.0)) < _PEAK_BYTES

@@ -28,7 +28,7 @@ def traced(theta_01, theta_005, ql_model, ql_evaluator, controls1d):
         horizon = max(40.0, math.log(10.0) / lam)
         curve = backtrace(solve.field, ql_model, ql_evaluator, controls1d,
                           lam, 0.0, 1.0, horizon, dt)
-        ids = compute_indices(curve, ql_model, ql_evaluator, solve.field,
+        ids = compute_indices(curve, ql_evaluator, solve.field,
                               lam, "kappa")
         out[lam] = discounted_measure(curve, ids, lam)
     return out
@@ -86,7 +86,7 @@ def test_discounted_measure_geometric_weights(theta_005, ql_model,
     dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
     curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
                       lam, 0.0, 0.0, 10.0, dt)
-    ids = compute_indices(curve, ql_model, ql_evaluator, theta_005.field,
+    ids = compute_indices(curve, ql_evaluator, theta_005.field,
                           lam, "kappa")
     mu = discounted_measure(curve, ids, lam)
     n = curve.segments
@@ -137,16 +137,16 @@ def test_closedness_defect_decays_with_lambda(traced):
 def test_mather_defect_point_mass(ql_model, ql_evaluator):
     mu = point_mass(2.0, 0.0)
     f2 = 1.0 - math.exp(-4.0)
-    assert mather_defect(mu, ql_model, ql_evaluator, 0.0) == \
+    assert mather_defect(mu, ql_evaluator, 0.0) == \
         pytest.approx(f2, abs=1e-14)
-    assert mather_defect(mu, ql_model, ql_evaluator, 0.3) == \
+    assert mather_defect(mu, ql_evaluator, 0.3) == \
         pytest.approx(f2 + 0.3, abs=1e-14)
 
 
 def test_mather_defect_small_on_traced_measures(traced, ql_model,
                                                 ql_evaluator):
-    assert mather_defect(traced[0.05], ql_model, ql_evaluator, 0.0) <= 0.06
-    assert mather_defect(traced[0.05], ql_model, ql_evaluator, 0.0) >= -1e-9
+    assert mather_defect(traced[0.05], ql_evaluator, 0.0) <= 0.06
+    assert mather_defect(traced[0.05], ql_evaluator, 0.0) >= -1e-9
 
 
 def test_selection_functional_constant_fields(traced, theta_005, ql_model,
@@ -155,9 +155,9 @@ def test_selection_functional_constant_fields(traced, theta_005, ql_model,
     zeros = GridField(grid, np.zeros(grid.shape))
     ones = GridField(grid, np.ones(grid.shape))
     mu = traced[0.05]
-    assert selection_functional(mu, zeros, ql_model, ql_evaluator) == 0.0
+    assert selection_functional(mu, zeros, ql_evaluator) == 0.0
     # phi = 1 makes du L = -1, so pairing with w = 1 integrates to exactly -1
-    assert selection_functional(mu, ones, ql_model, ql_evaluator) == \
+    assert selection_functional(mu, ones, ql_evaluator) == \
         pytest.approx(-1.0, abs=1e-12)
 
 
@@ -165,7 +165,7 @@ def test_selection_functional_escaped_support_raises(theta_005, ql_model,
                                                      ql_evaluator):
     mu = point_mass(20.0, 0.0)
     with pytest.raises(DomainError):
-        selection_functional(mu, theta_005.field, ql_model, ql_evaluator)
+        selection_functional(mu, theta_005.field, ql_evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +175,12 @@ def test_selection_functional_escaped_support_raises(theta_005, ql_model,
 def test_weak_limit_needs_two_measures(ql_model, ql_evaluator):
     with pytest.raises(ValueError, match="two measures"):
         weak_limit_diagnostics({0.1: point_mass(0, 0)}, default_battery(1),
-                               ql_model, ql_evaluator)
+                               ql_evaluator)
 
 
 def test_weak_limit_identical_measures(ql_model, ql_evaluator):
     mus = {0.1: point_mass(1.0, 0.0), 0.05: point_mass(1.0, 0.0)}
-    rep = weak_limit_diagnostics(mus, default_battery(1), ql_model,
-                                 ql_evaluator)
+    rep = weak_limit_diagnostics(mus, default_battery(1), ql_evaluator)
     assert rep.discrepancies == (0.0,)
     assert rep.cauchy_like
     assert rep.limit_proxy_lambda == 0.05
@@ -191,8 +190,7 @@ def test_weak_limit_identical_measures(ql_model, ql_evaluator):
 def test_weak_limit_contracting_family(ql_model, ql_evaluator):
     # point masses marching toward the origin at geometric speed
     mus = {l: point_mass(l, 0.0) for l in (0.4, 0.2, 0.1, 0.05)}
-    rep = weak_limit_diagnostics(mus, default_battery(1), ql_model,
-                                 ql_evaluator)
+    rep = weak_limit_diagnostics(mus, default_battery(1), ql_evaluator)
     assert len(rep.discrepancies) == 3
     assert rep.cauchy_like
     js = rep.to_json()

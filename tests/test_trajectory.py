@@ -193,7 +193,7 @@ def test_backtrace_flags_inconsistent_fields(theta_005, ql_model,
 def test_indices_linear_coupling_are_exact(curve_z2, ql_model, ql_evaluator,
                                            theta_005):
     for kind in INDEX_KINDS:
-        ids = compute_indices(curve_z2, ql_model, ql_evaluator,
+        ids = compute_indices(curve_z2, ql_evaluator,
                               theta_005.field, 0.05, kind, c0=3.0)
         np.testing.assert_allclose(ids.values, -1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ids.cumulative, curve_z2.times,
@@ -207,7 +207,7 @@ def test_indices_linear_coupling_are_exact(curve_z2, ql_model, ql_evaluator,
 def test_indices_cumulative_dominated_by_kappa_floor(curve_z2, ql_model,
                                                      ql_evaluator, theta_005):
     # with every segment index <= -1 the integral sits below the line s
-    ids = compute_indices(curve_z2, ql_model, ql_evaluator, theta_005.field,
+    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
                           0.05, "kappa")
     t10 = np.searchsorted(-ids.times, 10.0)
     assert ids.cumulative[t10] <= -10.0 + 1e-9
@@ -216,7 +216,7 @@ def test_indices_cumulative_dominated_by_kappa_floor(curve_z2, ql_model,
 def test_indices_unknown_kind_raises(curve_z2, ql_model, ql_evaluator,
                                      theta_005):
     with pytest.raises(ValueError, match="index kind"):
-        compute_indices(curve_z2, ql_model, ql_evaluator, theta_005.field,
+        compute_indices(curve_z2, ql_evaluator, theta_005.field,
                         0.05, "alpha")
 
 
@@ -225,8 +225,8 @@ def test_indices_arctan_levels_matter(arctan_solve, controls1d):
     dt = SolveParams().resolve(field.grid, controls1d).dt
     curve = backtrace(field, model, ev, controls1d, 0.2, math.pi, 1.5,
                       10.0, dt)
-    kap = compute_indices(curve, model, ev, field, 0.2, "kappa")
-    bold = compute_indices(curve, model, ev, field, 0.2, "k_bold", c0=1.0)
+    kap = compute_indices(curve, ev, field, 0.2, "kappa")
+    bold = compute_indices(curve, ev, field, 0.2, "k_bold", c0=1.0)
     assert np.all(kap.values <= 1e-12)
     assert np.all(bold.values <= 1e-12)
     # the shifted reference level must actually move the quotients
@@ -254,9 +254,9 @@ def test_exponential_action_represents_the_field(theta_005, ql_model,
     dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
     curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
                       lam, 0.0, 1.0, 40.0, dt)
-    ids = compute_indices(curve, ql_model, ql_evaluator, theta_005.field,
+    ids = compute_indices(curve, ql_evaluator, theta_005.field,
                           lam, "kappa")
-    total = exponential_action(curve, ids, ql_model, ql_evaluator, lam, 0.0,
+    total = exponential_action(curve, ids, ql_evaluator, lam, 0.0,
                                boundary_field=theta_005.field)
     assert abs(total - float(theta_005.field.interpolate(1.0))) <= 5e-2
 
@@ -266,11 +266,11 @@ def test_exponential_action_level_shift_identity(curve_z2, ql_model,
     # linear coupling: lowering the u level by lam*c0 adds exactly that much
     # running cost per weighted unit of time
     lam, c0 = 0.05, 2.0
-    ids = compute_indices(curve_z2, ql_model, ql_evaluator, theta_005.field,
+    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
                           lam, "k_bold", c0=c0)
-    base = exponential_action(curve_z2, ids, ql_model, ql_evaluator,
+    base = exponential_action(curve_z2, ids, ql_evaluator,
                               lam, 0.0, u_level="zero")
-    shifted = exponential_action(curve_z2, ids, ql_model, ql_evaluator,
+    shifted = exponential_action(curve_z2, ids, ql_evaluator,
                                  lam, 0.0, u_level="minusLambdaC0", c0=c0)
     w = np.exp(lam * ids.cumulative[:curve_z2.segments])
     expected = base + lam * c0 * float(np.sum(w)) * curve_z2.dt
@@ -279,10 +279,10 @@ def test_exponential_action_level_shift_identity(curve_z2, ql_model,
 
 def test_exponential_action_rejects_unknown_level(curve_z2, ql_model,
                                                   ql_evaluator, theta_005):
-    ids = compute_indices(curve_z2, ql_model, ql_evaluator, theta_005.field,
+    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
                           0.05, "kappa")
     with pytest.raises(ValueError, match="u_level"):
-        exponential_action(curve_z2, ids, ql_model, ql_evaluator, 0.05, 0.0,
+        exponential_action(curve_z2, ids, ql_evaluator, 0.05, 0.0,
                            u_level="halfway")
 
 
@@ -291,7 +291,7 @@ def test_windowed_dpp_residual(theta_005, ql_model, ql_evaluator, controls1d):
     dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
     curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
                       lam, 0.0, 1.0, 20.0, dt)
-    ids = compute_indices(curve, ql_model, ql_evaluator, theta_005.field,
+    ids = compute_indices(curve, ql_evaluator, theta_005.field,
                           lam, "kappa")
     n = curve.segments
     rng = np.random.RandomState(9)
@@ -306,7 +306,7 @@ def test_windowed_dpp_residual(theta_005, ql_model, ql_evaluator, controls1d):
 
 def test_curve_csv_roundtrip(tmp_path, curve_z2, ql_model, ql_evaluator,
                              theta_005):
-    ids = compute_indices(curve_z2, ql_model, ql_evaluator, theta_005.field,
+    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
                           0.05, "kappa")
     path = tmp_path / "curve.csv"
     write_curve_csv(path, curve_z2, ids)
