@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Domain, DomainError, UniformGrid, atomic_write_text
+from .grid import (Domain, DomainError, UniformGrid, atomic_write_text,
+                   tensor_points)
 from .hamiltonian import (P_EXTENT, HamiltonianModel, LagrangianEvaluator,
                           ModelError, check_assumptions)
 from .measures import (closedness_defect, default_battery, discounted_measure,
@@ -43,7 +44,7 @@ _SOLVER_KEYS = {"dt", "tol", "max_iters"}
 _CONTROL_KEYS = {"max_speed", "da"}
 _TOP_KEYS = {"name", "model", "c", "grid", "lambdas", "radii", "probes",
              "horizon", "window", "solver", "controls", "truncation_radius",
-             "gap_tol", "stab_tol", "outdir", "expect_assumptions"}
+             "gap_tol", "outdir", "expect_assumptions"}
 
 
 def _number(value, key: str) -> float:
@@ -102,7 +103,6 @@ class ExperimentConfig:
     controls: dict
     truncation_radius: float | None
     gap_tol: float
-    stab_tol: float
     outdir: str
     expect_assumptions: dict = dc_field(default_factory=dict)
 
@@ -185,14 +185,9 @@ class ExperimentConfig:
                                else _number(data["truncation_radius"],
                                             "truncation_radius")),
             gap_tol=_number(data.get("gap_tol", 1e-3), "gap_tol"),
-            stab_tol=_number(data.get("stab_tol", 1e-3), "stab_tol"),
             outdir=str(data.get("outdir", "out")),
             expect_assumptions=dict(data.get("expect_assumptions", {})),
         )
-
-    @staticmethod
-    def from_file(path) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(read_config_file(path))
 
     def to_dict(self) -> dict:
         return {
@@ -202,8 +197,7 @@ class ExperimentConfig:
             "horizon": self.horizon, "window": [list(w) for w in self.window],
             "solver": self.solver, "controls": self.controls,
             "truncation_radius": self.truncation_radius,
-            "gap_tol": self.gap_tol, "stab_tol": self.stab_tol,
-            "outdir": self.outdir,
+            "gap_tol": self.gap_tol, "outdir": self.outdir,
             "expect_assumptions": self.expect_assumptions,
         }
 
@@ -347,12 +341,9 @@ def make_run_dir(outdir, experiment: str, stamp: str = None) -> str:
 
 
 def _window_points(window, density: float) -> np.ndarray:
-    axes = [np.linspace(lo, hi, max(3, int(round((hi - lo) * density)) + 1))
-            for lo, hi in window]
-    if len(axes) == 1:
-        return axes[0][:, None]
-    gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    return tensor_points([
+        np.linspace(lo, hi, max(3, int(round((hi - lo) * density)) + 1))
+        for lo, hi in window])
 
 
 def _probe_label(p) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Domain", "UniformGrid", "GridField", "DomainError",
-           "atomic_write_text"]
+           "atomic_write_text", "tensor_points"]
 
 
 class DomainError(ValueError):
@@ -35,6 +35,11 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def tensor_points(axes) -> np.ndarray:
+    """The product of 1D axes as points (n, dim), first axis slowest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -132,10 +137,7 @@ class UniformGrid:
 
     def points(self) -> np.ndarray:
         """All node coordinates, row-major, shape (size, dim)."""
-        if self.dim == 1:
-            return self.axes[0][:, None]
-        gx, gy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return tensor_points(self.axes)
 
     def nearest_node(self, point) -> tuple:
         pt = np.atleast_1d(np.asarray(point, dtype=float))

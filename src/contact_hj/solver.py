@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Domain, GridField, UniformGrid
+from .grid import Domain, GridField, UniformGrid, tensor_points
 from .hamiltonian import HamiltonianModel, LagrangianEvaluator, lower_bound_m0
 
 __all__ = [
@@ -89,12 +89,8 @@ class ControlSet:
         if da <= 0 or da > max_speed:
             raise SolverError("control spacing must lie in (0, max_speed]")
         k = int(math.floor(max_speed / da + 1e-12))
-        axis = da * np.arange(-k, k + 1)
-        if dim == 1:
-            controls = axis[:, None]
-        else:
-            ax, ay = np.meshgrid(axis, axis, indexing="ij")
-            controls = np.column_stack([ax.ravel(), ay.ravel()])
+        controls = tensor_points([da * np.arange(-k, k + 1)] * dim)
+        if dim > 1:  # cut the square to the ball; 1D keeps its whole axis
             keep = np.sum(np.square(controls), axis=1) <= max_speed ** 2 + 1e-12
             controls = controls[keep]
         return ControlSet(max_speed=max_speed, da=da, controls=controls)
@@ -371,9 +367,9 @@ def _setup(model, grid, params, controls, evaluator):
     return params, controls, evaluator
 
 
-def lax_oleinik_step(v: GridField, model: HamiltonianModel,
-                     evaluator: LagrangianEvaluator, controls: ControlSet,
-                     lam: float, c: float, dt: float) -> GridField:
+def lax_oleinik_step(v: GridField, evaluator: LagrangianEvaluator,
+                     controls: ControlSet, lam: float, c: float,
+                     dt: float) -> GridField:
     """One sweep of the operator on a field; mainly a testing surface."""
     kernel = SweepKernel(v.grid, evaluator, controls, dt)
     out = v.values.copy()

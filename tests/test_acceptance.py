@@ -284,9 +284,9 @@ def test_scheme_monotonicity_dpp_windows_and_curvewise_bound(
     for _ in range(50):
         v1 = rng.uniform(-3.0, 3.0, grid201.size)
         v2 = v1 - rng.uniform(0.0, 2.0, grid201.size)
-        t1 = lax_oleinik_step(GridField(grid201, v1), ql_model, ql_evaluator,
+        t1 = lax_oleinik_step(GridField(grid201, v1), ql_evaluator,
                               controls1d, 0.1, 0.0, dt)
-        t2 = lax_oleinik_step(GridField(grid201, v2), ql_model, ql_evaluator,
+        t2 = lax_oleinik_step(GridField(grid201, v2), ql_evaluator,
                               controls1d, 0.1, 0.0, dt)
         worst_mono = min(worst_mono, float(np.min(t1.values - t2.values)))
     assert worst_mono >= -1e-12

@@ -227,6 +227,8 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["localize", "--config", "CFG", "--z", "abc"],
     ["solve", "--config", "CFG", "--set", "model.potential=1/x"],
     ["critical", "--config", "CFG", "--set", "model.potential=1/x"],
+    ["check", "--config", "CFG", "--set", "model.potential=1/x"],
+    ["check", "--config", "CFG", "--set", "model.coupling.phi=1/x"],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file

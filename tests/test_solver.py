@@ -63,14 +63,14 @@ def test_kernel_rejects_multi_cell_feet(grid201, ql_model, ql_evaluator,
                                         controls1d):
     v = GridField(grid201, np.zeros(grid201.shape))
     with pytest.raises(SolverError, match="more than one cell"):
-        lax_oleinik_step(v, ql_model, ql_evaluator, controls1d,
+        lax_oleinik_step(v, ql_evaluator, controls1d,
                          0.1, 0.0, dt=0.05)
 
 
 def test_kernel_rejects_dimension_mismatch(grid201, ql_model, ql_evaluator):
     v = GridField(grid201, np.zeros(grid201.shape))
     with pytest.raises(SolverError, match="dimension mismatch"):
-        lax_oleinik_step(v, ql_model, ql_evaluator, ControlSet.build(2),
+        lax_oleinik_step(v, ql_evaluator, ControlSet.build(2),
                          0.1, 0.0, dt=0.001)
 
 
@@ -90,7 +90,7 @@ def test_step_constant_field_exact():
     dt = SolveParams().resolve(grid, cs).dt
     lam, k = 0.1, 2.0
     v = GridField(grid, np.full(grid.shape, k))
-    out = lax_oleinik_step(v, model, ev, cs, lam, 0.0, dt)
+    out = lax_oleinik_step(v, ev, cs, lam, 0.0, dt)
     np.testing.assert_allclose(out.values, k * (1.0 - lam * dt),
                                rtol=0, atol=1e-14)
 
@@ -108,7 +108,7 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
     f = 1.0 - np.exp(-xs ** 2)
     # at dt = 0.05 the fastest feet land exactly one cell away
     for dt in (0.025, 0.05):
-        out = lax_oleinik_step(GridField(grid, vals), ql_model, ql_evaluator,
+        out = lax_oleinik_step(GridField(grid, vals), ql_evaluator,
                                cs, lam, c, dt)
         expected = np.empty(n)
         for i in range(n):
@@ -157,7 +157,7 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
                              coupling=ArctanCoupling(shift=math.pi))
     ev = LagrangianEvaluator(model)
     fld = GridField(grid, rng.uniform(-1.0, 3.0, size=grid.shape))
-    out = lax_oleinik_step(fld, model, ev, cs, lam, c, 0.05)
+    out = lax_oleinik_step(fld, ev, cs, lam, c, 0.05)
     np.testing.assert_allclose(out.values, enumerate_step(fld, ev, cs, 0.05),
                                rtol=0, atol=1e-6)
 
@@ -169,7 +169,7 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
     grid = UniformGrid(Domain.ball(((-1.5, 1.5),) * 2, 1.0), (13, 13))
     cs = ControlSet.build(2, max_speed=2.0, da=0.5)
     fld = GridField(grid, rng.uniform(-1.0, 3.0, size=grid.shape))
-    out = lax_oleinik_step(fld, model, ev, cs, lam, c, 0.1)
+    out = lax_oleinik_step(fld, ev, cs, lam, c, 0.1)
     np.testing.assert_allclose(out.values.ravel(),
                                enumerate_step(fld, ev, cs, 0.1), rtol=0,
                                atol=1e-12)
@@ -183,9 +183,9 @@ def test_step_monotone_on_ordered_pairs(ql_model, ql_evaluator, controls1d):
     for _ in range(50):
         lo = rng.uniform(-2.0, 2.0, size=grid.shape)
         hi = lo + rng.uniform(0.0, 1.5, size=grid.shape)
-        t_lo = lax_oleinik_step(GridField(grid, lo), ql_model, ql_evaluator,
+        t_lo = lax_oleinik_step(GridField(grid, lo), ql_evaluator,
                                 controls1d, lam, 0.0, dt).values
-        t_hi = lax_oleinik_step(GridField(grid, hi), ql_model, ql_evaluator,
+        t_hi = lax_oleinik_step(GridField(grid, hi), ql_evaluator,
                                 controls1d, lam, 0.0, dt).values
         assert np.all(t_hi >= t_lo - 1e-12)
         # comparison also caps the growth by the contraction factor
@@ -202,9 +202,9 @@ def test_step_is_a_sup_norm_contraction(ql_model, ql_evaluator, controls1d,
     w = theta_01.field.with_values(
         theta_01.field.values + 1e-3 * rng.standard_normal(
             theta_01.field.values.shape))
-    t1 = lax_oleinik_step(w, ql_model, ql_evaluator, controls1d,
+    t1 = lax_oleinik_step(w, ql_evaluator, controls1d,
                           lam, 0.0, dt)
-    t2 = lax_oleinik_step(t1, ql_model, ql_evaluator, controls1d,
+    t2 = lax_oleinik_step(t1, ql_evaluator, controls1d,
                           lam, 0.0, dt)
     d1 = np.max(np.abs(t1.values - w.values))
     d2 = np.max(np.abs(t2.values - t1.values))
@@ -257,7 +257,7 @@ def test_state_constraint_init_independence(ql_model, ql_evaluator,
 def test_state_constraint_fixed_point_residual(theta_01, ql_model,
                                                ql_evaluator, controls1d):
     dt = SolveParams().resolve(theta_01.field.grid, controls1d).dt
-    again = lax_oleinik_step(theta_01.field, ql_model, ql_evaluator,
+    again = lax_oleinik_step(theta_01.field, ql_evaluator,
                              controls1d, 0.1, 0.0, dt)
     assert np.max(np.abs(again.values - theta_01.field.values)) <= 5e-7
 
