@@ -154,7 +154,9 @@ def _cmd_solve(args) -> int:
     out.field.to_csv(os.path.join(run_dir, "field.csv"))
     atomic_write_text(os.path.join(run_dir, "outcome.json"),
                       json.dumps(out.to_json(), indent=2) + "\n")
-    _say(args, f"lam={lam:g}: {out.iterations} sweeps, residual "
+    unit = ("policy iterations" if out.extras["method"] == "policy"
+            else "sweeps")
+    _say(args, f"lam={lam:g}: {out.iterations} {unit}, residual "
                f"{out.final_residual:.3e}, converged={out.converged}")
     return 0 if out.converged else 1
 

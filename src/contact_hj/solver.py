@@ -2,17 +2,33 @@
 
 One sweep applies v'(x) = min over admissible controls a of
 Δt*(L(x, a, λ*v(x)) + c) + Interp[v](x - Δt*a), with the contact argument
-frozen at the current iterate (explicit treatment). For λ > 0 and couplings
-with du_H >= kappa_lo > 0 the sweep contracts with factor 1 - kappa_lo*λ*Δt,
-so residuals eventually decay geometrically; the iteration exploits that by
-extrapolating the geometric tail every few dozen sweeps, which cuts the sweep
-count by orders of magnitude at small λ without touching the operator.
+frozen at the current iterate (explicit treatment).
 
 Because feet x - Δt*a lie within one cell of their node and shift every
 node by the same fraction of a cell, each control's foot value is a fixed
 combination of the node's 3^d stencil neighbours, in any dimension: the
 candidates of a sweep are one matrix product, stencil values times a
 3^d x controls table of tensor-product hat weights.
+
+Two fixed-point loops share that sweep:
+
+- Policy iteration (Howard's algorithm) for every solve whose sweep is
+  affine in v once the argmin control of each node is frozen: contact
+  solves with a separable coupling, λ > 0 and φ > 0 on the mask, and the
+  classical discounted solves. Each iteration is one argmin sweep, which
+  gives the policy and the Bellman residual, and one direct solve of the
+  frozen-policy system (diag - P) v = rhs by block-tridiagonal elimination
+  (SweepKernel.policy_solve). Its iteration count does not grow as λ
+  shrinks, where value iteration's sweep count grows like 1/(λΔt).
+- Value iteration for the rest: p-coupled (arctan) solves at λ > 0, whose
+  sweep depends on v through the sup term, and the λ = 0 ergodic and pinned
+  solves, whose systems are singular. For λ > 0 the sweep contracts with
+  factor 1 - kappa_lo*λ*Δt, and the loop extrapolates the geometric tail of
+  the residuals every few dozen sweeps.
+
+Both stop when the residual |Tv - v| falls below tol*min(1, gain), gain
+the contraction margin of one sweep, or to the float floor, and report the
+a-posteriori error bound residual/gain.
 
 The iterate is the vector of in-mask values alone, and stencils point at
 positions in it; out-of-mask values pass through from v0. A stencil that
@@ -41,6 +57,7 @@ _ACCEL_PERIOD = 32
 _ACCEL_TAIL = 8
 _FLOAT_FLOOR = 1e-13
 _ROW_CHUNK = 1024  # in-mask rows per block of a sweep; bounds its temporaries
+_SOLVE_BLOCK = 256  # rows per block of the frozen-policy solve, at most n
 
 
 class SolverError(RuntimeError):
@@ -91,7 +108,9 @@ class ControlSet:
         k = int(math.floor(max_speed / da + 1e-12))
         controls = tensor_points([da * np.arange(-k, k + 1)] * dim)
         if dim > 1:  # cut the square to the ball; 1D keeps its whole axis
-            keep = np.sum(np.square(controls), axis=1) <= max_speed ** 2 + 1e-12
+            # relative slack: k*da may round just above max_speed
+            keep = (np.sum(np.square(controls), axis=1)
+                    <= max_speed ** 2 * (1.0 + 1e-12))
             controls = controls[keep]
         return ControlSet(max_speed=max_speed, da=da, controls=controls)
 
@@ -195,6 +214,11 @@ class SweepKernel:
                 f"no admissible control at node {bad.tolist()}; "
                 "mask too thin for this control set")
         self.blocked = ~admissible
+        # every stencil stays within `bandwidth` positions of its node, so
+        # blocks of at least that many rows couple only to their neighbours
+        self.bandwidth = int(np.max(np.abs(
+            self.stencil - np.arange(len(self.in_idx))[:, None]), initial=0))
+        self.block = max(self.bandwidth, min(len(self.in_idx), _SOLVE_BLOCK))
 
         self.f_in = model.f(in_pts)
         self.phi_in = model.phi(in_pts)
@@ -210,7 +234,7 @@ class SweepKernel:
     # -- one sweep ---------------------------------------------------------
 
     def step(self, v: np.ndarray, lam: float, c: float, mode: str = "contact",
-             table=None) -> np.ndarray:
+             table=None, policy: np.ndarray = None) -> np.ndarray:
         """One Lax-Oleinik sweep: in-mask values in, in-mask values out.
 
         v and the result hold one value per node of in_idx, in that order;
@@ -221,6 +245,8 @@ class SweepKernel:
         classical discounted problem used for critical-value estimation.
         The sup term is the u = 0 row, or the table at λv when one is passed:
         p-coupled contact sweeps at λ > 0 need one (see _ensure_table).
+        When policy is given, the argmin control of each node is written
+        into it (first minimum in control order).
         """
         dt = self.dt
         discount = math.exp(-lam * dt) if mode == "discount0" else 1.0
@@ -234,10 +260,65 @@ class SweepKernel:
             cand += dt * (self.cost if table is None
                           else table.values(level * v[rows]).T)
             np.copyto(cand, np.inf, where=self.blocked[rows])
-            np.min(cand, axis=1, out=best[rows])
+            if policy is None:
+                np.min(cand, axis=1, out=best[rows])
+            else:
+                pick = np.argmin(cand, axis=1)
+                policy[rows] = pick
+                best[rows] = cand[np.arange(len(pick)), pick]
         best += dt * (self.f_in + c)
         best -= dt * level * self.phi_in * v
         return best
+
+    # -- one frozen-policy solve -------------------------------------------
+
+    def policy_solve(self, policy: np.ndarray, diag: np.ndarray,
+                     scale: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (diag - scale*P) v = rhs on the in-mask positions.
+
+        Row i of P holds the hat weights of control policy[i] at stencil[i].
+        With diag > scale > 0 the matrix is strictly row-diagonally dominant
+        (the rows of P are nonnegative and sum to 1), so block-tridiagonal
+        elimination over blocks of self.block rows needs no pivoting across
+        blocks. A block couples to its neighbours only through the
+        bandwidth columns next to it, so the eliminated factors are
+        block x bandwidth each. Block rows are assembled one at a time.
+        A singular block raises SolverError.
+        """
+        n, b, bw = len(rhs), self.block, self.bandwidth
+        factors = []
+        u_prev = z_prev = None
+        for lo in range(0, n, b):
+            hi = min(lo + b, n)
+            c0 = max(lo - bw, 0)
+            width = min(hi + bw, n) - c0
+            rows = np.arange(hi - lo)
+            # block row [left | mid | right] over columns c0 .. c0 + width
+            flat = rows[:, None] * width + (self.stencil[lo:hi] - c0)
+            vals = self.weights[:, policy[lo:hi]].T * -scale
+            a = np.bincount(flat.ravel(), weights=vals.ravel(),
+                            minlength=len(rows) * width).reshape(-1, width)
+            a[rows, rows + (lo - c0)] += diag[lo:hi]
+            left, mid = a[:, :lo - c0], a[:, lo - c0:hi - c0]
+            y = rhs[lo:hi]
+            if u_prev is not None:
+                # left meets the last rows of the previous block only
+                mid[:, :u_prev.shape[1]] -= left @ u_prev[len(u_prev) - bw:]
+                y = y - left @ z_prev[len(z_prev) - bw:]
+            try:
+                sol = np.linalg.solve(
+                    mid, np.column_stack([a[:, hi - c0:], y]))
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    f"frozen-policy system is singular in rows {lo}..{hi - 1}"
+                    f" ({exc})") from exc
+            u_prev, z_prev = sol[:, :-1], sol[:, -1]
+            factors.append((lo, u_prev, z_prev))
+        v = np.empty(n)
+        for lo, u, z in reversed(factors):
+            hi = lo + len(z)
+            v[lo:hi] = z - u @ v[hi:hi + u.shape[1]]
+        return v
 
 
 def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray,
@@ -257,27 +338,89 @@ def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray,
     return table
 
 
-def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
-             params: SolveParams, mode: str = "contact", pin_pos=None,
-             anchor_pos=None):
-    """Fixed-point loop with geometric-tail extrapolation for λ > 0.
+def _gain(kernel: SweepKernel, lam: float, mode: str) -> float:
+    """Contraction margin of one sweep: 1 - its Lipschitz factor, or 1."""
+    if mode == "discount0":
+        return -math.expm1(-lam * kernel.dt)
+    if lam > 0 and kernel.kappa_lo > 0:
+        return lam * kernel.kappa_lo * kernel.dt
+    return 1.0
 
-    Runs on the in-mask values of v0, which pin_pos and anchor_pos index,
-    and returns a copy of v0 with those values replaced. With an anchor, a
-    steady drift after burn-in raises CMismatchError.
+
+def _fixed_point(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
+                 params: SolveParams, mode: str = "contact", pin_pos=None,
+                 anchor_pos=None):
+    """Fixed point of the sweep on the in-mask values of v0.
+
+    pin_pos and anchor_pos index those values. Sweeps that are affine in v
+    under a frozen policy go to policy iteration, the rest to value
+    iteration. Returns a copy of v0 with the in-mask values replaced.
     """
     v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
+    affine = mode == "discount0" or (
+        lam > 0 and kernel.evaluator.model.coupling.separable
+        and float(np.min(kernel.phi_in)) > 0)
+    if affine:
+        v, it, res, converged, extras = _policy_iterate(
+            kernel, v, lam, c, params, mode)
+    else:
+        v, it, res, converged, extras = _iterate(
+            kernel, v, lam, c, params, pin_pos=pin_pos, anchor_pos=anchor_pos)
+    out = np.array(v0, dtype=float).ravel()
+    out[kernel.in_idx] = v
+    return out, it, res, converged, extras
+
+
+def _policy_iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
+                    params: SolveParams, mode: str):
+    """Howard's algorithm: argmin sweep, then the frozen-policy solve.
+
+    Under a frozen policy the contact sweep is v -> P v + Δt(cost + f + c)
+    - Δtλφ v, and the discount0 sweep v -> exp(-λΔt) P v + Δt(cost + f + c),
+    so its fixed point solves (diag - scale*P) v = rhs exactly.
+    """
+    dt = kernel.dt
+    gain = _gain(kernel, lam, mode)
+    target = params.tol * min(1.0, gain)
+    if mode == "discount0":
+        diag, scale = np.ones(len(v)), math.exp(-lam * dt)
+    else:
+        diag, scale = 1.0 + dt * lam * kernel.phi_in, 1.0
+    base = dt * (kernel.f_in + c)
+    policy = np.empty(len(v), dtype=np.intp)
+    res = math.inf
+    converged = False
+    it = 0
+    for it in range(1, params.max_iters + 1):
+        v_new = kernel.step(v, lam, c, mode=mode, policy=policy)
+        res = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if res <= target \
+                or res <= _FLOAT_FLOOR * max(1.0, float(np.max(np.abs(v)))):
+            converged = True
+            break
+        if it < params.max_iters:
+            v = kernel.policy_solve(policy, diag, scale,
+                                    base + dt * kernel.cost[policy])
+    return v, it, res, converged, {"method": "policy",
+                                   "error_bound": res / gain}
+
+
+def _iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
+             params: SolveParams, mode: str = "contact", pin_pos=None,
+             anchor_pos=None):
+    """Value iteration with geometric-tail extrapolation for λ > 0.
+
+    Solves route only contact sweeps here; mode "discount0" stays as the
+    reference that policy iteration is tested against. With an anchor, a
+    steady drift after burn-in raises CMismatchError.
+    """
     if pin_pos is not None:
         v[pin_pos] = 0.0
     if anchor_pos is not None:
         v -= v[anchor_pos]
     dt = kernel.dt
-    if mode == "discount0":
-        gain = -math.expm1(-lam * dt)
-    elif lam > 0 and kernel.kappa_lo > 0:
-        gain = lam * kernel.kappa_lo * dt
-    else:
-        gain = 1.0
+    gain = _gain(kernel, lam, mode)
     target = params.tol * min(1.0, gain)
     burn_in = 2 * kernel.crossing_sweeps + 200
     ratios = deque(maxlen=_ACCEL_TAIL)
@@ -330,6 +473,7 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
         if prev_res is not None and prev_res > 0:
             ratios.append(res / prev_res)
         prev_res = res
+        # only λ > 0 contracts (gain < 1), and no λ > 0 solve pins or anchors
         if gain < 1.0 and it % accel_period == 0 \
                 and len(ratios) == _ACCEL_TAIL:
             arr = np.asarray(ratios)
@@ -338,20 +482,15 @@ def _iterate(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
             if 0.0 < rho < 1.0 - 1e-9 and spread <= 0.5 * (1.0 - rho):
                 accel_backup = (v.copy(), res)
                 v = v + v_prev_diff * (rho / (1.0 - rho))
-                if pin_pos is not None:
-                    v[pin_pos] = 0.0
-                if anchor_pos is not None:
-                    v -= v[anchor_pos]
                 ratios.clear()
                 prev_res = None
     extras = {
+        "method": "value",
         "contraction_estimate": float(np.median(ratios)) if ratios else None,
-        "error_bound": res / gain if gain > 0 else None,
+        "error_bound": res / gain,
         "drift_rate": drift_rate,
     }
-    out = np.array(v0, dtype=float).ravel()
-    out[kernel.in_idx] = v
-    return out, it, res, converged, extras
+    return v, it, res, converged, extras
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +532,7 @@ def solve_state_constraint(model: HamiltonianModel, grid: UniformGrid,
                                          evaluator)
     kernel = SweepKernel(grid, evaluator, controls, params.dt)
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
-    v, iters, res, ok, extras = _iterate(kernel, start, lam, c, params)
+    v, iters, res, ok, extras = _fixed_point(kernel, start, lam, c, params)
     fld = GridField(grid, v.reshape(grid.shape),
                     meta={"kind": "state_constraint", "lambda": lam, "c": c})
     return SolveOutcome(fld, iters, res, ok, extras)
@@ -431,6 +570,8 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
     lams = [float(l) for l in lam_sequence]
     if len(lams) < 2 or any(b >= a for a, b in zip(lams, lams[1:])):
         raise SolverError("lam_sequence must be strictly decreasing, >= 2 long")
+    if lams[-1] <= 0:
+        raise SolverError("lam_sequence must be positive")
     params, controls, evaluator = _setup(model, grid, params, controls,
                                          evaluator)
     kernel = SweepKernel(grid, evaluator, controls, params.dt)
@@ -440,8 +581,8 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
     outcomes = []
     start = np.zeros(grid.size)
     for lam in lams:
-        v, iters, res, ok, extras = _iterate(kernel, start, lam, 0.0, params,
-                                             mode="discount0")
+        v, iters, res, ok, extras = _fixed_point(kernel, start, lam, 0.0,
+                                                 params, mode="discount0")
         if not ok:
             raise SolverError(
                 f"discounted solve at lam={lam:g} stalled at residual {res:g}")
@@ -483,7 +624,7 @@ def solve_ergodic(model: HamiltonianModel, grid: UniformGrid, c: float,
     if not grid.mask.flat[anchor_idx]:
         raise SolverError("anchor lies outside the mask")
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
-    v, iters, res, ok, extras = _iterate(
+    v, iters, res, ok, extras = _fixed_point(
         kernel, start, 0.0, c, params,
         anchor_pos=np.searchsorted(kernel.in_idx, anchor_idx))
     fld = GridField(grid, v.reshape(grid.shape),
@@ -499,9 +640,11 @@ def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
     """Maximal-solution proxy: state-constraint solves on growing balls.
 
     Solves on each radius of the schedule (warm-starting from the previous
-    ball) until the probe value moves less than stab_tol between consecutive
-    radii. No stabilization across the whole schedule is reported in the
-    outcome, not raised.
+    ball) until the probe value provably moves less than stab_tol between
+    consecutive radii: the move plus both solves' error bounds must stay
+    below it, so a stab_tol under the solver's accuracy never stabilizes.
+    No stabilization across the whole schedule is reported in the outcome,
+    not raised.
     """
     radii = [float(r) for r in r_schedule]
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -517,6 +660,7 @@ def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
     history = []
     outcome = None
     stabilized_at = None
+    prev_bound = None
     for r in radii:
         grid = UniformGrid(Domain.ball(box, r), shape)
         # solves pass out-of-mask values through, so nodes new to this
@@ -527,10 +671,12 @@ def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
                                          evaluator=evaluator, v0=v0)
         val = float(outcome.field.interpolate(probe[None, :])[0])
         history.append((r, val))
-        if len(history) >= 2 and stabilized_at is None:
-            if abs(history[-1][1] - history[-2][1]) < stab_tol:
-                stabilized_at = r
-                break
+        bound = outcome.extras["error_bound"]
+        if prev_bound is not None and abs(history[-1][1] - history[-2][1]) \
+                + prev_bound + bound < stab_tol:
+            stabilized_at = r
+            break
+        prev_bound = bound
     outcome.field.meta["kind"] = "maximal_truncated"
     outcome.field.meta["R"] = history[-1][0]
     outcome.extras["stabilization"] = history
@@ -555,7 +701,7 @@ def mane_potential(model: HamiltonianModel, grid: UniformGrid, y, c: float,
         raise SolverError("pin point lies outside the mask")
     start = np.full(grid.size, 1e6)
     start[pin] = 0.0
-    v, iters, res, ok, extras = _iterate(
+    v, iters, res, ok, extras = _fixed_point(
         kernel, start, 0.0, c, params,
         pin_pos=np.searchsorted(kernel.in_idx, pin))
     if not ok:

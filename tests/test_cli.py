@@ -151,6 +151,21 @@ def test_ergodic_writes_field(cfg_file):
     assert abs(float(field.interpolate(0.0))) <= 1e-9
 
 
+@pytest.mark.parametrize("coupling, unit", [
+    (QL_MODEL["coupling"], "policy iterations"),
+    ({"type": "arctan", "shift": 3.14159}, "sweeps")])
+def test_solve_line_names_the_loop(tmp_path, capsys, coupling, unit):
+    data = {"name": "cli-loop", "model": dict(QL_MODEL, coupling=coupling),
+            "c": 0.0, "grid": {"box": [[-3.0, 3.0]], "shape": [31]},
+            "lambdas": [0.4], "solver": {"tol": 1e-6},
+            "controls": {"da": 0.5}, "outdir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--config", str(path), "--stamp", "t"]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("lam=0.4: ") and f" {unit}, residual" in line
+
+
 def test_mane_writes_field(cfg_file):
     path, out = cfg_file
     rc = main(["mane", "--config", path, "--z", "0", "--stamp", "t"])

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from contact_hj.experiments import builtin_models
 from contact_hj.expressions import parse
 from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, LinearCoupling,
                                     NoCoupling, QuadraticKinetic)
 from contact_hj.solver import (CMismatchError, ControlSet, SolveParams,
-                               SolverError, aubry_indicator,
-                               estimate_critical_value, lax_oleinik_step,
-                               mane_potential, solve_ergodic,
+                               SolverError, SweepKernel, _iterate,
+                               aubry_indicator, estimate_critical_value,
+                               lax_oleinik_step, mane_potential, solve_ergodic,
                                solve_maximal_global, solve_state_constraint)
 
 from conftest import quadrature_mane
@@ -40,6 +41,18 @@ def test_control_lattice_2d_ball_and_order():
     # row-major lexicographic order fixes argmin tie-breaks
     keys = [tuple(row) for row in pts]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("max_speed, da", [
+    (123.4, 123.4 / 51), (4.0, 0.25), (4.0, 0.8), (1.0, 0.1), (2.0, 1.0),
+    (6.0, 6.0 / 48.0), (0.3, 0.1), (7.0, 0.7)])
+def test_control_lattice_2d_reaches_the_1d_tips(max_speed, da):
+    # the 2D ball cut keeps (±k·da, 0) and (0, ±k·da) whenever the 1D axis
+    # reaches ±k·da, even when k·da rounds just above max_speed
+    tip = float(np.max(ControlSet.build(1, max_speed, da).controls))
+    pts = {tuple(row) for row in ControlSet.build(2, max_speed, da).controls}
+    for a in (-tip, tip):
+        assert (a, 0.0) in pts and (0.0, a) in pts
 
 
 def test_control_lattice_rejects_bad_inputs():
@@ -391,6 +404,11 @@ def test_critical_value_rejects_bad_sequence(ql_model, grid201):
         estimate_critical_value(ql_model, grid201, (0.1, 0.2))
 
 
+def test_critical_value_rejects_nonpositive_lam(ql_model, grid201):
+    with pytest.raises(SolverError, match="positive"):
+        estimate_critical_value(ql_model, grid201, (0.1, 0.0))
+
+
 def test_critical_value_m0_guard_trips(ql_model, ql_evaluator, controls1d,
                                        grid201):
     # probing far from the well at large lam leaves an O(lam^2) hole that
@@ -399,6 +417,115 @@ def test_critical_value_m0_guard_trips(ql_model, ql_evaluator, controls1d,
         estimate_critical_value(ql_model, grid201, (0.4, 0.2),
                                 SolveParams(tol=1e-8), controls=controls1d,
                                 evaluator=ql_evaluator, x0=3.0)
+
+
+# ---------------------------------------------------------------------------
+# policy iteration: the frozen-policy solve and agreement with value iteration
+
+
+def _dense_policy_matrix(kernel, policy, diag, scale):
+    n = len(kernel.in_idx)
+    mat = np.diag(np.asarray(diag, dtype=float))
+    for i in range(n):
+        for k, j in enumerate(kernel.stencil[i]):
+            mat[i, j] -= scale * kernel.weights[k, policy[i]]
+    return mat
+
+
+def _ball_kernel_2d(shape, radius, da):
+    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-(x^2 + y^2))"),
+                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    grid = UniformGrid(Domain.ball(((-4.0, 4.0),) * 2, radius), shape)
+    cs = ControlSet.build(2, da=da)
+    dt = SolveParams().resolve(grid, cs).dt
+    return model, grid, cs, SweepKernel(grid, LagrangianEvaluator(model),
+                                        cs, dt)
+
+
+def test_policy_solve_multi_block_matches_dense(ql_evaluator, controls1d,
+                                                grid401):
+    rng = np.random.RandomState(11)
+    _, grid2, _, ball = _ball_kernel_2d((41, 41), 3.0, 0.8)
+    # the ball's boundary stencils go through replacement_map
+    node = np.column_stack(np.unravel_index(ball.in_idx, grid2.shape))
+    raw = np.ravel_multi_index(tuple(np.moveaxis(np.clip(
+        node[:, None, :] + np.array([[-1, -1], [1, 1]]), 0, 40), -1, 0)),
+        grid2.shape)
+    assert not np.all(grid2.mask.ravel()[raw])
+    line = SweepKernel(grid401, ql_evaluator, controls1d,
+                       SolveParams().resolve(grid401, controls1d).dt)
+    for kernel in (line, ball):
+        n = len(kernel.in_idx)
+        assert n > 256 and kernel.block < n  # several blocks
+        for scale in (1.0, 0.97):
+            policy = rng.randint(0, kernel.weights.shape[1], n)
+            diag = 1.0 + rng.uniform(1e-4, 0.1, n)
+            rhs = rng.uniform(-1.0, 1.0, n)
+            got = kernel.policy_solve(policy, diag, scale, rhs)
+            want = np.linalg.solve(
+                _dense_policy_matrix(kernel, policy, diag, scale), rhs)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(want)))
+
+
+def _assert_agrees(pi_out, kernel, lam, c, params, mode="contact"):
+    assert pi_out.converged and pi_out.extras["method"] == "policy"
+    v0 = np.zeros(len(kernel.in_idx))
+    v, _, _, ok, extras = _iterate(kernel, v0, lam, c, params, mode=mode)
+    assert ok and extras["method"] == "value"
+    gap = np.max(np.abs(pi_out.field.values.ravel()[kernel.in_idx] - v))
+    assert gap <= pi_out.extras["error_bound"] + extras["error_bound"]
+
+
+def test_policy_iteration_agrees_with_value_iteration_phi_preset():
+    model = builtin_models()["quadratic-phi"].build_model()
+    ev = LagrangianEvaluator(model)
+    grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (201,))
+    cs = ControlSet.build(1)
+    params = SolveParams(tol=1e-8).resolve(grid, cs)
+    out = solve_state_constraint(model, grid, 0.1, 0.0, params, controls=cs,
+                                 evaluator=ev)
+    _assert_agrees(out, SweepKernel(grid, ev, cs, params.dt), 0.1, 0.0,
+                   params)
+
+
+def test_policy_iteration_agrees_with_value_iteration_2d_ball():
+    model, grid, cs, kernel = _ball_kernel_2d((21, 21), 3.0, 0.8)
+    params = SolveParams(tol=1e-8).resolve(grid, cs)
+    out = solve_state_constraint(model, grid, 0.2, 0.0, params, controls=cs,
+                                 evaluator=kernel.evaluator)
+    _assert_agrees(out, kernel, 0.2, 0.0, params)
+
+
+def test_policy_iteration_agrees_with_value_iteration_critical(
+        ql_model, ql_evaluator, controls1d, grid201):
+    params = SolveParams(tol=1e-8).resolve(grid201, controls1d)
+    est = estimate_critical_value(ql_model, grid201, (0.2, 0.1), params,
+                                  controls=controls1d, evaluator=ql_evaluator)
+    kernel = SweepKernel(grid201, ql_evaluator, controls1d, params.dt)
+    for (lam, _), out in zip(est.table, est.outcomes):
+        _assert_agrees(out, kernel, lam, 0.0, params, mode="discount0")
+
+
+def test_vanishing_phi_stays_on_value_iteration(ql_evaluator, controls1d):
+    # phi = x^2 vanishes at the node x = 0, where sitting still makes the
+    # frozen-policy row zero: the dispatch keeps such solves off the
+    # direct solve, and the direct solve reports the singular system
+    model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-x^2)"),
+                             coupling=LinearCoupling(parse("x^2"), 0.0, 4.0))
+    grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
+    out = solve_state_constraint(model, grid, 0.5, 0.0,
+                                 SolveParams(max_iters=50), controls=controls1d)
+    assert out.extras["method"] == "value"
+    kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d,
+                         SolveParams().resolve(grid, controls1d).dt)
+    stay = int(np.flatnonzero(controls1d.controls[:, 0] == 0.0)[0])
+    policy = np.full(len(kernel.in_idx), stay)
+    with pytest.raises(SolverError, match="singular"):
+        kernel.policy_solve(policy, 1.0 + kernel.dt * 0.5 * kernel.phi_in,
+                            1.0, np.zeros(len(kernel.in_idx)))
 
 
 # ---------------------------------------------------------------------------
