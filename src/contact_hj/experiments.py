@@ -237,9 +237,10 @@ class ExperimentConfig:
 
     def localization_grid(self, radius: float) -> UniformGrid:
         """Ball of the given radius in a box two units wider, at the main
-        grid's node density; the grids the localization study solves on."""
+        grid's node density; the grids the localization study solves on.
+        Each axis has an odd node count, so the centre is a node."""
         half = radius + 2.0
-        n = int(round(2 * half * self.node_density())) + 1
+        n = 2 * int(round(half * self.node_density())) + 1
         dim = len(self.grid["box"])
         return UniformGrid(Domain.ball(((-half, half),) * dim, radius),
                            (n,) * dim)

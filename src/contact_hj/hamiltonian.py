@@ -473,15 +473,17 @@ class LagrangianEvaluator:
         """Difference quotient of L in u between level_a and level_b.
 
         Degenerates to the one-sided derivative at level_b where the levels
-        coincide. Symmetric in its levels and nonpositive whenever the model
-        is monotone in u.
+        lie closer than its step _DU_EPS: there the quotient would mostly be
+        the rounding of L, which is of order |L| * 1e-16 / |level_a -
+        level_b|. Symmetric in levels further apart, and nonpositive
+        whenever the model is monotone in u.
         """
         a = np.asarray(level_a, dtype=float)
         b = np.asarray(level_b, dtype=float)
         diff = self.legendre(x, v, a) - self.legendre(x, v, b)
         with np.errstate(invalid="ignore", divide="ignore"):
             out = diff / (a - b)
-        same = a == b
+        same = np.abs(a - b) < _DU_EPS
         if np.any(same):
             out = np.where(same, self.partial_u_l(x, v, b), out)
         return float(out) if np.ndim(out) == 0 else out
@@ -508,14 +510,23 @@ class _ConjugateTable:
     def covers(self, u_lo: float, u_hi: float) -> bool:
         return self.u_grid[0] <= u_lo and u_hi <= self.u_grid[-1]
 
+    def _cell(self, u):
+        """Lattice cell of each level u and its fraction t within it."""
+        pos = (np.asarray(u, dtype=float) - self.u_grid[0]) / _TABLE_DU
+        idx = np.clip(np.floor(pos).astype(int), 0, len(self.u_grid) - 2)
+        return idx, pos - idx
+
     def values(self, u: np.ndarray) -> np.ndarray:
         """W(speed_j, u_i) as a (n_speeds, n_points) matrix."""
-        u = np.asarray(u, dtype=float)
-        pos = (u - self.u_grid[0]) / _TABLE_DU
-        idx = np.clip(np.floor(pos).astype(int), 0, len(self.u_grid) - 2)
-        t = pos - idx
+        idx, t = self._cell(u)
         return (self.w[idx, :] * (1.0 - t)[:, None]
                 + self.w[idx + 1, :] * t[:, None]).T
+
+    def value_and_slope(self, u: np.ndarray, speed_idx: np.ndarray):
+        """W(speeds[speed_idx_i], u_i) and its exact u-slope, per point i."""
+        idx, t = self._cell(u)
+        w0, w1 = self.w[idx, speed_idx], self.w[idx + 1, speed_idx]
+        return w0 * (1.0 - t) + w1 * t, (w1 - w0) / _TABLE_DU
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +561,15 @@ class AssumptionReport:
 
 
 def _ball_samples(radius, n, dim):
+    """n points across [-radius, radius] in 1D; in 2D the origin, then n
+    angles on each of max(1, n // 4 - 1) rings out to radius."""
     if dim == 1:
         return np.linspace(-radius, radius, n)[:, None]
-    r = np.linspace(0.0, radius, max(2, n // 4))
+    r = np.linspace(0.0, radius, max(2, n // 4))[1:]
     th = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     rr, tt = np.meshgrid(r, th, indexing="ij")
-    return np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
+    return np.vstack([np.zeros((1, 2)), np.column_stack(
+        [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])])
 
 
 def _first(pick, vals):
@@ -678,18 +692,19 @@ def check_assumptions(model: HamiltonianModel) -> AssumptionReport:
                      "p_radius": _P_RADIUS, "omega_at_du_0.25": omega},
             note="du_H bounds on the sampled momentum ball; modulus is an "
                  "empirical estimate"))
-        # H4 probes du_H at xs[0] over (u, p) at growing momentum radii
+        # H4 probes du_H over (u, p, x) at growing momentum radii
         levels = np.array([-1.0, 0.0, 1.0])
         growth_witness = {}
         for mult in (1.0, 2.0, 4.0):
             ring = _ball_samples(mult * _P_RADIUS, _N_P, model.dim)
-            cap, (k, j, _) = _first(np.argmax, lattice(
-                model.du_h, ring[None, :, None], levels[:, None, None], xs[:1]))
+            cap, (k, j, i) = _first(np.argmax, lattice(
+                model.du_h, ring[None, :, None], levels[:, None, None]))
             if mult == 1.0:
                 local_cap = cap
             elif cap > local_cap + 1e-6:
                 growth_witness = {"du_h": cap, "local_cap": local_cap,
-                                  "p": ring[j].tolist(), "u": float(levels[k])}
+                                  "p": ring[j].tolist(), "u": float(levels[k]),
+                                  "x": xs[i].tolist()}
                 break
         violated = bool(growth_witness)
         checks.append(AssumptionCheck(

@@ -12,19 +12,19 @@ candidates of a sweep are one matrix product, stencil values times a
 
 Two fixed-point loops share that sweep:
 
-- Policy iteration (Howard's algorithm) for every solve whose sweep is
-  affine in v once the argmin control of each node is frozen: contact
-  solves with a separable coupling, λ > 0 and φ > 0 on the mask, and the
+- Policy iteration (Howard's algorithm) for every solve at λ > 0 except
+  separable models whose φ vanishes somewhere on the mask, and for the
   classical discounted solves. Each iteration is one argmin sweep, which
   gives the policy and the Bellman residual, and one direct solve of the
   frozen-policy system (diag - P) v = rhs by block-tridiagonal elimination
-  (SweepKernel.policy_solve). Its iteration count does not grow as λ
-  shrinks, where value iteration's sweep count grows like 1/(λΔt).
-- Value iteration for the rest: p-coupled (arctan) solves at λ > 0, whose
-  sweep depends on v through the sup term, and the λ = 0 ergodic and pinned
-  solves, whose systems are singular. For λ > 0 the sweep contracts with
-  factor 1 - kappa_lo*λ*Δt, and the loop extrapolates the geometric tail of
-  the residuals every few dozen sweeps.
+  (SweepKernel.policy_solve). For separable couplings that system is the
+  frozen-policy sweep exactly. The p-coupled (arctan) sweep also reads v
+  through the sup term at its own level λv, so the solve takes that term's
+  exact u-slope from the piecewise-linear sup-term table: a semismooth
+  Newton step. The iteration count does not grow as λ shrinks, where
+  value iteration's sweep count grows like 1/(λΔt).
+- Plain value iteration for the λ = 0 ergodic and pinned solves, whose
+  systems are singular, and for the vanishing-φ models.
 
 Both stop when the residual |Tv - v| falls below tol*min(1, gain), gain
 the contraction margin of one sweep, or to the float floor, and report the
@@ -37,7 +37,6 @@ reaches a node with no in-mask replacement raises SolverError.
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,8 +52,6 @@ __all__ = [
     "CriticalValueEstimate", "default_max_speed",
 ]
 
-_ACCEL_PERIOD = 32
-_ACCEL_TAIL = 8
 _FLOAT_FLOOR = 1e-13
 _ROW_CHUNK = 1024  # in-mask rows per block of a sweep; bounds its temporaries
 _SOLVE_BLOCK = 256  # rows per block of the frozen-policy solve, at most n
@@ -352,15 +349,16 @@ def _fixed_point(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
                  anchor_pos=None):
     """Fixed point of the sweep on the in-mask values of v0.
 
-    pin_pos and anchor_pos index those values. Sweeps that are affine in v
-    under a frozen policy go to policy iteration, the rest to value
-    iteration. Returns a copy of v0 with the in-mask values replaced.
+    pin_pos and anchor_pos index those values. Solves at λ > 0 go to policy
+    iteration, except separable ones whose φ vanishes somewhere on the
+    mask; those and the λ = 0 solves go to value iteration. Returns a copy
+    of v0 with the in-mask values replaced.
     """
     v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
-    affine = mode == "discount0" or (
-        lam > 0 and kernel.evaluator.model.coupling.separable
-        and float(np.min(kernel.phi_in)) > 0)
-    if affine:
+    coupling = kernel.evaluator.model.coupling
+    howard = mode == "discount0" or (lam > 0 and (
+        not coupling.separable or float(np.min(kernel.phi_in)) > 0))
+    if howard:
         v, it, res, converged, extras = _policy_iterate(
             kernel, v, lam, c, params, mode)
     else:
@@ -375,33 +373,43 @@ def _policy_iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
                     params: SolveParams, mode: str):
     """Howard's algorithm: argmin sweep, then the frozen-policy solve.
 
-    Under a frozen policy the contact sweep is v -> P v + Δt(cost + f + c)
-    - Δtλφ v, and the discount0 sweep v -> exp(-λΔt) P v + Δt(cost + f + c),
-    so its fixed point solves (diag - scale*P) v = rhs exactly.
+    Under the policy π of the sweep at v, node i's sup term is read as
+    w_i + s_i*λ*(v'_i - v_i): w and s are the value and exact u-slope of
+    the sup-term table at (λv_i, π_i), or cost[π] and 0 where no table is
+    read (separable couplings, discount0). The fixed point of that sweep
+    solves (diag - scale*P) v' = rhs, diag = 1 + Δtλ(φ - s) and rhs =
+    Δt(f + c + w - λsv), with λ = 0 there and scale exp(-λΔt) for
+    discount0. With s = 0 this is the exact frozen-policy solve, otherwise
+    a semismooth Newton step; ∂_u W < 0 keeps diag > 1.
     """
     dt = kernel.dt
     gain = _gain(kernel, lam, mode)
     target = params.tol * min(1.0, gain)
     if mode == "discount0":
-        diag, scale = np.ones(len(v)), math.exp(-lam * dt)
+        level, scale = 0.0, math.exp(-lam * dt)
     else:
-        diag, scale = 1.0 + dt * lam * kernel.phi_in, 1.0
+        level, scale = lam, 1.0
     base = dt * (kernel.f_in + c)
     policy = np.empty(len(v), dtype=np.intp)
+    table = None
     res = math.inf
     converged = False
     it = 0
     for it in range(1, params.max_iters + 1):
-        v_new = kernel.step(v, lam, c, mode=mode, policy=policy)
+        table = _ensure_table(kernel, table, lam, v, mode)
+        v_new = kernel.step(v, lam, c, mode=mode, table=table, policy=policy)
         res = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if res <= target \
-                or res <= _FLOAT_FLOOR * max(1.0, float(np.max(np.abs(v)))):
-            converged = True
+        converged = res <= target or res <= _FLOAT_FLOOR * max(
+            1.0, float(np.max(np.abs(v_new))))
+        if converged or it == params.max_iters:
+            v = v_new
             break
-        if it < params.max_iters:
-            v = kernel.policy_solve(policy, diag, scale,
-                                    base + dt * kernel.cost[policy])
+        if table is None:
+            w, s = kernel.cost[policy], 0.0
+        else:
+            w, s = table.value_and_slope(lam * v, policy)
+        v = kernel.policy_solve(policy, 1.0 + dt * level * (kernel.phi_in - s),
+                                scale, base + dt * (w - level * s * v))
     return v, it, res, converged, {"method": "policy",
                                    "error_bound": res / gain}
 
@@ -409,7 +417,7 @@ def _policy_iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
 def _iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
              params: SolveParams, mode: str = "contact", pin_pos=None,
              anchor_pos=None):
-    """Value iteration with geometric-tail extrapolation for λ > 0.
+    """Plain value iteration, for sweeps that read no sup-term table.
 
     Solves route only contact sweeps here; mode "discount0" stays as the
     reference that policy iteration is tested against. With an anchor, a
@@ -423,19 +431,12 @@ def _iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
     gain = _gain(kernel, lam, mode)
     target = params.tol * min(1.0, gain)
     burn_in = 2 * kernel.crossing_sweeps + 200
-    ratios = deque(maxlen=_ACCEL_TAIL)
-    prev_res = None
-    cooldown = 0
-    table = None
     res = math.inf
     converged = False
     it = 0
     drift_rate = None
-    accel_backup = None  # (iterate, residual) to restore if a jump misfires
-    accel_period = _ACCEL_PERIOD
     for it in range(1, params.max_iters + 1):
-        table = _ensure_table(kernel, table, lam, v, mode)
-        v_new = kernel.step(v, lam, c, mode=mode, table=table)
+        v_new = kernel.step(v, lam, c, mode=mode)
         if pin_pos is not None:
             v_new[pin_pos] = 0.0
         drift = None
@@ -443,54 +444,19 @@ def _iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
             drift = float(v_new[anchor_pos])
             v_new -= drift
             drift_rate = drift / dt
-        diff = v_new - v
-        res = float(np.max(np.abs(diff)))
-        if accel_backup is not None:
-            # first sweep after an extrapolation: keep it only if it helped
-            back_v, back_res = accel_backup
-            accel_backup = None
-            if not res < back_res:
-                v = back_v
-                res = back_res
-                ratios.clear()
-                prev_res = None
-                cooldown = _ACCEL_TAIL
-                accel_period = min(2 * accel_period, 4096)
-                continue
+        res = float(np.max(np.abs(v_new - v)))
         if drift is not None and it > burn_in \
                 and abs(drift) > 10.0 * params.tol \
                 and res < 2.0 * abs(drift) + 1e-15:
             raise CMismatchError(rate=drift / dt, drift=drift, iteration=it)
-        scale = max(1.0, float(np.max(np.abs(v_new))))
-        v, v_prev_diff = v_new, diff
-        if res <= target or res <= _FLOAT_FLOOR * scale:
-            converged = True
+        v = v_new
+        converged = res <= target or res <= _FLOAT_FLOOR * max(
+            1.0, float(np.max(np.abs(v))))
+        if converged:
             break
-        if cooldown > 0:
-            cooldown -= 1
-            prev_res = res
-            continue
-        if prev_res is not None and prev_res > 0:
-            ratios.append(res / prev_res)
-        prev_res = res
-        # only λ > 0 contracts (gain < 1), and no λ > 0 solve pins or anchors
-        if gain < 1.0 and it % accel_period == 0 \
-                and len(ratios) == _ACCEL_TAIL:
-            arr = np.asarray(ratios)
-            rho = float(np.mean(arr))
-            spread = float(np.max(arr) - np.min(arr))
-            if 0.0 < rho < 1.0 - 1e-9 and spread <= 0.5 * (1.0 - rho):
-                accel_backup = (v.copy(), res)
-                v = v + v_prev_diff * (rho / (1.0 - rho))
-                ratios.clear()
-                prev_res = None
-    extras = {
-        "method": "value",
-        "contraction_estimate": float(np.median(ratios)) if ratios else None,
-        "error_bound": res / gain,
-        "drift_rate": drift_rate,
-    }
-    return v, it, res, converged, extras
+    return v, it, res, converged, {"method": "value",
+                                   "error_bound": res / gain,
+                                   "drift_rate": drift_rate}
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ def test_ergodic_writes_field(cfg_file):
 
 @pytest.mark.parametrize("coupling, unit", [
     (QL_MODEL["coupling"], "policy iterations"),
-    ({"type": "arctan", "shift": 3.14159}, "sweeps")])
+    ({"type": "linear", "phi": "x^2"}, "sweeps"),  # phi vanishes at 0
+    ({"type": "arctan", "shift": 3.14159}, "policy iterations")])
 def test_solve_line_names_the_loop(tmp_path, capsys, coupling, unit):
     data = {"name": "cli-loop", "model": dict(QL_MODEL, coupling=coupling),
             "c": 0.0, "grid": {"box": [[-3.0, 3.0]], "shape": [31]},

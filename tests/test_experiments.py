@@ -332,6 +332,17 @@ def test_preset_grids_build():
             assert cfg.localization_grid(radius).mask.any(), (name, radius)
 
 
+def test_preset_localization_grids_have_a_centre_node():
+    # an odd node count per axis puts a node at the centre of every ball
+    for name, cfg in builtin_models().items():
+        for radius in cfg.radii + (cfg.trunc_radius(),):
+            grid = cfg.localization_grid(radius)
+            node = grid.nearest_node(np.zeros(grid.dim))
+            assert np.array_equal(grid.node_point(node), np.zeros(grid.dim)), (
+                name, radius, grid.shape)
+            assert grid.mask[tuple(node)], (name, radius)
+
+
 VERIFIED = dict.fromkeys(("H1", "H2", "H3", "H4", "P1", "P2", "P3"),
                         "verified-on-samples")
 PRESET_SPLITS = {

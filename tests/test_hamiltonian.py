@@ -138,6 +138,16 @@ def test_discount_index_quotient_and_degenerate(quad_lin):
         ev.discount_index(1.0, 0.5, 0.7, 0.2))
 
 
+def test_discount_index_resolves_nearby_levels(arctan_model):
+    # levels a round-off apart, as at a well where the field is 0 to
+    # rounding: the quotient of L ~ -pi over 1e-15 would be mostly rounding
+    ev = LagrangianEvaluator(arctan_model)
+    want = ev.partial_u_l(0.0, 0.0, 0.0)
+    assert want == pytest.approx(-2.0, abs=1e-4)
+    for a in (1e-15, -3e-16, 2.2e-14):
+        assert ev.discount_index(0.0, 0.0, a, 0.0) == want
+
+
 def test_discount_index_batched(quad_lin):
     ev = LagrangianEvaluator(quad_lin)
     a = np.array([0.7, 0.3, -0.1])
@@ -167,6 +177,23 @@ def test_coupling_table_matches_exact(arctan_model):
         for i, ui in enumerate(u):
             exact = ev.legendre(0.0, s, float(ui)) + ui  # strip -u and f(0)=0
             assert w[j, i] == pytest.approx(exact, abs=5e-5)
+
+
+def test_coupling_table_value_and_slope(arctan_model):
+    # the value is the values() entry; the slope is the cell's chord, close
+    # to the exact dW/du = -(r*^2 + 1)/(1 + u^2), r* = s/(1 + 2A),
+    # A = arctan(u) + shift, for the quadratic kinetic
+    ev = LagrangianEvaluator(arctan_model)
+    speeds = np.array([0.0, 0.5, 1.0, 2.0, 6.0])
+    table = ev.coupling_table(speeds, -1.0, 1.0)
+    u = np.array([-0.8, -0.3, 0.0, 0.4, 0.97, 0.97])
+    j = np.array([0, 1, 2, 3, 4, 0])
+    w, slope = table.value_and_slope(u, j)
+    assert np.array_equal(w, table.values(u)[j, np.arange(len(u))])
+    r = speeds[j] / (1.0 + 2.0 * (np.arctan(u) + math.pi))
+    np.testing.assert_allclose(slope, -(r ** 2 + 1.0) / (1.0 + u ** 2),
+                               rtol=0, atol=5e-3)
+    assert np.all(slope < 0)
 
 
 def test_tabulated_kinetic_interp_and_extent():
@@ -248,6 +275,26 @@ def test_assumptions_arctan(arctan_model):
     assert report["H4"].witness["du_h"] > report["H4"].witness["local_cap"]
     # arctan is concave in u > 0: joint convexity fails
     assert report["P2"].status == "violated"
+
+
+def test_h4_probes_every_x_sample():
+    # phi = 2 + sin(x): du_H = phi(x), so the global cap is the largest
+    # sampled phi, the same sample maximum that H3 reports
+    model = HamiltonianModel(
+        dim=1, kinetic=QuadraticKinetic(), potential=parse("1 - exp(-x^2)"),
+        coupling=LinearCoupling(phi=parse("2 + sin(x)"), kappa_lo=1.0,
+                                kappa_hi=3.0))
+    report = check_assumptions(model)
+    assert report["H4"].status == "verified-on-samples"
+    assert report["H4"].witness["kappa_hi"] == report["H3"].witness["kappa_hi"]
+
+
+def test_ball_samples_2d_hold_the_origin_once():
+    pts = hamiltonian._ball_samples(6.0, 13, 2)
+    assert len(pts) == 1 + 2 * 13
+    assert np.array_equal(pts[0], [0.0, 0.0])
+    assert len(np.unique(pts, axis=0)) == len(pts)
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=1).max(), 6.0)
 
 
 def test_assumptions_detect_nonmonotone():
