@@ -282,28 +282,3 @@ class GridField:
             coord = ",".join(f"{c:.17g}" for c in pts[i])
             lines.append(f"{coord},{vals[i]:.17g}")
         atomic_write_text(path, "\n".join(lines) + "\n")
-
-    @staticmethod
-    def from_csv(path) -> "GridField":
-        with open(path) as handle:
-            lines = [ln.strip() for ln in handle if ln.strip()]
-        if len(lines) < 3 or not lines[0].startswith("#"):
-            raise ValueError(f"not a field CSV: {path}")
-        meta_parts = lines[1].lstrip("# ").split(",")
-        kind = meta_parts[0]
-        lam = float(meta_parts[1])
-        c = float(meta_parts[2])
-        radius = math.inf if meta_parts[3] == "inf" else float(meta_parts[3])
-        rows = np.array([[float(tok) for tok in ln.split(",")]
-                         for ln in lines[2:]])
-        dim = rows.shape[1] - 1
-        axes = [np.unique(rows[:, k]) for k in range(dim)]
-        box = tuple((float(ax[0]), float(ax[-1])) for ax in axes)
-        if math.isinf(radius):
-            domain = Domain.full_box(box)
-        else:
-            domain = Domain.ball(box, radius)
-        grid = UniformGrid(domain, tuple(len(ax) for ax in axes))
-        values = rows[:, dim].reshape(grid.shape)
-        return GridField(grid, values,
-                         meta={"kind": kind, "lambda": lam, "c": c})

@@ -5,7 +5,10 @@ operator on a converged field; the per-step defect is recorded rather than
 assumed zero. For separable couplings the per-control sup term of the
 Lagrangian is computed once per curve, for p-coupled ones once per step at
 the step's level; each step interpolates the field once, at the admissible
-feet, and the chosen foot's value is the next step's field value. Discount
+feet, and the chosen foot's value is the next step's field value. A step's
+state is its point and that value, so once a step chooses its own point
+and value bit for bit, every later step repeats it: the loop ends there
+and fills the tail exactly, and a settled curve costs its transient. Discount
 indices are difference quotients of the Lagrangian in its u slot between
 the field level and a reference level; their left-Riemann cumulative
 integrals weight both the representation formulas and the discounted
@@ -78,7 +81,10 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
     L keeps legendre()'s arithmetic, W + f(x) - phi(x)*λ*v(x): the sup term
     W is the u = 0 row for separable couplings, computed once per curve, and
     the lattice sup at level λ*v(x) for p-coupled ones. v(x) is the
-    interpolated value of the foot chosen at the step before.
+    interpolated value of the foot chosen at the step before. A step whose
+    chosen foot and value equal its own x and v(x) bit for bit ends the
+    loop: the remaining steps would repeat it, so they are filled with its
+    control, its foot and its defect count.
     """
     grid = field.grid
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -120,8 +126,16 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
         if defect > defect_tol:
             n_bad += 1
         vel[k] = ctrl[j]
+        pts[k + 1] = feet[j]
+        if (feet[j].tobytes() == x1.tobytes()
+                and vals[j].tobytes() == np.float64(v_here).tobytes()):
+            # the state repeats, so every later step repeats this one
+            vel[k + 1:] = ctrl[j]
+            pts[k + 2:] = feet[j]
+            if defect > defect_tol:
+                n_bad += n_steps - k - 1
+            break
         x1 = feet[j:j + 1]
-        pts[k + 1] = x1[0]
         v_here = float(vals[j])
     warning = ""
     if n_bad:

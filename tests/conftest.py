@@ -1,3 +1,11 @@
+import math
+import os
+
+# one BLAS thread for the dense policy solves: OpenBLAS reads it when numpy
+# loads, and a loaded 2-core machine runs them many times slower with more
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
@@ -85,6 +93,27 @@ def ergodic201(ql_model, grid201, params_fast, controls1d, ql_evaluator):
 def mane401(ql_model, grid401, params_tight, controls1d, ql_evaluator):
     return mane_potential(ql_model, grid401, 0.0, 0.0, params_tight,
                           controls=controls1d, evaluator=ql_evaluator)
+
+
+def read_field_csv(path) -> GridField:
+    """Read back a field written by GridField.to_csv."""
+    with open(path) as handle:
+        lines = [ln.strip() for ln in handle if ln.strip()]
+    if len(lines) < 3 or not lines[0].startswith("#"):
+        raise ValueError(f"not a field CSV: {path}")
+    kind, lam, c, radius = lines[1].lstrip("# ").split(",")[:4]
+    rows = np.array([[float(tok) for tok in ln.split(",")]
+                     for ln in lines[2:]])
+    dim = rows.shape[1] - 1
+    axes = [np.unique(rows[:, k]) for k in range(dim)]
+    box = tuple((float(ax[0]), float(ax[-1])) for ax in axes)
+    radius = math.inf if radius == "inf" else float(radius)
+    domain = (Domain.full_box(box) if math.isinf(radius)
+              else Domain.ball(box, radius))
+    grid = UniformGrid(domain, tuple(len(ax) for ax in axes))
+    values = rows[:, dim].reshape(grid.shape)
+    return GridField(grid, values,
+                     meta={"kind": kind, "lambda": float(lam), "c": float(c)})
 
 
 _OR_X = np.linspace(0.0, 4.0, 40001)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from contact_hj.cli import main
-from contact_hj.grid import GridField
+
+from conftest import read_field_csv
 
 QL_MODEL = {"dim": 1, "kinetic": {"type": "quadratic"},
             "potential": "1 - exp(-x^2)",
@@ -128,7 +129,7 @@ def test_solve_writes_field_and_outcome(cfg_file, capsys):
     assert rc == 0
     assert "converged=True" in capsys.readouterr().out
     run = os.path.join(out, "solve", "t")
-    field = GridField.from_csv(os.path.join(run, "field.csv"))
+    field = read_field_csv(os.path.join(run, "field.csv"))
     assert field.grid.shape == (101,)
     assert field.meta["lambda"] == 0.2
     with open(os.path.join(run, "outcome.json")) as fh:
@@ -147,7 +148,7 @@ def test_ergodic_writes_field(cfg_file):
     path, out = cfg_file
     rc = main(["ergodic", "--config", path, "--stamp", "t"])
     assert rc == 0
-    field = GridField.from_csv(os.path.join(out, "ergodic", "t", "field.csv"))
+    field = read_field_csv(os.path.join(out, "ergodic", "t", "field.csv"))
     assert abs(float(field.interpolate(0.0))) <= 1e-9
 
 
@@ -171,7 +172,7 @@ def test_mane_writes_field(cfg_file):
     path, out = cfg_file
     rc = main(["mane", "--config", path, "--z", "0", "--stamp", "t"])
     assert rc == 0
-    field = GridField.from_csv(os.path.join(out, "mane", "t", "field.csv"))
+    field = read_field_csv(os.path.join(out, "mane", "t", "field.csv"))
     assert float(field.interpolate(0.0)) == 0.0
     assert np.min(field.values) >= -1e-12
 

@@ -5,6 +5,8 @@ import pytest
 
 from contact_hj.grid import Domain, DomainError, GridField, UniformGrid
 
+from conftest import read_field_csv
+
 
 def line_grid(n=41, lo=-2.0, hi=2.0):
     return UniformGrid(Domain.full_box([(lo, hi)]), n)
@@ -95,7 +97,7 @@ def test_csv_roundtrip_bit_exact(tmp_path):
                                       "lambda": 0.1, "c": 0.4637})
     path = tmp_path / "field.csv"
     fld.to_csv(path)
-    back = GridField.from_csv(path)
+    back = read_field_csv(path)
     np.testing.assert_array_equal(back.values, vals)
     np.testing.assert_array_equal(back.grid.mask, grid.mask)
     assert back.meta["kind"] == "state_constraint"
@@ -111,7 +113,7 @@ def test_csv_roundtrip_2d(tmp_path):
                     meta={"kind": "ergodic", "lambda": 0.0, "c": 0.0})
     path = tmp_path / "f2.csv"
     fld.to_csv(path)
-    back = GridField.from_csv(path)
+    back = read_field_csv(path)
     np.testing.assert_array_equal(back.values, fld.values)
     assert math.isinf(back.grid.domain.radius)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contact_hj.expressions import parse
-from contact_hj.grid import Domain, UniformGrid
+from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, LinearCoupling,
                                     QuadraticKinetic)
@@ -90,6 +90,8 @@ def assert_matches_reference(field, model, evaluator, controls, lam, c, z,
     pts, vel, defect_max, warning, blocked = reference_backtrace(*args)
     assert np.array_equal(curve.points, pts)
     assert np.array_equal(curve.velocities, vel)
+    assert curve.points.tobytes() == pts.tobytes()
+    assert curve.velocities.tobytes() == vel.tobytes()
     assert curve.defect_max == defect_max
     assert curve.warning == warning
     return curve, blocked
@@ -105,6 +107,64 @@ def test_backtrace_matches_reference_quadratic_linear(
     assert curve.warning == ""
 
 
+def settled(curve) -> bool:
+    """Whether the curve ends on a repeated point, bit for bit."""
+    return curve.points[-1].tobytes() == curve.points[-2].tobytes()
+
+
+@pytest.mark.parametrize("z, steps, settles", [
+    (0.0, 24000, True),     # horizon 200, stationary from the first step
+    (2.0, 1200.37, True),   # a mid-curve tail and a partial last step
+    (2.0, 120, False),      # too short to settle
+])
+def test_backtrace_fills_the_stationary_tail_exactly(
+        z, steps, settles, theta_005, ql_model, ql_evaluator, controls1d):
+    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
+    curve, _ = assert_matches_reference(theta_005.field, ql_model,
+                                        ql_evaluator, controls1d, 0.05, 0.0,
+                                        z, steps * dt, dt)
+    assert curve.segments == math.ceil(steps - 1e-9)
+    assert settled(curve) == settles
+
+
+def test_backtrace_tail_keeps_counting_defects(theta_005, ql_model,
+                                               ql_evaluator, controls1d):
+    # a unit shift leaves z = 0 stationary with defect dt*lam*v at every step
+    shifted = theta_005.field.with_values(theta_005.field.values + 1.0)
+    dt = SolveParams().resolve(shifted.grid, controls1d).dt
+    curve, _ = assert_matches_reference(shifted, ql_model, ql_evaluator,
+                                        controls1d, 0.05, 0.0, 0.0, 10.0, dt,
+                                        defect_tol=1e-6)
+    n = curve.segments
+    assert curve.warning.startswith(f"{n}/{n} steps exceeded")
+
+
+def test_backtrace_does_not_trace_the_settled_tail(
+        theta_005, ql_model, ql_evaluator, controls1d, monkeypatch):
+    calls = []
+    unchecked = GridField.interpolate_unchecked
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return unchecked(self, pts)
+
+    monkeypatch.setattr(GridField, "interpolate_unchecked", counted)
+    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
+    # the start value, then one step that repeats its own state
+    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+                      0.05, 0.0, 0.0, 1e4 * dt, dt)
+    assert curve.segments >= 10000
+    assert len(calls) <= 2
+    calls.clear()
+    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+                      0.05, 0.0, 2.0, 1e4 * dt, dt)
+    moves = np.flatnonzero(np.any(curve.points[1:] != curve.points[:-1],
+                                  axis=1))
+    last_move = int(moves[-1]) + 1   # steps up to and including the last move
+    assert last_move < 1000
+    assert len(calls) <= last_move + 2
+
+
 def test_backtrace_matches_reference_arctan(arctan_solve, controls1d):
     model, ev, field = arctan_solve
     dt = SolveParams().resolve(field.grid, controls1d).dt
@@ -112,7 +172,16 @@ def test_backtrace_matches_reference_arctan(arctan_solve, controls1d):
                              1.5, 3.0, dt)
 
 
-def test_backtrace_matches_reference_on_a_2d_ball_boundary():
+def test_backtrace_fills_the_arctan_tail_exactly(arctan_solve, controls1d):
+    model, ev, field = arctan_solve
+    dt = SolveParams().resolve(field.grid, controls1d).dt
+    curve, _ = assert_matches_reference(field, model, ev, controls1d, 0.2,
+                                        math.pi, 1.5, 20.0, dt)
+    assert settled(curve)
+
+
+@pytest.fixture(scope="module")
+def ball_2d():
     # the potential falls toward (-2, 0) on the ball boundary: the curve
     # reaches the boundary there, and controls leaving the ball are blocked
     model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
@@ -125,11 +194,23 @@ def test_backtrace_matches_reference_on_a_2d_ball_boundary():
     out = solve_state_constraint(model, grid, 0.4, 0.0, params,
                                  controls=controls, evaluator=ev)
     assert out.converged
-    curve, blocked = assert_matches_reference(out.field, model, ev, controls,
-                                              0.4, 0.0, (0.5, 1.5), 4.0,
-                                              params.dt)
+    return out.field, model, ev, controls, params.dt
+
+
+def test_backtrace_matches_reference_on_a_2d_ball_boundary(ball_2d):
+    field, model, ev, controls, dt = ball_2d
+    curve, blocked = assert_matches_reference(field, model, ev, controls,
+                                              0.4, 0.0, (0.5, 1.5), 4.0, dt)
     assert blocked >= 10
     np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
+
+
+def test_backtrace_fills_the_2d_boundary_tail_exactly(ball_2d):
+    field, model, ev, controls, dt = ball_2d
+    curve, _ = assert_matches_reference(field, model, ev, controls, 0.4, 0.0,
+                                        (0.5, 1.5), 12.0, dt)
+    np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
+    assert settled(curve)
 
 
 def test_backtrace_stationary_at_the_well(theta_005, ql_model, ql_evaluator,
