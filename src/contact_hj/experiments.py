@@ -4,8 +4,8 @@ Each driver consumes a validated ExperimentConfig, runs its sweep cells in
 order, and assembles a ConvergenceReport whose verdicts cite the table rows
 they were computed from. Cell failures are recorded in the tables and the
 sweep continues; only configuration errors abort a run. All artifacts (CSV
-tables, gnuplot .dat files, report.json) are written atomically under
-out/<experiment>/<timestamp>/.
+tables, which gnuplot reads with `set datafile separator ","`, and
+report.json) are written atomically under out/<experiment>/<timestamp>/.
 """
 
 import datetime
@@ -309,10 +309,6 @@ class ConvergenceReport:
                                 for row in tab["rows"]]
             atomic_write_text(os.path.join(run_dir, f"{name}.csv"),
                               "\n".join(lines) + "\n")
-            dat = ["# " + " ".join(tab["columns"])]
-            dat += [" ".join(_fmt(v) for v in row) for row in tab["rows"]]
-            atomic_write_text(os.path.join(run_dir, f"{name}.dat"),
-                              "\n".join(dat) + "\n")
         atomic_write_text(os.path.join(run_dir, "report.json"),
                           json.dumps(self.to_json(), indent=2) + "\n")
 
@@ -783,6 +779,8 @@ def builtin_models() -> dict:
         "c": 0.0,
         # the truncation ball, max(radii) + 2, must fit the [-6, 6]^2 box
         "radii": [1.0, 2.0, 3.0],
+        # a curve from (1, 0) moves, so the selection verdict tests something
+        "probes": [[0.0, 0.0], [1.0, 0.0]],
         "expect_assumptions": dict(base_expect),
     })
     return presets

@@ -171,12 +171,8 @@ class UniformGrid:
             rmap = np.where(near >= 0, near, flat)
         else:
             nx, ny = self.shape
-            near_x = np.empty(self.shape, dtype=int)
-            for j in range(ny):
-                near_x[:, j] = _axis_nearest_in_mask(mask[:, j])
-            near_y = np.empty(self.shape, dtype=int)
-            for i in range(nx):
-                near_y[i, :] = _axis_nearest_in_mask(mask[i, :])
+            near_x = np.apply_along_axis(_axis_nearest_in_mask, 0, mask)
+            near_y = np.apply_along_axis(_axis_nearest_in_mask, 1, mask)
             ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
             dist_x = np.where(near_x >= 0, np.abs(near_x - ii), nx + ny)
             dist_y = np.where(near_y >= 0, np.abs(near_y - jj), nx + ny)

@@ -18,8 +18,8 @@ with outer factor phi = 0 for none, phi(x) for linear and 1 for arctan.
 Only arctan has a momentum term, (r^2 + 1)*(arctan(u) + shift); the other
 couplings are separable: W does not depend on u, and closed-form kinetics
 give it as their conjugate. Otherwise the grid-based evaluator maximizes
-r*s - kinetic(r) - m(r, u) over a uniform r-lattice, for any broadcast mix
-of speeds s and levels u, in blocks of bounded size; each level doubles its
+r*s - kinetic(r) - m(r, u) over a uniform r-lattice once per distinct pair
+(s, u) of a broadcast mix, in blocks of bounded size, doubling a pair's
 lattice extent while its maximizer lands on the boundary.
 
 check_assumptions samples the structure hypotheses on H (H1-H4, P1-P3) on
@@ -354,8 +354,9 @@ class HamiltonianModel:
 # Lagrangian evaluation
 
 
-P_EXTENT = 20.0  # initial extent of the radial momentum lattice
+P_EXTENT = 20.0  # lower_bound_m0 lattice, kappa radius, tabulated sup cap
 P_SPACING = 0.01  # spacing of the radial momentum lattice
+_EXTENT_START = P_EXTENT / 8  # first extent of the lattice sup
 _EXTENT_CAP = 160.0
 _BLOCK = 1 << 15  # elements per temporary of the lattice sup (256 KB)
 _TABLE_DU = 5e-3  # u spacing of the sup-term tables of p-coupled sweeps
@@ -370,12 +371,13 @@ class LagrangianEvaluator:
     """Legendre transform L(x, v, u) = W(|v|, u) + f(x) - phi(x)*u.
 
     W is the kinetic conjugate when the kinetic has one and the coupling is
-    separable. Otherwise the supremum is taken over the radial momentum
-    lattice of spacing P_SPACING and extent P_EXTENT. A level u whose
-    maximizer sits on the lattice edge at any of its speeds is redone at
-    double the extent, up to a hard cap (tabulated kinetics stay at their
-    table extent). Payoffs are formed in blocks of at most _BLOCK elements,
-    however many speeds and levels a call asks for.
+    separable. Otherwise it is a sup over the radial momentum lattice of
+    spacing P_SPACING, once per distinct (speed, level) pair, from extent
+    P_EXTENT/8 doubled while the pair's maximizer is on the lattice edge, up
+    to a hard cap (tabulated kinetics: min(P_EXTENT, table extent)). Each
+    lattice is a prefix of the next and, under H1, the payoff is concave in
+    r: a first maximum inside one is first on all longer ones, so the sup is
+    exact for models that satisfy H1. Blocks hold at most _BLOCK payoffs.
     """
 
     def __init__(self, model: HamiltonianModel):
@@ -387,45 +389,54 @@ class LagrangianEvaluator:
 
     def _radial_sup(self, speeds, u) -> np.ndarray:
         """max over the r-lattice of r*s - kinetic(r) - m(r, u), elementwise
-        over the broadcast (speeds, u)."""
-        speeds, u = np.broadcast_arrays(speeds, u)
+        over the broadcast (speeds, u), one payoff row per distinct pair."""
+        speeds, u = np.broadcast_arrays(np.asarray(speeds, dtype=float), u)
         out = np.empty(speeds.shape)
-        flat_s, flat_o = speeds.reshape(-1), out.reshape(-1)
-        levels, level_of = np.unique(u.reshape(-1), return_inverse=True)
-        pending = np.argsort(level_of, kind="stable")
-        level_of = level_of[pending]  # grouped by level
+        if not out.size:
+            return out
+        # pairs grouped by level; speeds compare bitwise, levels by value,
+        # so -0.0 and 0.0 share a level (momentum_term gives them equal bits)
+        bits = speeds.reshape(-1).view(np.int64)
+        order = np.lexsort((bits, u.reshape(-1)))
+        level_u, bits = u.reshape(-1)[order], bits[order]
+        first = np.concatenate(([True], (level_u[1:] != level_u[:-1])
+                                | (bits[1:] != bits[:-1])))
+        pair_s, pair_u = bits.view(float)[first], level_u[first]
+        del bits, level_u  # full-size, freed before the payoff blocks
+        sup = np.empty(len(pair_s))
         kinetic, coupling = self.model.kinetic, self.model.coupling
         tabulated = isinstance(kinetic, TabulatedKinetic)
         cap = min(P_EXTENT, kinetic.extent) if tabulated else _EXTENT_CAP
-        extent = min(P_EXTENT, cap)
+        extent = min(_EXTENT_START, cap)
+        pending = np.arange(len(pair_s))
         while True:
             r = _lattice(extent)
             kin = kinetic.radial(r)
             edge = np.empty(len(pending), dtype=bool)
             # blocks of at most _BLOCK payoff elements, each at one level
-            new_level = np.diff(level_of, prepend=-1) != 0
-            cuts = np.union1d(np.flatnonzero(new_level), np.arange(
+            levels = pair_u[pending]
+            starts = np.concatenate(([True], levels[1:] != levels[:-1]))
+            cuts = np.union1d(np.flatnonzero(starts), np.arange(
                 0, len(pending), max(1, _BLOCK // len(r)))).tolist()
             for lo, hi in zip(cuts, cuts[1:] + [len(pending)]):
-                if new_level[lo]:
-                    row = kin + coupling.momentum_term(
-                        r, float(levels[level_of[lo]]))
-                payoff = np.multiply.outer(flat_s[pending[lo:hi]], r)
+                if starts[lo]:
+                    row = kin + coupling.momentum_term(r, float(levels[lo]))
+                payoff = np.multiply.outer(pair_s[pending[lo:hi]], r)
                 payoff -= row
                 best = payoff.argmax(axis=1)
-                flat_o[pending[lo:hi]] = payoff[np.arange(hi - lo), best]
+                sup[pending[lo:hi]] = payoff[np.arange(hi - lo), best]
                 edge[lo:hi] = best == len(r) - 1
                 del payoff  # the next block reuses its memory, not new pages
             if not np.any(edge):
+                out.reshape(-1)[order] = sup[np.cumsum(first) - 1]
                 return out
             if extent >= cap:
                 raise ExtentError(
                     "maximizer on the tabulated kinetic boundary" if tabulated
                     else f"Legendre maximizer escaped the momentum lattice at "
                          f"extent {extent:g} (cap {_EXTENT_CAP:g})")
-            # the levels with an edge maximizer start over at double extent
-            redo = np.isin(level_of, level_of[edge])
-            pending, level_of = pending[redo], level_of[redo]
+            # only the pairs with an edge maximizer go on to double extent
+            pending = pending[edge]
             extent = min(2.0 * extent, cap)
 
     def _sup_term(self, speeds: np.ndarray, u) -> np.ndarray:

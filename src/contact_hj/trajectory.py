@@ -2,17 +2,12 @@
 
 A curve is traced by greedy one-step descent of the dynamic programming
 operator on a converged field; the per-step defect is recorded rather than
-assumed zero. For separable couplings the per-control sup term of the
-Lagrangian is computed once per curve, for p-coupled ones once per step at
-the step's level; each step interpolates the field once, at the admissible
-feet, and the chosen foot's value is the next step's field value. A step's
-state is its point and that value, so once a step chooses its own point
-and value bit for bit, every later step repeats it: the loop ends there
-and fills the tail exactly, and a settled curve costs its transient. Discount
-indices are difference quotients of the Lagrangian in its u slot between
-the field level and a reference level; their left-Riemann cumulative
-integrals weight both the representation formulas and the discounted
-measures, so the same convention is used everywhere.
+assumed zero, and a curve that settles costs only its transient (see
+backtrace). Discount indices are difference quotients of the Lagrangian in
+its u slot between the field level and a reference level, one lattice sup
+per distinct (speed, level) pair for p-coupled models. One left-Riemann
+convention for their cumulative integrals weights both the representation
+formulas and the discounted measures.
 """
 
 import math

@@ -370,7 +370,7 @@ def test_repeated_runs_give_identical_artifacts(tmp_path):
     def payloads(run_dir):
         names = {}
         for path in glob.glob(os.path.join(run_dir, "*")):
-            if path.endswith(".csv") or path.endswith(".dat"):
+            if path.endswith(".csv"):
                 with open(path, "rb") as fh:
                     names[os.path.basename(path)] = fh.read()
         return names

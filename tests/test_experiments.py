@@ -166,7 +166,8 @@ def test_sweep_tables_and_artifacts(sweep_report):
         assert row[4] == "ok"
     for name in ("solves", "cauchy", "profiles"):
         assert os.path.exists(os.path.join(run_dir, f"{name}.csv"))
-        assert os.path.exists(os.path.join(run_dir, f"{name}.dat"))
+    # tables are written as .csv and inside report.json only
+    assert not [f for f in os.listdir(run_dir) if f.endswith(".dat")]
     for fname in ("field_lam0.2.csv", "field_lam0.1.csv",
                   "limit_proxy_field.csv", "mane_field.csv", "report.json"):
         assert os.path.exists(os.path.join(run_dir, fname))

@@ -364,6 +364,13 @@ def reference_radial_sup(model, speeds, u):
         extent = min(2.0 * extent, _EXTENT_CAP)
 
 
+def _speed_with_maximizer(model, r, u):
+    """The speed whose maximizer is r: s = d/dr [kinetic + m](r, u)."""
+    return (model.kinetic.radial(r + 1e-6) - model.kinetic.radial(r - 1e-6)
+            + model.coupling.momentum_term(r + 1e-6, u)
+            - model.coupling.momentum_term(r - 1e-6, u)) / 2e-6
+
+
 _KINETICS = {
     "quadratic": QuadraticKinetic(),
     "power": PowerKinetic(tau=1.5),
@@ -386,18 +393,19 @@ def test_radial_sup_matches_per_level_reference(kinetic, coupling):
                              potential=parse("0"),
                              coupling=_COUPLINGS[coupling])
     ev = LagrangianEvaluator(model)
-    levels = np.array([-10.0, -0.75, 0.0, 0.3, 2.5])
-    # fastest maximizer per level: 0, 1 and 2 doublings of P_EXTENT = 20
-    # (all inside the table for the tabulated kinetic)
-    tops = ([5.0, 10.0, 15.0, 5.0, 10.0] if kinetic == "tabulated"
-            else [75.0, 35.0, 15.0, 75.0, 35.0])
-    # the speed whose maximizer is r solves s = d/dr [kinetic + m](r, u)
-    top_speeds = [
-        (model.kinetic.radial(r + 1e-6) - model.kinetic.radial(r - 1e-6)
-         + model.coupling.momentum_term(r + 1e-6, u)
-         - model.coupling.momentum_term(r - 1e-6, u)) / 2e-6
-        for r, u in zip(tops, levels)]
+    # -0.0 and 0.0 are one level of the evaluator, two of the reference
+    levels = np.array([-10.0, -0.75, 0.0, 0.3, 2.5, -0.0])
+    # fastest maximizer per level: 0, 1 and 2 doublings of the reference's
+    # P_EXTENT = 20, which are 3, 4 and 5 doublings of the evaluator's first
+    # extent P_EXTENT/8 (all inside the table for the tabulated kinetic)
+    tops = ([5.0, 10.0, 15.0, 5.0, 10.0, 15.0] if kinetic == "tabulated"
+            else [75.0, 35.0, 15.0, 75.0, 35.0, 15.0])
+    top_speeds = [_speed_with_maximizer(model, r, u)
+                  for r, u in zip(tops, levels)]
     speeds = np.linspace(0.0, 1.0, 233)[None, :] * np.array(top_speeds)[:, None]
+    # maximizers at r = 3, 7 and 12: 1, 2 and 3 doublings of P_EXTENT/8 = 2.5
+    speeds = np.hstack([speeds, [[_speed_with_maximizer(model, r, u)
+                                  for r in (3.0, 7.0, 12.0)] for u in levels]])
     # several blocks per level
     assert speeds.shape[1] * len(_lattice(P_EXTENT)) > 4 * hamiltonian._BLOCK
     refs = [reference_radial_sup(model, s, float(u))
@@ -406,14 +414,36 @@ def test_radial_sup_matches_per_level_reference(kinetic, coupling):
     assert extents == ({20.0} if kinetic == "tabulated" else {20.0, 40.0, 80.0})
     want = np.stack([vals for vals, _ in refs])
     got = ev._radial_sup(speeds, levels[:, None])
-    assert np.array_equal(got, want)
-    # the same pairs shuffled into one flat call: each level still doubles
-    # on its own speeds
-    perm = np.random.RandomState(3).permutation(want.size)
+    assert got.tobytes() == want.tobytes()
+    # every pair three times over, shuffled into one flat call: each pair
+    # still doubles on its own
+    perm = np.random.RandomState(3).permutation(np.tile(np.arange(want.size),
+                                                        3))
     flat_u = np.broadcast_to(levels[:, None], want.shape).reshape(-1)
-    assert np.array_equal(ev._radial_sup(speeds.reshape(-1)[perm],
-                                         flat_u[perm]),
-                          want.reshape(-1)[perm])
+    got = ev._radial_sup(speeds.reshape(-1)[perm], flat_u[perm])
+    assert got.tobytes() == want.reshape(-1)[perm].tobytes()
+
+
+@pytest.mark.parametrize("coupling", sorted(_COUPLINGS))
+def test_radial_sup_on_a_table_shorter_than_the_first_extent(coupling):
+    # p^2/2 tabulated on [0, 2], below P_EXTENT/8 = 2.5
+    kinetic = TabulatedKinetic(
+        dp=0.05, values=tuple(0.5 * (0.05 * k) ** 2 for k in range(41)))
+    model = HamiltonianModel(dim=1, kinetic=kinetic, potential=parse("0"),
+                             coupling=_COUPLINGS[coupling])
+    ev = LagrangianEvaluator(model)
+    assert kinetic.extent < hamiltonian._EXTENT_START
+    levels = np.array([-0.0, 0.0, 0.3])
+    speeds = np.stack([np.linspace(0.0, 1.0, 41)
+                       * _speed_with_maximizer(model, 1.9, u)
+                       for u in levels])
+    want = np.stack([reference_radial_sup(model, s, float(u))[0]
+                     for s, u in zip(speeds, levels)])
+    got = ev._radial_sup(speeds, levels[:, None])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ExtentError):
+        ev._radial_sup(np.array([_speed_with_maximizer(model, 2.2, 0.0)]),
+                       0.0)
 
 
 def test_coupling_table_matches_stacked_reference(arctan_model):

@@ -16,6 +16,8 @@ from contact_hj.solver import (CMismatchError, ControlSet, SolveParams,
                                lax_oleinik_step, mane_potential, solve_ergodic,
                                solve_maximal_global, solve_state_constraint)
 
+from contact_hj.trajectory import backtrace
+
 from conftest import quadrature_mane
 
 
@@ -626,6 +628,63 @@ def test_mane_pin_outside_mask_raises(ql_model):
     grid = UniformGrid(Domain.ball(((-8.0, 8.0),), 3.0), (161,))
     with pytest.raises(SolverError, match="pin"):
         mane_potential(ql_model, grid, 7.0, 0.0)
+
+
+def test_mane_observed_order_against_quadrature(ql_model, ql_evaluator,
+                                                controls1d, params_tight,
+                                                mane401):
+    # the first-order scheme's error on [-3, 3] halves with dx: one
+    # solve each at dx = 0.2, 0.1 and 0.05 on [-10, 10]
+    errors = []
+    for n in (101, 201, 401):
+        grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (n,))
+        fld = mane401 if n == 401 else mane_potential(
+            ql_model, grid, 0.0, 0.0, params_tight, controls=controls1d,
+            evaluator=ql_evaluator)
+        xs = grid.axes[0][np.abs(grid.axes[0]) <= 3.0 + 1e-9]
+        err = fld.interpolate(xs) - quadrature_mane(xs)
+        assert np.min(err) >= 0.0  # the scheme overestimates S
+        errors.append(float(np.max(err)))
+    assert errors[-1] > 0.0
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((orders >= 0.8) & (orders <= 1.1)), (errors, orders)
+
+
+def test_two_dimensional_radial_oracle_solve_and_trace():
+    # radial Gaussian well: S(x, 0) is the 1D quadrature at |x|
+    model = HamiltonianModel(
+        dim=2, kinetic=QuadraticKinetic(),
+        potential=parse("1 - exp(-(x^2 + y^2))"),
+        coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    ev = LagrangianEvaluator(model)
+    controls = ControlSet.build(2)
+    grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.5), (31, 31))
+    params = SolveParams(tol=1e-7)
+    fld = mane_potential(model, grid, (0.0, 0.0), 0.0, params,
+                         controls=controls, evaluator=ev)
+    inside = grid.mask.ravel()
+    pts = grid.points()[inside]
+    err = fld.values.ravel()[inside] - quadrature_mane(
+        np.linalg.norm(pts, axis=1))
+    dx = grid.dx[0]
+    assert np.min(err) >= 0.0
+    # on the axes the error is the 1D one, about 0.7 dx; off them the
+    # stencil is not aligned with the rays and it is about 1.3 dx
+    on_axis = np.any(pts == 0.0, axis=1)
+    assert np.max(err[on_axis]) <= dx
+    assert np.max(err) <= 1.5 * dx
+
+    out = solve_state_constraint(model, grid, 0.2, 0.0, params,
+                                 controls=controls, evaluator=ev)
+    assert out.converged
+    curve = backtrace(out.field, model, ev, controls, 0.2, 0.0, (1.0, 0.0),
+                      10.0, params.resolve(grid, controls).dt)
+    assert curve.warning == ""
+    # the minimizer from (1, 0) runs down the axis into the well bottom
+    radius = np.linalg.norm(curve.points, axis=1)
+    assert np.all(np.diff(radius) <= 1e-12)
+    assert np.all(curve.points[:, 1] == 0.0)
+    assert radius[-1] <= dx
 
 
 def test_aubry_indicator_separates_the_well(ql_model, ql_evaluator,
