@@ -229,7 +229,7 @@ def _cmd_measure(args) -> int:
                "weight_sum": float(np.sum(mu.weights))}
     atomic_write_text(os.path.join(run_dir, "measure.json"),
                       json.dumps(summary, indent=2) + "\n")
-    _say(args, f"measure on {len(mu.weights)} samples; closedness "
+    _say(args, f"measure on {len(mu.weights)} atoms; closedness "
                f"{summary['closedness_defect']:.3e}, mather "
                f"{summary['mather_defect']:.3e}")
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Domain", "UniformGrid", "GridField", "DomainError",
-           "atomic_write_text", "tensor_points"]
+           "atomic_write_text", "atomic_write_rows", "tensor_points"]
 
 
 class DomainError(ValueError):
@@ -35,6 +35,17 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_rows(path, header, rows) -> None:
+    """Write header lines, then one line per row of a float matrix with
+    every value at .17g (a write/read cycle is bit-exact)."""
+    rows = np.asarray(rows, dtype=float)
+    # str.format calls float.__format__, as f"{c:.17g}" does, so a row has
+    # the bytes of per-value f-strings
+    fmt = ",".join(["{:.17g}"] * rows.shape[1]).format
+    lines = list(header) + [fmt(*row) for row in rows.tolist()]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def tensor_points(axes) -> np.ndarray:
@@ -266,15 +277,11 @@ class GridField:
         meta = self.meta
         radius = grid.domain.radius
         r_text = "inf" if math.isinf(radius) else f"{radius:.17g}"
-        lines = [
+        header = [
             "# kind,lambda,c,R,dx",
             "# {},{:.17g},{:.17g},{},{:.17g}".format(
                 meta.get("kind", "field"), float(meta.get("lambda", 0.0)),
                 float(meta.get("c", 0.0)), r_text, grid.dx[0]),
         ]
-        pts = grid.points()
-        vals = self.values.ravel()
-        for i in range(grid.size):
-            coord = ",".join(f"{c:.17g}" for c in pts[i])
-            lines.append(f"{coord},{vals[i]:.17g}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_rows(path, header, np.column_stack(
+            [grid.points(), self.values.ravel()]))

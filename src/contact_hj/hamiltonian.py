@@ -416,8 +416,9 @@ class LagrangianEvaluator:
             # blocks of at most _BLOCK payoff elements, each at one level
             levels = pair_u[pending]
             starts = np.concatenate(([True], levels[1:] != levels[:-1]))
-            cuts = np.union1d(np.flatnonzero(starts), np.arange(
-                0, len(pending), max(1, _BLOCK // len(r)))).tolist()
+            brk = starts.copy()
+            brk[::max(1, _BLOCK // len(r))] = True
+            cuts = np.flatnonzero(brk).tolist()
             for lo, hi in zip(cuts, cuts[1:] + [len(pending)]):
                 if starts[lo]:
                     row = kin + coupling.momentum_term(r, float(levels[lo]))

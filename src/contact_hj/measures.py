@@ -1,8 +1,10 @@
 """Discounted occupation measures and the functionals that classify them.
 
-Measures are finite weighted samples in phase space built from traced
+Measures are finite weighted atoms in phase space built from traced
 curves: the sample at time t_k carries weight proportional to the
-exponential discount e^{λ β(t_k)} Δt. Weak* statements are proxied by a
+exponential discount e^{λ β(t_k)} Δt, and each run of consecutive samples
+with equal position and velocity is one atom carrying the run's summed
+weight, so a settled tail costs one atom. Weak* statements are proxied by a
 finite battery of C¹ test functions with exact expression-tree gradients;
 that keeps every assertion falsifiable at the cost of testing only finitely
 many directions.
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, coordinate_names, parse, point_env
-from .grid import GridField, atomic_write_text
+from .grid import GridField, atomic_write_rows
 from .hamiltonian import LagrangianEvaluator
 from .trajectory import Curve, IndexSeries
 
@@ -26,7 +28,7 @@ __all__ = ["WeightedSampleMeasure", "TestFunction", "TestFunctionBattery",
 
 @dataclass(frozen=True)
 class WeightedSampleMeasure:
-    """Probability measure on phase space supported on finitely many samples."""
+    """Probability measure on phase space supported on finitely many atoms."""
 
     points: np.ndarray      # (N, dim)
     velocities: np.ndarray  # (N, dim)
@@ -103,25 +105,30 @@ def default_battery(dim: int) -> TestFunctionBattery:
 
 def discounted_measure(curve: Curve, indices: IndexSeries,
                        lam: float) -> WeightedSampleMeasure:
-    """Discounted occupation measure of a traced curve.
+    """Discounted occupation measure of a traced curve, as distinct atoms.
 
     Sample k sits at (x_k, a_k) with weight proportional to
     e^{λ*cumulative(t_k)}*Δt; the terminal point is included with the last
     segment's velocity so the weights cover every time node of the curve.
+    Each run of consecutive samples with equal (x, a) is one atom, in time
+    order, at the run's first sample with the run's summed weight.
     """
     n = curve.segments
     if n < 1:
         raise ValueError("curve has no segments")
-    w = np.exp(lam * indices.cumulative) * curve.dt
+    w = indices.weights(lam) * curve.dt
     total = float(np.sum(w))
     if not (total > 0) or not math.isfinite(total):
         raise ValueError("degenerate discount weights")
+    pts = curve.points
     vel = np.vstack([curve.velocities, curve.velocities[-1][None, :]])
-    w = w / total
+    moved = np.any((pts[1:] != pts[:-1]) | (vel[1:] != vel[:-1]), axis=1)
+    first = np.flatnonzero(np.concatenate(([True], moved)))
+    w = np.add.reduceat(w, first) / total
     # guard the normalization invariant against accumulated rounding
     w = w / float(np.sum(w))
-    return WeightedSampleMeasure(points=curve.points.copy(),
-                                 velocities=vel, weights=w)
+    return WeightedSampleMeasure(points=pts[first], velocities=vel[first],
+                                 weights=w)
 
 
 def closedness_defect(mu: WeightedSampleMeasure,
@@ -200,12 +207,8 @@ def weak_limit_diagnostics(measures: dict, battery: TestFunctionBattery,
 
 
 def write_measure_csv(path, mu: WeightedSampleMeasure) -> None:
+    """One row per atom: position, velocity, weight."""
     dim = mu.points.shape[1]
     cols = ["x", "y"][:dim] + ["v", "vy"][:dim] + ["w"]
-    lines = ["# " + ",".join(cols)]
-    for k in range(len(mu.weights)):
-        row = [f"{c:.17g}" for c in mu.points[k]]
-        row += [f"{c:.17g}" for c in mu.velocities[k]]
-        row.append(f"{mu.weights[k]:.17g}")
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_rows(path, ["# " + ",".join(cols)], np.column_stack(
+        [mu.points, mu.velocities, mu.weights]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, atomic_write_text
+from .grid import GridField, atomic_write_rows
 from .hamiltonian import LagrangianEvaluator
 from .solver import ControlSet, SolverError
 
@@ -182,7 +182,7 @@ def exponential_action(curve: Curve, indices: IndexSeries,
     xk = curve.points[:n]
     ak = curve.velocities
     lvals = np.asarray(evaluator.legendre(xk, ak, level), dtype=float)
-    w = np.exp(lam * indices.cumulative[:n])
+    w = indices.weights(lam)[:n]
     total = float(np.sum(w * (lvals + c) * curve.dt))
     if boundary_field is not None:
         tail_w = math.exp(lam * float(indices.cumulative[-1]))
@@ -192,18 +192,16 @@ def exponential_action(curve: Curve, indices: IndexSeries,
 
 
 def write_curve_csv(path, curve: Curve, indices: IndexSeries) -> None:
-    """Persist a curve with its index series: t, x, a, index, cumulative."""
+    """Persist a curve with its index series: t, x, a, index, cumulative.
+
+    One row per time node; the terminal node repeats the last segment's
+    velocity and index value.
+    """
     dim = curve.points.shape[1]
     cols = ["t"] + ["x", "y"][:dim] + ["a", "ay"][:dim] \
         + ["index_value", "cumulative"]
-    lines = ["# " + ",".join(cols)]
     n = curve.segments
-    for k in range(n + 1):
-        row = [f"{curve.times[k]:.17g}"]
-        row += [f"{coord:.17g}" for coord in curve.points[k]]
-        a = curve.velocities[min(k, n - 1)]
-        row += [f"{comp:.17g}" for comp in a]
-        idx = indices.values[min(k, n - 1)]
-        row += [f"{idx:.17g}", f"{indices.cumulative[k]:.17g}"]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    seg = np.minimum(np.arange(n + 1), n - 1)
+    atomic_write_rows(path, ["# " + ",".join(cols)], np.column_stack(
+        [curve.times, curve.points, curve.velocities[seg],
+         indices.values[seg], indices.cumulative]))

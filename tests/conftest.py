@@ -95,6 +95,23 @@ def mane401(ql_model, grid401, params_tight, controls1d, ql_evaluator):
                           controls=controls1d, evaluator=ql_evaluator)
 
 
+@pytest.fixture(scope="session")
+def ball_2d():
+    # the potential falls toward (-2, 0) on the ball boundary: the curve
+    # reaches the boundary there, and controls leaving the ball are blocked
+    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
+                             potential=parse("2 + x"),
+                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    ev = LagrangianEvaluator(model)
+    grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.0), (25, 25))
+    controls = ControlSet.build(2, da=1.0)
+    params = SolveParams(tol=1e-6).resolve(grid, controls)
+    out = solve_state_constraint(model, grid, 0.4, 0.0, params,
+                                 controls=controls, evaluator=ev)
+    assert out.converged
+    return out.field, model, ev, controls, params.dt
+
+
 def read_field_csv(path) -> GridField:
     """Read back a field written by GridField.to_csv."""
     with open(path) as handle:

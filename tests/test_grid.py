@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from contact_hj.grid import Domain, DomainError, GridField, UniformGrid
+from contact_hj.grid import (Domain, DomainError, GridField, UniformGrid,
+                             atomic_write_rows)
 
 from conftest import read_field_csv
 
@@ -116,6 +117,21 @@ def test_csv_roundtrip_2d(tmp_path):
     back = read_field_csv(path)
     np.testing.assert_array_equal(back.values, fld.values)
     assert math.isinf(back.grid.domain.radius)
+
+
+def test_row_writer_bytes_match_per_value_formatting(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    rows = np.array([[-0.0, tiny, 1e300],
+                     [-1e300, -tiny, 2.2250738585072014e-308],
+                     [-1.2345678901234567e-5, 1e-310, -0.1],
+                     [math.pi, -2.0, 0.0]])
+    path = tmp_path / "rows.csv"
+    atomic_write_rows(path, ["# a,b,c", "# second header"], rows)
+    lines = ["# a,b,c", "# second header"]
+    lines += [",".join(f"{c:.17g}" for c in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    back = np.loadtxt(path, delimiter=",", comments="#")
+    assert back.tobytes() == rows.tobytes()
 
 
 def test_nonfinite_values_rejected():

@@ -5,6 +5,9 @@ momentum grids (2e6 points on [-50, 50]) independent of the evaluator.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -476,3 +479,25 @@ def test_lattice_sup_memory_is_bounded(arctan_model):
     assert _peak_bytes(lambda: ev.partial_u_l(x, speeds, 0.4)) < _PEAK_BYTES
     assert _peak_bytes(lambda: ev.coupling_table(
         speeds[:97], -1.0, 1.0)) < _PEAK_BYTES
+
+
+def test_arctan_legendre_does_not_load_numpy_ma():
+    # np.unique and the set routines import numpy.ma on first use, ~8 ms in
+    # every fresh process; the lattice sup builds its block cuts without them
+    code = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from contact_hj.expressions import parse\n"
+        "from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,"
+        " LagrangianEvaluator, QuadraticKinetic)\n"
+        "model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),"
+        " potential=parse('1 - exp(-x^2)'),"
+        " coupling=ArctanCoupling(shift=math.pi))\n"
+        "x = np.linspace(-1.0, 1.0, 7)[:, None]\n"
+        "LagrangianEvaluator(model).legendre(x, 2.0 * x, 0.1 * x[:, 0])\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(hamiltonian.__file__))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

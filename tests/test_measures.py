@@ -80,8 +80,8 @@ def test_default_battery_sizes():
 
 def test_discounted_measure_geometric_weights(theta_005, ql_model,
                                               ql_evaluator, controls1d):
-    # stationary curve at the well: indices are -1, so the weights are an
-    # exact geometric sequence
+    # stationary curve at the well: indices are -1, so the per-step weights
+    # are an exact geometric sequence and the measure is one atom
     lam = 0.05
     dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
     curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
@@ -89,16 +89,106 @@ def test_discounted_measure_geometric_weights(theta_005, ql_model,
     ids = compute_indices(curve, ql_evaluator, theta_005.field,
                           lam, "kappa")
     mu = discounted_measure(curve, ids, lam)
+    assert mu.weights.tolist() == [1.0]
+    np.testing.assert_array_equal(mu.points, curve.points[:1])
+    np.testing.assert_array_equal(mu.velocities, curve.velocities[:1])
     n = curve.segments
-    assert mu.weights.shape == (n + 1,)
-    assert mu.points.shape == (n + 1, 1)
-    assert mu.velocities.shape == (n + 1, 1)
+    w = ids.weights(lam)
+    assert w.shape == (n + 1,)
+    w = w / float(np.sum(w))
     q = math.exp(-lam * dt)
     w0 = (1.0 - q) / (1.0 - q ** (n + 1))
-    assert abs(mu.weights[0] - w0) <= 1e-12
-    assert abs(float(np.sum(mu.weights)) - 1.0) <= 1e-12
-    ratios = mu.weights[1:] / mu.weights[:-1]
+    assert abs(w[0] - w0) <= 1e-12
+    ratios = w[1:] / w[:-1]
     np.testing.assert_allclose(ratios, q, rtol=0, atol=1e-12)
+
+
+def per_step_measure(curve, indices, lam):
+    """One sample per time node: the reference the atoms merge."""
+    w = indices.weights(lam) * curve.dt
+    w = w / float(np.sum(w))
+    vel = np.vstack([curve.velocities, curve.velocities[-1:]])
+    return WeightedSampleMeasure(points=curve.points, velocities=vel,
+                                 weights=w / float(np.sum(w)))
+
+
+def tail_start(curve) -> int:
+    """First time node from which every (point, velocity) sample repeats."""
+    vel = np.vstack([curve.velocities, curve.velocities[-1:]])
+    samples = np.hstack([curve.points, vel])
+    moved = np.flatnonzero(np.any(samples[1:] != samples[:-1], axis=1))
+    return int(moved[-1]) + 1 if len(moved) else 0
+
+
+@pytest.fixture(scope="module")
+def atom_cases(theta_005, ql_model, ql_evaluator, controls1d, ball_2d):
+    """(field, evaluator, curve, indices, lam) for a moving and a settled
+    curve, in 1D and 2D."""
+    dt1 = SolveParams().resolve(theta_005.field.grid, controls1d).dt
+    field2, model2, ev2, controls2, dt2 = ball_2d
+    specs = {
+        "1d-moving": (theta_005.field, ql_model, ql_evaluator, controls1d,
+                      0.05, 2.0, 120 * dt1, dt1),
+        "1d-settled": (theta_005.field, ql_model, ql_evaluator, controls1d,
+                       0.05, 1.0, 40.0, dt1),
+        "2d-moving": (field2, model2, ev2, controls2, 0.4, (0.5, 1.5),
+                      1.0, dt2),
+        "2d-settled": (field2, model2, ev2, controls2, 0.4, (0.5, 1.5),
+                       12.0, dt2),
+    }
+    out = {}
+    for name, (field, model, ev, ctrl, lam, z, horizon, dt) in specs.items():
+        curve = backtrace(field, model, ev, ctrl, lam, 0.0, z, horizon, dt)
+        ids = compute_indices(curve, ev, field, lam, "kappa")
+        out[name] = (field, ev, curve, ids, lam)
+    return out
+
+
+@pytest.mark.parametrize("case", ["1d-moving", "1d-settled", "2d-moving",
+                                  "2d-settled"])
+def test_atoms_match_the_per_step_measure(atom_cases, case):
+    field, ev, curve, ids, lam = atom_cases[case]
+    mu = discounted_measure(curve, ids, lam)
+    ref = per_step_measure(curve, ids, lam)
+    n = curve.segments
+    if case.endswith("moving"):
+        assert len(mu.weights) == n + 1
+    else:
+        assert len(mu.weights) < n // 2
+    bat = default_battery(curve.points.shape[1])
+
+    def pairings(m):
+        vals = [m.pair(lambda p, v, fn=fn: fn(p)) for fn in bat]
+        vals.append(m.pair(lambda p, v: ev.legendre(p, v, 0.0)))
+        return np.array(vals)
+
+    np.testing.assert_allclose(pairings(mu), pairings(ref), rtol=0,
+                               atol=1e-15)
+    for fn in (lambda m: closedness_defect(m, bat),
+               lambda m: mather_defect(m, ev, 0.0),
+               lambda m: selection_functional(m, field, ev),
+               lambda m: m.pair(lambda p, v: np.sqrt(np.sum(p ** 2, axis=1)))):
+        assert abs(fn(mu) - fn(ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("case", ["1d-settled", "2d-settled"])
+def test_settled_curve_is_its_transient_plus_one_atom(atom_cases, case,
+                                                      tmp_path):
+    _, _, curve, ids, lam = atom_cases[case]
+    mu = discounted_measure(curve, ids, lam)
+    k = tail_start(curve)
+    assert 0 < k < curve.segments // 2
+    assert len(mu.weights) == k + 1
+    np.testing.assert_array_equal(mu.points, curve.points[:k + 1])
+    np.testing.assert_array_equal(mu.velocities[:k], curve.velocities[:k])
+    assert abs(float(np.sum(mu.weights)) - 1.0) <= 1e-12
+    # the tail atom carries the discount weight of every repeated node
+    w = ids.weights(lam)
+    assert mu.weights[-1] == pytest.approx(
+        float(np.sum(w[k:])) / float(np.sum(w)), rel=1e-12)
+    path = tmp_path / "measure.csv"
+    write_measure_csv(path, mu)
+    assert len(path.read_text().splitlines()) == k + 2  # header + atoms
 
 
 def test_discounted_measure_rejects_empty_curve():

@@ -6,10 +6,8 @@ import pytest
 from contact_hj.expressions import parse
 from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
-                                    LagrangianEvaluator, LinearCoupling,
-                                    QuadraticKinetic)
-from contact_hj.solver import (ControlSet, SolveParams, SolverError,
-                               solve_state_constraint)
+                                    LagrangianEvaluator, QuadraticKinetic)
+from contact_hj.solver import SolveParams, SolverError, solve_state_constraint
 from contact_hj.trajectory import (INDEX_KINDS, backtrace, compute_indices,
                                    exponential_action, write_curve_csv)
 
@@ -178,23 +176,6 @@ def test_backtrace_fills_the_arctan_tail_exactly(arctan_solve, controls1d):
     curve, _ = assert_matches_reference(field, model, ev, controls1d, 0.2,
                                         math.pi, 1.5, 20.0, dt)
     assert settled(curve)
-
-
-@pytest.fixture(scope="module")
-def ball_2d():
-    # the potential falls toward (-2, 0) on the ball boundary: the curve
-    # reaches the boundary there, and controls leaving the ball are blocked
-    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
-                             potential=parse("2 + x"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
-    ev = LagrangianEvaluator(model)
-    grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.0), (25, 25))
-    controls = ControlSet.build(2, da=1.0)
-    params = SolveParams(tol=1e-6).resolve(grid, controls)
-    out = solve_state_constraint(model, grid, 0.4, 0.0, params,
-                                 controls=controls, evaluator=ev)
-    assert out.converged
-    return out.field, model, ev, controls, params.dt
 
 
 def test_backtrace_matches_reference_on_a_2d_ball_boundary(ball_2d):
