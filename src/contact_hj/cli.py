@@ -121,10 +121,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_critical(args) -> int:
     config = _load_config(args)
-    model, evaluator, controls, grid, params = setup(config)
+    kernel = setup(config)
     try:
-        est = estimate_critical_value(model, grid, config.lambdas, params,
-                                      controls=controls, evaluator=evaluator)
+        est = estimate_critical_value(kernel, config.lambdas,
+                                      config.build_params())
     except SolverError as exc:
         print(f"critical-value estimate failed: {exc}", file=sys.stderr)
         return 1
@@ -137,15 +137,14 @@ def _cmd_critical(args) -> int:
 
 
 def _solve(args):
-    """Config, runtime, discount, probe point and the state-constraint solve
+    """Config, kernel, discount, probe point and the state-constraint solve
     of solve, trace and measure."""
     config = _load_config(args)
-    rt = setup(config)
+    kernel = setup(config)
     lam = _pick_lam(args, config)
-    z = _pick_z(args, config, rt.model.dim)
-    out = solve_state_constraint(rt.model, rt.grid, lam, config.c, rt.params,
-                                 controls=rt.controls, evaluator=rt.evaluator)
-    return config, rt, lam, z, out
+    z = _pick_z(args, config, kernel.grid.dim)
+    out = solve_state_constraint(kernel, lam, config.c, config.build_params())
+    return config, kernel, lam, z, out
 
 
 def _cmd_solve(args) -> int:
@@ -163,9 +162,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ergodic(args) -> int:
     config = _load_config(args)
-    model, evaluator, controls, grid, params = setup(config)
-    out = solve_ergodic(model, grid, config.c, params, controls=controls,
-                        evaluator=evaluator)
+    out = solve_ergodic(setup(config), config.c, config.build_params())
     run_dir = make_run_dir(config.outdir, "ergodic", args.stamp)
     out.field.to_csv(os.path.join(run_dir, "field.csv"))
     atomic_write_text(os.path.join(run_dir, "outcome.json"),
@@ -177,12 +174,12 @@ def _cmd_ergodic(args) -> int:
 
 def _cmd_mane(args) -> int:
     config = _load_config(args)
-    model, evaluator, controls, grid, params = setup(config)
-    y = _pick_z(args, config, model.dim) if args.z else (0.0,) * model.dim
-    if model.dim == 1 and isinstance(y, tuple):
+    kernel = setup(config)
+    dim = kernel.grid.dim
+    y = _pick_z(args, config, dim) if args.z else (0.0,) * dim
+    if dim == 1 and isinstance(y, tuple):
         y = y[0]
-    field = mane_potential(model, grid, y, config.c, params,
-                           controls=controls, evaluator=evaluator)
+    field = mane_potential(kernel, y, config.c, config.build_params())
     run_dir = make_run_dir(config.outdir, "mane", args.stamp)
     field.to_csv(os.path.join(run_dir, "field.csv"))
     _say(args, f"pinned potential written (pin {y})")
@@ -190,13 +187,13 @@ def _cmd_mane(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config, rt, lam, z, out = _solve(args)
+    config, kernel, lam, z, out = _solve(args)
     field = out.field
-    curve, idx, horizon = trace_curve(rt, config, field, lam, z, args.horizon,
-                                      args.kind)
+    curve, idx, horizon = trace_curve(kernel, config, field, lam, z,
+                                      args.horizon, args.kind)
     run_dir = make_run_dir(config.outdir, "trace", args.stamp)
     write_curve_csv(os.path.join(run_dir, "curve.csv"), curve, idx)
-    action = exponential_action(curve, idx, rt.evaluator, lam,
+    action = exponential_action(curve, idx, kernel.evaluator, lam,
                                 config.c, boundary_field=field)
     vz = float(field.interpolate(np.reshape(z, (1, -1)))[0])
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
@@ -214,16 +211,16 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    config, rt, lam, z, out = _solve(args)
-    curve, idx, mu, horizon = trace_measure(rt, config, out.field, lam, z,
+    config, kernel, lam, z, out = _solve(args)
+    curve, idx, mu, horizon = trace_measure(kernel, config, out.field, lam, z,
                                             args.horizon)
-    battery = default_battery(rt.model.dim)
+    battery = default_battery(kernel.grid.dim)
     run_dir = make_run_dir(config.outdir, "measure", args.stamp)
     write_measure_csv(os.path.join(run_dir, "measure.csv"), mu)
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
                "horizon": horizon,
                "closedness_defect": closedness_defect(mu, battery),
-               "mather_defect": mather_defect(mu, rt.evaluator,
+               "mather_defect": mather_defect(mu, kernel.evaluator,
                                               config.c),
                "support_radius": mu.support_radius,
                "weight_sum": float(np.sum(mu.weights))}

@@ -14,7 +14,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +25,13 @@ from .measures import (closedness_defect, default_battery, discounted_measure,
                        mather_defect, selection_functional,
                        weak_limit_diagnostics, write_measure_csv)
 from .solver import (CMismatchError, ControlSet, SolveParams, SolverError,
-                     mane_potential, solve_ergodic, solve_state_constraint)
+                     SweepKernel, mane_potential, solve_ergodic,
+                     solve_state_constraint)
 from .trajectory import backtrace, compute_indices
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
            "vanishing_discount_sweep", "localization_study", "measure_study",
-           "builtin_models", "Runtime", "setup", "discount_chain",
+           "builtin_models", "setup", "discount_chain",
            "trace_curve", "trace_measure"]
 
 
@@ -138,7 +138,12 @@ class ExperimentConfig:
         _check_keys(solver, _SOLVER_KEYS, "solver.", numeric=_SOLVER_KEYS)
         solver.setdefault("tol", 1e-8)
         solver.setdefault("max_iters", 50000)
-        solver.setdefault("dt", None)
+        dt = solver.setdefault("dt", None)
+        if dt is not None:
+            dt = solver["dt"] = _number(dt, "solver.dt")
+            if not (math.isfinite(dt) and dt > 0):
+                raise ConfigError(f"'solver.dt' must be finite and > 0, "
+                                  f"got {dt!r}")
 
         controls = dict(data.get("controls", {}))
         _check_keys(controls, _CONTROL_KEYS, "controls.",
@@ -219,8 +224,7 @@ class ExperimentConfig:
 
     def build_params(self) -> SolveParams:
         s = self.solver
-        return SolveParams(dt=s["dt"], tol=float(s["tol"]),
-                           max_iters=int(s["max_iters"]))
+        return SolveParams(tol=float(s["tol"]), max_iters=int(s["max_iters"]))
 
     def build_controls(self, dim: int) -> ControlSet:
         return ControlSet.build(dim, max_speed=self.controls.get("max_speed"),
@@ -357,55 +361,44 @@ def _note_trace_warning(report, lam, probe, curve) -> None:
 # pipeline stages shared by the drivers and the CLI
 
 
-class Runtime(NamedTuple):
-    """The solver-side objects of a config on one grid."""
-
-    model: HamiltonianModel
-    evaluator: LagrangianEvaluator
-    controls: ControlSet
-    grid: UniformGrid
-    params: SolveParams     # resolved on grid
-
-
-def setup(config: ExperimentConfig, grid: UniformGrid = None) -> Runtime:
-    """Model, evaluator, controls and params resolved on grid (default: the
-    config's main grid)."""
+def setup(config: ExperimentConfig, grid: UniformGrid = None) -> SweepKernel:
+    """The sweep kernel of a config on grid (default: the config's main
+    grid), at the config's solver.dt or else the kernel's default."""
     model = config.build_model()
     evaluator = LagrangianEvaluator(model)
     controls = config.build_controls(model.dim)
     grid = config.build_grid() if grid is None else grid
-    params = config.build_params().resolve(grid, controls)
-    return Runtime(model, evaluator, controls, grid, params)
+    return SweepKernel(grid, evaluator, controls, config.solver["dt"])
 
 
-def discount_chain(rt: Runtime, config: ExperimentConfig):
+def discount_chain(kernel: SweepKernel, config: ExperimentConfig):
     """Yield (lam, outcome) of the state-constraint solves over the discount
     schedule, each warm-started from the previous field."""
+    params = config.build_params()
     warm = None
     for lam in config.lambdas:
-        out = solve_state_constraint(rt.model, rt.grid, lam, config.c,
-                                     rt.params, controls=rt.controls,
-                                     evaluator=rt.evaluator, v0=warm)
+        out = solve_state_constraint(kernel, lam, config.c, params, v0=warm)
         warm = out.field.values
         yield lam, out
 
 
-def trace_curve(rt: Runtime, config: ExperimentConfig, field, lam: float, z,
-                horizon: float = None, kind: str = "kappa"):
+def trace_curve(kernel: SweepKernel, config: ExperimentConfig, field,
+                lam: float, z, horizon: float = None, kind: str = "kappa"):
     """(curve, index series, horizon) of the backtrace from z on field; a
     falsy horizon means the config's tail rule."""
-    kappa_lo = max(rt.model.kappa_bounds(P_EXTENT)[0], 0.0)
+    evaluator = kernel.evaluator
+    kappa_lo = max(evaluator.model.kappa_bounds(P_EXTENT)[0], 0.0)
     horizon = horizon or config.trace_horizon(lam, kappa_lo)
-    curve = backtrace(field, rt.model, rt.evaluator, rt.controls, lam,
-                      config.c, z, horizon, rt.params.dt)
-    idx = compute_indices(curve, rt.evaluator, field, lam, kind)
+    curve = backtrace(field, evaluator, kernel.controls, lam, config.c, z,
+                      horizon, kernel.dt)
+    idx = compute_indices(curve, evaluator, field, lam, kind)
     return curve, idx, horizon
 
 
-def trace_measure(rt: Runtime, config: ExperimentConfig, field, lam: float,
-                  z, horizon: float = None):
+def trace_measure(kernel: SweepKernel, config: ExperimentConfig, field,
+                  lam: float, z, horizon: float = None):
     """(curve, kappa series, discounted measure, horizon) traced from z."""
-    curve, idx, horizon = trace_curve(rt, config, field, lam, z, horizon)
+    curve, idx, horizon = trace_curve(kernel, config, field, lam, z, horizon)
     return curve, idx, discounted_measure(curve, idx, lam), horizon
 
 
@@ -424,14 +417,15 @@ def vanishing_discount_sweep(config: ExperimentConfig,
     against every traced measure.
     """
     t_start = time.monotonic()
-    rt = setup(config, config.build_grid(kind="ball",
-                                         radius=config.trunc_radius()))
-    model, evaluator, controls, grid, params = rt
+    kernel = setup(config, config.build_grid(kind="ball",
+                                             radius=config.trunc_radius()))
+    evaluator = kernel.evaluator
+    params = config.build_params()
 
     report = ConvergenceReport("vanishing_discount", config.to_dict())
     fields = {}
     solve_rows = []
-    for lam, out in discount_chain(rt, config):
+    for lam, out in discount_chain(kernel, config):
         fields[lam] = out.field
         solve_rows.append([lam, out.iterations, out.final_residual,
                            out.converged])
@@ -468,17 +462,15 @@ def vanishing_discount_sweep(config: ExperimentConfig,
 
     # limit proxy: ergodic polish warm-started from the smallest discount
     lam_min = config.lambdas[-1]
-    origin = (0.0,) * model.dim
-    proxy_out = solve_ergodic(model, grid, config.c, params, anchor=origin,
-                              controls=controls, evaluator=evaluator,
+    origin = (0.0,) * kernel.grid.dim
+    proxy_out = solve_ergodic(kernel, config.c, params, anchor=origin,
                               v0=fields[lam_min].values)
     proxy = proxy_out.field
     report.add_verdict("proxy_ergodic_residual",
                        proxy_out.final_residual <= 5 * params.tol,
                        proxy_out.final_residual, "<= 5*tol", "solves", [])
 
-    mane = mane_potential(model, grid, origin, config.c, params,
-                          controls=controls, evaluator=evaluator)
+    mane = mane_potential(kernel, origin, config.c, params)
     proxy_w = proxy.interpolate(pts)
     mane_w = mane.interpolate(pts)
     gap = float(np.max(np.abs(proxy_w - mane_w)))
@@ -498,8 +490,8 @@ def vanishing_discount_sweep(config: ExperimentConfig,
     sel_rows = []
     sel_values = []
     for lam, probe in keys:
-        status, payload = _guard(trace_measure, rt, config, fields[lam], lam,
-                                 probe)
+        status, payload = _guard(trace_measure, kernel, config, fields[lam],
+                                 lam, probe)
         if status != "ok":
             sel_rows.append([lam, _probe_label(probe), "nan", 0.0, payload])
             continue
@@ -520,7 +512,7 @@ def vanishing_discount_sweep(config: ExperimentConfig,
         fields[lam].to_csv(os.path.join(run_dir, f"field_lam{lam:g}.csv"))
     proxy.to_csv(os.path.join(run_dir, "limit_proxy_field.csv"))
     mane.to_csv(os.path.join(run_dir, "mane_field.csv"))
-    if model.dim == 1:
+    if kernel.grid.dim == 1:
         cols = ["x"] + [f"u_{lam:g}" for lam in config.lambdas] \
             + ["proxy", "mane"]
         rows = np.column_stack([pts[:, 0]]
@@ -547,24 +539,32 @@ def localization_study(config: ExperimentConfig, z=None,
     r_trunc = config.trunc_radius()
     if r_trunc <= max(config.radii):
         raise ConfigError("truncation radius must exceed every scheduled R")
-    rt = setup(config, config.localization_grid(r_trunc))
+    kernel = setup(config, config.localization_grid(r_trunc))
+    params = config.build_params()
     at_z = np.array([z])
 
     report = ConvergenceReport("localization", config.to_dict())
     u_z = {}
     trunc_rows = []
-    for lam, out in discount_chain(rt, config):
+    for lam, out in discount_chain(kernel, config):
         u_z[lam] = float(out.field.interpolate(at_z)[0])
         trunc_rows.append([lam, r_trunc, u_z[lam], out.iterations,
                            out.final_residual])
     report.add_table("truncated", ["lambda", "R_trunc", "u_at_z",
                                    "iterations", "residual"], trunc_rows)
 
+    ball_kernels = {}
+
     def cell(lam, radius):
-        out = solve_state_constraint(rt.model,
-                                     config.localization_grid(radius), lam,
-                                     config.c, rt.params, controls=rt.controls,
-                                     evaluator=rt.evaluator)
+        # built on first use, so a grid or kernel error fails the cell, and
+        # at the truncation kernel's dt: a ball's dx, and so its default
+        # dt, differs from the truncation grid's in the last bits
+        if radius not in ball_kernels:
+            ball_kernels[radius] = SweepKernel(
+                config.localization_grid(radius), kernel.evaluator,
+                kernel.controls, kernel.dt)
+        out = solve_state_constraint(ball_kernels[radius], lam, config.c,
+                                     params)
         return float(out.field.interpolate(at_z)[0])
 
     keys = [(lam, r) for lam in config.lambdas for r in config.radii]
@@ -578,7 +578,7 @@ def localization_study(config: ExperimentConfig, z=None,
             continue
         gap = payload - u_z[lam]
         worst_sign = min(worst_sign, gap)
-        if gap < -2 * rt.params.tol:
+        if gap < -2 * params.tol:
             sign_ok = False
         gap_rows.append([lam, radius, payload, u_z[lam], gap, "ok"])
     report.add_table("gaps", ["lambda", "R", "theta_at_z", "u_at_z", "gap",
@@ -619,20 +619,21 @@ def measure_study(config: ExperimentConfig,
     runs the weak-limit diagnostics per probe.
     """
     t_start = time.monotonic()
-    rt = setup(config)
-    model, evaluator = rt.model, rt.evaluator
+    kernel = setup(config)
+    evaluator = kernel.evaluator
+    dim = kernel.grid.dim
     probes = config.probes
-    battery = default_battery(model.dim)
+    battery = default_battery(dim)
 
     report = ConvergenceReport("measures", config.to_dict())
-    fields = {lam: out.field for lam, out in discount_chain(rt, config)}
+    fields = {lam: out.field for lam, out in discount_chain(kernel, config)}
 
     def cell(lam, probe):
-        curve, idx, mu, horizon = trace_measure(rt, config, fields[lam], lam,
-                                                probe)
+        curve, idx, mu, horizon = trace_measure(kernel, config, fields[lam],
+                                                lam, probe)
         closed = closedness_defect(mu, battery)
         mather = mather_defect(mu, evaluator, config.c)
-        dist = mu.points - np.asarray([0.0] * model.dim)
+        dist = mu.points - np.asarray([0.0] * dim)
         support = float(np.sum(mu.weights * np.sqrt(np.sum(dist ** 2, axis=1))))
         return mu, curve, idx, closed, mather, support, horizon
 

@@ -33,16 +33,20 @@ a-posteriori error bound residual/gain.
 The iterate is the vector of in-mask values alone, and stencils point at
 positions in it; out-of-mask values pass through from v0. A stencil that
 reaches a node with no in-mask replacement raises SolverError.
+
+A SweepKernel stands for one grid setup: grid, evaluator (and through it
+the model), controls and time step. It is built once per grid and every
+solve takes it; it holds no state from one solve to the next.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import Domain, GridField, UniformGrid, tensor_points
-from .hamiltonian import HamiltonianModel, LagrangianEvaluator, lower_bound_m0
+from .hamiltonian import LagrangianEvaluator, lower_bound_m0
 
 __all__ = [
     "ControlSet", "SolveParams", "SolveOutcome", "SweepKernel",
@@ -122,18 +126,8 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class SolveParams:
-    dt: float = None  # resolved from the grid/controls when omitted
     tol: float = 1e-8
     max_iters: int = 50000
-
-    def resolve(self, grid: UniformGrid, controls: ControlSet) -> "SolveParams":
-        dt = self.dt
-        if dt is None:
-            dt = 0.5 * min(grid.dx) / controls.max_speed
-        span = max(hi - lo for lo, hi in grid.domain.box)
-        if dt * controls.max_speed > span:
-            raise SolverError("time step moves feet beyond the grid box")
-        return replace(self, dt=float(dt))
 
 
 @dataclass
@@ -151,18 +145,28 @@ class SolveOutcome:
 
 
 class SweepKernel:
-    """Stencil and weight tables of the one-cell sweep for one grid setup."""
+    """Stencil and weight tables of the one-cell sweep for one grid setup.
+
+    Built once per grid and passed to every solve on it; the model is read
+    from evaluator.model. dt defaults to 0.5*min(dx)/max_speed, and any dt
+    must be positive and move feet at most one cell per step.
+    """
 
     def __init__(self, grid: UniformGrid, evaluator: LagrangianEvaluator,
-                 controls: ControlSet, dt: float):
+                 controls: ControlSet, dt: float = None):
         model = evaluator.model
         if controls.dim != grid.dim or model.dim != grid.dim:
             raise SolverError("dimension mismatch between grid/model/controls")
         self.grid = grid
         self.evaluator = evaluator
+        self.controls = controls
+        if dt is None:
+            dt = 0.5 * min(grid.dx) / controls.max_speed
         self.dt = float(dt)
-        if any(self.dt * controls.max_speed > dx + 1e-12 for dx in grid.dx):
-            raise SolverError("feet move more than one cell per step; shrink dt")
+        if not all(0 < self.dt * controls.max_speed <= dx + 1e-12
+                   for dx in grid.dx):
+            raise SolverError(f"dt={self.dt!r} must be positive and move feet "
+                              "no more than one cell per step")
         self.in_idx = np.flatnonzero(grid.mask)
         in_pts = grid.points()[self.in_idx]
         self.speeds = controls.speeds
@@ -226,7 +230,7 @@ class SweepKernel:
         self.kappa_lo = max(kappa[0], 0.0)
         span = max(hi - lo for lo, hi in grid.domain.box)
         self.crossing_sweeps = int(math.ceil(
-            span / max(self.dt * controls.max_speed, 1e-300)))
+            span / (self.dt * controls.max_speed)))
 
     # -- one sweep ---------------------------------------------------------
 
@@ -349,11 +353,12 @@ def _fixed_point(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
                  anchor_pos=None):
     """Fixed point of the sweep on the in-mask values of v0.
 
-    pin_pos and anchor_pos index those values. Solves at λ > 0 go to policy
-    iteration, except separable ones whose φ vanishes somewhere on the
-    mask; those and the λ = 0 solves go to value iteration. Returns a copy
-    of v0 with the in-mask values replaced.
+    pin_pos and anchor_pos index those values; params None means the
+    defaults. Solves at λ > 0 go to policy iteration, except separable ones
+    whose φ vanishes somewhere on the mask; those and the λ = 0 solves go to
+    value iteration. Returns a copy of v0 with the in-mask values replaced.
     """
+    params = params or SolveParams()
     v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
     coupling = kernel.evaluator.model.coupling
     howard = mode == "discount0" or (lam > 0 and (
@@ -463,20 +468,9 @@ def _iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
 # public operations
 
 
-def _setup(model, grid, params, controls, evaluator):
-    if controls is None:
-        controls = ControlSet.build(grid.dim)
-    if evaluator is None:
-        evaluator = LagrangianEvaluator(model)
-    params = (params or SolveParams()).resolve(grid, controls)
-    return params, controls, evaluator
-
-
-def lax_oleinik_step(v: GridField, evaluator: LagrangianEvaluator,
-                     controls: ControlSet, lam: float, c: float,
-                     dt: float) -> GridField:
+def lax_oleinik_step(kernel: SweepKernel, v: GridField, lam: float,
+                     c: float) -> GridField:
     """One sweep of the operator on a field; mainly a testing surface."""
-    kernel = SweepKernel(v.grid, evaluator, controls, dt)
     out = v.values.copy()
     v_in = out.flat[kernel.in_idx]
     table = _ensure_table(kernel, None, lam, v_in)
@@ -484,19 +478,15 @@ def lax_oleinik_step(v: GridField, evaluator: LagrangianEvaluator,
     return v.with_values(out)
 
 
-def solve_state_constraint(model: HamiltonianModel, grid: UniformGrid,
-                           lam: float, c: float, params: SolveParams = None,
-                           controls: ControlSet = None,
-                           evaluator: LagrangianEvaluator = None,
+def solve_state_constraint(kernel: SweepKernel, lam: float, c: float,
+                           params: SolveParams = None,
                            v0: np.ndarray = None) -> SolveOutcome:
-    """State-constrained contact solve on the grid's domain; needs λ > 0."""
+    """State-constrained contact solve on the kernel's domain; needs λ > 0."""
     if lam <= 0:
         raise SolverError("state-constraint solve needs lam > 0")
-    if model.coupling.kind == "none":
+    if kernel.evaluator.model.coupling.kind == "none":
         raise SolverError("state-constraint solve needs a u-coupling")
-    params, controls, evaluator = _setup(model, grid, params, controls,
-                                         evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt)
+    grid = kernel.grid
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
     v, iters, res, ok, extras = _fixed_point(kernel, start, lam, c, params)
     fld = GridField(grid, v.reshape(grid.shape),
@@ -520,11 +510,9 @@ class CriticalValueEstimate:
                 "margin": self.margin}
 
 
-def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
-                            lam_sequence, params: SolveParams = None,
-                            controls: ControlSet = None,
-                            evaluator: LagrangianEvaluator = None,
-                            x0=None, margin: float = 0.02) -> CriticalValueEstimate:
+def estimate_critical_value(kernel: SweepKernel, lam_sequence,
+                            params: SolveParams = None, x0=None,
+                            margin: float = 0.02) -> CriticalValueEstimate:
     """Estimate c(H) from classical discounted solves at vanishing λ.
 
     Solves λv + H(x, Dv, 0) = 0 for each λ (explicit discount factor on the
@@ -538,9 +526,7 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
         raise SolverError("lam_sequence must be strictly decreasing, >= 2 long")
     if lams[-1] <= 0:
         raise SolverError("lam_sequence must be positive")
-    params, controls, evaluator = _setup(model, grid, params, controls,
-                                         evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt)
+    grid = kernel.grid
     if x0 is None:
         x0 = np.zeros(grid.dim)
     table = []
@@ -560,7 +546,8 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
         start = v  # warm start the next, smaller λ
     (l1, e1), (l2, e2) = table[-2], table[-1]
     richardson = e2 + l2 * (e2 - e1) / (l1 - l2)
-    m0 = lower_bound_m0(model, grid.points()[grid.mask.ravel()])
+    m0 = lower_bound_m0(kernel.evaluator.model,
+                        grid.points()[grid.mask.ravel()])
     if richardson < m0 - margin:
         raise SolverError(
             f"critical value estimate {richardson:.6g} sits below the lower "
@@ -570,20 +557,15 @@ def estimate_critical_value(model: HamiltonianModel, grid: UniformGrid,
                                  outcomes=outcomes)
 
 
-def solve_ergodic(model: HamiltonianModel, grid: UniformGrid, c: float,
-                  params: SolveParams = None, anchor=None,
-                  controls: ControlSet = None,
-                  evaluator: LagrangianEvaluator = None,
-                  v0: np.ndarray = None) -> SolveOutcome:
+def solve_ergodic(kernel: SweepKernel, c: float, params: SolveParams = None,
+                  anchor=None, v0: np.ndarray = None) -> SolveOutcome:
     """Ergodic (λ=0) solve renormalized at an anchor point each sweep.
 
     Raises CMismatchError when, after the information has had time to cross
     the domain, the anchor keeps drifting at a steady rate: that rate is the
     gap between the supplied c and the grid's own critical value.
     """
-    params, controls, evaluator = _setup(model, grid, params, controls,
-                                         evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt)
+    grid = kernel.grid
     if anchor is None:
         anchor = np.zeros(grid.dim)
     anchor_idx = np.ravel_multi_index(grid.nearest_node(anchor), grid.shape)
@@ -598,24 +580,23 @@ def solve_ergodic(model: HamiltonianModel, grid: UniformGrid, c: float,
     return SolveOutcome(fld, iters, res, ok, extras)
 
 
-def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
-                         r_schedule, probe, params: SolveParams = None,
-                         box=None, shape=None, controls: ControlSet = None,
-                         evaluator: LagrangianEvaluator = None,
+def solve_maximal_global(evaluator: LagrangianEvaluator, controls: ControlSet,
+                         lam: float, c: float, r_schedule, probe,
+                         params: SolveParams = None, box=None, shape=None,
                          stab_tol: float = 1e-3) -> SolveOutcome:
     """Maximal-solution proxy: state-constraint solves on growing balls.
 
     Solves on each radius of the schedule (warm-starting from the previous
-    ball) until the probe value provably moves less than stab_tol between
-    consecutive radii: the move plus both solves' error bounds must stay
-    below it, so a stab_tol under the solver's accuracy never stabilizes.
-    No stabilization across the whole schedule is reported in the outcome,
-    not raised.
+    ball, one kernel per radius) until the probe value provably moves less
+    than stab_tol between consecutive radii: the move plus both solves'
+    error bounds must stay below it, so a stab_tol under the solver's
+    accuracy never stabilizes. No stabilization across the whole schedule
+    is reported in the outcome, not raised.
     """
     radii = [float(r) for r in r_schedule]
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise SolverError("r_schedule must be strictly increasing, >= 2 long")
-    dim = model.dim
+    dim = evaluator.model.dim
     if box is None:
         half = radii[-1] + 2.0
         box = ((-half, half),) * dim
@@ -628,13 +609,12 @@ def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
     stabilized_at = None
     prev_bound = None
     for r in radii:
-        grid = UniformGrid(Domain.ball(box, r), shape)
+        kernel = SweepKernel(UniformGrid(Domain.ball(box, r), shape),
+                             evaluator, controls)
         # solves pass out-of-mask values through, so nodes new to this
         # ball start from the zeros of the first start vector
         v0 = None if outcome is None else outcome.field.values
-        outcome = solve_state_constraint(model, grid, lam, c, params=params,
-                                         controls=controls,
-                                         evaluator=evaluator, v0=v0)
+        outcome = solve_state_constraint(kernel, lam, c, params=params, v0=v0)
         val = float(outcome.field.interpolate(probe[None, :])[0])
         history.append((r, val))
         bound = outcome.extras["error_bound"]
@@ -651,17 +631,14 @@ def solve_maximal_global(model: HamiltonianModel, lam: float, c: float,
     return outcome
 
 
-def mane_potential(model: HamiltonianModel, grid: UniformGrid, y, c: float,
-                   params: SolveParams = None, controls: ControlSet = None,
-                   evaluator: LagrangianEvaluator = None) -> GridField:
+def mane_potential(kernel: SweepKernel, y, c: float,
+                   params: SolveParams = None) -> GridField:
     """Intrinsic semi-distance S(., y): pinned λ=0 value iteration.
 
     Initialized at +1e6 off the pin so values relax downward onto the
     cheapest path costs from y at the critical level c.
     """
-    params, controls, evaluator = _setup(model, grid, params, controls,
-                                         evaluator)
-    kernel = SweepKernel(grid, evaluator, controls, params.dt)
+    grid = kernel.grid
     pin = np.ravel_multi_index(grid.nearest_node(y), grid.shape)
     if not grid.mask.flat[pin]:
         raise SolverError("pin point lies outside the mask")
@@ -678,30 +655,25 @@ def mane_potential(model: HamiltonianModel, grid: UniformGrid, y, c: float,
                      meta={"kind": "mane", "lambda": 0.0, "c": c})
 
 
-def aubry_indicator(model: HamiltonianModel, grid: UniformGrid, c: float,
-                    sample_points, params: SolveParams = None,
-                    controls: ControlSet = None,
-                    evaluator: LagrangianEvaluator = None) -> np.ndarray:
+def aubry_indicator(kernel: SweepKernel, c: float, sample_points,
+                    params: SolveParams = None) -> np.ndarray:
     """One-step improvement defect of S(., y) at its own pin, per sample.
 
     Vanishing defect (up to grid error) marks y as an Aubry-set candidate:
     no control improves on sitting at y when the running cost is L + c.
     """
-    params, controls, evaluator = _setup(model, grid, params, controls,
-                                         evaluator)
+    grid, dt = kernel.grid, kernel.dt
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    if model.dim == 1 and pts.shape[0] == 1 and pts.shape[1] > 1:
+    if grid.dim == 1 and pts.shape[0] == 1 and pts.shape[1] > 1:
         pts = pts.T
     out = np.empty(len(pts))
-    dt = params.dt
-    ctrl = controls.controls
+    ctrl = kernel.controls.controls
     for i, y in enumerate(pts):
-        s_field = mane_potential(model, grid, y, c, params=params,
-                                 controls=controls, evaluator=evaluator)
+        s_field = mane_potential(kernel, y, c, params=params)
         node = grid.node_point(grid.nearest_node(y))
         feet = node[None, :] - dt * ctrl
         ok = grid.domain.contains(feet, slack=1e-9)
-        lvals = evaluator.legendre(node[None, :], ctrl, 0.0)
+        lvals = kernel.evaluator.legendre(node[None, :], ctrl, 0.0)
         interp = np.full(len(ctrl), np.inf)
         interp[ok] = s_field.interpolate(feet[ok])
         cand = dt * (lvals + c) + interp

@@ -63,7 +63,7 @@ class IndexSeries:
         return np.exp(lam * self.cumulative)
 
 
-def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
+def backtrace(field: GridField, evaluator: LagrangianEvaluator,
               controls: ControlSet, lam: float, c: float, z, horizon: float,
               dt: float, defect_tol: float = None) -> Curve:
     """Trace the greedy backward minimizer of the DPP from z.
@@ -75,13 +75,15 @@ def backtrace(field: GridField, model, evaluator: LagrangianEvaluator,
 
     L keeps legendre()'s arithmetic, W + f(x) - phi(x)*λ*v(x): the sup term
     W is the u = 0 row for separable couplings, computed once per curve, and
-    the lattice sup at level λ*v(x) for p-coupled ones. v(x) is the
-    interpolated value of the foot chosen at the step before. A step whose
-    chosen foot and value equal its own x and v(x) bit for bit ends the
-    loop: the remaining steps would repeat it, so they are filled with its
-    control, its foot and its defect count.
+    the lattice sup at level λ*v(x) for p-coupled ones; f, phi and W all
+    come from evaluator.model. v(x) is the interpolated value of the foot
+    chosen at the step before. A step whose chosen foot and value equal its
+    own x and v(x) bit for bit ends the loop: the remaining steps would
+    repeat it, so they are filled with its control, its foot and its defect
+    count.
     """
     grid = field.grid
+    model = evaluator.model
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if len(z) != grid.dim:
         raise SolverError(f"start point has dimension {len(z)}, "

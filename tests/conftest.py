@@ -13,8 +13,9 @@ from contact_hj.expressions import parse
 from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (HamiltonianModel, LagrangianEvaluator,
                                     LinearCoupling, QuadraticKinetic)
-from contact_hj.solver import (ControlSet, SolveParams, mane_potential,
-                               solve_ergodic, solve_state_constraint)
+from contact_hj.solver import (ControlSet, SolveParams, SweepKernel,
+                               mane_potential, solve_ergodic,
+                               solve_state_constraint)
 
 
 def make_ql_model() -> HamiltonianModel:
@@ -53,6 +54,16 @@ def grid401():
 
 
 @pytest.fixture(scope="session")
+def kernel201(grid201, ql_evaluator, controls1d):
+    return SweepKernel(grid201, ql_evaluator, controls1d)
+
+
+@pytest.fixture(scope="session")
+def kernel401(grid401, ql_evaluator, controls1d):
+    return SweepKernel(grid401, ql_evaluator, controls1d)
+
+
+@pytest.fixture(scope="session")
 def params_fast():
     return SolveParams(tol=1e-7)
 
@@ -63,36 +74,31 @@ def params_tight():
 
 
 @pytest.fixture(scope="session")
-def theta_01(ql_model, grid201, params_fast, controls1d, ql_evaluator):
+def theta_01(kernel201, params_fast):
     """State-constraint field at lam = 0.1 on the coarse grid."""
-    out = solve_state_constraint(ql_model, grid201, 0.1, 0.0, params_fast,
-                                 controls=controls1d, evaluator=ql_evaluator)
+    out = solve_state_constraint(kernel201, 0.1, 0.0, params_fast)
     assert out.converged
     return out
 
 
 @pytest.fixture(scope="session")
-def theta_005(ql_model, grid201, params_fast, controls1d, ql_evaluator,
-              theta_01):
-    out = solve_state_constraint(ql_model, grid201, 0.05, 0.0, params_fast,
-                                 controls=controls1d, evaluator=ql_evaluator,
+def theta_005(kernel201, params_fast, theta_01):
+    out = solve_state_constraint(kernel201, 0.05, 0.0, params_fast,
                                  v0=theta_01.field.values)
     assert out.converged
     return out
 
 
 @pytest.fixture(scope="session")
-def ergodic201(ql_model, grid201, params_fast, controls1d, ql_evaluator):
-    out = solve_ergodic(ql_model, grid201, 0.0, params_fast,
-                        controls=controls1d, evaluator=ql_evaluator)
+def ergodic201(kernel201, params_fast):
+    out = solve_ergodic(kernel201, 0.0, params_fast)
     assert out.converged
     return out
 
 
 @pytest.fixture(scope="session")
-def mane401(ql_model, grid401, params_tight, controls1d, ql_evaluator):
-    return mane_potential(ql_model, grid401, 0.0, 0.0, params_tight,
-                          controls=controls1d, evaluator=ql_evaluator)
+def mane401(kernel401, params_tight):
+    return mane_potential(kernel401, 0.0, 0.0, params_tight)
 
 
 @pytest.fixture(scope="session")
@@ -105,11 +111,10 @@ def ball_2d():
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.0), (25, 25))
     controls = ControlSet.build(2, da=1.0)
-    params = SolveParams(tol=1e-6).resolve(grid, controls)
-    out = solve_state_constraint(model, grid, 0.4, 0.0, params,
-                                 controls=controls, evaluator=ev)
+    kernel = SweepKernel(grid, ev, controls)
+    out = solve_state_constraint(kernel, 0.4, 0.0, SolveParams(tol=1e-6))
     assert out.converged
-    return out.field, model, ev, controls, params.dt
+    return out.field, ev, controls, kernel.dt
 
 
 def read_field_csv(path) -> GridField:

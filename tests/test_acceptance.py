@@ -22,7 +22,7 @@ from contact_hj.experiments import (ExperimentConfig, builtin_models,
                                     run_assumption_check,
                                     vanishing_discount_sweep)
 from contact_hj.grid import Domain, GridField, UniformGrid
-from contact_hj.solver import (SolveParams, aubry_indicator,
+from contact_hj.solver import (SweepKernel, aubry_indicator,
                                estimate_critical_value, lax_oleinik_step,
                                mane_potential, solve_maximal_global)
 from contact_hj.trajectory import backtrace, compute_indices
@@ -67,21 +67,17 @@ def sweep_report(accept_dir):
 
 
 @pytest.fixture(scope="module")
-def mane_pool(ql_model, grid401, params_tight, controls1d, ql_evaluator,
-              mane401):
+def mane_pool(kernel401, params_tight, mane401):
     pool = {0.0: mane401}
     for pin in (1.0, -2.0):
-        pool[pin] = mane_potential(ql_model, grid401, pin, 0.0, params_tight,
-                                   controls=controls1d,
-                                   evaluator=ql_evaluator)
+        pool[pin] = mane_potential(kernel401, pin, 0.0, params_tight)
     return pool
 
 
 def test_critical_value_recovery_and_radius_monotonicity(
-        ql_model, ql_evaluator, controls1d, grid401, params_fast):
+        ql_evaluator, controls1d, kernel401, params_fast):
     t0 = time.monotonic()
-    est = estimate_critical_value(ql_model, grid401, (0.2, 0.1), params_fast,
-                                  controls=controls1d, evaluator=ql_evaluator)
+    est = estimate_critical_value(kernel401, (0.2, 0.1), params_fast)
     elapsed = time.monotonic() - t0
     assert -0.02 <= est.richardson <= 0.02
     assert elapsed <= 60.0
@@ -93,8 +89,8 @@ def test_critical_value_recovery_and_radius_monotonicity(
         n = int(round(2 * half * 20)) + 1
         grid = UniformGrid(Domain.ball(((-half, half),), radius), (n,))
         ball[radius] = estimate_critical_value(
-            ql_model, grid, (0.2, 0.1), params_fast, controls=controls1d,
-            evaluator=ql_evaluator).richardson
+            SweepKernel(grid, ql_evaluator, controls1d), (0.2, 0.1),
+            params_fast).richardson
     assert ball[3.0] <= ball[6.0] + 0.01
     _say(True, "critical value",
          f"c_est={est.richardson:.3g} in +-0.02, {elapsed:.1f}s <= 60s, "
@@ -130,12 +126,10 @@ def test_pinned_semidistance_quadrature_and_triangle(grid401, mane_pool):
          f"triangle excess {worst:.3g} <= 0.1 on 100 triples")
 
 
-def test_aubry_indicator_separates_the_well_bottom(
-        ql_model, ql_evaluator, controls1d, grid201, params_fast):
+def test_aubry_indicator_separates_the_well_bottom(kernel201, params_fast):
     samples = [0.0, -3.0, -2.0, -1.5, -1.0, 1.0, 1.5, 2.0, 3.0]
-    delta = aubry_indicator(ql_model, grid201, 0.0, samples, params_fast,
-                            controls=controls1d, evaluator=ql_evaluator)
-    dt = params_fast.resolve(grid201, controls1d).dt
+    delta = aubry_indicator(kernel201, 0.0, samples, params_fast)
+    dt = kernel201.dt
     assert delta[0] <= 5e-3
     assert np.min(delta) >= -1e-12
     off = float(np.min(delta[1:]))
@@ -223,7 +217,7 @@ def test_truncation_localizes_at_the_well_bottom(accept_dir):
 
 
 def test_measure_defect_decay_and_index_signs(
-        accept_dir, ql_model, ql_evaluator, controls1d, grid201, params_fast,
+        accept_dir, ql_evaluator, controls1d, kernel201, params_fast,
         theta_005):
     cfg = ExperimentConfig.from_dict({
         "name": "accept-measures", "model": QL_MODEL, "c": 0.0,
@@ -250,13 +244,11 @@ def test_measure_defect_decay_and_index_signs(
     # index series along one shared curve: always nonpositive, and the
     # shifted-reference index on the maximal-proxy field dominates the one on
     # the constrained field (exact equality for this affine coupling)
-    dt = params_fast.resolve(grid201, controls1d).dt
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
-                      0.05, 0.0, 1.0, 30.0, dt)
-    maximal = solve_maximal_global(ql_model, 0.05, 0.0, (4.0, 6.0, 8.0), 1.0,
-                                   params_fast, box=((-10.0, 10.0),),
-                                   shape=(201,), controls=controls1d,
-                                   evaluator=ql_evaluator)
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
+                      0.05, 0.0, 1.0, 30.0, kernel201.dt)
+    maximal = solve_maximal_global(ql_evaluator, controls1d, 0.05, 0.0,
+                                   (4.0, 6.0, 8.0), 1.0, params_fast,
+                                   box=((-10.0, 10.0),), shape=(201,))
     series = {}
     for kind, field in (("kappa", theta_005.field), ("K", maximal.field),
                         ("k_bold", theta_005.field),
@@ -274,9 +266,8 @@ def test_measure_defect_decay_and_index_signs(
 
 
 def test_scheme_monotonicity_dpp_windows_and_curvewise_bound(
-        ql_model, ql_evaluator, controls1d, grid201, params_fast, theta_005,
-        ergodic201):
-    dt = params_fast.resolve(grid201, controls1d).dt
+        ql_evaluator, controls1d, grid201, kernel201, theta_005, ergodic201):
+    dt = kernel201.dt
 
     # monotonicity: ordered inputs stay ordered through one sweep
     rng = np.random.RandomState(7)
@@ -284,17 +275,15 @@ def test_scheme_monotonicity_dpp_windows_and_curvewise_bound(
     for _ in range(50):
         v1 = rng.uniform(-3.0, 3.0, grid201.size)
         v2 = v1 - rng.uniform(0.0, 2.0, grid201.size)
-        t1 = lax_oleinik_step(GridField(grid201, v1), ql_evaluator,
-                              controls1d, 0.1, 0.0, dt)
-        t2 = lax_oleinik_step(GridField(grid201, v2), ql_evaluator,
-                              controls1d, 0.1, 0.0, dt)
+        t1 = lax_oleinik_step(kernel201, GridField(grid201, v1), 0.1, 0.0)
+        t2 = lax_oleinik_step(kernel201, GridField(grid201, v2), 0.1, 0.0)
         worst_mono = min(worst_mono, float(np.min(t1.values - t2.values)))
     assert worst_mono >= -1e-12
 
     # weighted window identity along traced curves
     worst_win = 0.0
     for z in (1.0, 2.0):
-        curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+        curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                           0.05, 0.0, z, 20.0, dt)
         idx = compute_indices(curve, ql_evaluator, theta_005.field,
                               0.05, "kappa")

@@ -71,6 +71,22 @@ def test_non_finite_literal_is_exit_2(capsys):
     assert "not finite" in err
 
 
+def test_bad_solver_dt_is_exit_2(tmp_path, capsys):
+    # zero, negative and NaN steps fail as config errors before any sweep;
+    # a quoted number is read as the number it spells
+    base = ["solve", "--preset", "quadratic-linear", "--lam", "0.2",
+            "--out", str(tmp_path), "--stamp", "t"]
+    for raw in ("0", "-0.02", "NaN"):
+        assert main(base + ["--set", f"solver.dt={raw}"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'solver.dt'" in err
+    assert main(base + ["--set", "solver.dt=0.02"]) == 2
+    as_number = capsys.readouterr().err
+    assert "one cell per step" in as_number
+    assert main(base + ["--set", 'solver.dt="0.02"']) == 2
+    assert capsys.readouterr().err == as_number
+
+
 def test_expression_depth_bound_is_exit_2(cfg_file, capsys):
     # "+0" terms leave the potential as it is and add one tree level each
     path, _ = cfg_file

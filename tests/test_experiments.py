@@ -12,6 +12,7 @@ from contact_hj.experiments import (ConfigError, ExperimentConfig, _guard,
                                     read_config_file, run_assumption_check,
                                     vanishing_discount_sweep)
 from contact_hj.hamiltonian import HamiltonianModel, LagrangianEvaluator
+from contact_hj.solver import SweepKernel, aubry_indicator
 
 QL_MODEL = {"dim": 1, "kinetic": {"type": "quadratic"},
             "potential": "1 - exp(-x^2)",
@@ -283,11 +284,33 @@ def test_measure_study_tables(measures_report):
                 run_dir, f"measure_lam{lam:g}_z{z}.csv"))
 
 
+def test_drivers_build_one_kernel_per_grid(tmp_path, monkeypatch):
+    built = []
+    init = SweepKernel.__init__
+
+    def counting_init(self, grid, *args, **kwargs):
+        built.append(grid.shape)
+        init(self, grid, *args, **kwargs)
+
+    monkeypatch.setattr(SweepKernel, "__init__", counting_init)
+    cfg = coarse(tmp_path, grid={"box": [[-10.0, 10.0]], "shape": [41]},
+                 horizon=2.0)
+    for driver, count in ((vanishing_discount_sweep, 1), (measure_study, 1),
+                          (localization_study, 1 + len(cfg.radii))):
+        built.clear()
+        driver(cfg, run_dir=str(tmp_path / driver.__name__))
+        assert len(built) == count, driver.__name__
+    built.clear()
+    kernel = experiments.setup(cfg)
+    aubry_indicator(kernel, 0.0, [0.0, 1.0, -1.0], cfg.build_params())
+    assert len(built) == 1
+
+
 def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
     real = experiments.backtrace
 
-    def warn_at_small_lambda(field, model, evaluator, controls, lam, *args):
-        curve = real(field, model, evaluator, controls, lam, *args)
+    def warn_at_small_lambda(field, evaluator, controls, lam, *args):
+        curve = real(field, evaluator, controls, lam, *args)
         if lam == 0.2:
             curve = dataclasses.replace(curve, warning="3/9 steps exceeded")
         return curve

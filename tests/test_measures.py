@@ -9,7 +9,6 @@ from contact_hj.measures import (TestFunction, TestFunctionBattery,
                                  default_battery, discounted_measure,
                                  mather_defect, selection_functional,
                                  weak_limit_diagnostics, write_measure_csv)
-from contact_hj.solver import SolveParams
 from contact_hj.trajectory import Curve, IndexSeries, backtrace, compute_indices
 
 
@@ -20,13 +19,13 @@ def point_mass(x, v):
 
 
 @pytest.fixture(scope="module")
-def traced(theta_01, theta_005, ql_model, ql_evaluator, controls1d):
+def traced(theta_01, theta_005, kernel201, ql_evaluator, controls1d):
     """kappa-weighted measures at z=1 for lam = 0.1 and 0.05."""
     out = {}
-    dt = SolveParams().resolve(theta_01.field.grid, controls1d).dt
+    dt = kernel201.dt
     for lam, solve in ((0.1, theta_01), (0.05, theta_005)):
         horizon = max(40.0, math.log(10.0) / lam)
-        curve = backtrace(solve.field, ql_model, ql_evaluator, controls1d,
+        curve = backtrace(solve.field, ql_evaluator, controls1d,
                           lam, 0.0, 1.0, horizon, dt)
         ids = compute_indices(curve, ql_evaluator, solve.field,
                               lam, "kappa")
@@ -78,13 +77,13 @@ def test_default_battery_sizes():
 # discounted measures from curves
 
 
-def test_discounted_measure_geometric_weights(theta_005, ql_model,
+def test_discounted_measure_geometric_weights(theta_005, kernel201,
                                               ql_evaluator, controls1d):
     # stationary curve at the well: indices are -1, so the per-step weights
     # are an exact geometric sequence and the measure is one atom
     lam = 0.05
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+    dt = kernel201.dt
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                       lam, 0.0, 0.0, 10.0, dt)
     ids = compute_indices(curve, ql_evaluator, theta_005.field,
                           lam, "kappa")
@@ -121,24 +120,22 @@ def tail_start(curve) -> int:
 
 
 @pytest.fixture(scope="module")
-def atom_cases(theta_005, ql_model, ql_evaluator, controls1d, ball_2d):
+def atom_cases(theta_005, kernel201, ql_evaluator, controls1d, ball_2d):
     """(field, evaluator, curve, indices, lam) for a moving and a settled
     curve, in 1D and 2D."""
-    dt1 = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    field2, model2, ev2, controls2, dt2 = ball_2d
+    dt1 = kernel201.dt
+    field2, ev2, controls2, dt2 = ball_2d
     specs = {
-        "1d-moving": (theta_005.field, ql_model, ql_evaluator, controls1d,
+        "1d-moving": (theta_005.field, ql_evaluator, controls1d,
                       0.05, 2.0, 120 * dt1, dt1),
-        "1d-settled": (theta_005.field, ql_model, ql_evaluator, controls1d,
+        "1d-settled": (theta_005.field, ql_evaluator, controls1d,
                        0.05, 1.0, 40.0, dt1),
-        "2d-moving": (field2, model2, ev2, controls2, 0.4, (0.5, 1.5),
-                      1.0, dt2),
-        "2d-settled": (field2, model2, ev2, controls2, 0.4, (0.5, 1.5),
-                       12.0, dt2),
+        "2d-moving": (field2, ev2, controls2, 0.4, (0.5, 1.5), 1.0, dt2),
+        "2d-settled": (field2, ev2, controls2, 0.4, (0.5, 1.5), 12.0, dt2),
     }
     out = {}
-    for name, (field, model, ev, ctrl, lam, z, horizon, dt) in specs.items():
-        curve = backtrace(field, model, ev, ctrl, lam, 0.0, z, horizon, dt)
+    for name, (field, ev, ctrl, lam, z, horizon, dt) in specs.items():
+        curve = backtrace(field, ev, ctrl, lam, 0.0, z, horizon, dt)
         ids = compute_indices(curve, ev, field, lam, "kappa")
         out[name] = (field, ev, curve, ids, lam)
     return out

@@ -22,7 +22,7 @@ from conftest import quadrature_mane
 
 
 # ---------------------------------------------------------------------------
-# control lattices and parameter resolution
+# control lattices and the kernel's time step
 
 
 def test_control_lattice_1d_defaults():
@@ -65,29 +65,25 @@ def test_control_lattice_rejects_bad_inputs():
         ControlSet.build(1, max_speed=1.0, da=2.0)
 
 
-def test_params_resolve_default_dt(grid201, controls1d):
-    p = SolveParams().resolve(grid201, controls1d)
-    assert p.dt == pytest.approx(0.5 * 0.1 / 6.0)
+def test_kernel_default_dt(kernel201):
+    assert kernel201.dt == pytest.approx(0.5 * 0.1 / 6.0)
 
 
-def test_params_resolve_rejects_huge_dt(grid201, controls1d):
-    with pytest.raises(SolverError, match="beyond the grid box"):
-        SolveParams(dt=4.0).resolve(grid201, controls1d)
-
-
-def test_kernel_rejects_multi_cell_feet(grid201, ql_model, ql_evaluator,
-                                        controls1d):
-    v = GridField(grid201, np.zeros(grid201.shape))
+def test_kernel_rejects_multi_cell_feet(grid201, ql_evaluator, controls1d):
     with pytest.raises(SolverError, match="more than one cell"):
-        lax_oleinik_step(v, ql_evaluator, controls1d,
-                         0.1, 0.0, dt=0.05)
+        SweepKernel(grid201, ql_evaluator, controls1d, dt=0.05)
 
 
-def test_kernel_rejects_dimension_mismatch(grid201, ql_model, ql_evaluator):
-    v = GridField(grid201, np.zeros(grid201.shape))
+@pytest.mark.parametrize("dt", [0.0, -0.02, math.nan])
+def test_kernel_rejects_nonpositive_dt(grid201, ql_evaluator, controls1d,
+                                       dt):
+    with pytest.raises(SolverError, match="must be positive"):
+        SweepKernel(grid201, ql_evaluator, controls1d, dt=dt)
+
+
+def test_kernel_rejects_dimension_mismatch(grid201, ql_evaluator):
     with pytest.raises(SolverError, match="dimension mismatch"):
-        lax_oleinik_step(v, ql_evaluator, ControlSet.build(2),
-                         0.1, 0.0, dt=0.001)
+        SweepKernel(grid201, ql_evaluator, ControlSet.build(2), dt=0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +98,11 @@ def test_step_constant_field_exact():
                              coupling=LinearCoupling(parse("1"), 1.0, 1.0))
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
-    cs = ControlSet.build(1)
-    dt = SolveParams().resolve(grid, cs).dt
+    kernel = SweepKernel(grid, ev, ControlSet.build(1))
+    dt = kernel.dt
     lam, k = 0.1, 2.0
     v = GridField(grid, np.full(grid.shape, k))
-    out = lax_oleinik_step(v, ev, cs, lam, 0.0, dt)
+    out = lax_oleinik_step(kernel, v, lam, 0.0)
     np.testing.assert_allclose(out.values, k * (1.0 - lam * dt),
                                rtol=0, atol=1e-14)
 
@@ -124,8 +120,8 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
     f = 1.0 - np.exp(-xs ** 2)
     # at dt = 0.05 the fastest feet land exactly one cell away
     for dt in (0.025, 0.05):
-        out = lax_oleinik_step(GridField(grid, vals), ql_evaluator,
-                               cs, lam, c, dt)
+        out = lax_oleinik_step(SweepKernel(grid, ql_evaluator, cs, dt),
+                               GridField(grid, vals), lam, c)
         expected = np.empty(n)
         for i in range(n):
             best = math.inf
@@ -173,7 +169,7 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
                              coupling=ArctanCoupling(shift=math.pi))
     ev = LagrangianEvaluator(model)
     fld = GridField(grid, rng.uniform(-1.0, 3.0, size=grid.shape))
-    out = lax_oleinik_step(fld, ev, cs, lam, c, 0.05)
+    out = lax_oleinik_step(SweepKernel(grid, ev, cs, 0.05), fld, lam, c)
     np.testing.assert_allclose(out.values, enumerate_step(fld, ev, cs, 0.05),
                                rtol=0, atol=1e-6)
 
@@ -185,7 +181,7 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
     grid = UniformGrid(Domain.ball(((-1.5, 1.5),) * 2, 1.0), (13, 13))
     cs = ControlSet.build(2, max_speed=2.0, da=0.5)
     fld = GridField(grid, rng.uniform(-1.0, 3.0, size=grid.shape))
-    out = lax_oleinik_step(fld, ev, cs, lam, c, 0.1)
+    out = lax_oleinik_step(SweepKernel(grid, ev, cs, 0.1), fld, lam, c)
     np.testing.assert_allclose(out.values.ravel(),
                                enumerate_step(fld, ev, cs, 0.1), rtol=0,
                                atol=1e-12)
@@ -193,35 +189,31 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
 
 def test_step_monotone_on_ordered_pairs(ql_model, ql_evaluator, controls1d):
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
-    dt = SolveParams().resolve(grid, controls1d).dt
+    kernel = SweepKernel(grid, ql_evaluator, controls1d)
+    dt = kernel.dt
     lam = 0.2
     rng = np.random.RandomState(11)
     for _ in range(50):
         lo = rng.uniform(-2.0, 2.0, size=grid.shape)
         hi = lo + rng.uniform(0.0, 1.5, size=grid.shape)
-        t_lo = lax_oleinik_step(GridField(grid, lo), ql_evaluator,
-                                controls1d, lam, 0.0, dt).values
-        t_hi = lax_oleinik_step(GridField(grid, hi), ql_evaluator,
-                                controls1d, lam, 0.0, dt).values
+        t_lo = lax_oleinik_step(kernel, GridField(grid, lo), lam, 0.0).values
+        t_hi = lax_oleinik_step(kernel, GridField(grid, hi), lam, 0.0).values
         assert np.all(t_hi >= t_lo - 1e-12)
         # comparison also caps the growth by the contraction factor
         gap = np.max(hi - lo)
         assert np.all(t_hi - t_lo <= (1.0 - lam * dt) * gap + 1e-12)
 
 
-def test_step_is_a_sup_norm_contraction(ql_model, ql_evaluator, controls1d,
-                                        theta_01):
+def test_step_is_a_sup_norm_contraction(kernel201, theta_01):
     # consecutive sweep differences shrink by at least (1 - lam*kappa_lo*dt)
     lam = 0.1
-    dt = SolveParams().resolve(theta_01.field.grid, controls1d).dt
+    dt = kernel201.dt
     rng = np.random.RandomState(3)
     w = theta_01.field.with_values(
         theta_01.field.values + 1e-3 * rng.standard_normal(
             theta_01.field.values.shape))
-    t1 = lax_oleinik_step(w, ql_evaluator, controls1d,
-                          lam, 0.0, dt)
-    t2 = lax_oleinik_step(t1, ql_evaluator, controls1d,
-                          lam, 0.0, dt)
+    t1 = lax_oleinik_step(kernel201, w, lam, 0.0)
+    t2 = lax_oleinik_step(kernel201, t1, lam, 0.0)
     d1 = np.max(np.abs(t1.values - w.values))
     d2 = np.max(np.abs(t2.values - t1.values))
     assert d2 <= (1.0 - lam * dt) * d1 + 1e-13
@@ -231,17 +223,18 @@ def test_step_is_a_sup_norm_contraction(ql_model, ql_evaluator, controls1d,
 # state-constraint fixed points
 
 
-def test_state_constraint_requires_positive_lam(ql_model, grid201):
+def test_state_constraint_requires_positive_lam(kernel201):
     with pytest.raises(SolverError, match="lam > 0"):
-        solve_state_constraint(ql_model, grid201, 0.0, 0.0)
+        solve_state_constraint(kernel201, 0.0, 0.0)
 
 
-def test_state_constraint_requires_coupling(grid201):
+def test_state_constraint_requires_coupling(grid201, controls1d):
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("1 - exp(-x^2)"),
                              coupling=NoCoupling())
+    kernel = SweepKernel(grid201, LagrangianEvaluator(model), controls1d)
     with pytest.raises(SolverError, match="u-coupling"):
-        solve_state_constraint(model, grid201, 0.1, 0.0)
+        solve_state_constraint(kernel, 0.1, 0.0)
 
 
 def test_state_constraint_diagnostics(theta_01):
@@ -257,21 +250,17 @@ def test_state_constraint_diagnostics(theta_01):
 def test_state_constraint_init_independence(ql_model, ql_evaluator,
                                             controls1d):
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (101,))
+    kernel = SweepKernel(grid, ql_evaluator, controls1d)
     p = SolveParams(tol=1e-8)
-    a = solve_state_constraint(ql_model, grid, 0.2, 0.0, p,
-                               controls=controls1d, evaluator=ql_evaluator)
-    b = solve_state_constraint(ql_model, grid, 0.2, 0.0, p,
-                               controls=controls1d, evaluator=ql_evaluator,
+    a = solve_state_constraint(kernel, 0.2, 0.0, p)
+    b = solve_state_constraint(kernel, 0.2, 0.0, p,
                                v0=np.full(grid.size, 5.0))
     assert a.converged and b.converged
     assert np.max(np.abs(a.field.values - b.field.values)) <= 2e-7
 
 
-def test_state_constraint_fixed_point_residual(theta_01, ql_model,
-                                               ql_evaluator, controls1d):
-    dt = SolveParams().resolve(theta_01.field.grid, controls1d).dt
-    again = lax_oleinik_step(theta_01.field, ql_evaluator,
-                             controls1d, 0.1, 0.0, dt)
+def test_state_constraint_fixed_point_residual(theta_01, kernel201):
+    again = lax_oleinik_step(kernel201, theta_01.field, 0.1, 0.0)
     assert np.max(np.abs(again.values - theta_01.field.values)) <= 5e-7
 
 
@@ -283,9 +272,8 @@ def test_truncation_radius_monotone_at_center(ql_model, ql_evaluator,
     vals = {}
     for r in (4.0, 6.0):
         grid = UniformGrid(Domain.ball(box, r), shape)
-        out = solve_state_constraint(ql_model, grid, 0.1, 0.0, p,
-                                     controls=controls1d,
-                                     evaluator=ql_evaluator)
+        out = solve_state_constraint(
+            SweepKernel(grid, ql_evaluator, controls1d), 0.1, 0.0, p)
         assert out.converged
         vals[r] = out.field
     # shrinking the ball can only raise the constrained value
@@ -296,8 +284,8 @@ def test_truncation_radius_monotone_at_center(ql_model, ql_evaluator,
         float(vals[6.0].interpolate(1.0)) - 2e-8
 
 
-def test_nonconvergence_reported_not_raised(ql_model, grid201):
-    out = solve_state_constraint(ql_model, grid201, 0.05, 0.0,
+def test_nonconvergence_reported_not_raised(kernel201):
+    out = solve_state_constraint(kernel201, 0.05, 0.0,
                                  SolveParams(tol=1e-14, max_iters=5))
     assert not out.converged
     assert out.iterations == 5
@@ -314,7 +302,7 @@ def test_thin_ball_mask_raises():
                                    center=(0.1, 0.05)), (9, 9))
     cs = ControlSet.build(2, max_speed=1.0, da=0.25)
     with pytest.raises(SolverError, match="mask too thin for this grid"):
-        solve_state_constraint(model, grid, 0.5, 0.0, controls=cs)
+        SweepKernel(grid, LagrangianEvaluator(model), cs)
 
 
 def test_out_of_mask_start_values_pass_through(ql_model, ql_evaluator):
@@ -323,13 +311,11 @@ def test_out_of_mask_start_values_pass_through(ql_model, ql_evaluator):
     outside = ~grid.mask
     v0 = np.where(outside, np.random.RandomState(3).uniform(-50.0, 50.0,
                                                              grid.shape), 0.0)
+    kernel = SweepKernel(grid, ql_evaluator, cs)
     p = SolveParams(tol=1e-6)
-    theta = solve_state_constraint(ql_model, grid, 0.2, 0.0, p, controls=cs,
-                                   evaluator=ql_evaluator, v0=v0)
-    erg = solve_ergodic(ql_model, grid, 0.0, p, controls=cs,
-                        evaluator=ql_evaluator, v0=v0)
-    mane = mane_potential(ql_model, grid, 0.0, 0.0, p, controls=cs,
-                          evaluator=ql_evaluator)
+    theta = solve_state_constraint(kernel, 0.2, 0.0, p, v0=v0)
+    erg = solve_ergodic(kernel, 0.0, p, v0=v0)
+    mane = mane_potential(kernel, 0.0, 0.0, p)
     assert theta.converged and erg.converged
     for fld in (theta.field, erg.field):
         np.testing.assert_array_equal(fld.values[outside], v0[outside])
@@ -342,20 +328,35 @@ def test_no_admissible_control_raises(ql_model, ql_evaluator, grid201):
     one_sided = ControlSet(max_speed=6.0, da=6.0,
                            controls=np.array([[6.0]]))
     with pytest.raises(SolverError, match="no admissible control"):
-        solve_state_constraint(ql_model, grid201, 0.1, 0.0,
-                               controls=one_sided, evaluator=ql_evaluator)
+        SweepKernel(grid201, ql_evaluator, one_sided)
+
+
+def test_shared_kernel_carries_no_state_between_solves():
+    # p-coupled solves build sup-term tables as they go: the solves on one
+    # shared kernel must give the bytes of the same solves on fresh kernels
+    config = builtin_models()["arctan"]
+    ev = LagrangianEvaluator(config.build_model())
+    grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (61,))
+    cs = ControlSet.build(1, da=0.25)
+    params = SolveParams(tol=1e-8)
+
+    def fields(kernel_for):
+        theta = solve_state_constraint(kernel_for(), 0.2, config.c, params)
+        erg = solve_ergodic(kernel_for(), config.c, params,
+                            v0=theta.field.values)
+        return theta.field.values.tobytes(), erg.field.values.tobytes()
+
+    shared = SweepKernel(grid, ev, cs)
+    assert fields(lambda: shared) == fields(lambda: SweepKernel(grid, ev, cs))
 
 
 # ---------------------------------------------------------------------------
 # critical value
 
 
-def test_critical_value_gaussian_well(ql_model, ql_evaluator, controls1d,
-                                      grid201):
-    est = estimate_critical_value(ql_model, grid201, (0.2, 0.1, 0.05),
-                                  SolveParams(tol=1e-8),
-                                  controls=controls1d,
-                                  evaluator=ql_evaluator)
+def test_critical_value_gaussian_well(kernel201):
+    est = estimate_critical_value(kernel201, (0.2, 0.1, 0.05),
+                                  SolveParams(tol=1e-8))
     assert abs(est.richardson) <= 0.02
     assert est.m0 == pytest.approx(0.0, abs=1e-6)
     assert len(est.table) == 3
@@ -369,8 +370,9 @@ def test_critical_value_shifted_potential(ql_evaluator, controls1d):
                              potential=parse("(1 - exp(-x^2)) + 1"),
                              coupling=LinearCoupling(parse("1"), 1.0, 1.0))
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (201,))
-    est = estimate_critical_value(model, grid, (0.2, 0.1, 0.05),
-                                  SolveParams(tol=1e-8), controls=controls1d)
+    kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
+    est = estimate_critical_value(kernel, (0.2, 0.1, 0.05),
+                                  SolveParams(tol=1e-8))
     assert -1.02 <= est.richardson <= -0.98
     assert est.m0 == pytest.approx(-1.0, abs=1e-6)
 
@@ -390,33 +392,31 @@ def test_critical_value_builds_no_sup_table(monkeypatch):
 
     monkeypatch.setattr(LagrangianEvaluator, "coupling_table", counting_build)
     grid = UniformGrid(Domain.full_box(((-3.0, 3.0),)), (31,))
-    est = estimate_critical_value(model, grid, (0.4, 0.2),
-                                  SolveParams(tol=1e-6),
-                                  controls=ControlSet.build(1, da=0.5))
+    kernel = SweepKernel(grid, LagrangianEvaluator(model),
+                         ControlSet.build(1, da=0.5))
+    est = estimate_critical_value(kernel, (0.4, 0.2), SolveParams(tol=1e-6))
     assert builds == []
     assert est.richardson >= est.m0 - est.margin
 
 
-def test_critical_value_rejects_bad_sequence(ql_model, grid201):
+def test_critical_value_rejects_bad_sequence(kernel201):
     with pytest.raises(SolverError, match="strictly decreasing"):
-        estimate_critical_value(ql_model, grid201, (0.1,))
+        estimate_critical_value(kernel201, (0.1,))
     with pytest.raises(SolverError, match="strictly decreasing"):
-        estimate_critical_value(ql_model, grid201, (0.1, 0.2))
+        estimate_critical_value(kernel201, (0.1, 0.2))
 
 
-def test_critical_value_rejects_nonpositive_lam(ql_model, grid201):
+def test_critical_value_rejects_nonpositive_lam(kernel201):
     with pytest.raises(SolverError, match="positive"):
-        estimate_critical_value(ql_model, grid201, (0.1, 0.0))
+        estimate_critical_value(kernel201, (0.1, 0.0))
 
 
-def test_critical_value_m0_guard_trips(ql_model, ql_evaluator, controls1d,
-                                       grid201):
+def test_critical_value_m0_guard_trips(kernel201):
     # probing far from the well at large lam leaves an O(lam^2) hole that
     # Richardson cannot repair; the sampled lower bound catches it
     with pytest.raises(SolverError, match="lower bound"):
-        estimate_critical_value(ql_model, grid201, (0.4, 0.2),
-                                SolveParams(tol=1e-8), controls=controls1d,
-                                evaluator=ql_evaluator, x0=3.0)
+        estimate_critical_value(kernel201, (0.4, 0.2),
+                                SolveParams(tol=1e-8), x0=3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +437,21 @@ def _ball_kernel_2d(shape, radius, da):
                              potential=parse("1 - exp(-(x^2 + y^2))"),
                              coupling=LinearCoupling(parse("1"), 1.0, 1.0))
     grid = UniformGrid(Domain.ball(((-4.0, 4.0),) * 2, radius), shape)
-    cs = ControlSet.build(2, da=da)
-    dt = SolveParams().resolve(grid, cs).dt
-    return model, grid, cs, SweepKernel(grid, LagrangianEvaluator(model),
-                                        cs, dt)
+    return SweepKernel(grid, LagrangianEvaluator(model),
+                       ControlSet.build(2, da=da))
 
 
-def test_policy_solve_multi_block_matches_dense(ql_evaluator, controls1d,
-                                                grid401):
+def test_policy_solve_multi_block_matches_dense(kernel401):
     rng = np.random.RandomState(11)
-    _, grid2, _, ball = _ball_kernel_2d((41, 41), 3.0, 0.8)
+    ball = _ball_kernel_2d((41, 41), 3.0, 0.8)
+    grid2 = ball.grid
     # the ball's boundary stencils go through replacement_map
     node = np.column_stack(np.unravel_index(ball.in_idx, grid2.shape))
     raw = np.ravel_multi_index(tuple(np.moveaxis(np.clip(
         node[:, None, :] + np.array([[-1, -1], [1, 1]]), 0, 40), -1, 0)),
         grid2.shape)
     assert not np.all(grid2.mask.ravel()[raw])
-    line = SweepKernel(grid401, ql_evaluator, controls1d,
-                       SolveParams().resolve(grid401, controls1d).dt)
-    for kernel in (line, ball):
+    for kernel in (kernel401, ball):
         n = len(kernel.in_idx)
         assert n > 256 and kernel.block < n  # several blocks
         for scale in (1.0, 0.97):
@@ -482,30 +478,24 @@ def test_policy_iteration_agrees_with_value_iteration_phi_preset():
     model = builtin_models()["quadratic-phi"].build_model()
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (201,))
-    cs = ControlSet.build(1)
-    params = SolveParams(tol=1e-8).resolve(grid, cs)
-    out = solve_state_constraint(model, grid, 0.1, 0.0, params, controls=cs,
-                                 evaluator=ev)
-    _assert_agrees(out, SweepKernel(grid, ev, cs, params.dt), 0.1, 0.0,
-                   params)
+    kernel = SweepKernel(grid, ev, ControlSet.build(1))
+    params = SolveParams(tol=1e-8)
+    out = solve_state_constraint(kernel, 0.1, 0.0, params)
+    _assert_agrees(out, kernel, 0.1, 0.0, params)
 
 
 def test_policy_iteration_agrees_with_value_iteration_2d_ball():
-    model, grid, cs, kernel = _ball_kernel_2d((21, 21), 3.0, 0.8)
-    params = SolveParams(tol=1e-8).resolve(grid, cs)
-    out = solve_state_constraint(model, grid, 0.2, 0.0, params, controls=cs,
-                                 evaluator=kernel.evaluator)
+    kernel = _ball_kernel_2d((21, 21), 3.0, 0.8)
+    params = SolveParams(tol=1e-8)
+    out = solve_state_constraint(kernel, 0.2, 0.0, params)
     _assert_agrees(out, kernel, 0.2, 0.0, params)
 
 
-def test_policy_iteration_agrees_with_value_iteration_critical(
-        ql_model, ql_evaluator, controls1d, grid201):
-    params = SolveParams(tol=1e-8).resolve(grid201, controls1d)
-    est = estimate_critical_value(ql_model, grid201, (0.2, 0.1), params,
-                                  controls=controls1d, evaluator=ql_evaluator)
-    kernel = SweepKernel(grid201, ql_evaluator, controls1d, params.dt)
+def test_policy_iteration_agrees_with_value_iteration_critical(kernel201):
+    params = SolveParams(tol=1e-8)
+    est = estimate_critical_value(kernel201, (0.2, 0.1), params)
     for (lam, _), out in zip(est.table, est.outcomes):
-        _assert_agrees(out, kernel, lam, 0.0, params, mode="discount0")
+        _assert_agrees(out, kernel201, lam, 0.0, params, mode="discount0")
 
 
 def _table_value_iterate(kernel, v, lam, c, tol):
@@ -531,13 +521,11 @@ def test_newton_howard_agrees_with_value_iteration_arctan(shape, da, lams):
     model = config.build_model()
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), shape)
-    cs = ControlSet.build(1, da=da)
-    params = SolveParams(tol=1e-8).resolve(grid, cs)
-    kernel = SweepKernel(grid, ev, cs, params.dt)
+    kernel = SweepKernel(grid, ev, ControlSet.build(1, da=da))
+    params = SolveParams(tol=1e-8)
     v0, ref = None, np.zeros(grid.size)
     for lam in lams:
-        out = solve_state_constraint(model, grid, lam, config.c, params,
-                                     controls=cs, evaluator=ev, v0=v0)
+        out = solve_state_constraint(kernel, lam, config.c, params, v0=v0)
         assert out.converged and out.extras["method"] == "policy"
         ref, ref_bound = _table_value_iterate(kernel, ref, lam, config.c,
                                               params.tol)
@@ -554,11 +542,9 @@ def test_vanishing_phi_stays_on_value_iteration(ql_evaluator, controls1d):
                              potential=parse("1 - exp(-x^2)"),
                              coupling=LinearCoupling(parse("x^2"), 0.0, 4.0))
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
-    out = solve_state_constraint(model, grid, 0.5, 0.0,
-                                 SolveParams(max_iters=50), controls=controls1d)
+    kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
+    out = solve_state_constraint(kernel, 0.5, 0.0, SolveParams(max_iters=50))
     assert out.extras["method"] == "value"
-    kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d,
-                         SolveParams().resolve(grid, controls1d).dt)
     stay = int(np.flatnonzero(controls1d.controls[:, 0] == 0.0)[0])
     policy = np.full(len(kernel.in_idx), stay)
     with pytest.raises(SolverError, match="singular"):
@@ -582,27 +568,26 @@ def test_ergodic_anchor_is_zero(ergodic201):
 
 def test_ergodic_wrong_c_raises_mismatch(ql_model, ql_evaluator, controls1d):
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (101,))
+    kernel = SweepKernel(grid, ql_evaluator, controls1d)
     with pytest.raises(CMismatchError) as exc:
-        solve_ergodic(ql_model, grid, 0.5, SolveParams(tol=1e-9),
-                      controls=controls1d, evaluator=ql_evaluator)
+        solve_ergodic(kernel, 0.5, SolveParams(tol=1e-9))
     assert isinstance(exc.value, SolverError)
     assert abs(abs(exc.value.rate) - 0.5) <= 0.05
 
 
-def test_ergodic_anchor_outside_mask_raises(ql_model):
+def test_ergodic_anchor_outside_mask_raises(ql_evaluator, controls1d):
     grid = UniformGrid(Domain.ball(((-8.0, 8.0),), 3.0), (161,))
+    kernel = SweepKernel(grid, ql_evaluator, controls1d)
     with pytest.raises(SolverError, match="anchor"):
-        solve_ergodic(ql_model, grid, 0.0, anchor=7.0)
+        solve_ergodic(kernel, 0.0, anchor=7.0)
 
 
 # ---------------------------------------------------------------------------
 # pinned semi-distance and the one-step defect
 
 
-def test_mane_zero_at_pin_and_nonnegative(ql_model, ql_evaluator, controls1d,
-                                          grid201):
-    fld = mane_potential(ql_model, grid201, 0.0, 0.0, SolveParams(tol=1e-7),
-                         controls=controls1d, evaluator=ql_evaluator)
+def test_mane_zero_at_pin_and_nonnegative(kernel201):
+    fld = mane_potential(kernel201, 0.0, 0.0, SolveParams(tol=1e-7))
     assert float(fld.interpolate(0.0)) == 0.0
     assert np.min(fld.values) >= -1e-12
     xs = np.linspace(-3.0, 3.0, 121)
@@ -610,12 +595,9 @@ def test_mane_zero_at_pin_and_nonnegative(ql_model, ql_evaluator, controls1d,
     assert np.max(np.abs(diff)) <= 1e-1
 
 
-def test_mane_triangle_inequality(ql_model, ql_evaluator, controls1d,
-                                  grid201):
+def test_mane_triangle_inequality(kernel201):
     p = SolveParams(tol=1e-7)
-    pins = {y: mane_potential(ql_model, grid201, y, 0.0, p,
-                              controls=controls1d, evaluator=ql_evaluator)
-            for y in (0.0, 1.0, -2.0)}
+    pins = {y: mane_potential(kernel201, y, 0.0, p) for y in (0.0, 1.0, -2.0)}
     rng = np.random.RandomState(5)
     xs = rng.uniform(-4.0, 4.0, size=40)
     for y, z in ((0.0, 1.0), (0.0, -2.0), (1.0, -2.0)):
@@ -624,10 +606,11 @@ def test_mane_triangle_inequality(ql_model, ql_evaluator, controls1d,
         assert np.all(lhs <= rhs + 0.15)
 
 
-def test_mane_pin_outside_mask_raises(ql_model):
+def test_mane_pin_outside_mask_raises(ql_evaluator, controls1d):
     grid = UniformGrid(Domain.ball(((-8.0, 8.0),), 3.0), (161,))
+    kernel = SweepKernel(grid, ql_evaluator, controls1d)
     with pytest.raises(SolverError, match="pin"):
-        mane_potential(ql_model, grid, 7.0, 0.0)
+        mane_potential(kernel, 7.0, 0.0)
 
 
 def test_mane_observed_order_against_quadrature(ql_model, ql_evaluator,
@@ -639,8 +622,8 @@ def test_mane_observed_order_against_quadrature(ql_model, ql_evaluator,
     for n in (101, 201, 401):
         grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (n,))
         fld = mane401 if n == 401 else mane_potential(
-            ql_model, grid, 0.0, 0.0, params_tight, controls=controls1d,
-            evaluator=ql_evaluator)
+            SweepKernel(grid, ql_evaluator, controls1d), 0.0, 0.0,
+            params_tight)
         xs = grid.axes[0][np.abs(grid.axes[0]) <= 3.0 + 1e-9]
         err = fld.interpolate(xs) - quadrature_mane(xs)
         assert np.min(err) >= 0.0  # the scheme overestimates S
@@ -659,9 +642,9 @@ def test_two_dimensional_radial_oracle_solve_and_trace():
     ev = LagrangianEvaluator(model)
     controls = ControlSet.build(2)
     grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.5), (31, 31))
+    kernel = SweepKernel(grid, ev, controls)
     params = SolveParams(tol=1e-7)
-    fld = mane_potential(model, grid, (0.0, 0.0), 0.0, params,
-                         controls=controls, evaluator=ev)
+    fld = mane_potential(kernel, (0.0, 0.0), 0.0, params)
     inside = grid.mask.ravel()
     pts = grid.points()[inside]
     err = fld.values.ravel()[inside] - quadrature_mane(
@@ -674,11 +657,10 @@ def test_two_dimensional_radial_oracle_solve_and_trace():
     assert np.max(err[on_axis]) <= dx
     assert np.max(err) <= 1.5 * dx
 
-    out = solve_state_constraint(model, grid, 0.2, 0.0, params,
-                                 controls=controls, evaluator=ev)
+    out = solve_state_constraint(kernel, 0.2, 0.0, params)
     assert out.converged
-    curve = backtrace(out.field, model, ev, controls, 0.2, 0.0, (1.0, 0.0),
-                      10.0, params.resolve(grid, controls).dt)
+    curve = backtrace(out.field, ev, controls, 0.2, 0.0, (1.0, 0.0),
+                      10.0, kernel.dt)
     assert curve.warning == ""
     # the minimizer from (1, 0) runs down the axis into the well bottom
     radius = np.linalg.norm(curve.points, axis=1)
@@ -687,12 +669,9 @@ def test_two_dimensional_radial_oracle_solve_and_trace():
     assert radius[-1] <= dx
 
 
-def test_aubry_indicator_separates_the_well(ql_model, ql_evaluator,
-                                            controls1d, grid201):
-    p = SolveParams(tol=1e-7)
-    dt = p.resolve(grid201, controls1d).dt
-    delta = aubry_indicator(ql_model, grid201, 0.0, [0.0, 2.0], p,
-                            controls=controls1d, evaluator=ql_evaluator)
+def test_aubry_indicator_separates_the_well(kernel201):
+    dt = kernel201.dt
+    delta = aubry_indicator(kernel201, 0.0, [0.0, 2.0], SolveParams(tol=1e-7))
     assert delta[0] <= 1e-2
     assert delta[1] >= 0.25 * dt  # roughly f(2)*dt, never grid noise
     assert np.all(delta >= -1e-12)
@@ -703,7 +682,8 @@ def test_aubry_indicator_flat_potential_vanishes():
                              potential=parse("0"),
                              coupling=LinearCoupling(parse("1"), 1.0, 1.0))
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
-    delta = aubry_indicator(model, grid, 0.0, [0.5, -1.0],
+    kernel = SweepKernel(grid, LagrangianEvaluator(model), ControlSet.build(1))
+    delta = aubry_indicator(kernel, 0.0, [0.5, -1.0],
                             SolveParams(tol=1e-4, max_iters=20000))
     np.testing.assert_allclose(delta, 0.0, rtol=0, atol=1e-12)
 
@@ -712,11 +692,11 @@ def test_aubry_indicator_flat_potential_vanishes():
 # growing-ball maximal solves
 
 
-def test_maximal_global_stabilizes(ql_model, ql_evaluator, controls1d):
-    out = solve_maximal_global(ql_model, 0.1, 0.0, (3.0, 4.0, 5.0, 6.0), 1.0,
+def test_maximal_global_stabilizes(ql_evaluator, controls1d):
+    out = solve_maximal_global(ql_evaluator, controls1d, 0.1, 0.0,
+                               (3.0, 4.0, 5.0, 6.0), 1.0,
                                SolveParams(tol=1e-8), box=((-8.0, 8.0),),
-                               shape=(161,), controls=controls1d,
-                               evaluator=ql_evaluator, stab_tol=1e-3)
+                               shape=(161,), stab_tol=1e-3)
     assert out.converged
     assert out.extras["stabilized"]
     assert out.extras["stabilized_at"] <= 6.0
@@ -728,20 +708,19 @@ def test_maximal_global_stabilizes(ql_model, ql_evaluator, controls1d):
     assert np.min(out.field.values[out.field.grid.mask]) >= -1e-2
 
 
-def test_maximal_global_reports_nonstabilized(ql_model, ql_evaluator,
-                                              controls1d):
-    out = solve_maximal_global(ql_model, 0.1, 0.0, (3.0, 4.0), 1.0,
-                               SolveParams(tol=1e-8), box=((-8.0, 8.0),),
-                               shape=(161,), controls=controls1d,
-                               evaluator=ql_evaluator, stab_tol=1e-16)
+def test_maximal_global_reports_nonstabilized(ql_evaluator, controls1d):
+    out = solve_maximal_global(ql_evaluator, controls1d, 0.1, 0.0, (3.0, 4.0),
+                               1.0, SolveParams(tol=1e-8), box=((-8.0, 8.0),),
+                               shape=(161,), stab_tol=1e-16)
     assert out.converged
     assert not out.extras["stabilized"]
     assert out.extras["stabilized_at"] is None
     assert len(out.extras["stabilization"]) == 2
 
 
-def test_maximal_global_rejects_bad_schedule(ql_model):
+def test_maximal_global_rejects_bad_schedule(ql_evaluator, controls1d):
     with pytest.raises(SolverError, match="r_schedule"):
-        solve_maximal_global(ql_model, 0.1, 0.0, (4.0,), 0.0)
+        solve_maximal_global(ql_evaluator, controls1d, 0.1, 0.0, (4.0,), 0.0)
     with pytest.raises(SolverError, match="r_schedule"):
-        solve_maximal_global(ql_model, 0.1, 0.0, (4.0, 3.0), 0.0)
+        solve_maximal_global(ql_evaluator, controls1d, 0.1, 0.0, (4.0, 3.0),
+                             0.0)

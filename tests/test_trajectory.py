@@ -7,7 +7,8 @@ from contact_hj.expressions import parse
 from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, QuadraticKinetic)
-from contact_hj.solver import SolveParams, SolverError, solve_state_constraint
+from contact_hj.solver import (ControlSet, SolveParams, SolverError,
+                               SweepKernel, solve_state_constraint)
 from contact_hj.trajectory import (INDEX_KINDS, backtrace, compute_indices,
                                    exponential_action, write_curve_csv)
 
@@ -15,10 +16,9 @@ from conftest import window_residual
 
 
 @pytest.fixture(scope="module")
-def curve_z2(theta_005, ql_model, ql_evaluator, controls1d):
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    return backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
-                     0.05, 0.0, 2.0, 40.0, dt)
+def curve_z2(theta_005, kernel201, ql_evaluator, controls1d):
+    return backtrace(theta_005.field, ql_evaluator, controls1d,
+                     0.05, 0.0, 2.0, 40.0, kernel201.dt)
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +28,13 @@ def arctan_solve():
                              coupling=ArctanCoupling(shift=math.pi))
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.full_box(((-6.0, 6.0),)), (121,))
-    out = solve_state_constraint(model, grid, 0.2, math.pi,
-                                 SolveParams(tol=1e-6), evaluator=ev)
+    kernel = SweepKernel(grid, ev, ControlSet.build(1))
+    out = solve_state_constraint(kernel, 0.2, math.pi, SolveParams(tol=1e-6))
     assert out.converged
-    return model, ev, out.field
+    return kernel, out.field
 
 
-def reference_backtrace(field, model, evaluator, controls, lam, c, z,
+def reference_backtrace(field, evaluator, controls, lam, c, z,
                         horizon, dt, defect_tol=None):
     """Plain per-step loop: Legendre over every control at the tiled point,
     the public interpolate on the admitted feet and afresh at each point.
@@ -80,10 +80,9 @@ def reference_backtrace(field, model, evaluator, controls, lam, c, z,
     return pts, vel, defect_max, warning, blocked
 
 
-def assert_matches_reference(field, model, evaluator, controls, lam, c, z,
+def assert_matches_reference(field, evaluator, controls, lam, c, z,
                              horizon, dt, defect_tol=None) -> tuple:
-    args = (field, model, evaluator, controls, lam, c, z, horizon, dt,
-            defect_tol)
+    args = (field, evaluator, controls, lam, c, z, horizon, dt, defect_tol)
     curve = backtrace(*args)
     pts, vel, defect_max, warning, blocked = reference_backtrace(*args)
     assert np.array_equal(curve.points, pts)
@@ -97,10 +96,10 @@ def assert_matches_reference(field, model, evaluator, controls, lam, c, z,
 
 @pytest.mark.parametrize("z", [0.0, 2.0])
 def test_backtrace_matches_reference_quadratic_linear(
-        z, theta_005, ql_model, ql_evaluator, controls1d):
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    curve, _ = assert_matches_reference(theta_005.field, ql_model,
-                                        ql_evaluator, controls1d, 0.05, 0.0,
+        z, theta_005, kernel201, ql_evaluator, controls1d):
+    dt = kernel201.dt
+    curve, _ = assert_matches_reference(theta_005.field, ql_evaluator,
+                                        controls1d, 0.05, 0.0,
                                         z, 10.0, dt)
     assert curve.warning == ""
 
@@ -116,21 +115,21 @@ def settled(curve) -> bool:
     (2.0, 120, False),      # too short to settle
 ])
 def test_backtrace_fills_the_stationary_tail_exactly(
-        z, steps, settles, theta_005, ql_model, ql_evaluator, controls1d):
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    curve, _ = assert_matches_reference(theta_005.field, ql_model,
-                                        ql_evaluator, controls1d, 0.05, 0.0,
+        z, steps, settles, theta_005, kernel201, ql_evaluator, controls1d):
+    dt = kernel201.dt
+    curve, _ = assert_matches_reference(theta_005.field, ql_evaluator,
+                                        controls1d, 0.05, 0.0,
                                         z, steps * dt, dt)
     assert curve.segments == math.ceil(steps - 1e-9)
     assert settled(curve) == settles
 
 
-def test_backtrace_tail_keeps_counting_defects(theta_005, ql_model,
+def test_backtrace_tail_keeps_counting_defects(theta_005, kernel201,
                                                ql_evaluator, controls1d):
     # a unit shift leaves z = 0 stationary with defect dt*lam*v at every step
     shifted = theta_005.field.with_values(theta_005.field.values + 1.0)
-    dt = SolveParams().resolve(shifted.grid, controls1d).dt
-    curve, _ = assert_matches_reference(shifted, ql_model, ql_evaluator,
+    dt = kernel201.dt
+    curve, _ = assert_matches_reference(shifted, ql_evaluator,
                                         controls1d, 0.05, 0.0, 0.0, 10.0, dt,
                                         defect_tol=1e-6)
     n = curve.segments
@@ -138,7 +137,7 @@ def test_backtrace_tail_keeps_counting_defects(theta_005, ql_model,
 
 
 def test_backtrace_does_not_trace_the_settled_tail(
-        theta_005, ql_model, ql_evaluator, controls1d, monkeypatch):
+        theta_005, kernel201, ql_evaluator, controls1d, monkeypatch):
     calls = []
     unchecked = GridField.interpolate_unchecked
 
@@ -147,14 +146,14 @@ def test_backtrace_does_not_trace_the_settled_tail(
         return unchecked(self, pts)
 
     monkeypatch.setattr(GridField, "interpolate_unchecked", counted)
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
+    dt = kernel201.dt
     # the start value, then one step that repeats its own state
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                       0.05, 0.0, 0.0, 1e4 * dt, dt)
     assert curve.segments >= 10000
     assert len(calls) <= 2
     calls.clear()
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                       0.05, 0.0, 2.0, 1e4 * dt, dt)
     moves = np.flatnonzero(np.any(curve.points[1:] != curve.points[:-1],
                                   axis=1))
@@ -164,40 +163,40 @@ def test_backtrace_does_not_trace_the_settled_tail(
 
 
 def test_backtrace_matches_reference_arctan(arctan_solve, controls1d):
-    model, ev, field = arctan_solve
-    dt = SolveParams().resolve(field.grid, controls1d).dt
-    assert_matches_reference(field, model, ev, controls1d, 0.2, math.pi,
+    kernel, field = arctan_solve
+    ev, dt = kernel.evaluator, kernel.dt
+    assert_matches_reference(field, ev, controls1d, 0.2, math.pi,
                              1.5, 3.0, dt)
 
 
 def test_backtrace_fills_the_arctan_tail_exactly(arctan_solve, controls1d):
-    model, ev, field = arctan_solve
-    dt = SolveParams().resolve(field.grid, controls1d).dt
-    curve, _ = assert_matches_reference(field, model, ev, controls1d, 0.2,
+    kernel, field = arctan_solve
+    ev, dt = kernel.evaluator, kernel.dt
+    curve, _ = assert_matches_reference(field, ev, controls1d, 0.2,
                                         math.pi, 1.5, 20.0, dt)
     assert settled(curve)
 
 
 def test_backtrace_matches_reference_on_a_2d_ball_boundary(ball_2d):
-    field, model, ev, controls, dt = ball_2d
-    curve, blocked = assert_matches_reference(field, model, ev, controls,
+    field, ev, controls, dt = ball_2d
+    curve, blocked = assert_matches_reference(field, ev, controls,
                                               0.4, 0.0, (0.5, 1.5), 4.0, dt)
     assert blocked >= 10
     np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
 
 
 def test_backtrace_fills_the_2d_boundary_tail_exactly(ball_2d):
-    field, model, ev, controls, dt = ball_2d
-    curve, _ = assert_matches_reference(field, model, ev, controls, 0.4, 0.0,
+    field, ev, controls, dt = ball_2d
+    curve, _ = assert_matches_reference(field, ev, controls, 0.4, 0.0,
                                         (0.5, 1.5), 12.0, dt)
     np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
     assert settled(curve)
 
 
-def test_backtrace_stationary_at_the_well(theta_005, ql_model, ql_evaluator,
+def test_backtrace_stationary_at_the_well(theta_005, kernel201, ql_evaluator,
                                           controls1d):
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+    dt = kernel201.dt
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                       0.05, 0.0, 0.0, 10.0, dt)
     assert np.max(np.abs(curve.points)) <= 1e-12
     assert np.max(np.abs(curve.velocities)) == 0.0
@@ -211,10 +210,10 @@ def test_backtrace_confines_and_decays(curve_z2):
     assert np.all(np.diff(np.abs(x)) <= 1e-12)  # monotone slide to the well
 
 
-def test_backtrace_step_bookkeeping(theta_005, ql_model, ql_evaluator,
+def test_backtrace_step_bookkeeping(theta_005, kernel201, ql_evaluator,
                                     controls1d):
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+    dt = kernel201.dt
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                       0.05, 0.0, 1.0, 10.0, dt)
     n = curve.segments
     assert n == math.ceil(10.0 / dt - 1e-12)
@@ -228,24 +227,23 @@ def test_backtrace_step_bookkeeping(theta_005, ql_model, ql_evaluator,
     np.testing.assert_allclose(steps, curve.points[1:], atol=1e-12)
 
 
-def test_backtrace_rejects_bad_starts(theta_005, ql_model, ql_evaluator,
-                                      controls1d):
+def test_backtrace_rejects_bad_starts(theta_005, ql_evaluator, controls1d):
     with pytest.raises(SolverError, match="outside"):
-        backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+        backtrace(theta_005.field, ql_evaluator, controls1d,
                   0.05, 0.0, 11.0, 1.0, 0.008)
     with pytest.raises(SolverError, match="dimension"):
-        backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+        backtrace(theta_005.field, ql_evaluator, controls1d,
                   0.05, 0.0, (1.0, 1.0), 1.0, 0.008)
 
 
-def test_backtrace_flags_inconsistent_fields(theta_005, ql_model,
+def test_backtrace_flags_inconsistent_fields(theta_005, kernel201,
                                              ql_evaluator, controls1d):
     grid = theta_005.field.grid
     xs = grid.axes[0]
     bad = theta_005.field.with_values(theta_005.field.values
                                       + 0.5 * np.sin(5.0 * xs))
-    dt = SolveParams().resolve(grid, controls1d).dt
-    curve, _ = assert_matches_reference(bad, ql_model, ql_evaluator,
+    dt = kernel201.dt
+    curve, _ = assert_matches_reference(bad, ql_evaluator,
                                         controls1d, 0.05, 0.0, 1.0, 2.0, dt,
                                         defect_tol=1e-4)
     assert "defect" in curve.warning
@@ -283,9 +281,9 @@ def test_indices_unknown_kind_raises(curve_z2, ql_model, ql_evaluator,
 
 
 def test_indices_arctan_levels_matter(arctan_solve, controls1d):
-    model, ev, field = arctan_solve
-    dt = SolveParams().resolve(field.grid, controls1d).dt
-    curve = backtrace(field, model, ev, controls1d, 0.2, math.pi, 1.5,
+    kernel, field = arctan_solve
+    ev, dt = kernel.evaluator, kernel.dt
+    curve = backtrace(field, ev, controls1d, 0.2, math.pi, 1.5,
                       10.0, dt)
     kap = compute_indices(curve, ev, field, 0.2, "kappa")
     bold = compute_indices(curve, ev, field, 0.2, "k_bold", c0=1.0)
@@ -297,7 +295,7 @@ def test_indices_arctan_levels_matter(arctan_solve, controls1d):
 
 def test_quotient_ordering_in_level_a(arctan_solve):
     # monotone in the upper level while both levels stay in the convex range
-    model, ev, _ = arctan_solve
+    ev = arctan_solve[0].evaluator
     rng = np.random.RandomState(2)
     for _ in range(200):
         x = rng.uniform(-3.0, 3.0)
@@ -310,11 +308,11 @@ def test_quotient_ordering_in_level_a(arctan_solve):
         assert i1 >= i2 - 1e-12
 
 
-def test_exponential_action_represents_the_field(theta_005, ql_model,
+def test_exponential_action_represents_the_field(theta_005, kernel201,
                                                  ql_evaluator, controls1d):
     lam = 0.05
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+    dt = kernel201.dt
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                       lam, 0.0, 1.0, 40.0, dt)
     ids = compute_indices(curve, ql_evaluator, theta_005.field,
                           lam, "kappa")
@@ -348,10 +346,10 @@ def test_exponential_action_rejects_unknown_level(curve_z2, ql_model,
                            u_level="halfway")
 
 
-def test_windowed_dpp_residual(theta_005, ql_model, ql_evaluator, controls1d):
+def test_windowed_dpp_residual(theta_005, kernel201, ql_evaluator, controls1d):
     lam = 0.05
-    dt = SolveParams().resolve(theta_005.field.grid, controls1d).dt
-    curve = backtrace(theta_005.field, ql_model, ql_evaluator, controls1d,
+    dt = kernel201.dt
+    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
                       lam, 0.0, 1.0, 20.0, dt)
     ids = compute_indices(curve, ql_evaluator, theta_005.field,
                           lam, "kappa")
