@@ -24,7 +24,7 @@ from .measures import (closedness_defect, default_battery, mather_defect,
                        write_measure_csv)
 from .solver import (CMismatchError, SolverError, estimate_critical_value,
                      mane_potential, solve_ergodic, solve_state_constraint)
-from .trajectory import INDEX_KINDS, exponential_action, write_curve_csv
+from .trajectory import exponential_action, write_curve_csv
 
 __all__ = ["main"]
 
@@ -190,16 +190,15 @@ def _cmd_trace(args) -> int:
     config, kernel, lam, z, out = _solve(args)
     field = out.field
     curve, idx, horizon = trace_curve(kernel, config, field, lam, z,
-                                      args.horizon, args.kind)
+                                      args.horizon)
     run_dir = make_run_dir(config.outdir, "trace", args.stamp)
     write_curve_csv(os.path.join(run_dir, "curve.csv"), curve, idx)
     action = exponential_action(curve, idx, kernel.evaluator, lam,
                                 config.c, boundary_field=field)
     vz = float(field.interpolate(np.reshape(z, (1, -1)))[0])
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
-               "horizon": horizon, "kind": args.kind,
-               "defect_max": curve.defect_max, "warning": curve.warning,
-               "field_at_z": vz, "exponential_action": action,
+               "horizon": horizon, "defect_max": curve.defect_max,
+               "warning": curve.warning, "field_at_z": vz, "exponential_action": action,
                "representation_residual": abs(vz - action)}
     atomic_write_text(os.path.join(run_dir, "trace.json"),
                       json.dumps(summary, indent=2) + "\n")
@@ -297,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--z", help="probe point, comma-separated in 2D")
         if name in ("trace", "measure"):
             p.add_argument("--horizon", type=float, default=None)
-        if name == "trace":
-            p.add_argument("--kind", choices=INDEX_KINDS, default="kappa")
     return parser
 
 

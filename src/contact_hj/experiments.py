@@ -19,8 +19,8 @@ import numpy as np
 
 from .grid import (Domain, DomainError, UniformGrid, atomic_write_text,
                    tensor_points)
-from .hamiltonian import (P_EXTENT, HamiltonianModel, LagrangianEvaluator,
-                          ModelError, check_assumptions)
+from .hamiltonian import (HamiltonianModel, LagrangianEvaluator, ModelError,
+                          check_assumptions)
 from .measures import (closedness_defect, default_battery, discounted_measure,
                        mather_defect, selection_functional,
                        weak_limit_diagnostics, write_measure_csv)
@@ -53,6 +53,14 @@ def _number(value, key: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} needs a number, got {value!r}") from None
+
+
+def _positive(value, key: str) -> float:
+    """float(value), or ConfigError naming the key unless finite and > 0."""
+    x = _number(value, key)
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{key!r} must be finite and > 0, got {x!r}")
+    return x
 
 
 def _numbers(values, key: str) -> tuple:
@@ -135,19 +143,21 @@ class ExperimentConfig:
             raise ConfigError(f"grid.kind must be box or ball, got {grid['kind']!r}")
 
         solver = dict(data.get("solver", {}))
-        _check_keys(solver, _SOLVER_KEYS, "solver.", numeric=_SOLVER_KEYS)
-        solver.setdefault("tol", 1e-8)
-        solver.setdefault("max_iters", 50000)
-        dt = solver.setdefault("dt", None)
-        if dt is not None:
-            dt = solver["dt"] = _number(dt, "solver.dt")
-            if not (math.isfinite(dt) and dt > 0):
-                raise ConfigError(f"'solver.dt' must be finite and > 0, "
-                                  f"got {dt!r}")
+        _check_keys(solver, _SOLVER_KEYS, "solver.")
+        solver["tol"] = _positive(solver.get("tol", 1e-8), "solver.tol")
+        iters = _number(solver.get("max_iters", 50000), "solver.max_iters")
+        if not (iters >= 1 and iters.is_integer()):
+            raise ConfigError(f"'solver.max_iters' must be a positive "
+                              f"integer, got {iters!r}")
+        solver["max_iters"] = int(iters)
+        if solver.setdefault("dt", None) is not None:
+            solver["dt"] = _positive(solver["dt"], "solver.dt")
 
         controls = dict(data.get("controls", {}))
-        _check_keys(controls, _CONTROL_KEYS, "controls.",
-                        numeric=_CONTROL_KEYS)
+        _check_keys(controls, _CONTROL_KEYS, "controls.")
+        for key in sorted(_CONTROL_KEYS):
+            if controls.get(key) is not None:
+                controls[key] = _positive(controls[key], "controls." + key)
 
         lams = _numbers(data.get("lambdas", (0.2, 0.1, 0.05, 0.025)), "lambdas")
         if any(l <= 0 for l in lams):
@@ -182,7 +192,7 @@ class ExperimentConfig:
             lambdas=lams,
             radii=radii,
             probes=probes,
-            horizon=None if horizon is None else _number(horizon, "horizon"),
+            horizon=None if horizon is None else _positive(horizon, "horizon"),
             window=window,
             solver=solver,
             controls=controls,
@@ -223,8 +233,8 @@ class ExperimentConfig:
         return UniformGrid(Domain.full_box(box), shape)
 
     def build_params(self) -> SolveParams:
-        s = self.solver
-        return SolveParams(tol=float(s["tol"]), max_iters=int(s["max_iters"]))
+        return SolveParams(tol=self.solver["tol"],
+                           max_iters=self.solver["max_iters"])
 
     def build_controls(self, dim: int) -> ControlSet:
         return ControlSet.build(dim, max_speed=self.controls.get("max_speed"),
@@ -383,15 +393,12 @@ def discount_chain(kernel: SweepKernel, config: ExperimentConfig):
 
 
 def trace_curve(kernel: SweepKernel, config: ExperimentConfig, field,
-                lam: float, z, horizon: float = None, kind: str = "kappa"):
+                lam: float, z, horizon: float = None):
     """(curve, index series, horizon) of the backtrace from z on field; a
     falsy horizon means the config's tail rule."""
-    evaluator = kernel.evaluator
-    kappa_lo = max(evaluator.model.kappa_bounds(P_EXTENT)[0], 0.0)
-    horizon = horizon or config.trace_horizon(lam, kappa_lo)
-    curve = backtrace(field, evaluator, kernel.controls, lam, config.c, z,
-                      horizon, kernel.dt)
-    idx = compute_indices(curve, evaluator, field, lam, kind)
+    horizon = horizon or config.trace_horizon(lam, kernel.kappa_lo)
+    curve = backtrace(kernel, field, lam, config.c, z, horizon)
+    idx = compute_indices(curve, kernel.evaluator, field, lam)
     return curve, idx, horizon
 
 

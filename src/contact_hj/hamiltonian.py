@@ -354,7 +354,7 @@ class HamiltonianModel:
 # Lagrangian evaluation
 
 
-P_EXTENT = 20.0  # lower_bound_m0 lattice, kappa radius, tabulated sup cap
+P_EXTENT = 20.0  # lower_bound_m0 lattice, tabulated sup cap, 8x first extent
 P_SPACING = 0.01  # spacing of the radial momentum lattice
 _EXTENT_START = P_EXTENT / 8  # first extent of the lattice sup
 _EXTENT_CAP = 160.0

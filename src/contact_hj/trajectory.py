@@ -17,12 +17,10 @@ import numpy as np
 
 from .grid import GridField, atomic_write_rows
 from .hamiltonian import LagrangianEvaluator
-from .solver import ControlSet, SolverError
+from .solver import SolverError, SweepKernel
 
 __all__ = ["Curve", "IndexSeries", "backtrace", "compute_indices",
-           "exponential_action", "write_curve_csv", "INDEX_KINDS"]
-
-INDEX_KINDS = ("kappa", "K", "k_bold", "K_bold")
+           "exponential_action", "write_curve_csv"]
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,6 @@ class IndexSeries:
     value per segment), so cumulative[0] = 0 and the sequence decreases.
     """
 
-    kind: str
-    times: np.ndarray       # (N+1,)
     values: np.ndarray      # (N,)
     cumulative: np.ndarray  # (N+1,)
 
@@ -63,10 +59,11 @@ class IndexSeries:
         return np.exp(lam * self.cumulative)
 
 
-def backtrace(field: GridField, evaluator: LagrangianEvaluator,
-              controls: ControlSet, lam: float, c: float, z, horizon: float,
-              dt: float, defect_tol: float = None) -> Curve:
+def backtrace(kernel: SweepKernel, field: GridField, lam: float, c: float, z,
+              horizon: float, defect_tol: float = None) -> Curve:
     """Trace the greedy backward minimizer of the DPP from z.
+
+    The evaluator, controls and time step are the kernel's.
 
     At each point the control minimizing Δt*(L(x,a,λ*v(x)) + c) + v(x - Δt*a)
     is chosen (first hit in lexicographic control order on ties). Steps whose
@@ -74,7 +71,7 @@ def backtrace(field: GridField, evaluator: LagrangianEvaluator,
     counted and surface as a warning on the curve, which is still returned.
 
     L keeps legendre()'s arithmetic, W + f(x) - phi(x)*λ*v(x): the sup term
-    W is the u = 0 row for separable couplings, computed once per curve, and
+    W is the kernel's u = 0 row (kernel.cost) for separable couplings, and
     the lattice sup at level λ*v(x) for p-coupled ones; f, phi and W all
     come from evaluator.model. v(x) is the interpolated value of the foot
     chosen at the step before. A step whose chosen foot and value equal its
@@ -82,7 +79,7 @@ def backtrace(field: GridField, evaluator: LagrangianEvaluator,
     repeat it, so they are filled with its control, its foot and its defect
     count.
     """
-    grid = field.grid
+    grid, evaluator, dt = field.grid, kernel.evaluator, kernel.dt
     model = evaluator.model
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if len(z) != grid.dim:
@@ -93,11 +90,9 @@ def backtrace(field: GridField, evaluator: LagrangianEvaluator,
     n_steps = int(math.ceil(horizon / dt - 1e-12))
     if defect_tol is None:
         defect_tol = 10.0 * 1e-8 + max(grid.dx) ** 2
-    ctrl = controls.controls
+    ctrl = kernel.controls.controls
     step = dt * ctrl
-    speeds = controls.speeds
-    row = (evaluator.conjugate_speeds(speeds)
-           if model.coupling.separable else None)
+    row = kernel.cost if model.coupling.separable else None
     pts = np.empty((n_steps + 1, grid.dim))
     vel = np.empty((n_steps, grid.dim))
     pts[0] = z
@@ -107,7 +102,8 @@ def backtrace(field: GridField, evaluator: LagrangianEvaluator,
     v_here = float(field.interpolate(x1)[0])
     for k in range(n_steps):
         level = lam * v_here
-        sup = row if row is not None else evaluator._radial_sup(speeds, level)
+        sup = (row if row is not None
+               else evaluator._radial_sup(kernel.speeds, level))
         lvals = sup + model.f(x1) - model.phi(x1) * level
         feet = x1 - step
         ok = grid.domain.contains(feet, slack=1e-9)
@@ -144,46 +140,37 @@ def backtrace(field: GridField, evaluator: LagrangianEvaluator,
 
 
 def compute_indices(curve: Curve, evaluator: LagrangianEvaluator,
-                    field: GridField, lam: float, kind: str,
+                    field: GridField, lam: float,
                     c0: float = 0.0) -> IndexSeries:
     """Discount index series along a curve.
 
     The index at segment k is the difference quotient of L in the u slot at
-    (x_k, a_k) between level a = λ*field(x_k) and the reference level b,
-    where b = 0 for kinds kappa/K and b = -λ*c0 for the bold variants.
+    (x_k, a_k) between the field's level λ*field(x_k) and the reference
+    level -λ*c0.
     """
-    if kind not in INDEX_KINDS:
-        raise ValueError(f"unknown index kind {kind!r}; pick from {INDEX_KINDS}")
     n = curve.segments
     xk = curve.points[:n]
-    ak = curve.velocities
     a_levels = lam * np.asarray(field.interpolate(xk), dtype=float)
-    b_level = 0.0 if kind in ("kappa", "K") else -lam * c0
     values = np.asarray(evaluator.discount_index(
-        xk, ak, a_levels, np.full(n, b_level)), dtype=float)
+        xk, curve.velocities, a_levels, np.full(n, -lam * c0)), dtype=float)
     cumulative = np.concatenate([[0.0], np.cumsum(curve.dt * values)])
-    return IndexSeries(kind=kind, times=curve.times.copy(), values=values,
-                       cumulative=cumulative)
+    return IndexSeries(values=values, cumulative=cumulative)
 
 
 def exponential_action(curve: Curve, indices: IndexSeries,
                        evaluator: LagrangianEvaluator, lam: float, c: float,
-                       u_level: str = "zero", c0: float = 0.0,
+                       c0: float = 0.0,
                        boundary_field: GridField = None) -> float:
     """Discrete exponentially weighted action along the curve.
 
-    Sum over segments of e^{λ*cumulative(t_k)} * (L(x_k, a_k, level) + c) * Δt
-    with level 0 ("zero") or -λ*c0 ("minusLambdaC0"); when a boundary field is
-    supplied the tail term e^{λ*cumulative(-T)} * field(γ(-T)) is added, which
-    completes the right-hand side of the representation formulas.
+    Sum over segments of e^{λ*cumulative(t_k)} * (L(x_k, a_k, -λ*c0) + c) * Δt;
+    when a boundary field is supplied the tail term
+    e^{λ*cumulative(-T)} * field(γ(-T)) is added, which completes the
+    right-hand side of the representation formulas.
     """
-    if u_level not in ("zero", "minusLambdaC0"):
-        raise ValueError(f"unknown u_level {u_level!r}")
-    level = 0.0 if u_level == "zero" else -lam * c0
     n = curve.segments
-    xk = curve.points[:n]
-    ak = curve.velocities
-    lvals = np.asarray(evaluator.legendre(xk, ak, level), dtype=float)
+    lvals = np.asarray(evaluator.legendre(
+        curve.points[:n], curve.velocities, -lam * c0), dtype=float)
     w = indices.weights(lam)[:n]
     total = float(np.sum(w * (lvals + c) * curve.dt))
     if boundary_field is not None:

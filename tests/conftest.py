@@ -114,7 +114,7 @@ def ball_2d():
     kernel = SweepKernel(grid, ev, controls)
     out = solve_state_constraint(kernel, 0.4, 0.0, SolveParams(tol=1e-6))
     assert out.converged
-    return out.field, ev, controls, kernel.dt
+    return out.field, kernel
 
 
 def read_field_csv(path) -> GridField:

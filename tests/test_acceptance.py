@@ -244,18 +244,18 @@ def test_measure_defect_decay_and_index_signs(
     # index series along one shared curve: always nonpositive, and the
     # shifted-reference index on the maximal-proxy field dominates the one on
     # the constrained field (exact equality for this affine coupling)
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      0.05, 0.0, 1.0, 30.0, kernel201.dt)
+    curve = backtrace(kernel201, theta_005.field, 0.05, 0.0, 1.0, 30.0)
     maximal = solve_maximal_global(ql_evaluator, controls1d, 0.05, 0.0,
                                    (4.0, 6.0, 8.0), 1.0, params_fast,
                                    box=((-10.0, 10.0),), shape=(201,))
     series = {}
-    for kind, field in (("kappa", theta_005.field), ("K", maximal.field),
-                        ("k_bold", theta_005.field),
-                        ("K_bold", maximal.field)):
-        series[kind] = compute_indices(curve, ql_evaluator, field,
-                                       0.05, kind, c0=1.0)
-        assert float(np.max(series[kind].values)) <= 1e-12
+    for name, field, c0 in (("kappa", theta_005.field, 0.0),
+                            ("K", maximal.field, 0.0),
+                            ("k_bold", theta_005.field, 1.0),
+                            ("K_bold", maximal.field, 1.0)):
+        series[name] = compute_indices(curve, ql_evaluator, field,
+                                       0.05, c0=c0)
+        assert float(np.max(series[name].values)) <= 1e-12
     dominance = float(np.min(series["K_bold"].values
                              - series["k_bold"].values))
     assert dominance >= -1e-12
@@ -283,10 +283,8 @@ def test_scheme_monotonicity_dpp_windows_and_curvewise_bound(
     # weighted window identity along traced curves
     worst_win = 0.0
     for z in (1.0, 2.0):
-        curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                          0.05, 0.0, z, 20.0, dt)
-        idx = compute_indices(curve, ql_evaluator, theta_005.field,
-                              0.05, "kappa")
+        curve = backtrace(kernel201, theta_005.field, 0.05, 0.0, z, 20.0)
+        idx = compute_indices(curve, ql_evaluator, theta_005.field, 0.05)
         n = curve.segments
         for _ in range(15):
             j_hi = rng.randint(0, n - 1)

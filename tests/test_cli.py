@@ -72,14 +72,19 @@ def test_non_finite_literal_is_exit_2(capsys):
 
 
 def test_bad_solver_dt_is_exit_2(tmp_path, capsys):
-    # zero, negative and NaN steps fail as config errors before any sweep;
-    # a quoted number is read as the number it spells
+    # zero, negative and NaN steps fail as config errors before any sweep,
+    # as do a bad tol, iteration cap, control lattice or horizon; a quoted
+    # number is read as the number it spells
     base = ["solve", "--preset", "quadratic-linear", "--lam", "0.2",
             "--out", str(tmp_path), "--stamp", "t"]
-    for raw in ("0", "-0.02", "NaN"):
-        assert main(base + ["--set", f"solver.dt={raw}"]) == 2
+    for key, raw in (("solver.dt", "0"), ("solver.dt", "-0.02"),
+                     ("solver.dt", "NaN"), ("solver.tol", "NaN"),
+                     ("solver.tol", "-1"), ("solver.max_iters", "2.7"),
+                     ("controls.da", "NaN"), ("controls.max_speed", "NaN"),
+                     ("horizon", "-5")):
+        assert main(base + ["--set", f"{key}={raw}"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "'solver.dt'" in err
+        assert "configuration error" in err and f"'{key}'" in err
     assert main(base + ["--set", "solver.dt=0.02"]) == 2
     as_number = capsys.readouterr().err
     assert "one cell per step" in as_number
@@ -196,13 +201,13 @@ def test_mane_writes_field(cfg_file):
 def test_trace_writes_curve_and_summary(cfg_file, capsys):
     path, out = cfg_file
     rc = main(["trace", "--config", path, "--lam", "0.2", "--z", "1",
-               "--horizon", "15", "--kind", "K", "--stamp", "t"])
+               "--horizon", "15", "--stamp", "t"])
     assert rc == 0
     assert "representation residual" in capsys.readouterr().out
     run = os.path.join(out, "trace", "t")
     with open(os.path.join(run, "trace.json")) as fh:
         summary = json.load(fh)
-    assert summary["kind"] == "K"
+    assert "kind" not in summary
     assert summary["z"] == 1.0
     assert summary["representation_residual"] <= 0.1
     data = np.loadtxt(os.path.join(run, "curve.csv"), delimiter=",",

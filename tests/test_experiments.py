@@ -309,8 +309,8 @@ def test_drivers_build_one_kernel_per_grid(tmp_path, monkeypatch):
 def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
     real = experiments.backtrace
 
-    def warn_at_small_lambda(field, evaluator, controls, lam, *args):
-        curve = real(field, evaluator, controls, lam, *args)
+    def warn_at_small_lambda(kernel, field, lam, *args):
+        curve = real(kernel, field, lam, *args)
         if lam == 0.2:
             curve = dataclasses.replace(curve, warning="3/9 steps exceeded")
         return curve

@@ -19,16 +19,13 @@ def point_mass(x, v):
 
 
 @pytest.fixture(scope="module")
-def traced(theta_01, theta_005, kernel201, ql_evaluator, controls1d):
+def traced(theta_01, theta_005, kernel201, ql_evaluator):
     """kappa-weighted measures at z=1 for lam = 0.1 and 0.05."""
     out = {}
-    dt = kernel201.dt
     for lam, solve in ((0.1, theta_01), (0.05, theta_005)):
         horizon = max(40.0, math.log(10.0) / lam)
-        curve = backtrace(solve.field, ql_evaluator, controls1d,
-                          lam, 0.0, 1.0, horizon, dt)
-        ids = compute_indices(curve, ql_evaluator, solve.field,
-                              lam, "kappa")
+        curve = backtrace(kernel201, solve.field, lam, 0.0, 1.0, horizon)
+        ids = compute_indices(curve, ql_evaluator, solve.field, lam)
         out[lam] = discounted_measure(curve, ids, lam)
     return out
 
@@ -78,15 +75,13 @@ def test_default_battery_sizes():
 
 
 def test_discounted_measure_geometric_weights(theta_005, kernel201,
-                                              ql_evaluator, controls1d):
+                                              ql_evaluator):
     # stationary curve at the well: indices are -1, so the per-step weights
     # are an exact geometric sequence and the measure is one atom
     lam = 0.05
     dt = kernel201.dt
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      lam, 0.0, 0.0, 10.0, dt)
-    ids = compute_indices(curve, ql_evaluator, theta_005.field,
-                          lam, "kappa")
+    curve = backtrace(kernel201, theta_005.field, lam, 0.0, 0.0, 10.0)
+    ids = compute_indices(curve, ql_evaluator, theta_005.field, lam)
     mu = discounted_measure(curve, ids, lam)
     assert mu.weights.tolist() == [1.0]
     np.testing.assert_array_equal(mu.points, curve.points[:1])
@@ -120,23 +115,22 @@ def tail_start(curve) -> int:
 
 
 @pytest.fixture(scope="module")
-def atom_cases(theta_005, kernel201, ql_evaluator, controls1d, ball_2d):
+def atom_cases(theta_005, kernel201, ball_2d):
     """(field, evaluator, curve, indices, lam) for a moving and a settled
     curve, in 1D and 2D."""
-    dt1 = kernel201.dt
-    field2, ev2, controls2, dt2 = ball_2d
+    field2, kernel2 = ball_2d
     specs = {
-        "1d-moving": (theta_005.field, ql_evaluator, controls1d,
-                      0.05, 2.0, 120 * dt1, dt1),
-        "1d-settled": (theta_005.field, ql_evaluator, controls1d,
-                       0.05, 1.0, 40.0, dt1),
-        "2d-moving": (field2, ev2, controls2, 0.4, (0.5, 1.5), 1.0, dt2),
-        "2d-settled": (field2, ev2, controls2, 0.4, (0.5, 1.5), 12.0, dt2),
+        "1d-moving": (kernel201, theta_005.field, 0.05, 2.0,
+                      120 * kernel201.dt),
+        "1d-settled": (kernel201, theta_005.field, 0.05, 1.0, 40.0),
+        "2d-moving": (kernel2, field2, 0.4, (0.5, 1.5), 1.0),
+        "2d-settled": (kernel2, field2, 0.4, (0.5, 1.5), 12.0),
     }
     out = {}
-    for name, (field, ev, ctrl, lam, z, horizon, dt) in specs.items():
-        curve = backtrace(field, ev, ctrl, lam, 0.0, z, horizon, dt)
-        ids = compute_indices(curve, ev, field, lam, "kappa")
+    for name, (kernel, field, lam, z, horizon) in specs.items():
+        ev = kernel.evaluator
+        curve = backtrace(kernel, field, lam, 0.0, z, horizon)
+        ids = compute_indices(curve, ev, field, lam)
         out[name] = (field, ev, curve, ids, lam)
     return out
 
@@ -191,8 +185,7 @@ def test_settled_curve_is_its_transient_plus_one_atom(atom_cases, case,
 def test_discounted_measure_rejects_empty_curve():
     curve = Curve(times=np.array([0.0]), points=np.zeros((1, 1)),
                   velocities=np.empty((0, 1)), dt=0.1)
-    ids = IndexSeries(kind="kappa", times=np.array([0.0]),
-                      values=np.empty(0), cumulative=np.array([0.0]))
+    ids = IndexSeries(values=np.empty(0), cumulative=np.array([0.0]))
     with pytest.raises(ValueError, match="no segments"):
         discounted_measure(curve, ids, 0.1)
 

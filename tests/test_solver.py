@@ -465,13 +465,31 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
                                        atol=1e-9 * np.max(np.abs(want)))
 
 
+def _discounted_value_iterate(kernel, v, lam, tol):
+    """Plain value iteration of the classical discounted sweep at c = 0, with
+    _iterate's stopping rule: the reference for the discounted solves of
+    estimate_critical_value. Returns (v, error bound)."""
+    gain = -math.expm1(-lam * kernel.dt)
+    for _ in range(50000):
+        v_new = kernel.step(v, lam, 0.0, mode="discount0")
+        res = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if res <= tol * gain or res <= 1e-13 * max(1.0, np.max(np.abs(v))):
+            return v, res / gain
+    raise AssertionError(f"value iteration stalled at residual {res:g}")
+
+
 def _assert_agrees(pi_out, kernel, lam, c, params, mode="contact"):
     assert pi_out.converged and pi_out.extras["method"] == "policy"
     v0 = np.zeros(len(kernel.in_idx))
-    v, _, _, ok, extras = _iterate(kernel, v0, lam, c, params, mode=mode)
-    assert ok and extras["method"] == "value"
+    if mode == "discount0":
+        v, bound = _discounted_value_iterate(kernel, v0, lam, params.tol)
+    else:
+        v, _, _, ok, extras = _iterate(kernel, v0, lam, c, params)
+        assert ok and extras["method"] == "value"
+        bound = extras["error_bound"]
     gap = np.max(np.abs(pi_out.field.values.ravel()[kernel.in_idx] - v))
-    assert gap <= pi_out.extras["error_bound"] + extras["error_bound"]
+    assert gap <= pi_out.extras["error_bound"] + bound
 
 
 def test_policy_iteration_agrees_with_value_iteration_phi_preset():
@@ -659,8 +677,7 @@ def test_two_dimensional_radial_oracle_solve_and_trace():
 
     out = solve_state_constraint(kernel, 0.2, 0.0, params)
     assert out.converged
-    curve = backtrace(out.field, ev, controls, 0.2, 0.0, (1.0, 0.0),
-                      10.0, kernel.dt)
+    curve = backtrace(kernel, out.field, 0.2, 0.0, (1.0, 0.0), 10.0)
     assert curve.warning == ""
     # the minimizer from (1, 0) runs down the axis into the well bottom
     radius = np.linalg.norm(curve.points, axis=1)

@@ -9,16 +9,15 @@ from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, QuadraticKinetic)
 from contact_hj.solver import (ControlSet, SolveParams, SolverError,
                                SweepKernel, solve_state_constraint)
-from contact_hj.trajectory import (INDEX_KINDS, backtrace, compute_indices,
+from contact_hj.trajectory import (backtrace, compute_indices,
                                    exponential_action, write_curve_csv)
 
 from conftest import window_residual
 
 
 @pytest.fixture(scope="module")
-def curve_z2(theta_005, kernel201, ql_evaluator, controls1d):
-    return backtrace(theta_005.field, ql_evaluator, controls1d,
-                     0.05, 0.0, 2.0, 40.0, kernel201.dt)
+def curve_z2(theta_005, kernel201):
+    return backtrace(kernel201, theta_005.field, 0.05, 0.0, 2.0, 40.0)
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +79,12 @@ def reference_backtrace(field, evaluator, controls, lam, c, z,
     return pts, vel, defect_max, warning, blocked
 
 
-def assert_matches_reference(field, evaluator, controls, lam, c, z,
-                             horizon, dt, defect_tol=None) -> tuple:
-    args = (field, evaluator, controls, lam, c, z, horizon, dt, defect_tol)
-    curve = backtrace(*args)
-    pts, vel, defect_max, warning, blocked = reference_backtrace(*args)
+def assert_matches_reference(kernel, field, lam, c, z, horizon,
+                             defect_tol=None) -> tuple:
+    curve = backtrace(kernel, field, lam, c, z, horizon, defect_tol)
+    pts, vel, defect_max, warning, blocked = reference_backtrace(
+        field, kernel.evaluator, kernel.controls, lam, c, z, horizon,
+        kernel.dt, defect_tol)
     assert np.array_equal(curve.points, pts)
     assert np.array_equal(curve.velocities, vel)
     assert curve.points.tobytes() == pts.tobytes()
@@ -96,11 +96,9 @@ def assert_matches_reference(field, evaluator, controls, lam, c, z,
 
 @pytest.mark.parametrize("z", [0.0, 2.0])
 def test_backtrace_matches_reference_quadratic_linear(
-        z, theta_005, kernel201, ql_evaluator, controls1d):
-    dt = kernel201.dt
-    curve, _ = assert_matches_reference(theta_005.field, ql_evaluator,
-                                        controls1d, 0.05, 0.0,
-                                        z, 10.0, dt)
+        z, theta_005, kernel201):
+    curve, _ = assert_matches_reference(kernel201, theta_005.field, 0.05,
+                                        0.0, z, 10.0)
     assert curve.warning == ""
 
 
@@ -115,29 +113,24 @@ def settled(curve) -> bool:
     (2.0, 120, False),      # too short to settle
 ])
 def test_backtrace_fills_the_stationary_tail_exactly(
-        z, steps, settles, theta_005, kernel201, ql_evaluator, controls1d):
-    dt = kernel201.dt
-    curve, _ = assert_matches_reference(theta_005.field, ql_evaluator,
-                                        controls1d, 0.05, 0.0,
-                                        z, steps * dt, dt)
+        z, steps, settles, theta_005, kernel201):
+    curve, _ = assert_matches_reference(kernel201, theta_005.field, 0.05,
+                                        0.0, z, steps * kernel201.dt)
     assert curve.segments == math.ceil(steps - 1e-9)
     assert settled(curve) == settles
 
 
-def test_backtrace_tail_keeps_counting_defects(theta_005, kernel201,
-                                               ql_evaluator, controls1d):
+def test_backtrace_tail_keeps_counting_defects(theta_005, kernel201):
     # a unit shift leaves z = 0 stationary with defect dt*lam*v at every step
     shifted = theta_005.field.with_values(theta_005.field.values + 1.0)
-    dt = kernel201.dt
-    curve, _ = assert_matches_reference(shifted, ql_evaluator,
-                                        controls1d, 0.05, 0.0, 0.0, 10.0, dt,
-                                        defect_tol=1e-6)
+    curve, _ = assert_matches_reference(kernel201, shifted, 0.05, 0.0, 0.0,
+                                        10.0, defect_tol=1e-6)
     n = curve.segments
     assert curve.warning.startswith(f"{n}/{n} steps exceeded")
 
 
 def test_backtrace_does_not_trace_the_settled_tail(
-        theta_005, kernel201, ql_evaluator, controls1d, monkeypatch):
+        theta_005, kernel201, monkeypatch):
     calls = []
     unchecked = GridField.interpolate_unchecked
 
@@ -148,13 +141,11 @@ def test_backtrace_does_not_trace_the_settled_tail(
     monkeypatch.setattr(GridField, "interpolate_unchecked", counted)
     dt = kernel201.dt
     # the start value, then one step that repeats its own state
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      0.05, 0.0, 0.0, 1e4 * dt, dt)
+    curve = backtrace(kernel201, theta_005.field, 0.05, 0.0, 0.0, 1e4 * dt)
     assert curve.segments >= 10000
     assert len(calls) <= 2
     calls.clear()
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      0.05, 0.0, 2.0, 1e4 * dt, dt)
+    curve = backtrace(kernel201, theta_005.field, 0.05, 0.0, 2.0, 1e4 * dt)
     moves = np.flatnonzero(np.any(curve.points[1:] != curve.points[:-1],
                                   axis=1))
     last_move = int(moves[-1]) + 1   # steps up to and including the last move
@@ -162,42 +153,36 @@ def test_backtrace_does_not_trace_the_settled_tail(
     assert len(calls) <= last_move + 2
 
 
-def test_backtrace_matches_reference_arctan(arctan_solve, controls1d):
+def test_backtrace_matches_reference_arctan(arctan_solve):
     kernel, field = arctan_solve
-    ev, dt = kernel.evaluator, kernel.dt
-    assert_matches_reference(field, ev, controls1d, 0.2, math.pi,
-                             1.5, 3.0, dt)
+    assert_matches_reference(kernel, field, 0.2, math.pi, 1.5, 3.0)
 
 
-def test_backtrace_fills_the_arctan_tail_exactly(arctan_solve, controls1d):
+def test_backtrace_fills_the_arctan_tail_exactly(arctan_solve):
     kernel, field = arctan_solve
-    ev, dt = kernel.evaluator, kernel.dt
-    curve, _ = assert_matches_reference(field, ev, controls1d, 0.2,
-                                        math.pi, 1.5, 20.0, dt)
+    curve, _ = assert_matches_reference(kernel, field, 0.2, math.pi,
+                                        1.5, 20.0)
     assert settled(curve)
 
 
 def test_backtrace_matches_reference_on_a_2d_ball_boundary(ball_2d):
-    field, ev, controls, dt = ball_2d
-    curve, blocked = assert_matches_reference(field, ev, controls,
-                                              0.4, 0.0, (0.5, 1.5), 4.0, dt)
+    field, kernel = ball_2d
+    curve, blocked = assert_matches_reference(kernel, field, 0.4, 0.0,
+                                              (0.5, 1.5), 4.0)
     assert blocked >= 10
     np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
 
 
 def test_backtrace_fills_the_2d_boundary_tail_exactly(ball_2d):
-    field, ev, controls, dt = ball_2d
-    curve, _ = assert_matches_reference(field, ev, controls, 0.4, 0.0,
-                                        (0.5, 1.5), 12.0, dt)
+    field, kernel = ball_2d
+    curve, _ = assert_matches_reference(kernel, field, 0.4, 0.0,
+                                        (0.5, 1.5), 12.0)
     np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
     assert settled(curve)
 
 
-def test_backtrace_stationary_at_the_well(theta_005, kernel201, ql_evaluator,
-                                          controls1d):
-    dt = kernel201.dt
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      0.05, 0.0, 0.0, 10.0, dt)
+def test_backtrace_stationary_at_the_well(theta_005, kernel201):
+    curve = backtrace(kernel201, theta_005.field, 0.05, 0.0, 0.0, 10.0)
     assert np.max(np.abs(curve.points)) <= 1e-12
     assert np.max(np.abs(curve.velocities)) == 0.0
     assert curve.warning == ""
@@ -210,11 +195,9 @@ def test_backtrace_confines_and_decays(curve_z2):
     assert np.all(np.diff(np.abs(x)) <= 1e-12)  # monotone slide to the well
 
 
-def test_backtrace_step_bookkeeping(theta_005, kernel201, ql_evaluator,
-                                    controls1d):
+def test_backtrace_step_bookkeeping(theta_005, kernel201):
     dt = kernel201.dt
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      0.05, 0.0, 1.0, 10.0, dt)
+    curve = backtrace(kernel201, theta_005.field, 0.05, 0.0, 1.0, 10.0)
     n = curve.segments
     assert n == math.ceil(10.0 / dt - 1e-12)
     assert curve.times[0] == 0.0
@@ -227,24 +210,19 @@ def test_backtrace_step_bookkeeping(theta_005, kernel201, ql_evaluator,
     np.testing.assert_allclose(steps, curve.points[1:], atol=1e-12)
 
 
-def test_backtrace_rejects_bad_starts(theta_005, ql_evaluator, controls1d):
+def test_backtrace_rejects_bad_starts(theta_005, kernel201):
     with pytest.raises(SolverError, match="outside"):
-        backtrace(theta_005.field, ql_evaluator, controls1d,
-                  0.05, 0.0, 11.0, 1.0, 0.008)
+        backtrace(kernel201, theta_005.field, 0.05, 0.0, 11.0, 1.0)
     with pytest.raises(SolverError, match="dimension"):
-        backtrace(theta_005.field, ql_evaluator, controls1d,
-                  0.05, 0.0, (1.0, 1.0), 1.0, 0.008)
+        backtrace(kernel201, theta_005.field, 0.05, 0.0, (1.0, 1.0), 1.0)
 
 
-def test_backtrace_flags_inconsistent_fields(theta_005, kernel201,
-                                             ql_evaluator, controls1d):
+def test_backtrace_flags_inconsistent_fields(theta_005, kernel201):
     grid = theta_005.field.grid
     xs = grid.axes[0]
     bad = theta_005.field.with_values(theta_005.field.values
                                       + 0.5 * np.sin(5.0 * xs))
-    dt = kernel201.dt
-    curve, _ = assert_matches_reference(bad, ql_evaluator,
-                                        controls1d, 0.05, 0.0, 1.0, 2.0, dt,
+    curve, _ = assert_matches_reference(kernel201, bad, 0.05, 0.0, 1.0, 2.0,
                                         defect_tol=1e-4)
     assert "defect" in curve.warning
     assert curve.defect_max > 1e-4
@@ -252,9 +230,9 @@ def test_backtrace_flags_inconsistent_fields(theta_005, kernel201,
 
 def test_indices_linear_coupling_are_exact(curve_z2, ql_model, ql_evaluator,
                                            theta_005):
-    for kind in INDEX_KINDS:
+    for c0 in (0.0, 3.0):
         ids = compute_indices(curve_z2, ql_evaluator,
-                              theta_005.field, 0.05, kind, c0=3.0)
+                              theta_005.field, 0.05, c0=c0)
         np.testing.assert_allclose(ids.values, -1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ids.cumulative, curve_z2.times,
                                    rtol=0, atol=1e-9)
@@ -267,26 +245,29 @@ def test_indices_linear_coupling_are_exact(curve_z2, ql_model, ql_evaluator,
 def test_indices_cumulative_dominated_by_kappa_floor(curve_z2, ql_model,
                                                      ql_evaluator, theta_005):
     # with every segment index <= -1 the integral sits below the line s
-    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
-                          0.05, "kappa")
-    t10 = np.searchsorted(-ids.times, 10.0)
+    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field, 0.05)
+    t10 = np.searchsorted(-curve_z2.times, 10.0)
     assert ids.cumulative[t10] <= -10.0 + 1e-9
 
 
-def test_indices_unknown_kind_raises(curve_z2, ql_model, ql_evaluator,
-                                     theta_005):
-    with pytest.raises(ValueError, match="index kind"):
-        compute_indices(curve_z2, ql_evaluator, theta_005.field,
-                        0.05, "alpha")
-
-
-def test_indices_arctan_levels_matter(arctan_solve, controls1d):
+def test_indices_at_c0_zero_are_the_quotient_at_level_zero(arctan_solve):
     kernel, field = arctan_solve
-    ev, dt = kernel.evaluator, kernel.dt
-    curve = backtrace(field, ev, controls1d, 0.2, math.pi, 1.5,
-                      10.0, dt)
-    kap = compute_indices(curve, ev, field, 0.2, "kappa")
-    bold = compute_indices(curve, ev, field, 0.2, "k_bold", c0=1.0)
+    ev = kernel.evaluator
+    curve = backtrace(kernel, field, 0.2, math.pi, 1.5, 10.0)
+    ids = compute_indices(curve, ev, field, 0.2, c0=0.0)
+    n = curve.segments
+    xk = curve.points[:n]
+    want = ev.discount_index(xk, curve.velocities,
+                             0.2 * field.interpolate(xk), np.full(n, 0.0))
+    assert ids.values.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_indices_arctan_levels_matter(arctan_solve):
+    kernel, field = arctan_solve
+    ev = kernel.evaluator
+    curve = backtrace(kernel, field, 0.2, math.pi, 1.5, 10.0)
+    kap = compute_indices(curve, ev, field, 0.2)
+    bold = compute_indices(curve, ev, field, 0.2, c0=1.0)
     assert np.all(kap.values <= 1e-12)
     assert np.all(bold.values <= 1e-12)
     # the shifted reference level must actually move the quotients
@@ -309,13 +290,10 @@ def test_quotient_ordering_in_level_a(arctan_solve):
 
 
 def test_exponential_action_represents_the_field(theta_005, kernel201,
-                                                 ql_evaluator, controls1d):
+                                                 ql_evaluator):
     lam = 0.05
-    dt = kernel201.dt
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      lam, 0.0, 1.0, 40.0, dt)
-    ids = compute_indices(curve, ql_evaluator, theta_005.field,
-                          lam, "kappa")
+    curve = backtrace(kernel201, theta_005.field, lam, 0.0, 1.0, 40.0)
+    ids = compute_indices(curve, ql_evaluator, theta_005.field, lam)
     total = exponential_action(curve, ids, ql_evaluator, lam, 0.0,
                                boundary_field=theta_005.field)
     assert abs(total - float(theta_005.field.interpolate(1.0))) <= 5e-2
@@ -327,32 +305,19 @@ def test_exponential_action_level_shift_identity(curve_z2, ql_model,
     # running cost per weighted unit of time
     lam, c0 = 0.05, 2.0
     ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
-                          lam, "k_bold", c0=c0)
-    base = exponential_action(curve_z2, ids, ql_evaluator,
-                              lam, 0.0, u_level="zero")
+                          lam, c0=c0)
+    base = exponential_action(curve_z2, ids, ql_evaluator, lam, 0.0)
     shifted = exponential_action(curve_z2, ids, ql_evaluator,
-                                 lam, 0.0, u_level="minusLambdaC0", c0=c0)
+                                 lam, 0.0, c0=c0)
     w = np.exp(lam * ids.cumulative[:curve_z2.segments])
     expected = base + lam * c0 * float(np.sum(w)) * curve_z2.dt
     assert shifted == pytest.approx(expected, abs=1e-9)
 
 
-def test_exponential_action_rejects_unknown_level(curve_z2, ql_model,
-                                                  ql_evaluator, theta_005):
-    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
-                          0.05, "kappa")
-    with pytest.raises(ValueError, match="u_level"):
-        exponential_action(curve_z2, ids, ql_evaluator, 0.05, 0.0,
-                           u_level="halfway")
-
-
-def test_windowed_dpp_residual(theta_005, kernel201, ql_evaluator, controls1d):
+def test_windowed_dpp_residual(theta_005, kernel201, ql_evaluator):
     lam = 0.05
-    dt = kernel201.dt
-    curve = backtrace(theta_005.field, ql_evaluator, controls1d,
-                      lam, 0.0, 1.0, 20.0, dt)
-    ids = compute_indices(curve, ql_evaluator, theta_005.field,
-                          lam, "kappa")
+    curve = backtrace(kernel201, theta_005.field, lam, 0.0, 1.0, 20.0)
+    ids = compute_indices(curve, ql_evaluator, theta_005.field, lam)
     n = curve.segments
     rng = np.random.RandomState(9)
     for _ in range(20):
@@ -366,8 +331,7 @@ def test_windowed_dpp_residual(theta_005, kernel201, ql_evaluator, controls1d):
 
 def test_curve_csv_roundtrip(tmp_path, curve_z2, ql_model, ql_evaluator,
                              theta_005):
-    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field,
-                          0.05, "kappa")
+    ids = compute_indices(curve_z2, ql_evaluator, theta_005.field, 0.05)
     path = tmp_path / "curve.csv"
     write_curve_csv(path, curve_z2, ids)
     text = path.read_text()
