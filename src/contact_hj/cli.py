@@ -153,9 +153,7 @@ def _cmd_solve(args) -> int:
     out.field.to_csv(os.path.join(run_dir, "field.csv"))
     atomic_write_text(os.path.join(run_dir, "outcome.json"),
                       json.dumps(out.to_json(), indent=2) + "\n")
-    unit = ("policy iterations" if out.extras["method"] == "policy"
-            else "sweeps")
-    _say(args, f"lam={lam:g}: {out.iterations} {unit}, residual "
+    _say(args, f"lam={lam:g}: {out.iterations} policy iterations, residual "
                f"{out.final_residual:.3e}, converged={out.converged}")
     return 0 if out.converged else 1
 
@@ -167,7 +165,7 @@ def _cmd_ergodic(args) -> int:
     out.field.to_csv(os.path.join(run_dir, "field.csv"))
     atomic_write_text(os.path.join(run_dir, "outcome.json"),
                       json.dumps(out.to_json(), indent=2) + "\n")
-    _say(args, f"ergodic: {out.iterations} sweeps, residual "
+    _say(args, f"ergodic: {out.iterations} policy iterations, residual "
                f"{out.final_residual:.3e}")
     return 0 if out.converged else 1
 

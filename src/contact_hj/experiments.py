@@ -48,17 +48,20 @@ _TOP_KEYS = {"name", "model", "c", "grid", "lambdas", "radii", "probes",
 
 
 def _number(value, key: str) -> float:
-    """float(value), or ConfigError naming the config key."""
+    """float(value), or ConfigError naming the config key unless finite."""
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} needs a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key!r} must be finite, got {x!r}")
+    return x
 
 
 def _positive(value, key: str) -> float:
     """float(value), or ConfigError naming the key unless finite and > 0."""
     x = _number(value, key)
-    if not (math.isfinite(x) and x > 0):
+    if not x > 0:
         raise ConfigError(f"{key!r} must be finite and > 0, got {x!r}")
     return x
 
@@ -135,7 +138,10 @@ class ExperimentConfig:
             grid["shape"] = [401] if dim == 1 else [161, 161]
         for side in grid["box"]:
             _numbers(side, "grid.box")
-        _numbers(grid["shape"], "grid.shape")
+        if not all(n.is_integer() for n in _numbers(grid["shape"],
+                                                     "grid.shape")):
+            raise ConfigError(f"'grid.shape' needs whole node counts, got "
+                              f"{grid['shape']!r}")
         if len(grid["box"]) != dim or len(grid["shape"]) != dim:
             raise ConfigError("grid box/shape rank does not match model dim")
         grid.setdefault("kind", "box")
@@ -197,9 +203,9 @@ class ExperimentConfig:
             solver=solver,
             controls=controls,
             truncation_radius=(None if data.get("truncation_radius") is None
-                               else _number(data["truncation_radius"],
-                                            "truncation_radius")),
-            gap_tol=_number(data.get("gap_tol", 1e-3), "gap_tol"),
+                               else _positive(data["truncation_radius"],
+                                              "truncation_radius")),
+            gap_tol=_positive(data.get("gap_tol", 1e-3), "gap_tol"),
             outdir=str(data.get("outdir", "out")),
             expect_assumptions=dict(data.get("expect_assumptions", {})),
         )

@@ -10,29 +10,26 @@ combination of the node's 3^d stencil neighbours, in any dimension: the
 candidates of a sweep are one matrix product, stencil values times a
 3^d x controls table of tensor-product hat weights.
 
-Two fixed-point loops share that sweep:
+One fixed-point loop, policy iteration (Howard's algorithm), runs every
+solve. Each iteration is one argmin sweep, which gives the policy and the
+Bellman residual, and one direct solve of the frozen-policy system by
+block-tridiagonal elimination (SweepKernel.policy_solve); see
+_policy_iterate. The iteration count does not grow as λ shrinks, where
+value iteration's sweep count grows like 1/(λΔt). Rows that would make
+that system singular are held at the node's current value: the pin of
+the pinned solve, the Aubry nodes of the ergodic one, and nodes whose
+undiscounted sweep stays put and returns its own value bit for bit (φ = 0
+at λ > 0, rounding ties at a well), which value iteration leaves where
+they are too. At λ = 0 the least cost per unit time of staying put is the
+exact drift rate, zero at the grid's critical value; a c off it raises
+CMismatchError before any sweep.
 
-- Policy iteration (Howard's algorithm) for every solve at λ > 0 except
-  separable models whose φ vanishes somewhere on the mask, and for the
-  classical discounted solves. Each iteration is one argmin sweep, which
-  gives the policy and the Bellman residual, and one direct solve of the
-  frozen-policy system (diag - P) v = rhs by block-tridiagonal elimination
-  (SweepKernel.policy_solve). For separable couplings that system is the
-  frozen-policy sweep exactly. The p-coupled (arctan) sweep also reads v
-  through the sup term at its own level λv, so the solve takes that term's
-  exact u-slope from the piecewise-linear sup-term table: a semismooth
-  Newton step. The iteration count does not grow as λ shrinks, where
-  value iteration's sweep count grows like 1/(λΔt).
-- Plain value iteration for the λ = 0 ergodic and pinned solves, whose
-  systems are singular, and for the vanishing-φ models.
-
-Both stop when the residual |Tv - v| falls below tol*min(1, gain), gain
-the contraction margin of one sweep, or to the float floor, and report
-residual/gain as "error_bound". It bounds the error only where one sweep
-contracts (λ > 0 with κ_lo > 0, or the discounted solves of the critical
-value); at λ = 0 and for vanishing φ gain is 1 and it is the bare residual
-(the pinned quadratic-linear solve at tol 1e-8 sits 1.05e-6 from its fixed
-point).
+The loop stops when the residual |Tv - v| falls below tol*min(1, gain),
+gain the contraction margin of one sweep, or to the float floor, and
+reports residual/gain as "error_bound". It bounds the error where one
+sweep contracts (λ > 0 with κ_lo > 0, or the discounted solves of the
+critical value). At λ = 0 and for vanishing φ gain is 1 and it is the
+residual of the discrete fixed point, not a contraction bound.
 
 The iterate is the vector of in-mask values alone, and stencils point at
 positions in it; out-of-mask values pass through from v0. A stencil that
@@ -70,16 +67,17 @@ class SolverError(RuntimeError):
 
 
 class CMismatchError(SolverError):
-    """Ergodic iteration drifts at a steady rate: the supplied c is off."""
+    """The supplied c is off the grid's critical value.
 
-    def __init__(self, rate: float, drift: float, iteration: int):
-        super().__init__(
-            f"anchor drifts at rate {rate:.6g} per unit time after burn-in "
-            f"(sweep {iteration}); the supplied c appears wrong by about "
-            f"{-rate:.6g}")
+    rate is the least cost per unit time of staying put, f + c + W(0) over
+    the in-mask nodes: the exact drift of the λ = 0 sweep, which vanishes
+    at the grid's critical value.
+    """
+
+    def __init__(self, rate: float):
+        super().__init__(f"the least cost per unit time of staying put is "
+                         f"{rate:.6g}, not 0")
         self.rate = rate
-        self.drift = drift
-        self.iteration = iteration
 
 
 def default_max_speed(dim: int) -> float:
@@ -232,9 +230,7 @@ class SweepKernel:
         self.cost = evaluator.conjugate_speeds(self.speeds)
         kappa = model.kappa_bounds(controls.max_speed)
         self.kappa_lo = max(kappa[0], 0.0)
-        span = max(hi - lo for lo, hi in grid.domain.box)
-        self.crossing_sweeps = int(math.ceil(
-            span / (self.dt * controls.max_speed)))
+        self.stay = int(np.flatnonzero(~np.any(ctrl, axis=1))[0])  # a = 0
 
     # -- one sweep ---------------------------------------------------------
 
@@ -352,45 +348,39 @@ def _gain(kernel: SweepKernel, lam: float, mode: str = "contact") -> float:
     return 1.0
 
 
-def _fixed_point(kernel: SweepKernel, v0: np.ndarray, lam: float, c: float,
-                 params: SolveParams, mode: str = "contact", pin_pos=None,
-                 anchor_pos=None):
-    """Fixed point of the sweep on the in-mask values of v0.
-
-    pin_pos and anchor_pos index those values; params None means the
-    defaults. Solves at λ > 0 go to policy iteration, except separable ones
-    whose φ vanishes somewhere on the mask; those and the λ = 0 solves go to
-    value iteration. Returns a copy of v0 with the in-mask values replaced.
-    """
-    params = params or SolveParams()
-    v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
-    coupling = kernel.evaluator.model.coupling
-    howard = mode == "discount0" or (lam > 0 and (
-        not coupling.separable or float(np.min(kernel.phi_in)) > 0))
-    if howard:
-        v, it, res, converged, extras = _policy_iterate(
-            kernel, v, lam, c, params, mode)
-    else:
-        v, it, res, converged, extras = _iterate(
-            kernel, v, lam, c, params, pin_pos=pin_pos, anchor_pos=anchor_pos)
-    out = np.array(v0, dtype=float).ravel()
-    out[kernel.in_idx] = v
-    return out, it, res, converged, extras
-
-
-def _policy_iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
-                    params: SolveParams, mode: str):
-    """Howard's algorithm: argmin sweep, then the frozen-policy solve.
+def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
+                    c: float, params: SolveParams, mode: str = "contact",
+                    held=None):
+    """Howard's algorithm on the in-mask values of v0: argmin sweep, then
+    the frozen-policy solve.
 
     Under the policy π of the sweep at v, node i's sup term is read as
     w_i + s_i*λ*(v'_i - v_i): w and s are the value and exact u-slope of
     the sup-term table at (λv_i, π_i), or cost[π] and 0 where no table is
-    read (separable couplings, discount0). The fixed point of that sweep
-    solves (diag - scale*P) v' = rhs, diag = 1 + Δtλ(φ - s) and rhs =
+    read (separable couplings, λ = 0, discount0). The fixed point of that
+    sweep solves (diag - scale*P) v' = rhs, diag = 1 + Δtλ(φ - s) and rhs =
     Δt(f + c + w - λsv), with λ = 0 there and scale exp(-λΔt) for
     discount0. With s = 0 this is the exact frozen-policy solve, otherwise
     a semismooth Newton step; ∂_u W < 0 keeps diag > 1.
+
+    held, in-mask positions, keep their v0 values and start the other
+    in-mask nodes at 1e6 times their distance to the nearest held one.
+    Held rows (these, and undiscounted sweeps that stay put and return
+    their value bit for bit) become the stay control with diag = scale + 1
+    and rhs the current value. params None means the defaults. Returns a
+    copy of v0 with the in-mask values replaced.
     """
+    params = params or SolveParams()
+    v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
+    named = np.zeros(len(v), dtype=bool)
+    if held is not None:
+        named[held] = True
+        pts = kernel.grid.points()[kernel.in_idx]
+        dist = np.full(len(v), np.inf)
+        for p in pts[named]:
+            np.minimum(dist, np.linalg.norm(pts - p, axis=1), out=dist)
+        v = np.where(named, v, 1e6 * dist)
+    fixed = v[named]
     dt = kernel.dt
     gain = _gain(kernel, lam, mode)
     target = params.tol * min(1.0, gain)
@@ -407,6 +397,7 @@ def _policy_iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
     for it in range(1, params.max_iters + 1):
         table = _ensure_table(kernel, table, lam, v, mode)
         v_new = kernel.step(v, lam, c, mode=mode, table=table, policy=policy)
+        v_new[named] = fixed
         res = float(np.max(np.abs(v_new - v)))
         converged = res <= target or res <= _FLOAT_FLOOR * max(
             1.0, float(np.max(np.abs(v_new))))
@@ -417,52 +408,35 @@ def _policy_iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
             w, s = kernel.cost[policy], 0.0
         else:
             w, s = table.value_and_slope(lam * v, policy)
-        v = kernel.policy_solve(policy, 1.0 + dt * level * (kernel.phi_in - s),
-                                scale, base + dt * (w - level * s * v))
-    return v, it, res, converged, {"method": "policy",
-                                   "error_bound": res / gain}
+        diag = 1.0 + dt * level * (kernel.phi_in - s)
+        rhs = base + dt * (w - level * s * v)
+        hold = named | ((policy == kernel.stay) & (diag == scale)
+                        & (v_new == v))
+        policy[hold] = kernel.stay
+        diag[hold] = scale + 1.0
+        rhs[hold] = v[hold]
+        v = kernel.policy_solve(policy, diag, scale, rhs)
+    out = np.array(v0, dtype=float).ravel()
+    out[kernel.in_idx] = v
+    return out, it, res, converged, {"error_bound": res / gain}
 
 
-def _iterate(kernel: SweepKernel, v: np.ndarray, lam: float, c: float,
-             params: SolveParams, pin_pos=None, anchor_pos=None):
-    """Plain value iteration of the contact sweep, for sweeps that read no
-    sup-term table. With an anchor, a steady drift after burn-in raises
-    CMismatchError.
+def _staying_cost(kernel: SweepKernel, c: float):
+    """Cost per unit time of staying put at each in-mask node at λ = 0,
+    f + c + W(0), and its least value. W(s) >= W(0), so no moving cycle
+    costs less: the least value is the exact drift rate of the λ = 0 sweep.
     """
-    if pin_pos is not None:
-        v[pin_pos] = 0.0
-    if anchor_pos is not None:
-        v -= v[anchor_pos]
-    dt = kernel.dt
-    gain = _gain(kernel, lam)
-    target = params.tol * min(1.0, gain)
-    burn_in = 2 * kernel.crossing_sweeps + 200
-    res = math.inf
-    converged = False
-    it = 0
-    drift_rate = None
-    for it in range(1, params.max_iters + 1):
-        v_new = kernel.step(v, lam, c)
-        if pin_pos is not None:
-            v_new[pin_pos] = 0.0
-        drift = None
-        if anchor_pos is not None:
-            drift = float(v_new[anchor_pos])
-            v_new -= drift
-            drift_rate = drift / dt
-        res = float(np.max(np.abs(v_new - v)))
-        if drift is not None and it > burn_in \
-                and abs(drift) > 10.0 * params.tol \
-                and res < 2.0 * abs(drift) + 1e-15:
-            raise CMismatchError(rate=drift / dt, drift=drift, iteration=it)
-        v = v_new
-        converged = res <= target or res <= _FLOAT_FLOOR * max(
-            1.0, float(np.max(np.abs(v))))
-        if converged:
-            break
-    return v, it, res, converged, {"method": "value",
-                                   "error_bound": res / gain,
-                                   "drift_rate": drift_rate}
+    cost = kernel.f_in + c + kernel.cost[kernel.stay]
+    return cost, float(np.min(cost))
+
+
+def _in_mask_position(kernel: SweepKernel, point, what: str):
+    """Grid index and in-mask position of the node nearest to point."""
+    grid = kernel.grid
+    idx = np.ravel_multi_index(grid.nearest_node(point), grid.shape)
+    if not grid.mask.flat[idx]:
+        raise SolverError(f"{what} lies outside the mask")
+    return idx, int(np.searchsorted(kernel.in_idx, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +463,7 @@ def solve_state_constraint(kernel: SweepKernel, lam: float, c: float,
         raise SolverError("state-constraint solve needs a u-coupling")
     grid = kernel.grid
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
-    v, iters, res, ok, extras = _fixed_point(kernel, start, lam, c, params)
+    v, iters, res, ok, extras = _policy_iterate(kernel, start, lam, c, params)
     fld = GridField(grid, v.reshape(grid.shape),
                     meta={"kind": "state_constraint", "lambda": lam, "c": c})
     return SolveOutcome(fld, iters, res, ok, extras)
@@ -534,8 +508,8 @@ def estimate_critical_value(kernel: SweepKernel, lam_sequence,
     outcomes = []
     start = np.zeros(grid.size)
     for lam in lams:
-        v, iters, res, ok, extras = _fixed_point(kernel, start, lam, 0.0,
-                                                 params, mode="discount0")
+        v, iters, res, ok, extras = _policy_iterate(
+            kernel, start, lam, 0.0, params, mode="discount0")
         if not ok:
             raise SolverError(
                 f"discounted solve at lam={lam:g} stalled at residual {res:g}")
@@ -560,22 +534,29 @@ def estimate_critical_value(kernel: SweepKernel, lam_sequence,
 
 def solve_ergodic(kernel: SweepKernel, c: float, params: SolveParams = None,
                   anchor=None, v0: np.ndarray = None) -> SolveOutcome:
-    """Ergodic (λ=0) solve renormalized at an anchor point each sweep.
+    """Ergodic (λ=0) solve, zero at the anchor node.
 
-    Raises CMismatchError when, after the information has had time to cross
-    the domain, the anchor keeps drifting at a steady rate: that rate is the
-    gap between the supplied c and the grid's own critical value.
+    The least staying cost is the exact drift rate: beyond 10*tol per sweep
+    it raises CMismatchError, as no critical solution exists at c. Below
+    that, the Aubry nodes, whose staying cost lies within the same margin
+    of the least, are held at their v0 levels, which keeps the relative
+    well levels; the rest is solved at c - rate and shifted to vanish at
+    the anchor.
     """
+    params = params or SolveParams()
     grid = kernel.grid
     if anchor is None:
         anchor = np.zeros(grid.dim)
-    anchor_idx = np.ravel_multi_index(grid.nearest_node(anchor), grid.shape)
-    if not grid.mask.flat[anchor_idx]:
-        raise SolverError("anchor lies outside the mask")
+    anchor_idx, _ = _in_mask_position(kernel, anchor, "anchor")
+    cost, rate = _staying_cost(kernel, c)
+    slack = 10.0 * params.tol
+    if not abs(rate * kernel.dt) <= slack:
+        raise CMismatchError(rate)
+    aubry = np.flatnonzero(kernel.dt * (cost - rate) <= slack)
     start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
-    v, iters, res, ok, extras = _fixed_point(
-        kernel, start, 0.0, c, params,
-        anchor_pos=np.searchsorted(kernel.in_idx, anchor_idx))
+    v, iters, res, ok, extras = _policy_iterate(
+        kernel, start, 0.0, c - rate, params, held=aubry)
+    v[kernel.in_idx] -= v[anchor_idx]
     fld = GridField(grid, v.reshape(grid.shape),
                     meta={"kind": "ergodic", "lambda": 0.0, "c": c})
     return SolveOutcome(fld, iters, res, ok, extras)
@@ -634,24 +615,26 @@ def solve_maximal_global(evaluator: LagrangianEvaluator, controls: ControlSet,
 
 def mane_potential(kernel: SweepKernel, y, c: float,
                    params: SolveParams = None) -> GridField:
-    """Intrinsic semi-distance S(., y): pinned λ=0 value iteration.
+    """Intrinsic semi-distance S(., y): the λ = 0 solve with the pin held
+    at 0, the cheapest path costs from y at the level c.
 
-    Initialized at +1e6 off the pin so values relax downward onto the
-    cheapest path costs from y at the critical level c.
+    Below the critical value S is -inf: a least staying cost below -10*tol
+    per sweep raises CMismatchError before any solve.
     """
+    params = params or SolveParams()
     grid = kernel.grid
-    pin = np.ravel_multi_index(grid.nearest_node(y), grid.shape)
-    if not grid.mask.flat[pin]:
-        raise SolverError("pin point lies outside the mask")
+    pin, pin_pos = _in_mask_position(kernel, y, "pin point")
+    _, rate = _staying_cost(kernel, c)
+    if not rate * kernel.dt >= -10.0 * params.tol:
+        raise CMismatchError(rate)
     start = np.full(grid.size, 1e6)
     start[pin] = 0.0
-    v, iters, res, ok, extras = _fixed_point(
-        kernel, start, 0.0, c, params,
-        pin_pos=np.searchsorted(kernel.in_idx, pin))
+    v, iters, res, ok, _ = _policy_iterate(kernel, start, 0.0, c, params,
+                                           held=[pin_pos])
     if not ok:
         raise SolverError(
             f"pinned solve did not settle (residual {res:g} after {iters} "
-            "sweeps)")
+            "policy iterations)")
     return GridField(grid, v.reshape(grid.shape),
                      meta={"kind": "mane", "lambda": 0.0, "c": c})
 
@@ -671,7 +654,7 @@ def aubry_indicator(kernel: SweepKernel, c: float, sample_points,
     for i, y in enumerate(pts):
         s_in = mane_potential(kernel, y, c, params=params).values.ravel()[
             kernel.in_idx]
-        pin = np.ravel_multi_index(grid.nearest_node(y), grid.shape)
         # one sweep at the pin; S(y) = 0 there by construction
-        out[i] = kernel.step(s_in, 0.0, c)[np.searchsorted(kernel.in_idx, pin)]
+        out[i] = kernel.step(s_in, 0.0, c)[
+            _in_mask_position(kernel, y, "pin point")[1]]
     return out

@@ -73,15 +73,19 @@ def test_non_finite_literal_is_exit_2(capsys):
 
 def test_bad_solver_dt_is_exit_2(tmp_path, capsys):
     # zero, negative and NaN steps fail as config errors before any sweep,
-    # as do a bad tol, iteration cap, control lattice or horizon; a quoted
-    # number is read as the number it spells
+    # as do a bad tol, iteration cap, control lattice, horizon, schedule,
+    # c, grid shape, gap tolerance or truncation radius; a quoted number is
+    # read as the number it spells
     base = ["solve", "--preset", "quadratic-linear", "--lam", "0.2",
             "--out", str(tmp_path), "--stamp", "t"]
     for key, raw in (("solver.dt", "0"), ("solver.dt", "-0.02"),
                      ("solver.dt", "NaN"), ("solver.tol", "NaN"),
                      ("solver.tol", "-1"), ("solver.max_iters", "2.7"),
                      ("controls.da", "NaN"), ("controls.max_speed", "NaN"),
-                     ("horizon", "-5")):
+                     ("horizon", "-5"), ("lambdas", "[0.2, NaN]"),
+                     ("radii", "[NaN, 3]"), ("c", "NaN"),
+                     ("grid.shape", "[41.5]"), ("gap_tol", "-1"),
+                     ("truncation_radius", "-3")):
         assert main(base + ["--set", f"{key}={raw}"]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and f"'{key}'" in err
@@ -175,7 +179,7 @@ def test_ergodic_writes_field(cfg_file):
 
 @pytest.mark.parametrize("coupling, unit", [
     (QL_MODEL["coupling"], "policy iterations"),
-    ({"type": "linear", "phi": "x^2"}, "sweeps"),  # phi vanishes at 0
+    ({"type": "linear", "phi": "x^2"}, "policy iterations"),  # phi(0) = 0
     ({"type": "arctan", "shift": 3.14159}, "policy iterations")])
 def test_solve_line_names_the_loop(tmp_path, capsys, coupling, unit):
     data = {"name": "cli-loop", "model": dict(QL_MODEL, coupling=coupling),
@@ -187,6 +191,18 @@ def test_solve_line_names_the_loop(tmp_path, capsys, coupling, unit):
     assert main(["solve", "--config", str(path), "--stamp", "t"]) == 0
     line = capsys.readouterr().out
     assert line.startswith("lam=0.4: ") and f" {unit}, residual" in line
+
+
+def test_mane_below_critical_is_exit_2(tmp_path, capsys):
+    # S is -inf below the critical value: the least staying cost says so
+    # before any solve; a supercritical c stays valid
+    base = ["mane", "--preset", "quadratic-linear", "--out", str(tmp_path),
+            "--stamp", "t", "--set"]
+    assert main(base + ["c=-0.3"]) == 2
+    err = capsys.readouterr().err
+    assert "the assigned critical constant is off" in err
+    assert "-0.3" in err
+    assert main(base + ["c=0.3"]) == 0
 
 
 def test_mane_writes_field(cfg_file):

@@ -11,7 +11,7 @@ from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     NoCoupling, QuadraticKinetic)
 from contact_hj.solver import (CMismatchError, ControlSet, SolveParams,
                                SolverError, SweepKernel, _ensure_table,
-                               _iterate, aubry_indicator,
+                               aubry_indicator,
                                estimate_critical_value,
                                lax_oleinik_step, mane_potential, solve_ergodic,
                                solve_maximal_global, solve_state_constraint)
@@ -465,31 +465,42 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
                                        atol=1e-9 * np.max(np.abs(want)))
 
 
-def _discounted_value_iterate(kernel, v, lam, tol):
-    """Plain value iteration of the classical discounted sweep at c = 0, with
-    _iterate's stopping rule: the reference for the discounted solves of
-    estimate_critical_value. Returns (v, error bound)."""
-    gain = -math.expm1(-lam * kernel.dt)
-    for _ in range(50000):
-        v_new = kernel.step(v, lam, 0.0, mode="discount0")
+def _value_iterate(kernel, v, lam, c, tol, mode="contact", pin=None,
+                   anchor=None):
+    """Plain value iteration of the sweep: the reference for the solver.
+
+    Reads the sup-term table like the solver, holds the in-mask position pin
+    at 0 and renormalises at the position anchor after every sweep. Stops at
+    residual tol*gain, gain the contraction margin of one sweep (1 at λ = 0
+    and where κ_lo vanishes). Returns (v, error bound, sweeps).
+    """
+    if mode == "discount0":
+        gain = -math.expm1(-lam * kernel.dt)
+    elif lam > 0 and kernel.kappa_lo > 0:
+        gain = lam * kernel.kappa_lo * kernel.dt
+    else:
+        gain = 1.0
+    table = None
+    for sweep in range(1, 100001):
+        table = _ensure_table(kernel, table, lam, v, mode)
+        v_new = kernel.step(v, lam, c, mode=mode, table=table)
+        if pin is not None:
+            v_new[pin] = 0.0
+        if anchor is not None:
+            v_new -= v_new[anchor]
         res = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if res <= tol * gain or res <= 1e-13 * max(1.0, np.max(np.abs(v))):
-            return v, res / gain
+        if res <= tol * gain:
+            return v, res / gain, sweep
     raise AssertionError(f"value iteration stalled at residual {res:g}")
 
 
-def _assert_agrees(pi_out, kernel, lam, c, params, mode="contact"):
-    assert pi_out.converged and pi_out.extras["method"] == "policy"
-    v0 = np.zeros(len(kernel.in_idx))
-    if mode == "discount0":
-        v, bound = _discounted_value_iterate(kernel, v0, lam, params.tol)
-    else:
-        v, _, _, ok, extras = _iterate(kernel, v0, lam, c, params)
-        assert ok and extras["method"] == "value"
-        bound = extras["error_bound"]
-    gap = np.max(np.abs(pi_out.field.values.ravel()[kernel.in_idx] - v))
-    assert gap <= pi_out.extras["error_bound"] + bound
+def _assert_agrees(out, kernel, lam, c, params, mode="contact"):
+    assert out.converged
+    v, bound, _ = _value_iterate(kernel, np.zeros(len(kernel.in_idx)), lam,
+                                 c, params.tol, mode)
+    gap = np.max(np.abs(out.field.values.ravel()[kernel.in_idx] - v))
+    assert gap <= out.extras["error_bound"] + bound
 
 
 def test_policy_iteration_agrees_with_value_iteration_phi_preset():
@@ -516,21 +527,6 @@ def test_policy_iteration_agrees_with_value_iteration_critical(kernel201):
         _assert_agrees(out, kernel201, lam, 0.0, params, mode="discount0")
 
 
-def _table_value_iterate(kernel, v, lam, c, tol):
-    """Plain value iteration that reads the sup-term table like the solver:
-    the reference for p-coupled Newton-Howard. Returns (v, error bound)."""
-    gain = lam * kernel.kappa_lo * kernel.dt
-    table = None
-    for _ in range(20000):
-        table = _ensure_table(kernel, table, lam, v)
-        v_new = kernel.step(v, lam, c, table=table)
-        res = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if res <= tol * gain:
-            return v, res / gain
-    raise AssertionError(f"value iteration stalled at residual {res:g}")
-
-
 @pytest.mark.parametrize("shape, da, lams", [
     ((61,), 0.25, (0.2, 0.1)),  # cold, then warm from the first solve
     ((201,), None, (0.2,))])    # the arctan preset grid
@@ -544,30 +540,35 @@ def test_newton_howard_agrees_with_value_iteration_arctan(shape, da, lams):
     v0, ref = None, np.zeros(grid.size)
     for lam in lams:
         out = solve_state_constraint(kernel, lam, config.c, params, v0=v0)
-        assert out.converged and out.extras["method"] == "policy"
-        ref, ref_bound = _table_value_iterate(kernel, ref, lam, config.c,
-                                              params.tol)
+        assert out.converged
+        ref, ref_bound, _ = _value_iterate(kernel, ref, lam, config.c,
+                                           params.tol)
         gap = np.max(np.abs(out.field.values.ravel() - ref))
         assert gap <= out.extras["error_bound"] + ref_bound
         v0 = out.field.values
 
 
-def test_vanishing_phi_stays_on_value_iteration(ql_evaluator, controls1d):
+def test_vanishing_phi_policy_iteration_matches_value_iteration(
+        ql_evaluator, controls1d):
     # phi = x^2 vanishes at the node x = 0, where sitting still makes the
-    # frozen-policy row zero: the dispatch keeps such solves off the
-    # direct solve, and the direct solve reports the singular system
+    # frozen-policy row zero and the direct solve reports the singular
+    # system; policy iteration holds that node, as value iteration leaves
+    # it where it is, and lands on value iteration's fixed point
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("1 - exp(-x^2)"),
                              coupling=LinearCoupling(parse("x^2"), 0.0, 4.0))
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
     kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
-    out = solve_state_constraint(kernel, 0.5, 0.0, SolveParams(max_iters=50))
-    assert out.extras["method"] == "value"
-    stay = int(np.flatnonzero(controls1d.controls[:, 0] == 0.0)[0])
-    policy = np.full(len(kernel.in_idx), stay)
+    n = len(kernel.in_idx)
     with pytest.raises(SolverError, match="singular"):
-        kernel.policy_solve(policy, 1.0 + kernel.dt * 0.5 * kernel.phi_in,
-                            1.0, np.zeros(len(kernel.in_idx)))
+        kernel.policy_solve(np.full(n, kernel.stay),
+                            1.0 + kernel.dt * 0.5 * kernel.phi_in, 1.0,
+                            np.zeros(n))
+    out = solve_state_constraint(kernel, 0.5, 0.0, SolveParams(tol=1e-10))
+    assert out.converged and out.iterations <= 30
+    ref, _, sweeps = _value_iterate(kernel, np.zeros(n), 0.5, 0.0, 1e-14)
+    assert sweeps > 1000
+    assert np.max(np.abs(out.field.values.ravel() - ref)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +586,50 @@ def test_ergodic_anchor_is_zero(ergodic201):
 
 
 def test_ergodic_wrong_c_raises_mismatch(ql_model, ql_evaluator, controls1d):
+    # staying at the well bottom costs f(0) + c = c per unit time, and no
+    # cycle costs less: the rate is c itself
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (101,))
     kernel = SweepKernel(grid, ql_evaluator, controls1d)
     with pytest.raises(CMismatchError) as exc:
         solve_ergodic(kernel, 0.5, SolveParams(tol=1e-9))
     assert isinstance(exc.value, SolverError)
-    assert abs(abs(exc.value.rate) - 0.5) <= 0.05
+    assert abs(exc.value.rate - 0.5) <= 1e-12
+
+
+def test_lam0_solves_agree_with_value_iteration(kernel201, ergodic201):
+    # value iteration run to the float floor is the discrete fixed point
+    # that policy iteration returns, pinned and ergodic alike
+    n, pin = len(kernel201.in_idx), 100
+    start = np.full(n, 1e6)
+    start[pin] = 0.0
+    ref, bound, _ = _value_iterate(kernel201, start, 0.0, 0.0, 1e-14,
+                                   pin=pin)
+    mane = mane_potential(kernel201, 0.0, 0.0, SolveParams(tol=1e-8))
+    assert bound <= 1e-14
+    assert np.max(np.abs(mane.values.ravel() - ref)) <= 1e-11
+    ref, _, _ = _value_iterate(kernel201, np.zeros(n), 0.0, 0.0, 1e-14,
+                               anchor=pin)
+    assert np.max(np.abs(ergodic201.field.values.ravel() - ref)) <= 1e-11
+    assert ergodic201.extras["error_bound"] <= 1e-13
+
+
+def test_ergodic_keeps_the_well_levels_of_v0(controls1d):
+    # two wells at x = -2 and 2: the Aubry nodes are held at their v0
+    # levels, so the proxy keeps their 0.3 gap where value iteration does
+    model = HamiltonianModel(
+        dim=1, kinetic=QuadraticKinetic(),
+        potential=parse("(1 - exp(-(x-2)^2))*(1 - exp(-(x+2)^2))"),
+        coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    grid = UniformGrid(Domain.full_box(((-6.0, 6.0),)), (121,))
+    kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
+    v0 = np.where(grid.axes[0] > 0.0, 0.3, 0.0)
+    out = solve_ergodic(kernel, 0.0, SolveParams(tol=1e-8), anchor=-2.0, v0=v0)
+    assert out.converged
+    wells = out.field.interpolate(np.array([-2.0, 2.0]))
+    assert wells[0] == 0.0
+    assert abs(wells[1] - 0.3) <= 1e-12
+    ref, _, _ = _value_iterate(kernel, v0, 0.0, 0.0, 1e-14, anchor=40)
+    assert np.max(np.abs(out.field.values.ravel() - ref)) <= 1e-11
 
 
 def test_ergodic_anchor_outside_mask_raises(ql_evaluator, controls1d):
