@@ -159,10 +159,6 @@ class UniformGrid:
             idx.append(min(max(i, 0), self.shape[k] - 1))
         return tuple(idx)
 
-    def node_point(self, idx) -> np.ndarray:
-        idx = (idx,) if isinstance(idx, (int, np.integer)) else tuple(idx)
-        return np.array([self.axes[k][idx[k]] for k in range(self.dim)])
-
     @property
     def replacement_map(self) -> np.ndarray:
         """Flat index map: node -> nearest in-mask node along a grid axis.

@@ -20,7 +20,7 @@ from .grid import GridField, atomic_write_rows
 from .hamiltonian import LagrangianEvaluator
 from .trajectory import Curve, IndexSeries
 
-__all__ = ["WeightedSampleMeasure", "TestFunction", "TestFunctionBattery",
+__all__ = ["WeightedSampleMeasure", "TestFunction",
            "discounted_measure", "closedness_defect", "mather_defect",
            "selection_functional", "weak_limit_diagnostics",
            "WeakLimitReport", "write_measure_csv", "default_battery"]
@@ -81,26 +81,12 @@ class TestFunction:
         return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
-class TestFunctionBattery:
-    __test__ = False
-
-    functions: tuple
-
-    def __iter__(self):
-        return iter(self.functions)
-
-    def __len__(self):
-        return len(self.functions)
-
-
-def default_battery(dim: int) -> TestFunctionBattery:
+def default_battery(dim: int) -> tuple:
     """Monomials x, x², x³ and sin/cos per axis; adds x*y in 2D."""
     texts = ["x", "x^2", "x^3", "sin(x)", "cos(x)"]
     if dim == 2:
         texts += ["y", "y^2", "y^3", "sin(y)", "cos(y)", "x*y"]
-    return TestFunctionBattery(tuple(
-        TestFunction.from_text(t, dim) for t in texts))
+    return tuple(TestFunction.from_text(t, dim) for t in texts)
 
 
 def discounted_measure(curve: Curve, indices: IndexSeries,
@@ -131,8 +117,7 @@ def discounted_measure(curve: Curve, indices: IndexSeries,
                                  weights=w)
 
 
-def closedness_defect(mu: WeightedSampleMeasure,
-                      battery: TestFunctionBattery) -> float:
+def closedness_defect(mu: WeightedSampleMeasure, battery) -> float:
     """max over the battery of |<mu, v . grad(phi)(x)>|; zero for closed mu."""
     worst = 0.0
     for fn in battery:
@@ -170,23 +155,15 @@ def selection_functional(mu: WeightedSampleMeasure, w_field: GridField,
 class WeakLimitReport:
     lambdas: tuple          # decreasing
     discrepancies: tuple    # len-1 consecutive pairwise gaps
-    cauchy_like: bool
-    limit_proxy_lambda: float
-
-    def to_json(self) -> dict:
-        return {"lambdas": list(self.lambdas),
-                "discrepancies": list(self.discrepancies),
-                "cauchy_like": self.cauchy_like,
-                "limit_proxy_lambda": self.limit_proxy_lambda}
 
 
-def weak_limit_diagnostics(measures: dict, battery: TestFunctionBattery,
+def weak_limit_diagnostics(measures: dict, battery,
                            evaluator: LagrangianEvaluator) -> WeakLimitReport:
     """Pairwise weak*-proxy discrepancies across a λ-family of measures.
 
     The proxy metric pairs measure differences against the battery plus
-    L(.,.,0). No limit measure is constructed: the smallest-λ entry is
-    labeled the proxy, and a decreasing discrepancy tail is the evidence.
+    L(.,.,0). No limit measure is constructed: a decreasing discrepancy
+    tail toward the smallest λ is the evidence.
     """
     if len(measures) < 2:
         raise ValueError("need at least two measures")
@@ -201,9 +178,7 @@ def weak_limit_diagnostics(measures: dict, battery: TestFunctionBattery,
     tables = {l: pairings(measures[l]) for l in lams}
     gaps = tuple(float(np.max(np.abs(tables[a] - tables[b])))
                  for a, b in zip(lams, lams[1:]))
-    cauchy = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-    return WeakLimitReport(lambdas=tuple(lams), discrepancies=gaps,
-                           cauchy_like=cauchy, limit_proxy_lambda=lams[-1])
+    return WeakLimitReport(lambdas=tuple(lams), discrepancies=gaps)
 
 
 def write_measure_csv(path, mu: WeightedSampleMeasure) -> None:

@@ -1,8 +1,10 @@
 """Semi-Lagrangian Lax-Oleinik fixed-point solvers.
 
-One sweep applies v'(x) = min over admissible controls a of
-Δt*(L(x, a, λ*v(x)) + c) + Interp[v](x - Δt*a), with the contact argument
-frozen at the current iterate (explicit treatment).
+One sweep operator runs every solve: v'(x) = min over admissible controls a
+of Δt*(L(x, a, λ*v(x)) + c) + e^{-δΔt}*Interp[v](x - Δt*a), the contact
+argument frozen at the current iterate (explicit treatment). Contact solves
+take δ = 0; the classical λv + H(x, Dv, 0) = 0 behind the critical value
+takes level 0 and δ = λ.
 
 Because feet x - Δt*a lie within one cell of their node and shift every
 node by the same fraction of a cell, each control's foot value is a fixed
@@ -11,33 +13,29 @@ candidates of a sweep are one matrix product, stencil values times a
 3^d x controls table of tensor-product hat weights.
 
 One fixed-point loop, policy iteration (Howard's algorithm), runs every
-solve. Each iteration is one argmin sweep, which gives the policy and the
-Bellman residual, and one direct solve of the frozen-policy system by
-block-tridiagonal elimination (SweepKernel.policy_solve); see
-_policy_iterate. The iteration count does not grow as λ shrinks, where
-value iteration's sweep count grows like 1/(λΔt). Rows that would make
-that system singular are held at the node's current value: the pin of
-the pinned solve, the Aubry nodes of the ergodic one, and nodes whose
-undiscounted sweep stays put and returns its own value bit for bit (φ = 0
-at λ > 0, rounding ties at a well), which value iteration leaves where
-they are too. At λ = 0 the least cost per unit time of staying put is the
-exact drift rate, zero at the grid's critical value; a c off it raises
-CMismatchError before any sweep.
+solve and builds its outcome. Each iteration is one argmin sweep, which
+gives the policy and the Bellman residual, and one direct solve of the
+frozen-policy system by block-tridiagonal elimination
+(SweepKernel.policy_solve); see _policy_iterate. The iteration count does
+not grow as λ shrinks, where value iteration's sweep count grows like
+1/(λΔt). Rows that would make that system singular are held at the node's
+current value: the pin of the pinned solve, the Aubry nodes of the ergodic
+one, and nodes whose undiscounted sweep stays put and returns its own value
+bit for bit (φ = 0 at λ > 0, rounding ties at a well), which value
+iteration leaves where they are too. At λ = 0 the least cost per unit time
+of staying put is the exact drift rate, zero at the grid's critical value;
+a c off it raises CMismatchError before any sweep.
 
 The loop stops when the residual |Tv - v| falls below tol*min(1, gain),
 gain the contraction margin of one sweep, or to the float floor, and
 reports residual/gain as "error_bound". It bounds the error where one
-sweep contracts (λ > 0 with κ_lo > 0, or the discounted solves of the
-critical value). At λ = 0 and for vanishing φ gain is 1 and it is the
-residual of the discrete fixed point, not a contraction bound.
+sweep contracts (λ > 0 with κ_lo > 0, or δ > 0). At λ = δ = 0 and for
+vanishing φ gain is 1 and it is the residual of the discrete fixed point,
+not a contraction bound.
 
 The iterate is the vector of in-mask values alone, and stencils point at
 positions in it; out-of-mask values pass through from v0. A stencil that
 reaches a node with no in-mask replacement raises SolverError.
-
-A SweepKernel stands for one grid setup: grid, evaluator (and through it
-the model), controls and time step. It is built once per grid and every
-solve takes it; it holds no state from one solve to the next.
 """
 
 import itertools
@@ -54,7 +52,7 @@ __all__ = [
     "SolverError", "CMismatchError", "lax_oleinik_step",
     "solve_state_constraint", "estimate_critical_value", "solve_ergodic",
     "solve_maximal_global", "mane_potential", "aubry_indicator",
-    "CriticalValueEstimate", "default_max_speed",
+    "CriticalValueEstimate",
 ]
 
 _FLOAT_FLOOR = 1e-13
@@ -80,10 +78,6 @@ class CMismatchError(SolverError):
         self.rate = rate
 
 
-def default_max_speed(dim: int) -> float:
-    return 6.0 if dim == 1 else 4.0
-
-
 @dataclass(frozen=True)
 class ControlSet:
     """Velocity lattice: all vectors a with |a| <= max_speed, step da per axis.
@@ -99,7 +93,7 @@ class ControlSet:
     @staticmethod
     def build(dim: int, max_speed: float = None, da: float = None) -> "ControlSet":
         if max_speed is None:
-            max_speed = default_max_speed(dim)
+            max_speed = 6.0 if dim == 1 else 4.0
         max_speed = float(max_speed)
         if max_speed <= 0:
             raise SolverError("max_speed must be positive")
@@ -147,11 +141,12 @@ class SolveOutcome:
 
 
 class SweepKernel:
-    """Stencil and weight tables of the one-cell sweep for one grid setup.
+    """Stencil and weight tables of the one-cell sweep for one grid setup:
+    grid, evaluator (and through it the model), controls and time step.
 
-    Built once per grid and passed to every solve on it; the model is read
-    from evaluator.model. dt defaults to 0.5*min(dx)/max_speed, and any dt
-    must be positive and move feet at most one cell per step.
+    Built once per grid and passed to every solve on it, it holds no state
+    from one solve to the next. dt defaults to 0.5*min(dx)/max_speed; any
+    dt must be positive and move feet at most one cell per step.
     """
 
     def __init__(self, grid: UniformGrid, evaluator: LagrangianEvaluator,
@@ -234,32 +229,29 @@ class SweepKernel:
 
     # -- one sweep ---------------------------------------------------------
 
-    def step(self, v: np.ndarray, lam: float, c: float, mode: str = "contact",
+    def step(self, v: np.ndarray, lam: float, c: float, discount: float = 0.0,
              table=None, policy: np.ndarray = None) -> np.ndarray:
         """One Lax-Oleinik sweep: in-mask values in, in-mask values out.
 
-        v and the result hold one value per node of in_idx, in that order;
-        solves pass the out-of-mask values of their v0 through unchanged.
-        mode "contact": v'(x) = min_a Δt*(L(x,a,λv(x)) + c) + I[v](x-Δt·a).
-        mode "discount0":
-        v'(x) = min_a Δt*(L(x,a,0) + c) + exp(-λΔt)*I[v](x-Δt·a), the
-        classical discounted problem used for critical-value estimation.
+        v'(x) = min_a Δt*(L(x,a,λv(x)) + c) + exp(-δΔt)*I[v](x-Δt·a), δ the
+        discount: 0 for contact solves, λ of the classical discounted
+        problem (swept at λ = 0) for critical-value estimation.
+        v and the result hold the in-mask values, in the order of in_idx.
         The sup term is the u = 0 row, or the table at λv when one is passed:
-        p-coupled contact sweeps at λ > 0 need one (see _ensure_table).
+        p-coupled sweeps at λ > 0 need one (see _ensure_table).
         When policy is given, the argmin control of each node is written
         into it (first minimum in control order).
         """
         dt = self.dt
-        discount = math.exp(-lam * dt) if mode == "discount0" else 1.0
-        level = lam if mode == "contact" else 0.0
+        scale = math.exp(-discount * dt)
         best = np.empty(len(v))
         for lo in range(0, len(v), _ROW_CHUNK):
             rows = slice(lo, lo + _ROW_CHUNK)
             cand = v[self.stencil[rows]] @ self.weights
-            if mode == "discount0":
-                cand *= discount
+            if discount:
+                cand *= scale
             cand += dt * (self.cost if table is None
-                          else table.values(level * v[rows]).T)
+                          else table.values(lam * v[rows]).T)
             np.copyto(cand, np.inf, where=self.blocked[rows])
             if policy is None:
                 np.min(cand, axis=1, out=best[rows])
@@ -268,7 +260,7 @@ class SweepKernel:
                 policy[rows] = pick
                 best[rows] = cand[np.arange(len(pick)), pick]
         best += dt * (self.f_in + c)
-        best -= dt * level * self.phi_in * v
+        best -= dt * lam * self.phi_in * v
         return best
 
     # -- one frozen-policy solve -------------------------------------------
@@ -322,13 +314,11 @@ class SweepKernel:
         return v
 
 
-def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray,
-                  mode: str = "contact"):
+def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):
     """(Re)build the sup-term table when the iterate's u-range escapes it.
 
-    Only p-coupled contact sweeps at λ > 0 read one."""
-    if mode != "contact" or lam == 0.0 \
-            or kernel.evaluator.model.coupling.separable:
+    Only p-coupled sweeps at λ > 0 read one."""
+    if lam == 0.0 or kernel.evaluator.model.coupling.separable:
         return None
     u = lam * v
     lo, hi = float(np.min(u)), float(np.max(u))
@@ -339,36 +329,37 @@ def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray,
     return table
 
 
-def _gain(kernel: SweepKernel, lam: float, mode: str = "contact") -> float:
+def _gain(kernel: SweepKernel, lam: float, discount: float) -> float:
     """Contraction margin of one sweep: 1 - its Lipschitz factor, or 1."""
-    if mode == "discount0":
-        return -math.expm1(-lam * kernel.dt)
+    if discount:
+        return -math.expm1(-discount * kernel.dt)
     if lam > 0 and kernel.kappa_lo > 0:
         return lam * kernel.kappa_lo * kernel.dt
     return 1.0
 
 
 def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
-                    c: float, params: SolveParams, mode: str = "contact",
-                    held=None):
+                    c: float, params: SolveParams, meta: dict,
+                    discount: float = 0.0, held=None) -> SolveOutcome:
     """Howard's algorithm on the in-mask values of v0: argmin sweep, then
     the frozen-policy solve.
 
     Under the policy π of the sweep at v, node i's sup term is read as
     w_i + s_i*λ*(v'_i - v_i): w and s are the value and exact u-slope of
     the sup-term table at (λv_i, π_i), or cost[π] and 0 where no table is
-    read (separable couplings, λ = 0, discount0). The fixed point of that
-    sweep solves (diag - scale*P) v' = rhs, diag = 1 + Δtλ(φ - s) and rhs =
-    Δt(f + c + w - λsv), with λ = 0 there and scale exp(-λΔt) for
-    discount0. With s = 0 this is the exact frozen-policy solve, otherwise
-    a semismooth Newton step; ∂_u W < 0 keeps diag > 1.
+    read (separable couplings, λ = 0). The fixed point of that sweep
+    solves (diag - scale*P) v' = rhs, diag = 1 + Δtλ(φ - s), scale =
+    exp(-δΔt) and rhs = Δt(f + c + w - λsv). With s = 0 this is the exact
+    frozen-policy solve, otherwise a semismooth Newton step; ∂_u W < 0
+    keeps diag > 1.
 
     held, in-mask positions, keep their v0 values and start the other
     in-mask nodes at 1e6 times their distance to the nearest held one.
     Held rows (these, and undiscounted sweeps that stay put and return
     their value bit for bit) become the stay control with diag = scale + 1
-    and rhs the current value. params None means the defaults. Returns a
-    copy of v0 with the in-mask values replaced.
+    and rhs the current value. params None means the defaults. The
+    outcome's field is a copy of v0 with the in-mask values replaced and
+    carries meta.
     """
     params = params or SolveParams()
     v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
@@ -382,12 +373,9 @@ def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
         v = np.where(named, v, 1e6 * dist)
     fixed = v[named]
     dt = kernel.dt
-    gain = _gain(kernel, lam, mode)
+    gain = _gain(kernel, lam, discount)
     target = params.tol * min(1.0, gain)
-    if mode == "discount0":
-        level, scale = 0.0, math.exp(-lam * dt)
-    else:
-        level, scale = lam, 1.0
+    scale = math.exp(-discount * dt)
     base = dt * (kernel.f_in + c)
     policy = np.empty(len(v), dtype=np.intp)
     table = None
@@ -395,8 +383,8 @@ def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
     converged = False
     it = 0
     for it in range(1, params.max_iters + 1):
-        table = _ensure_table(kernel, table, lam, v, mode)
-        v_new = kernel.step(v, lam, c, mode=mode, table=table, policy=policy)
+        table = _ensure_table(kernel, table, lam, v)
+        v_new = kernel.step(v, lam, c, discount, table=table, policy=policy)
         v_new[named] = fixed
         res = float(np.max(np.abs(v_new - v)))
         converged = res <= target or res <= _FLOAT_FLOOR * max(
@@ -408,8 +396,8 @@ def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
             w, s = kernel.cost[policy], 0.0
         else:
             w, s = table.value_and_slope(lam * v, policy)
-        diag = 1.0 + dt * level * (kernel.phi_in - s)
-        rhs = base + dt * (w - level * s * v)
+        diag = 1.0 + dt * lam * (kernel.phi_in - s)
+        rhs = base + dt * (w - lam * s * v)
         hold = named | ((policy == kernel.stay) & (diag == scale)
                         & (v_new == v))
         policy[hold] = kernel.stay
@@ -418,13 +406,15 @@ def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
         v = kernel.policy_solve(policy, diag, scale, rhs)
     out = np.array(v0, dtype=float).ravel()
     out[kernel.in_idx] = v
-    return out, it, res, converged, {"error_bound": res / gain}
+    return SolveOutcome(GridField(kernel.grid, out, meta=meta), it, res,
+                        converged, {"error_bound": res / gain})
 
 
 def _staying_cost(kernel: SweepKernel, c: float):
-    """Cost per unit time of staying put at each in-mask node at λ = 0,
-    f + c + W(0), and its least value. W(s) >= W(0), so no moving cycle
-    costs less: the least value is the exact drift rate of the λ = 0 sweep.
+    """Cost per unit time of staying put at each in-mask node at λ = 0 or
+    where φ vanishes, f + c + W(0), and its least value. W(s) >= W(0), so
+    no moving cycle costs less: the least value is the exact drift rate of
+    the λ = 0 sweep.
     """
     cost = kernel.f_in + c + kernel.cost[kernel.stay]
     return cost, float(np.min(cost))
@@ -445,7 +435,7 @@ def _in_mask_position(kernel: SweepKernel, point, what: str):
 
 def lax_oleinik_step(kernel: SweepKernel, v: GridField, lam: float,
                      c: float) -> GridField:
-    """One sweep of the operator on a field; mainly a testing surface."""
+    """One contact sweep of the operator on a field."""
     out = v.values.copy()
     v_in = out.flat[kernel.in_idx]
     table = _ensure_table(kernel, None, lam, v_in)
@@ -461,12 +451,18 @@ def solve_state_constraint(kernel: SweepKernel, lam: float, c: float,
         raise SolverError("state-constraint solve needs lam > 0")
     if kernel.evaluator.model.coupling.kind == "none":
         raise SolverError("state-constraint solve needs a u-coupling")
-    grid = kernel.grid
-    start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
-    v, iters, res, ok, extras = _policy_iterate(kernel, start, lam, c, params)
-    fld = GridField(grid, v.reshape(grid.shape),
-                    meta={"kind": "state_constraint", "lambda": lam, "c": c})
-    return SolveOutcome(fld, iters, res, ok, extras)
+    # no discount where φ = 0: staying put at a cost below 0 runs to -inf
+    cost, _ = _staying_cost(kernel, c)
+    stuck = np.flatnonzero((kernel.phi_in == 0.0) & (cost < 0.0))
+    if len(stuck):
+        x = kernel.grid.points()[kernel.in_idx[stuck[0]]]
+        raise SolverError(
+            "no bounded solution: phi vanishes at the node x = "
+            f"{', '.join(map('{:g}'.format, x))}, where staying put costs "
+            f"{cost[stuck[0]]:.6g} < 0 per unit time")
+    start = np.zeros(kernel.grid.size) if v0 is None else v0
+    return _policy_iterate(kernel, start, lam, c, params, {
+        "kind": "state_constraint", "lambda": lam, "c": c})
 
 
 @dataclass
@@ -504,21 +500,19 @@ def estimate_critical_value(kernel: SweepKernel, lam_sequence,
     grid = kernel.grid
     if x0 is None:
         x0 = np.zeros(grid.dim)
-    table = []
-    outcomes = []
+    table, outcomes = [], []
     start = np.zeros(grid.size)
     for lam in lams:
-        v, iters, res, ok, extras = _policy_iterate(
-            kernel, start, lam, 0.0, params, mode="discount0")
-        if not ok:
-            raise SolverError(
-                f"discounted solve at lam={lam:g} stalled at residual {res:g}")
-        fld = GridField(grid, v.reshape(grid.shape),
-                        meta={"kind": "discounted", "lambda": lam, "c": 0.0})
-        c_est = -lam * fld.interpolate(np.reshape(x0, (1, -1)))[0]
+        # λv + H(x, Dv, 0) = 0: the sweep at level 0 with discount λ
+        out = _policy_iterate(kernel, start, 0.0, 0.0, params, {
+            "kind": "discounted", "lambda": lam, "c": 0.0}, discount=lam)
+        if not out.converged:
+            raise SolverError(f"discounted solve at lam={lam:g} stalled at "
+                              f"residual {out.final_residual:g}")
+        c_est = -lam * out.field.interpolate(np.reshape(x0, (1, -1)))[0]
         table.append((lam, float(c_est)))
-        outcomes.append(SolveOutcome(fld, iters, res, ok, extras))
-        start = v  # warm start the next, smaller λ
+        outcomes.append(out)
+        start = out.field.values  # warm start the next, smaller λ
     (l1, e1), (l2, e2) = table[-2], table[-1]
     richardson = e2 + l2 * (e2 - e1) / (l1 - l2)
     m0 = lower_bound_m0(kernel.evaluator.model,
@@ -553,18 +547,17 @@ def solve_ergodic(kernel: SweepKernel, c: float, params: SolveParams = None,
     if not abs(rate * kernel.dt) <= slack:
         raise CMismatchError(rate)
     aubry = np.flatnonzero(kernel.dt * (cost - rate) <= slack)
-    start = np.zeros(grid.size) if v0 is None else np.asarray(v0).ravel()
-    v, iters, res, ok, extras = _policy_iterate(
-        kernel, start, 0.0, c - rate, params, held=aubry)
-    v[kernel.in_idx] -= v[anchor_idx]
-    fld = GridField(grid, v.reshape(grid.shape),
-                    meta={"kind": "ergodic", "lambda": 0.0, "c": c})
-    return SolveOutcome(fld, iters, res, ok, extras)
+    start = np.zeros(grid.size) if v0 is None else v0
+    out = _policy_iterate(kernel, start, 0.0, c - rate, params, {
+        "kind": "ergodic", "lambda": 0.0, "c": c}, held=aubry)
+    values = out.field.values.reshape(-1)  # a view of the field's values
+    values[kernel.in_idx] -= values[anchor_idx]
+    return out
 
 
 def solve_maximal_global(evaluator: LagrangianEvaluator, controls: ControlSet,
                          lam: float, c: float, r_schedule, probe,
-                         params: SolveParams = None, box=None, shape=None,
+                         params: SolveParams = None, *, box, shape,
                          stab_tol: float = 1e-3) -> SolveOutcome:
     """Maximal-solution proxy: state-constraint solves on growing balls.
 
@@ -578,18 +571,9 @@ def solve_maximal_global(evaluator: LagrangianEvaluator, controls: ControlSet,
     radii = [float(r) for r in r_schedule]
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise SolverError("r_schedule must be strictly increasing, >= 2 long")
-    dim = evaluator.model.dim
-    if box is None:
-        half = radii[-1] + 2.0
-        box = ((-half, half),) * dim
-    if shape is None:
-        per_unit = 20 if dim == 1 else 13
-        shape = tuple(int(round((hi - lo) * per_unit)) + 1 for lo, hi in box)
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
     history = []
-    outcome = None
-    stabilized_at = None
-    prev_bound = None
+    outcome = stabilized_at = prev_bound = None
     for r in radii:
         kernel = SweepKernel(UniformGrid(Domain.ball(box, r), shape),
                              evaluator, controls)
@@ -605,11 +589,10 @@ def solve_maximal_global(evaluator: LagrangianEvaluator, controls: ControlSet,
             stabilized_at = r
             break
         prev_bound = bound
-    outcome.field.meta["kind"] = "maximal_truncated"
-    outcome.field.meta["R"] = history[-1][0]
-    outcome.extras["stabilization"] = history
-    outcome.extras["stabilized"] = stabilized_at is not None
-    outcome.extras["stabilized_at"] = stabilized_at
+    outcome.field.meta.update(kind="maximal_truncated", R=history[-1][0])
+    outcome.extras.update(stabilization=history,
+                          stabilized=stabilized_at is not None,
+                          stabilized_at=stabilized_at)
     return outcome
 
 
@@ -622,21 +605,19 @@ def mane_potential(kernel: SweepKernel, y, c: float,
     per sweep raises CMismatchError before any solve.
     """
     params = params or SolveParams()
-    grid = kernel.grid
     pin, pin_pos = _in_mask_position(kernel, y, "pin point")
     _, rate = _staying_cost(kernel, c)
     if not rate * kernel.dt >= -10.0 * params.tol:
         raise CMismatchError(rate)
-    start = np.full(grid.size, 1e6)
+    start = np.full(kernel.grid.size, 1e6)
     start[pin] = 0.0
-    v, iters, res, ok, _ = _policy_iterate(kernel, start, 0.0, c, params,
-                                           held=[pin_pos])
-    if not ok:
+    out = _policy_iterate(kernel, start, 0.0, c, params, {
+        "kind": "mane", "lambda": 0.0, "c": c}, held=[pin_pos])
+    if not out.converged:
         raise SolverError(
-            f"pinned solve did not settle (residual {res:g} after {iters} "
-            "policy iterations)")
-    return GridField(grid, v.reshape(grid.shape),
-                     meta={"kind": "mane", "lambda": 0.0, "c": c})
+            f"pinned solve did not settle (residual {out.final_residual:g} "
+            f"after {out.iterations} policy iterations)")
+    return out.field
 
 
 def aubry_indicator(kernel: SweepKernel, c: float, sample_points,
@@ -647,14 +628,8 @@ def aubry_indicator(kernel: SweepKernel, c: float, sample_points,
     no control improves on sitting at y when the running cost is L + c.
     """
     grid = kernel.grid
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    if grid.dim == 1 and pts.shape[0] == 1 and pts.shape[1] > 1:
-        pts = pts.T
-    out = np.empty(len(pts))
-    for i, y in enumerate(pts):
-        s_in = mane_potential(kernel, y, c, params=params).values.ravel()[
-            kernel.in_idx]
-        # one sweep at the pin; S(y) = 0 there by construction
-        out[i] = kernel.step(s_in, 0.0, c)[
-            _in_mask_position(kernel, y, "pin point")[1]]
-    return out
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, grid.dim)
+    # one sweep of S(., y) read at the pin; S(y) = 0 there by construction
+    return np.array([
+        lax_oleinik_step(kernel, mane_potential(kernel, y, c, params), 0.0,
+                         c).values[grid.nearest_node(y)] for y in pts])

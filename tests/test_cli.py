@@ -205,6 +205,18 @@ def test_mane_below_critical_is_exit_2(tmp_path, capsys):
     assert main(base + ["c=0.3"]) == 0
 
 
+def test_unbounded_solve_names_the_node_and_cost(tmp_path, capsys):
+    # phi = x^2 vanishes at x = 0, where staying put costs c = -0.5 per
+    # unit time with no discount: no bounded solution, said before any sweep
+    rc = main(["solve", "--preset", "quadratic-linear", "--out",
+               str(tmp_path), "--stamp", "t", "--lam", "0.2",
+               "--set", 'model.coupling.phi="x^2"', "--set", "c=-0.5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no bounded solution" in err
+    assert "x = 0," in err and "costs -0.5 " in err
+
+
 def test_mane_writes_field(cfg_file):
     path, out = cfg_file
     rc = main(["mane", "--config", path, "--z", "0", "--stamp", "t"])

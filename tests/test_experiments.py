@@ -362,7 +362,8 @@ def test_preset_localization_grids_have_a_centre_node():
         for radius in cfg.radii + (cfg.trunc_radius(),):
             grid = cfg.localization_grid(radius)
             node = grid.nearest_node(np.zeros(grid.dim))
-            assert np.array_equal(grid.node_point(node), np.zeros(grid.dim)), (
+            point = [axis[i] for axis, i in zip(grid.axes, node)]
+            assert np.array_equal(point, np.zeros(grid.dim)), (
                 name, radius, grid.shape)
             assert grid.mask[tuple(node)], (name, radius)
 

@@ -120,11 +120,16 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
     f = 1.0 - np.exp(-xs ** 2)
     # at dt = 0.05 the fastest feet land exactly one cell away
     for dt in (0.025, 0.05):
-        out = lax_oleinik_step(SweepKernel(grid, ql_evaluator, cs, dt),
-                               GridField(grid, vals), lam, c)
+        kernel = SweepKernel(grid, ql_evaluator, cs, dt)
+        out = lax_oleinik_step(kernel, GridField(grid, vals), lam, c)
+        # the classical discounted sweep: level 0, foot values damped by
+        # exp(-delta*dt), here with delta = lam
+        damped = kernel.step(vals.ravel()[kernel.in_idx], 0.0, c,
+                             discount=lam)
         expected = np.empty(n)
+        expected_damped = np.empty(n)
         for i in range(n):
-            best = math.inf
+            best = best_damped = math.inf
             for a in cs.controls[:, 0]:
                 foot = xs[i] - dt * a
                 if foot < xs[0] - 1e-9 or foot > xs[-1] + 1e-9:
@@ -141,8 +146,13 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
                 i1 = min(max(i + b + 1, 0), n - 1)
                 interp = (1.0 - t) * vals[i0] + t * vals[i1]
                 best = min(best, dt * 0.5 * a * a + interp)
+                best_damped = min(best_damped, dt * 0.5 * a * a
+                                  + math.exp(-lam * dt) * interp)
             expected[i] = best + dt * (f[i] + c) - dt * lam * vals[i]
+            expected_damped[i] = best_damped + dt * (f[i] + c)
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(damped, expected_damped, rtol=0,
+                                   atol=1e-13)
 
     def enumerate_step(fld, ev, cs, dt):
         # per node and control, admissible feet by domain test, foot values
@@ -465,7 +475,7 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
                                        atol=1e-9 * np.max(np.abs(want)))
 
 
-def _value_iterate(kernel, v, lam, c, tol, mode="contact", pin=None,
+def _value_iterate(kernel, v, lam, c, tol, discount=0.0, pin=None,
                    anchor=None):
     """Plain value iteration of the sweep: the reference for the solver.
 
@@ -474,16 +484,16 @@ def _value_iterate(kernel, v, lam, c, tol, mode="contact", pin=None,
     residual tol*gain, gain the contraction margin of one sweep (1 at λ = 0
     and where κ_lo vanishes). Returns (v, error bound, sweeps).
     """
-    if mode == "discount0":
-        gain = -math.expm1(-lam * kernel.dt)
+    if discount:
+        gain = -math.expm1(-discount * kernel.dt)
     elif lam > 0 and kernel.kappa_lo > 0:
         gain = lam * kernel.kappa_lo * kernel.dt
     else:
         gain = 1.0
     table = None
     for sweep in range(1, 100001):
-        table = _ensure_table(kernel, table, lam, v, mode)
-        v_new = kernel.step(v, lam, c, mode=mode, table=table)
+        table = _ensure_table(kernel, table, lam, v)
+        v_new = kernel.step(v, lam, c, discount, table=table)
         if pin is not None:
             v_new[pin] = 0.0
         if anchor is not None:
@@ -495,10 +505,10 @@ def _value_iterate(kernel, v, lam, c, tol, mode="contact", pin=None,
     raise AssertionError(f"value iteration stalled at residual {res:g}")
 
 
-def _assert_agrees(out, kernel, lam, c, params, mode="contact"):
+def _assert_agrees(out, kernel, lam, c, params, discount=0.0):
     assert out.converged
     v, bound, _ = _value_iterate(kernel, np.zeros(len(kernel.in_idx)), lam,
-                                 c, params.tol, mode)
+                                 c, params.tol, discount)
     gap = np.max(np.abs(out.field.values.ravel()[kernel.in_idx] - v))
     assert gap <= out.extras["error_bound"] + bound
 
@@ -524,7 +534,7 @@ def test_policy_iteration_agrees_with_value_iteration_critical(kernel201):
     params = SolveParams(tol=1e-8)
     est = estimate_critical_value(kernel201, (0.2, 0.1), params)
     for (lam, _), out in zip(est.table, est.outcomes):
-        _assert_agrees(out, kernel201, lam, 0.0, params, mode="discount0")
+        _assert_agrees(out, kernel201, 0.0, 0.0, params, discount=lam)
 
 
 @pytest.mark.parametrize("shape, da, lams", [
@@ -776,7 +786,8 @@ def test_maximal_global_reports_nonstabilized(ql_evaluator, controls1d):
 
 def test_maximal_global_rejects_bad_schedule(ql_evaluator, controls1d):
     with pytest.raises(SolverError, match="r_schedule"):
-        solve_maximal_global(ql_evaluator, controls1d, 0.1, 0.0, (4.0,), 0.0)
+        solve_maximal_global(ql_evaluator, controls1d, 0.1, 0.0, (4.0,), 0.0,
+                             box=((-8.0, 8.0),), shape=(161,))
     with pytest.raises(SolverError, match="r_schedule"):
         solve_maximal_global(ql_evaluator, controls1d, 0.1, 0.0, (4.0, 3.0),
-                             0.0)
+                             0.0, box=((-8.0, 8.0),), shape=(161,))
