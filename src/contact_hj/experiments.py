@@ -73,6 +73,21 @@ def _numbers(values, key: str) -> tuple:
     return tuple(_number(v, key) for v in values)
 
 
+def _items(value, key: str):
+    """value if it is a non-empty list, or ConfigError naming the key."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key!r} needs a non-empty list, got {value!r}")
+    return value
+
+
+def _section(data: dict, key: str) -> dict:
+    """A copy of the object under key ({} when absent), or ConfigError."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} needs a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _check_keys(data: dict, allowed: set, where: str, numeric=()) -> None:
     """ConfigError for an unknown key or a non-number under a numeric key."""
     for key, value in data.items():
@@ -130,13 +145,13 @@ class ExperimentConfig:
             raise ConfigError(f"bad model descriptor: {exc}") from exc
         dim = model.dim
 
-        grid = dict(data.get("grid", {}))
+        grid = _section(data, "grid")
         _check_keys(grid, _GRID_KEYS, "grid.", numeric={"radius"})
         if "box" not in grid:
             grid["box"] = [[-10.0, 10.0]] if dim == 1 else [[-6.0, 6.0]] * 2
         if "shape" not in grid:
             grid["shape"] = [401] if dim == 1 else [161, 161]
-        for side in grid["box"]:
+        for side in _items(grid["box"], "grid.box"):
             _numbers(side, "grid.box")
         if not all(n.is_integer() for n in _numbers(grid["shape"],
                                                      "grid.shape")):
@@ -148,7 +163,7 @@ class ExperimentConfig:
         if grid["kind"] not in ("box", "ball"):
             raise ConfigError(f"grid.kind must be box or ball, got {grid['kind']!r}")
 
-        solver = dict(data.get("solver", {}))
+        solver = _section(data, "solver")
         _check_keys(solver, _SOLVER_KEYS, "solver.")
         solver["tol"] = _positive(solver.get("tol", 1e-8), "solver.tol")
         iters = _number(solver.get("max_iters", 50000), "solver.max_iters")
@@ -159,13 +174,14 @@ class ExperimentConfig:
         if solver.setdefault("dt", None) is not None:
             solver["dt"] = _positive(solver["dt"], "solver.dt")
 
-        controls = dict(data.get("controls", {}))
+        controls = _section(data, "controls")
         _check_keys(controls, _CONTROL_KEYS, "controls.")
         for key in sorted(_CONTROL_KEYS):
             if controls.get(key) is not None:
                 controls[key] = _positive(controls[key], "controls." + key)
 
-        lams = _numbers(data.get("lambdas", (0.2, 0.1, 0.05, 0.025)), "lambdas")
+        lams = _numbers(_items(data.get("lambdas", (0.2, 0.1, 0.05, 0.025)),
+                               "lambdas"), "lambdas")
         if any(l <= 0 for l in lams):
             raise ConfigError("lambdas must be positive")
         if any(b >= a for a, b in zip(lams, lams[1:])):
@@ -174,7 +190,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing")
 
-        probes = data.get("probes", [0.0, 1.0] if dim == 1 else [[0.0, 0.0]])
+        probes = _items(data.get("probes", [0.0, 1.0] if dim == 1
+                                 else [[0.0, 0.0]]), "probes")
         probes = tuple(tuple(p) if isinstance(p, (list, tuple))
                        else (_number(p, "probes"),) for p in probes)
         for p in probes:
@@ -182,7 +199,8 @@ class ExperimentConfig:
             if len(p) != dim:
                 raise ConfigError(f"probe {p} does not match model dim")
 
-        window = data.get("window", [-3.0, 3.0] if dim == 1 else [[-2, 2], [-2, 2]])
+        window = _items(data.get("window", [-3.0, 3.0] if dim == 1
+                                 else [[-2, 2], [-2, 2]]), "window")
         if dim == 1 and not isinstance(window[0], (list, tuple)):
             window = [window]
         window = tuple(_numbers(w, "window") for w in window)
@@ -207,7 +225,7 @@ class ExperimentConfig:
                                               "truncation_radius")),
             gap_tol=_positive(data.get("gap_tol", 1e-3), "gap_tol"),
             outdir=str(data.get("outdir", "out")),
-            expect_assumptions=dict(data.get("expect_assumptions", {})),
+            expect_assumptions=_section(data, "expect_assumptions"),
         )
 
     def to_dict(self) -> dict:
@@ -710,10 +728,8 @@ def measure_study(config: ExperimentConfig,
         fam = measures_by_probe[probe]
         if len(fam) < 2:
             continue
-        rep = weak_limit_diagnostics(fam, battery, evaluator)
-        for (a, b), d in zip(zip(rep.lambdas, rep.lambdas[1:]),
-                             rep.discrepancies):
-            weak_rows.append([_probe_label(probe), a, b, d])
+        for row in weak_limit_diagnostics(fam, battery, evaluator):
+            weak_rows.append([_probe_label(probe), *row])
     report.add_table("weak_limit", ["probe", "lambda_hi", "lambda_lo",
                                     "discrepancy"], weak_rows)
     finals = [row[3] for row in weak_rows

@@ -1,15 +1,14 @@
 """Closed-form scalar expression trees.
 
-Potentials, coupling coefficients, and test functions are stored as tiny
-expression trees so that model definitions serialize to plain strings in
-config files and round-trip exactly. The grammar is a subset of Python
-expression syntax: the binary operators + - * / and the power, written ^ or
-**; unary - and +; parentheses; finite decimal number literals; the constant
-pi; the variables x (and y in two dimensions); and one-argument calls of exp,
-sin and cos. parse reads a string with Python's ast module and rejects every
-other node, and every tree deeper than MAX_DEPTH. Trees evaluate vectorized
-over numpy arrays and support exact symbolic differentiation, which is what
-the test-function battery uses for gradient rules.
+Potentials and coupling coefficients are stored as tiny expression trees so
+that model definitions serialize to plain strings in config files and
+round-trip exactly. The grammar is a subset of Python expression syntax: the
+binary operators + - * / and the power, written ^ or **; unary - and +;
+parentheses; finite decimal number literals; the constant pi; the variables
+x (and y in two dimensions); and one-argument calls of exp, sin and cos.
+parse reads a string with Python's ast module and rejects every other node,
+and every tree deeper than MAX_DEPTH. Trees evaluate vectorized over numpy
+arrays and render back to strings with str().
 """
 
 import ast
@@ -23,9 +22,8 @@ import numpy as np
 __all__ = ["Expr", "parse", "ParseError", "coordinate_names", "point_env",
            "MAX_DEPTH"]
 
-# Evaluation, diff and str recurse per tree level, and a derivative can be
-# three times deeper than its tree; this keeps both well inside Python's
-# default recursion limit, with room for the driver's own frames.
+# Evaluation and str recurse per tree level; this keeps both well inside
+# Python's default recursion limit, with room for the driver's own frames.
 MAX_DEPTH = 100
 
 
@@ -89,43 +87,6 @@ class Expr:
             return a ** b
         raise AssertionError(k)
 
-    # -- differentiation --------------------------------------------------
-
-    def diff(self, var: str) -> "Expr":
-        k = self.kind
-        if k == "num":
-            return _num(0.0)
-        if k == "var":
-            return _num(1.0 if self.name == var else 0.0)
-        if k == "neg":
-            return _neg(self.args[0].diff(var))
-        if k == "add":
-            return _add(self.args[0].diff(var), self.args[1].diff(var))
-        if k == "sub":
-            return _sub(self.args[0].diff(var), self.args[1].diff(var))
-        if k == "mul":
-            a, b = self.args
-            return _add(_mul(a.diff(var), b), _mul(a, b.diff(var)))
-        if k == "div":
-            a, b = self.args
-            num = _sub(_mul(a.diff(var), b), _mul(a, b.diff(var)))
-            return _div(num, _pow(b, _num(2.0)))
-        if k == "pow":
-            a, b = self.args
-            if b.kind != "num":
-                raise ParseError("only constant exponents are differentiable")
-            return _mul(_mul(b, _pow(a, _num(b.value - 1.0))), a.diff(var))
-        if k == "call":
-            inner = self.args[0]
-            d = inner.diff(var)
-            if self.name == "exp":
-                return _mul(self, d)
-            if self.name == "sin":
-                return _mul(_call("cos", inner), d)
-            if self.name == "cos":
-                return _neg(_mul(_call("sin", inner), d))
-        raise AssertionError(k)
-
     # -- serialization ----------------------------------------------------
 
     def __str__(self):
@@ -139,71 +100,6 @@ class Expr:
         for a in self.args:
             out |= a.variables
         return out
-
-
-# smart constructors with light constant folding, used by diff()
-
-def _num(v: float) -> Expr:
-    return Expr("num", value=float(v))
-
-
-def _neg(a: Expr) -> Expr:
-    if a.kind == "num":
-        return _num(-a.value)
-    return Expr("neg", args=(a,))
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if a.kind == "num" and a.value == 0.0:
-        return b
-    if b.kind == "num" and b.value == 0.0:
-        return a
-    if a.kind == "num" and b.kind == "num":
-        return _num(a.value + b.value)
-    return Expr("add", args=(a, b))
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if b.kind == "num" and b.value == 0.0:
-        return a
-    if a.kind == "num" and a.value == 0.0:
-        return _neg(b)
-    if a.kind == "num" and b.kind == "num":
-        return _num(a.value - b.value)
-    return Expr("sub", args=(a, b))
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    for u, v in ((a, b), (b, a)):
-        if u.kind == "num":
-            if u.value == 0.0:
-                return _num(0.0)
-            if u.value == 1.0:
-                return v
-    if a.kind == "num" and b.kind == "num":
-        return _num(a.value * b.value)
-    return Expr("mul", args=(a, b))
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if a.kind == "num" and a.value == 0.0:
-        return _num(0.0)
-    if b.kind == "num" and b.value == 1.0:
-        return a
-    return Expr("div", args=(a, b))
-
-
-def _pow(a: Expr, b: Expr) -> Expr:
-    if b.kind == "num":
-        if b.value == 0.0:
-            return _num(1.0)
-        if b.value == 1.0:
-            return a
-    return Expr("pow", args=(a, b))
-
-
-def _call(fn: str, a: Expr) -> Expr:
-    return Expr("call", name=fn, args=(a,))
 
 
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
@@ -281,14 +177,15 @@ def _convert(node: ast.expr, src: str, depth: int = 1) -> Expr:
         case ast.Name(id=name) if name in _VARIABLES:
             return Expr("var", name=name)
         case ast.Name(id="pi"):
-            return _num(math.pi)
+            return Expr("num", value=math.pi)
         case ast.Call(func=ast.Name(id=fn), args=[arg],
                       keywords=[]) if fn in _FUNCTIONS:
-            return _call(fn, _convert(arg, src, depth + 1))
+            return Expr("call", name=fn,
+                        args=(_convert(arg, src, depth + 1),))
     literal = src[node.col_offset:node.end_col_offset]
     if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal):
         value = float(literal)
         if math.isfinite(value):
-            return _num(value)
+            return Expr("num", value=value)
         raise ParseError(f"number {literal!r} is not finite")
     raise ParseError(f"unsupported expression {literal!r}")

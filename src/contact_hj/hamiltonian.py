@@ -249,6 +249,13 @@ def _as_points(z, dim: int) -> np.ndarray:
     return z
 
 
+def _object(value, what: str) -> dict:
+    """value if it is a JSON object, else ModelError naming the part."""
+    if not isinstance(value, dict):
+        raise ModelError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class HamiltonianModel:
     dim: int
@@ -259,9 +266,14 @@ class HamiltonianModel:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ModelError("dim must be 1 or 2")
-        extra = self.potential.variables - set(coordinate_names(self.dim))
-        if extra:
-            raise ModelError(f"potential uses unknown variables {sorted(extra)}")
+        exprs = {"potential": self.potential}
+        if self.coupling.kind == "linear":
+            exprs["coupling phi"] = self.coupling.phi
+        for what, expr in exprs.items():
+            extra = expr.variables - set(coordinate_names(self.dim))
+            if extra:
+                raise ModelError(f"{what} uses unknown variables "
+                                 f"{sorted(extra)}")
 
     # -- pieces ------------------------------------------------------------
 
@@ -316,7 +328,9 @@ class HamiltonianModel:
     def from_json(data) -> "HamiltonianModel":
         if isinstance(data, str):
             data = json.loads(data)
-        kin_spec = data.get("kinetic", {"type": "quadratic"})
+        data = _object(data, "model")
+        kin_spec = _object(data.get("kinetic", {"type": "quadratic"}),
+                           "kinetic")
         kind = kin_spec.get("type", "quadratic")
         if kind == "quadratic":
             kinetic = QuadraticKinetic()
@@ -327,12 +341,13 @@ class HamiltonianModel:
                                        values=tuple(kin_spec["values"]))
         else:
             raise ModelError(f"unknown kinetic type {kind!r}")
-        cpl_spec = data.get("coupling", {"type": "none"})
+        cpl_spec = _object(data.get("coupling", {"type": "none"}), "coupling")
         ckind = cpl_spec.get("type", "none")
         if ckind == "none":
             coupling = NoCoupling()
         elif ckind == "linear":
-            bounds = cpl_spec.get("bounds", data.get("bounds", {}))
+            bounds = _object(cpl_spec.get("bounds", data.get("bounds", {})),
+                             "coupling bounds")
             coupling = LinearCoupling(
                 phi=parse(cpl_spec["phi"]),
                 kappa_lo=float(bounds.get("kappa_lo", 0.0)),
@@ -614,8 +629,10 @@ def check_assumptions(model: HamiltonianModel) -> AssumptionReport:
     """
     xs = tensor_points([np.linspace(-_CHECK_HALF, _CHECK_HALF, _N_X)]
                        * model.dim)
-    for name, vals in (("potential f", model.f(xs)),
-                       ("coupling factor phi", model.phi(xs))):
+    with np.errstate(all="ignore"):
+        pieces = (("potential f", model.f(xs)),
+                  ("coupling factor phi", model.phi(xs)))
+    for name, vals in pieces:
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ModelError(f"{name} is not finite at the check sample "

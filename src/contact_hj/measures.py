@@ -5,9 +5,9 @@ curves: the sample at time t_k carries weight proportional to the
 exponential discount e^{λ β(t_k)} Δt, and each run of consecutive samples
 with equal position and velocity is one atom carrying the run's summed
 weight, so a settled tail costs one atom. Weak* statements are proxied by a
-finite battery of C¹ test functions with exact expression-tree gradients;
-that keeps every assertion falsifiable at the cost of testing only finitely
-many directions.
+finite battery of C¹ test functions whose gradients are written out in
+closed form; that keeps every assertion falsifiable at the cost of testing
+only finitely many directions.
 """
 
 import math
@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, coordinate_names, parse, point_env
 from .grid import GridField, atomic_write_rows
 from .hamiltonian import LagrangianEvaluator
 from .trajectory import Curve, IndexSeries
 
-__all__ = ["WeightedSampleMeasure", "TestFunction",
-           "discounted_measure", "closedness_defect", "mather_defect",
-           "selection_functional", "weak_limit_diagnostics",
-           "WeakLimitReport", "write_measure_csv", "default_battery"]
+__all__ = ["WeightedSampleMeasure", "discounted_measure",
+           "closedness_defect", "mather_defect", "selection_functional",
+           "weak_limit_diagnostics", "write_measure_csv", "default_battery"]
 
 
 @dataclass(frozen=True)
@@ -52,41 +50,34 @@ class WeightedSampleMeasure:
         return float(np.sum(self.weights * vals))
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """C¹ test function with exact gradient expressions per axis."""
+# (phi, phi') of the per-axis test functions x, x², x³, sin x and cos x
+_AXIS_FORMS = (
+    (lambda t: t, np.ones_like),
+    (lambda t: t ** 2.0, lambda t: 2.0 * t),
+    (lambda t: t ** 3.0, lambda t: 3.0 * t ** 2.0),
+    (np.sin, np.cos),
+    (np.cos, lambda t: -np.sin(t)),
+)
 
-    __test__ = False  # not a pytest case despite the mathematical name
 
-    name: str
-    expr: Expr
-    gradient: tuple  # one Expr per axis
-
-    @staticmethod
-    def from_text(text: str, dim: int) -> "TestFunction":
-        e = parse(text)
-        grads = tuple(e.diff(var) for var in coordinate_names(dim))
-        return TestFunction(name=text, expr=e, gradient=grads)
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.broadcast_to(np.asarray(self.expr(**point_env(pts)),
-                                          dtype=float), (len(pts),))
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        env = point_env(pts)
-        cols = [np.broadcast_to(np.asarray(g(**env), dtype=float), (len(pts),))
-                for g in self.gradient]
-        return np.column_stack(cols)
+def _on_axis(f, df, axis: int) -> tuple:
+    """(phi, grad_phi) of phi(x) = f(x[axis]) on (n, dim) points."""
+    def grad(pts):
+        g = np.zeros(pts.shape)
+        g[:, axis] = df(pts[:, axis])
+        return g
+    return (lambda pts: f(pts[:, axis])), grad
 
 
 def default_battery(dim: int) -> tuple:
-    """Monomials x, x², x³ and sin/cos per axis; adds x*y in 2D."""
-    texts = ["x", "x^2", "x^3", "sin(x)", "cos(x)"]
+    """(phi, grad_phi) pairs of C¹ test functions on (n, dim) points:
+    x, x², x³, sin x and cos x per axis, then x*y in 2D."""
+    battery = [_on_axis(f, df, axis)
+               for axis in range(dim) for f, df in _AXIS_FORMS]
     if dim == 2:
-        texts += ["y", "y^2", "y^3", "sin(y)", "cos(y)", "x*y"]
-    return tuple(TestFunction.from_text(t, dim) for t in texts)
+        battery.append((lambda pts: pts[:, 0] * pts[:, 1],
+                        lambda pts: pts[:, ::-1]))
+    return tuple(battery)
 
 
 def discounted_measure(curve: Curve, indices: IndexSeries,
@@ -120,8 +111,8 @@ def discounted_measure(curve: Curve, indices: IndexSeries,
 def closedness_defect(mu: WeightedSampleMeasure, battery) -> float:
     """max over the battery of |<mu, v . grad(phi)(x)>|; zero for closed mu."""
     worst = 0.0
-    for fn in battery:
-        g = fn.grad(mu.points)
+    for _, grad in battery:
+        g = grad(mu.points)
         val = abs(float(np.sum(mu.weights * np.sum(g * mu.velocities,
                                                    axis=1))))
         if val > worst:
@@ -151,34 +142,28 @@ def selection_functional(mu: WeightedSampleMeasure, w_field: GridField,
     return float(np.sum(mu.weights * wvals * du))
 
 
-@dataclass(frozen=True)
-class WeakLimitReport:
-    lambdas: tuple          # decreasing
-    discrepancies: tuple    # len-1 consecutive pairwise gaps
-
-
 def weak_limit_diagnostics(measures: dict, battery,
-                           evaluator: LagrangianEvaluator) -> WeakLimitReport:
+                           evaluator: LagrangianEvaluator) -> list:
     """Pairwise weak*-proxy discrepancies across a λ-family of measures.
 
-    The proxy metric pairs measure differences against the battery plus
-    L(.,.,0). No limit measure is constructed: a decreasing discrepancy
-    tail toward the smallest λ is the evidence.
+    One (lam_hi, lam_lo, discrepancy) row per consecutive pair of the
+    decreasing λs. The proxy metric pairs measure differences against the
+    battery plus L(.,.,0). No limit measure is constructed: a decreasing
+    discrepancy tail toward the smallest λ is the evidence.
     """
     if len(measures) < 2:
         raise ValueError("need at least two measures")
     lams = sorted(measures, reverse=True)
 
     def pairings(mu):
-        out = [mu.pair(lambda p, v, fn=fn: fn(p)) for fn in battery]
+        out = [mu.pair(lambda p, v, phi=phi: phi(p)) for phi, _ in battery]
         out.append(mu.pair(lambda p, v: np.asarray(
             evaluator.legendre(p, v, 0.0), dtype=float)))
         return np.asarray(out)
 
     tables = {l: pairings(measures[l]) for l in lams}
-    gaps = tuple(float(np.max(np.abs(tables[a] - tables[b])))
-                 for a, b in zip(lams, lams[1:]))
-    return WeakLimitReport(lambdas=tuple(lams), discrepancies=gaps)
+    return [(a, b, float(np.max(np.abs(tables[a] - tables[b]))))
+            for a, b in zip(lams, lams[1:])]
 
 
 def write_measure_csv(path, mu: WeightedSampleMeasure) -> None:

@@ -218,8 +218,15 @@ class SweepKernel:
             self.stencil - np.arange(len(self.in_idx))[:, None]), initial=0))
         self.block = max(self.bandwidth, min(len(self.in_idx), _SOLVE_BLOCK))
 
-        self.f_in = model.f(in_pts)
-        self.phi_in = model.phi(in_pts)
+        with np.errstate(all="ignore"):
+            self.f_in = model.f(in_pts)
+            self.phi_in = model.phi(in_pts)
+        for name, vals in (("potential f", self.f_in),
+                           ("coupling factor phi", self.phi_in)):
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise SolverError(f"{name} is not finite at node "
+                                  f"{in_pts[bad[0]].tolist()}")
         # per-control sup term at u = 0: the whole cost for separable
         # couplings, the λ = 0 and explicit-discount cost for p-coupled ones
         self.cost = evaluator.conjugate_speeds(self.speeds)

@@ -295,12 +295,35 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["critical", "--config", "CFG", "--set", "model.potential=1/x"],
     ["check", "--config", "CFG", "--set", "model.potential=1/x"],
     ["check", "--config", "CFG", "--set", "model.coupling.phi=1/x"],
+    ["check", "--config", "CFG", "--set", "grid=3"],
+    ["check", "--config", "CFG", "--set", "solver=3"],
+    ["check", "--config", "CFG", "--set", "controls=3"],
+    ["check", "--config", "CFG", "--set", "expect_assumptions=[1]"],
+    ["check", "--config", "CFG", "--set", "probes=5"],
+    ["check", "--config", "CFG", "--set", "window=5"],
+    ["sweep", "--config", "CFG", "--set", "lambdas=[]"],
+    ["solve", "--config", "CFG", "--set", "lambdas=[]"],
+    ["localize", "--config", "CFG", "--set", "lambdas=[]"],
+    ["measures-study", "--config", "CFG", "--set", "lambdas=[]"],
+    ["solve", "--config", "CFG", "--set", "probes=[]"],
+    ["localize", "--config", "CFG", "--set", "probes=[]"],
+    ["check", "--config", "CFG", "--set", "model=3"],
+    ["check", "--config", "CFG", "--set", "model.kinetic=3"],
+    ["check", "--config", "CFG", "--set", "model.coupling=3"],
+    ["check", "--config", "CFG", "--set", "model.coupling.bounds=3"],
+    ["check", "--config", "CFG", "--set", 'model.coupling.phi="1 + y"'],
+    ["solve", "--config", "CFG", "--set", "model.coupling.phi=1/x"],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file
     argv = [path if arg == "CFG" else arg for arg in argv]
     assert main(argv + ["--out", out, "--stamp", "t"]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # the message names the overridden key, or the function it defines
+    for flag, pair in zip(argv, argv[1:]):
+        if flag == "--set":
+            assert pair.partition("=")[0].rpartition(".")[2] in err
 
 
 def test_localize_passes_at_the_origin(cfg_file, capsys):

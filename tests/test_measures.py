@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from contact_hj.grid import DomainError, GridField
-from contact_hj.measures import (TestFunction, WeightedSampleMeasure,
-                                 closedness_defect,
+from contact_hj.measures import (WeightedSampleMeasure, closedness_defect,
                                  default_battery, discounted_measure,
                                  mather_defect, selection_functional,
                                  weak_limit_diagnostics, write_measure_csv)
@@ -52,22 +51,28 @@ def test_measure_support_and_pairing():
     assert got == pytest.approx(0.25 * 1.5 + 0.75 * 11.0)
 
 
-def test_test_function_exact_gradients():
-    cubic = TestFunction.from_text("x^3", 1)
-    pts = np.array([[0.5], [-2.0]])
-    np.testing.assert_allclose(cubic(pts), [0.125, -8.0], atol=1e-15)
-    np.testing.assert_allclose(cubic.grad(pts)[:, 0], [0.75, 12.0],
-                               atol=1e-15)
-    xy = TestFunction.from_text("x*y", 2)
-    pts2 = np.array([[2.0, 3.0]])
-    np.testing.assert_allclose(xy.grad(pts2), [[3.0, 2.0]], atol=1e-15)
+@pytest.mark.parametrize("dim, size", [(1, 5), (2, 11)])
+def test_battery_gradients_match_central_differences(dim, size):
+    battery = default_battery(dim)
+    assert len(battery) == size
+    pts = np.random.RandomState(5).uniform(-2.0, 2.0, size=(40, dim))
+    h = 1e-6
+    for phi, grad in battery:
+        assert phi(pts).shape == (40,)
+        g = grad(pts)
+        assert g.shape == (40, dim)
+        for k in range(dim):
+            step = np.zeros(dim)
+            step[k] = h
+            fd = (phi(pts + step) - phi(pts - step)) / (2 * h)
+            np.testing.assert_allclose(g[:, k], fd, rtol=1e-6, atol=1e-7)
 
 
 def test_default_battery_sizes():
     assert len(default_battery(1)) == 5
     assert len(default_battery(2)) == 11
-    for fn in default_battery(1):
-        assert fn.grad(np.array([[0.3]])).shape == (1, 1)
+    for _, grad in default_battery(1):
+        assert grad(np.array([[0.3]])).shape == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +154,7 @@ def test_atoms_match_the_per_step_measure(atom_cases, case):
     bat = default_battery(curve.points.shape[1])
 
     def pairings(m):
-        vals = [m.pair(lambda p, v, fn=fn: fn(p)) for fn in bat]
+        vals = [m.pair(lambda p, v, phi=phi: phi(p)) for phi, _ in bat]
         vals.append(m.pair(lambda p, v: ev.legendre(p, v, 0.0)))
         return np.array(vals)
 
@@ -260,19 +265,18 @@ def test_weak_limit_needs_two_measures(ql_model, ql_evaluator):
 
 def test_weak_limit_identical_measures(ql_model, ql_evaluator):
     mus = {0.1: point_mass(1.0, 0.0), 0.05: point_mass(1.0, 0.0)}
-    rep = weak_limit_diagnostics(mus, default_battery(1), ql_evaluator)
-    assert rep.discrepancies == (0.0,)
-    assert rep.lambdas == (0.1, 0.05)
+    rows = weak_limit_diagnostics(mus, default_battery(1), ql_evaluator)
+    assert rows == [(0.1, 0.05, 0.0)]
 
 
 def test_weak_limit_contracting_family(ql_model, ql_evaluator):
     # point masses marching toward the origin at geometric speed
     mus = {l: point_mass(l, 0.0) for l in (0.4, 0.2, 0.1, 0.05)}
-    rep = weak_limit_diagnostics(mus, default_battery(1), ql_evaluator)
-    assert len(rep.discrepancies) == 3
-    gaps = rep.discrepancies
+    rows = weak_limit_diagnostics(mus, default_battery(1), ql_evaluator)
+    assert [(a, b) for a, b, _ in rows] == [(0.4, 0.2), (0.2, 0.1),
+                                            (0.1, 0.05)]
+    gaps = [d for _, _, d in rows]
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-    assert rep.lambdas == (0.4, 0.2, 0.1, 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,18 @@ def test_kernel_rejects_dimension_mismatch(grid201, ql_evaluator):
         SweepKernel(grid201, ql_evaluator, ControlSet.build(2), dt=0.001)
 
 
+@pytest.mark.parametrize("potential, phi, name", [
+    ("1/x", "1", "potential f"), ("1", "1/x", "coupling factor phi")])
+def test_kernel_rejects_non_finite_model(grid201, controls1d, potential, phi,
+                                         name):
+    model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
+                             potential=parse(potential),
+                             coupling=LinearCoupling(parse(phi), 1.0, 1.0))
+    with pytest.raises(SolverError,
+                       match=rf"{name} is not finite at node \[0\.0\]"):
+        SweepKernel(grid201, LagrangianEvaluator(model), controls1d)
+
+
 # ---------------------------------------------------------------------------
 # one sweep of the operator
 
