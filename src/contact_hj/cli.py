@@ -16,12 +16,11 @@ import numpy as np
 from .experiments import (ConfigError, ExperimentConfig, builtin_models,
                           localization_study, make_run_dir, measure_study,
                           read_config_file, run_assumption_check, setup,
-                          trace_curve, trace_measure,
-                          vanishing_discount_sweep)
+                          trace_curve, vanishing_discount_sweep)
 from .grid import atomic_write_text
 from .hamiltonian import ModelError
-from .measures import (closedness_defect, default_battery, mather_defect,
-                       write_measure_csv)
+from .measures import (closedness_defect, default_battery,
+                       discounted_measure, mather_defect, write_measure_csv)
 from .solver import (CMismatchError, SolverError, estimate_critical_value,
                      mane_potential, solve_ergodic, solve_state_constraint)
 from .trajectory import exponential_action, write_curve_csv
@@ -209,8 +208,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_measure(args) -> int:
     config, kernel, lam, z, out = _solve(args)
-    curve, idx, mu, horizon = trace_measure(kernel, config, out.field, lam, z,
-                                            args.horizon)
+    curve, idx, horizon = trace_curve(kernel, config, out.field, lam, z,
+                                      args.horizon)
+    mu = discounted_measure(curve, idx, lam)
     battery = default_battery(kernel.grid.dim)
     run_dir = make_run_dir(config.outdir, "measure", args.stamp)
     write_measure_csv(os.path.join(run_dir, "measure.csv"), mu)

@@ -27,12 +27,12 @@ from .measures import (closedness_defect, default_battery, discounted_measure,
 from .solver import (CMismatchError, ControlSet, SolveParams, SolverError,
                      SweepKernel, mane_potential, solve_ergodic,
                      solve_state_constraint)
-from .trajectory import backtrace, compute_indices
+from .trajectory import backtrace, backtrace_batch, compute_indices
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
            "vanishing_discount_sweep", "localization_study", "measure_study",
            "builtin_models", "setup", "discount_chain",
-           "trace_curve", "trace_measure"]
+           "trace_curve", "trace_measures"]
 
 
 class ConfigError(ValueError):
@@ -186,7 +186,8 @@ class ExperimentConfig:
             raise ConfigError("lambdas must be positive")
         if any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigError("lambdas must be strictly decreasing")
-        radii = _numbers(data.get("radii", (2, 3, 4, 5, 6)), "radii")
+        radii = _numbers(_items(data.get("radii", (2, 3, 4, 5, 6)), "radii"),
+                         "radii")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing")
 
@@ -204,6 +205,9 @@ class ExperimentConfig:
         if dim == 1 and not isinstance(window[0], (list, tuple)):
             window = [window]
         window = tuple(_numbers(w, "window") for w in window)
+        if any(len(w) != 2 for w in window):
+            raise ConfigError(f"'window' rows need [lo, hi], got "
+                              f"{[list(w) for w in window]!r}")
         if len(window) != dim:
             raise ConfigError("window rank does not match model dim")
 
@@ -426,10 +430,23 @@ def trace_curve(kernel: SweepKernel, config: ExperimentConfig, field,
     return curve, idx, horizon
 
 
-def trace_measure(kernel: SweepKernel, config: ExperimentConfig, field,
-                  lam: float, z, horizon: float = None):
-    """(curve, kappa series, discounted measure, horizon) traced from z."""
-    curve, idx, horizon = trace_curve(kernel, config, field, lam, z, horizon)
+def trace_measures(kernel: SweepKernel, config: ExperimentConfig, cells):
+    """(curve, kappa series, discounted measure, horizon) of every (field,
+    lam, z) cell at the config's tail rule, all traced in one lockstep
+    backtrace_batch; per cell, _guard's (status, payload) pair."""
+    horizons = [config.trace_horizon(lam, kernel.kappa_lo)
+                for _, lam, _ in cells]
+    curves = backtrace_batch(kernel, [(field, lam, z, horizon) for
+                                      (field, lam, z), horizon
+                                      in zip(cells, horizons)], config.c)
+    return [_guard(_measure, kernel, field, lam, curve, horizon) for
+            (field, lam, _), curve, horizon in zip(cells, curves, horizons)]
+
+
+def _measure(kernel, field, lam, curve, horizon):
+    if isinstance(curve, Exception):
+        raise curve
+    idx = compute_indices(curve, kernel.evaluator, field, lam)
     return curve, idx, discounted_measure(curve, idx, lam), horizon
 
 
@@ -520,9 +537,9 @@ def vanishing_discount_sweep(config: ExperimentConfig,
     keys = [(lam, probe) for lam in config.lambdas for probe in config.probes]
     sel_rows = []
     sel_values = []
-    for lam, probe in keys:
-        status, payload = _guard(trace_measure, kernel, config, fields[lam],
-                                 lam, probe)
+    traced = trace_measures(kernel, config, [(fields[lam], lam, probe)
+                                             for lam, probe in keys])
+    for (lam, probe), (status, payload) in zip(keys, traced):
         if status != "ok":
             sel_rows.append([lam, _probe_label(probe), "nan", 0.0, payload])
             continue
@@ -659,25 +676,27 @@ def measure_study(config: ExperimentConfig,
     report = ConvergenceReport("measures", config.to_dict())
     fields = {lam: out.field for lam, out in discount_chain(kernel, config)}
 
-    def cell(lam, probe):
-        curve, idx, mu, horizon = trace_measure(kernel, config, fields[lam],
-                                                lam, probe)
+    def defects(mu):
         closed = closedness_defect(mu, battery)
         mather = mather_defect(mu, evaluator, config.c)
         dist = mu.points - np.asarray([0.0] * dim)
         support = float(np.sum(mu.weights * np.sqrt(np.sum(dist ** 2, axis=1))))
-        return mu, curve, idx, closed, mather, support, horizon
+        return closed, mather, support
 
     keys = [(lam, probe) for lam in config.lambdas for probe in probes]
     defect_rows = []
     measures_by_probe = {p: {} for p in probes}
-    for lam, probe in keys:
-        status, payload = _guard(cell, lam, probe)
+    traced = trace_measures(kernel, config, [(fields[lam], lam, probe)
+                                             for lam, probe in keys])
+    for (lam, probe), (status, payload) in zip(keys, traced):
+        if status == "ok":
+            curve, idx, mu, horizon = payload
+            status, payload = _guard(defects, mu)
         if status != "ok":
             defect_rows.append([lam, _probe_label(probe), "nan", "nan",
                                 "nan", 0.0, payload])
             continue
-        mu, curve, idx, closed, mather, support, horizon = payload
+        closed, mather, support = payload
         _note_trace_warning(report, lam, probe, curve)
         measures_by_probe[probe][lam] = mu
         defect_rows.append([lam, _probe_label(probe), closed, mather,

@@ -191,6 +191,41 @@ class UniformGrid:
         self._rmap = rmap
         return rmap
 
+    def multilinear(self, table: np.ndarray, pts: np.ndarray,
+                    base=0) -> np.ndarray:
+        """Multilinear interpolation of node values at (..., dim) points.
+
+        table[base + i] is the value at node i after mask replacement, i.e.
+        values.ravel()[replacement_map] of a field; fields stacked one after
+        another share one table, and base, broadcast against the points,
+        selects each point's field. Points are not checked: callers test
+        them against the domain first.
+        """
+        cell, t = [], []
+        for k in range(self.dim):
+            p = (pts[..., k] - self.axes[k][0]) / self.dx[k]
+            b = np.minimum(np.maximum(np.floor(p).astype(int), 0),
+                           self.shape[k] - 2)
+            w = p - b
+            # snap to exact node hits so node queries reproduce node values
+            w[np.abs(w) < 1e-9] = 0.0
+            w[np.abs(w - 1.0) < 1e-9] = 1.0
+            w = np.minimum(np.maximum(w, 0.0), 1.0)
+            cell.append(b)
+            t.append(w)
+        if self.dim == 1:
+            i0 = base + cell[0]
+            return (1 - t[0]) * table[i0] + t[0] * table[i0 + 1]
+        ny = self.shape[1]
+        i0 = base + cell[0] * ny + cell[1]
+        v00 = table[i0]
+        v01 = table[i0 + 1]
+        v10 = table[i0 + ny]
+        v11 = table[i0 + ny + 1]
+        tx, ty = t
+        return ((1 - tx) * ((1 - ty) * v00 + ty * v01)
+                + tx * ((1 - ty) * v10 + ty * v11))
+
 
 class GridField:
     """Node values over a grid plus the solve metadata that produced them."""
@@ -227,44 +262,8 @@ class GridField:
         if not np.all(ok):
             bad = pts[np.argmin(ok)]
             raise DomainError(f"query point {bad.tolist()} outside the domain")
-        out = self.interpolate_unchecked(pts)
+        out = grid.multilinear(self.values.ravel()[grid.replacement_map], pts)
         return float(out[0]) if squeeze else out
-
-    def interpolate_unchecked(self, pts: np.ndarray) -> np.ndarray:
-        """interpolate() without the domain check, on (P, dim) float points.
-
-        For callers whose points have already passed a domain test at least
-        as strict as interpolate()'s half-cell slack.
-        """
-        grid = self.grid
-        rmap = grid.replacement_map
-        vals_flat = self.values.ravel()
-        base, t = [], []
-        for k in range(grid.dim):
-            p = (pts[:, k] - grid.axes[k][0]) / grid.dx[k]
-            b = np.minimum(np.maximum(np.floor(p).astype(int), 0),
-                           grid.shape[k] - 2)
-            w = p - b
-            # snap to exact node hits so node queries reproduce node values
-            w[np.abs(w) < 1e-9] = 0.0
-            w[np.abs(w - 1.0) < 1e-9] = 1.0
-            w = np.minimum(np.maximum(w, 0.0), 1.0)
-            base.append(b)
-            t.append(w)
-        if grid.dim == 1:
-            i0 = base[0]
-            v0 = vals_flat[rmap[i0]]
-            v1 = vals_flat[rmap[i0 + 1]]
-            return (1 - t[0]) * v0 + t[0] * v1
-        ny = grid.shape[1]
-        i0 = base[0] * ny + base[1]
-        v00 = vals_flat[rmap[i0]]
-        v01 = vals_flat[rmap[i0 + 1]]
-        v10 = vals_flat[rmap[i0 + ny]]
-        v11 = vals_flat[rmap[i0 + ny + 1]]
-        tx, ty = t
-        return ((1 - tx) * ((1 - ty) * v00 + ty * v01)
-                + tx * ((1 - ty) * v10 + ty * v11))
 
     # -- persistence -----------------------------------------------------------
 

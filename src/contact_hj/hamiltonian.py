@@ -249,6 +249,14 @@ def _as_points(z, dim: int) -> np.ndarray:
     return z
 
 
+def _number(value, key: str, cast=float):
+    """cast(value), or ModelError naming the descriptor key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"model.{key} needs a number, got {value!r}") from None
+
+
 def _object(value, what: str) -> dict:
     """value if it is a JSON object, else ModelError naming the part."""
     if not isinstance(value, dict):
@@ -335,10 +343,11 @@ class HamiltonianModel:
         if kind == "quadratic":
             kinetic = QuadraticKinetic()
         elif kind == "power":
-            kinetic = PowerKinetic(tau=float(kin_spec["tau"]))
+            kinetic = PowerKinetic(tau=_number(kin_spec["tau"], "kinetic.tau"))
         elif kind == "tabulated":
-            kinetic = TabulatedKinetic(dp=float(kin_spec["dp"]),
-                                       values=tuple(kin_spec["values"]))
+            kinetic = TabulatedKinetic(
+                dp=_number(kin_spec["dp"], "kinetic.dp"),
+                values=tuple(kin_spec["values"]))
         else:
             raise ModelError(f"unknown kinetic type {kind!r}")
         cpl_spec = _object(data.get("coupling", {"type": "none"}), "coupling")
@@ -350,15 +359,18 @@ class HamiltonianModel:
                              "coupling bounds")
             coupling = LinearCoupling(
                 phi=parse(cpl_spec["phi"]),
-                kappa_lo=float(bounds.get("kappa_lo", 0.0)),
-                kappa_hi=float(bounds.get("kappa_hi", 1.0)),
+                kappa_lo=_number(bounds.get("kappa_lo", 0.0),
+                                 "coupling.bounds.kappa_lo"),
+                kappa_hi=_number(bounds.get("kappa_hi", 1.0),
+                                 "coupling.bounds.kappa_hi"),
             )
         elif ckind == "arctan":
-            coupling = ArctanCoupling(shift=float(cpl_spec.get("shift", math.pi)))
+            coupling = ArctanCoupling(
+                shift=_number(cpl_spec.get("shift", math.pi), "coupling.shift"))
         else:
             raise ModelError(f"unknown coupling type {ckind!r}")
         return HamiltonianModel(
-            dim=int(data["dim"]),
+            dim=_number(data["dim"], "dim", int),
             kinetic=kinetic,
             potential=parse(data["potential"]),
             coupling=coupling,

@@ -2,12 +2,13 @@
 
 A curve is traced by greedy one-step descent of the dynamic programming
 operator on a converged field; the per-step defect is recorded rather than
-assumed zero, and a curve that settles costs only its transient (see
-backtrace). Discount indices are difference quotients of the Lagrangian in
-its u slot between the field level and a reference level, one lattice sup
-per distinct (speed, level) pair for p-coupled models. One left-Riemann
-convention for their cumulative integrals weights both the representation
-formulas and the discounted measures.
+assumed zero, and a curve that settles costs only its transient. The
+curves of one kernel are traced together, one step of all of them at a
+time (see backtrace_batch). Discount indices are difference quotients of
+the Lagrangian in its u slot between the field level and a reference
+level, one lattice sup per distinct (speed, level) pair for p-coupled
+models. One left-Riemann convention for their cumulative integrals weights
+both the representation formulas and the discounted measures.
 """
 
 import math
@@ -19,8 +20,8 @@ from .grid import GridField, atomic_write_rows
 from .hamiltonian import LagrangianEvaluator
 from .solver import SolverError, SweepKernel
 
-__all__ = ["Curve", "IndexSeries", "backtrace", "compute_indices",
-           "exponential_action", "write_curve_csv"]
+__all__ = ["Curve", "IndexSeries", "backtrace", "backtrace_batch",
+           "compute_indices", "exponential_action", "write_curve_csv"]
 
 
 @dataclass(frozen=True)
@@ -61,82 +62,141 @@ class IndexSeries:
 
 def backtrace(kernel: SweepKernel, field: GridField, lam: float, c: float, z,
               horizon: float, defect_tol: float = None) -> Curve:
-    """Trace the greedy backward minimizer of the DPP from z.
+    """Trace the greedy backward minimizer of the DPP from z: a batch of one
+    (see backtrace_batch), whose error is raised."""
+    (curve,) = backtrace_batch(kernel, [(field, lam, z, horizon)], c,
+                               defect_tol)
+    if isinstance(curve, Exception):
+        raise curve
+    return curve
 
-    The evaluator, controls and time step are the kernel's.
 
-    At each point the control minimizing Δt*(L(x,a,λ*v(x)) + c) + v(x - Δt*a)
-    is chosen (first hit in lexicographic control order on ties). Steps whose
-    one-step value disagrees with the field by more than defect_tol are
-    counted and surface as a warning on the curve, which is still returned.
+def backtrace_batch(kernel: SweepKernel, cells, c: float,
+                    defect_tol: float = None) -> list:
+    """Trace the greedy backward minimizer of every (field, lam, z, horizon)
+    cell in one loop over the step index.
+
+    Every field lives on the kernel's grid; the evaluator, controls and time
+    step are the kernel's. At each point the control minimizing
+    Δt*(L(x,a,λ*v(x)) + c) + v(x - Δt*a) is chosen (first hit in
+    lexicographic control order on ties). Steps whose one-step value
+    disagrees with the field by more than defect_tol are counted and surface
+    as a warning on the curve, which is still returned.
 
     L keeps legendre()'s arithmetic, W + f(x) - phi(x)*λ*v(x): the sup term
     W is the kernel's u = 0 row (kernel.cost) for separable couplings, and
-    the lattice sup at level λ*v(x) for p-coupled ones; f, phi and W all
-    come from evaluator.model. v(x) is the interpolated value of the foot
-    chosen at the step before. A step whose chosen foot and value equal its
-    own x and v(x) bit for bit ends the loop: the remaining steps would
-    repeat it, so they are filled with its control, its foot and its defect
-    count.
+    the lattice sup at level λ*v(x) for p-coupled ones. v(x) is the
+    interpolated value of the foot chosen at the step before. A step whose
+    chosen foot and value equal its own x and v(x) bit for bit ends its
+    cell: the remaining steps would repeat it, so they are filled with its
+    control, its foot and its defect count. Each step does its numpy work
+    once for the live points of all cells, elementwise, so a cell's curve
+    does not depend on the other cells of its batch.
+
+    Returns one entry per cell, in order: its Curve, or the SolverError
+    (bad start, no admissible control) that ended it, which leaves the
+    other cells running. A lattice sup's ModelError ends the batch; on a
+    solved field it cannot occur, since the levels lie in the range the
+    solve's sup table covered on the same lattice.
     """
-    grid, evaluator, dt = field.grid, kernel.evaluator, kernel.dt
-    model = evaluator.model
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if len(z) != grid.dim:
-        raise SolverError(f"start point has dimension {len(z)}, "
-                          f"grid has {grid.dim}")
-    if not grid.domain.contains(z[None, :], slack=1e-9)[0]:
-        raise SolverError(f"start point {z.tolist()} outside the mask")
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
+    grid, evaluator, dt = kernel.grid, kernel.evaluator, kernel.dt
+    model, dim = evaluator.model, grid.dim
     if defect_tol is None:
         defect_tol = 10.0 * 1e-8 + max(grid.dx) ** 2
     ctrl = kernel.controls.controls
     step = dt * ctrl
     row = kernel.cost if model.coupling.separable else None
-    pts = np.empty((n_steps + 1, grid.dim))
-    vel = np.empty((n_steps, grid.dim))
-    pts[0] = z
-    defect_max = 0.0
-    n_bad = 0
-    x1 = z[None, :]
-    v_here = float(field.interpolate(x1)[0])
-    for k in range(n_steps):
-        level = lam * v_here
-        sup = (row if row is not None
-               else evaluator._radial_sup(kernel.speeds, level))
-        lvals = sup + model.f(x1) - model.phi(x1) * level
-        feet = x1 - step
-        ok = grid.domain.contains(feet, slack=1e-9)
-        if not np.any(ok):
-            raise SolverError(f"no admissible control at {x1[0].tolist()}")
-        vals = np.full(len(ctrl), np.inf)
-        vals[ok] = field.interpolate_unchecked(feet[ok])
-        cand = dt * (lvals + c) + vals
-        j = int(np.argmin(cand))
-        defect = abs(v_here - float(cand[j]))
-        if defect > defect_max:
-            defect_max = defect
-        if defect > defect_tol:
-            n_bad += 1
-        vel[k] = ctrl[j]
-        pts[k + 1] = feet[j]
-        if (feet[j].tobytes() == x1.tobytes()
-                and vals[j].tobytes() == np.float64(v_here).tobytes()):
-            # the state repeats, so every later step repeats this one
-            vel[k + 1:] = ctrl[j]
-            pts[k + 2:] = feet[j]
-            if defect > defect_tol:
-                n_bad += n_steps - k - 1
+    out = [None] * len(cells)
+    ids, starts = [], []  # the cells with a good start, and their starts
+    for i, (field, _, z, _) in enumerate(cells):
+        if field.grid is not grid:
+            raise ValueError("traced fields must live on the kernel's grid")
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        if len(z) != dim:
+            out[i] = SolverError(f"start point has dimension {len(z)}, "
+                                 f"grid has {dim}")
+        elif not grid.domain.contains(z[None, :], slack=1e-9)[0]:
+            out[i] = SolverError(f"start point {z.tolist()} outside the mask")
+        else:
+            ids.append(i)
+            starts.append(z)
+    if not ids:
+        return out
+    lams = np.array([cells[i][1] for i in ids], dtype=float)
+    n_steps = np.array([int(math.ceil(cells[i][3] / dt - 1e-12))
+                        for i in ids])
+    # the cells' node values after mask replacement, one field after another
+    table = np.concatenate([cells[i][0].values.ravel()[grid.replacement_map]
+                            for i in ids])
+    base = grid.size * np.arange(len(ids))
+    n_max = int(n_steps.max())
+    pts = np.empty((len(ids), n_max + 1, dim))
+    vel = np.empty((len(ids), n_max, dim))
+    pts[:, 0] = starts
+    defect_max = np.zeros(len(ids))
+    n_bad = np.zeros(len(ids), dtype=int)
+    dead = np.zeros(len(ids), dtype=bool)
+
+    live = np.flatnonzero(n_steps > 0)  # positions in ids
+    x = pts[live, 0]
+    v = grid.multilinear(table, x, base[live])
+    for k in range(n_max):
+        if not live.size:
             break
-        x1 = feet[j:j + 1]
-        v_here = float(vals[j])
-    warning = ""
-    if n_bad:
-        warning = (f"{n_bad}/{n_steps} steps exceeded the DPP defect "
-                   f"tolerance {defect_tol:.3g} (worst {defect_max:.3g})")
-    times = -dt * np.arange(n_steps + 1)
-    return Curve(times=times, points=pts, velocities=vel, dt=dt,
-                 defect_max=defect_max, warning=warning)
+        r = np.arange(len(live))
+        level = lams[live] * v
+        sup = row if row is not None else evaluator._radial_sup(
+            kernel.speeds, level[:, None])
+        lvals = sup + model.f(x)[:, None] - (model.phi(x) * level)[:, None]
+        feet = x[:, None, :] - step
+        ok = grid.domain.contains(feet.reshape(-1, dim),
+                                  slack=1e-9).reshape(len(live), -1)
+        for q in np.flatnonzero(~ok.any(axis=1)):
+            dead[live[q]] = True
+            out[ids[live[q]]] = SolverError(
+                f"no admissible control at {x[q].tolist()}")
+        # blocked feet read the field at x, which lies in the mask, so one
+        # gather serves all feet; their values then count as inf
+        vals = grid.multilinear(table, np.where(ok[..., None], feet,
+                                                x[:, None, :]),
+                                base[live, None])
+        vals[~ok] = np.inf
+        cand = dt * (lvals + c) + vals
+        j = cand.argmin(axis=1)
+        foot, value = feet[r, j], vals[r, j]
+        defect = np.abs(v - cand[r, j])
+        defect_max[live] = np.fmax(defect_max[live], defect)
+        bad = defect > defect_tol
+        n_bad[live] += bad
+        vel[live, k] = ctrl[j]
+        pts[live, k + 1] = foot
+        # the state repeats, so every later step of the cell repeats this one
+        repeat = ((foot.view(np.int64) == x.view(np.int64)).all(axis=1)
+                  & (value.view(np.int64) == v.view(np.int64)))
+        for q in np.flatnonzero(repeat):
+            p, n = live[q], n_steps[live[q]]
+            vel[p, k + 1:n] = ctrl[j[q]]
+            pts[p, k + 2:n + 1] = foot[q]
+            if bad[q]:
+                n_bad[p] += n - k - 1
+        keep = ~repeat & (n_steps[live] > k + 1) & ~dead[live]
+        if not keep.all():
+            live, foot, value = live[keep], foot[keep], value[keep]
+        x, v = foot, value
+
+    for p, i in enumerate(ids):
+        if dead[p]:
+            continue
+        n = int(n_steps[p])
+        warning = ""
+        if n_bad[p]:
+            warning = (f"{n_bad[p]}/{n} steps exceeded the DPP defect "
+                       f"tolerance {defect_tol:.3g} "
+                       f"(worst {defect_max[p]:.3g})")
+        out[i] = Curve(times=-dt * np.arange(n + 1), points=pts[p, :n + 1],
+                       velocities=vel[p, :n], dt=dt,
+                       defect_max=float(defect_max[p]), warning=warning)
+    return out
 
 
 def compute_indices(curve: Curve, evaluator: LagrangianEvaluator,

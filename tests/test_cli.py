@@ -313,6 +313,11 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["check", "--config", "CFG", "--set", "model.coupling.bounds=3"],
     ["check", "--config", "CFG", "--set", 'model.coupling.phi="1 + y"'],
     ["solve", "--config", "CFG", "--set", "model.coupling.phi=1/x"],
+    ["check", "--preset", "power-tau", "--set", "model.kinetic.tau=[1]"],
+    ["check", "--preset", "arctan", "--set", "model.coupling.shift=[1]"],
+    ["check", "--config", "CFG", "--set", "model.dim=[1]"],
+    ["localize", "--config", "CFG", "--set", "radii=[]"],
+    ["sweep", "--config", "CFG", "--set", "window=[[]]"],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file

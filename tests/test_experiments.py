@@ -307,15 +307,15 @@ def test_drivers_build_one_kernel_per_grid(tmp_path, monkeypatch):
 
 
 def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
-    real = experiments.backtrace
+    real = experiments.backtrace_batch
 
-    def warn_at_small_lambda(kernel, field, lam, *args):
-        curve = real(kernel, field, lam, *args)
-        if lam == 0.2:
-            curve = dataclasses.replace(curve, warning="3/9 steps exceeded")
-        return curve
+    def warn_at_small_lambda(kernel, cells, *args):
+        curves = real(kernel, cells, *args)
+        return [dataclasses.replace(curve, warning="3/9 steps exceeded")
+                if lam == 0.2 else curve
+                for (_, lam, _, _), curve in zip(cells, curves)]
 
-    monkeypatch.setattr(experiments, "backtrace", warn_at_small_lambda)
+    monkeypatch.setattr(experiments, "backtrace_batch", warn_at_small_lambda)
     cfg = coarse(tmp_path, grid={"box": [[-10.0, 10.0]], "shape": [41]},
                  lambdas=[0.4, 0.2], probes=[0.0, 1.5], horizon=2.0,
                  window=[[-1.0, 1.0]])

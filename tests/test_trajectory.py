@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from contact_hj.expressions import parse
-from contact_hj.grid import Domain, GridField, UniformGrid
+from contact_hj.grid import Domain, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, QuadraticKinetic)
 from contact_hj.solver import (ControlSet, SolveParams, SolverError,
                                SweepKernel, solve_state_constraint)
-from contact_hj.trajectory import (backtrace, compute_indices,
-                                   exponential_action, write_curve_csv)
+from contact_hj.trajectory import (backtrace, backtrace_batch,
+                                   compute_indices, exponential_action,
+                                   write_curve_csv)
 
 from conftest import window_residual
 
@@ -82,6 +83,14 @@ def reference_backtrace(field, evaluator, controls, lam, c, z,
 def assert_matches_reference(kernel, field, lam, c, z, horizon,
                              defect_tol=None) -> tuple:
     curve = backtrace(kernel, field, lam, c, z, horizon, defect_tol)
+    return curve, assert_is_reference(curve, kernel, field, lam, c, z,
+                                      horizon, defect_tol)
+
+
+def assert_is_reference(curve, kernel, field, lam, c, z, horizon,
+                        defect_tol=None) -> int:
+    """Asserts that curve is reference_backtrace's, bit for bit; returns
+    the reference's count of steps with a blocked control."""
     pts, vel, defect_max, warning, blocked = reference_backtrace(
         field, kernel.evaluator, kernel.controls, lam, c, z, horizon,
         kernel.dt, defect_tol)
@@ -91,7 +100,7 @@ def assert_matches_reference(kernel, field, lam, c, z, horizon,
     assert curve.velocities.tobytes() == vel.tobytes()
     assert curve.defect_max == defect_max
     assert curve.warning == warning
-    return curve, blocked
+    return blocked
 
 
 @pytest.mark.parametrize("z", [0.0, 2.0])
@@ -132,13 +141,13 @@ def test_backtrace_tail_keeps_counting_defects(theta_005, kernel201):
 def test_backtrace_does_not_trace_the_settled_tail(
         theta_005, kernel201, monkeypatch):
     calls = []
-    unchecked = GridField.interpolate_unchecked
+    multilinear = UniformGrid.multilinear
 
-    def counted(self, pts):
+    def counted(self, table, pts, base=0):
         calls.append(len(pts))
-        return unchecked(self, pts)
+        return multilinear(self, table, pts, base)
 
-    monkeypatch.setattr(GridField, "interpolate_unchecked", counted)
+    monkeypatch.setattr(UniformGrid, "multilinear", counted)
     dt = kernel201.dt
     # the start value, then one step that repeats its own state
     curve = backtrace(kernel201, theta_005.field, 0.05, 0.0, 0.0, 1e4 * dt)
@@ -179,6 +188,70 @@ def test_backtrace_fills_the_2d_boundary_tail_exactly(ball_2d):
                                         (0.5, 1.5), 12.0)
     np.testing.assert_allclose(curve.points[-1], [-2.0, 0.0], atol=1e-12)
     assert settled(curve)
+
+
+def stationary_from_the_start(curve) -> bool:
+    """Whether the first step repeats the start, and so every later one."""
+    return (curve.points.tobytes()
+            == np.tile(curve.points[0], (len(curve.points), 1)).tobytes())
+
+
+def check_lockstep_batch(kernel, c, cells, well, outside):
+    """One backtrace_batch over cells plus a start at the well and one
+    outside the mask: each good curve is reference_backtrace's, bit for bit,
+    and the bad start alone fails, with backtrace's message."""
+    field, lam = cells[0][0], cells[0][1]
+    batch = list(cells)
+    batch.insert(1, (field, lam, well, 3.0))
+    batch.insert(3, (field, lam, outside, 3.0))
+    curves = backtrace_batch(kernel, batch, c)
+    assert len(curves) == len(batch)
+    for k, ((field, lam, z, horizon), curve) in enumerate(zip(batch, curves)):
+        if k == 3:
+            assert isinstance(curve, SolverError)
+            with pytest.raises(SolverError) as serial:
+                backtrace(kernel, field, lam, c, z, horizon)
+            assert str(curve) == str(serial.value)
+            assert str(curve) == f"start point {list(outside)} outside the mask"
+            continue
+        assert_is_reference(curve, kernel, field, lam, c, z, horizon)
+        if k == 1:
+            assert stationary_from_the_start(curve)
+    return curves
+
+
+def test_lockstep_batch_quadratic_linear(theta_01, theta_005, kernel201):
+    dt = kernel201.dt
+    f01, f005 = theta_01.field, theta_005.field
+    check_lockstep_batch(kernel201, 0.0, [
+        (f005, 0.05, (2.0,), 10.0),
+        (f01, 0.1, (1.0,), 1200.37 * dt),     # a tail and a partial step
+        (f005, 0.05, (-3.5,), 120 * dt),      # too short to settle
+        (f01, 0.1, (2.0,), 24.0),
+        (f005, 0.1, (0.5,), 4.0),             # a field traced at another lam
+    ], well=(0.0,), outside=(11.0,))
+
+
+def test_lockstep_batch_arctan(arctan_solve):
+    kernel, field = arctan_solve
+    lifted = field.with_values(field.values + 0.05)
+    check_lockstep_batch(kernel, math.pi, [
+        (field, 0.2, (1.5,), 20.0),
+        (lifted, 0.2, (-2.0,), 3.0),
+        (field, 0.4, (-1.0,), 6.0),
+    ], well=(0.0,), outside=(-7.0,))
+
+
+def test_lockstep_batch_on_a_2d_ball(ball_2d):
+    field, kernel = ball_2d
+    tilted = field.with_values(field.values * 1.01)
+    curves = check_lockstep_batch(kernel, 0.0, [
+        (field, 0.4, (0.5, 1.5), 12.0),
+        (tilted, 0.4, (1.0, -1.0), 4.0),
+        (field, 0.2, (0.0, 0.0), 2.5),
+    ], well=(-2.0, 0.0), outside=(2.0, 2.0))
+    np.testing.assert_allclose(curves[0].points[-1], [-2.0, 0.0], atol=1e-12)
+    assert settled(curves[0])
 
 
 def test_backtrace_stationary_at_the_well(theta_005, kernel201):
