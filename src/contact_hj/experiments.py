@@ -27,7 +27,7 @@ from .measures import (closedness_defect, default_battery, discounted_measure,
 from .solver import (CMismatchError, ControlSet, SolveParams, SolverError,
                      SweepKernel, mane_potential, solve_ergodic,
                      solve_state_constraint)
-from .trajectory import backtrace, backtrace_batch, compute_indices
+from .trajectory import backtrace, compute_indices
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
            "vanishing_discount_sweep", "localization_study", "measure_study",
@@ -430,17 +430,21 @@ def trace_curve(kernel: SweepKernel, config: ExperimentConfig, field,
     return curve, idx, horizon
 
 
-def trace_measures(kernel: SweepKernel, config: ExperimentConfig, cells):
-    """(curve, kappa series, discounted measure, horizon) of every (field,
-    lam, z) cell at the config's tail rule, all traced in one lockstep
-    backtrace_batch; per cell, _guard's (status, payload) pair."""
-    horizons = [config.trace_horizon(lam, kernel.kappa_lo)
-                for _, lam, _ in cells]
-    curves = backtrace_batch(kernel, [(field, lam, z, horizon) for
-                                      (field, lam, z), horizon
-                                      in zip(cells, horizons)], config.c)
+def trace_measures(kernel: SweepKernel, config: ExperimentConfig, fields,
+                   keys):
+    """(curve, kappa series, discounted measure, horizon) of every (lam, z)
+    key on fields[lam] at the config's tail rule, all traced in one lockstep
+    backtrace; per key, _guard's (status, payload) pair. An error that ends
+    the whole batch is every key's."""
+    lams = [lam for lam, _ in keys]
+    traced = [fields[lam] for lam in lams]
+    horizons = [config.trace_horizon(lam, kernel.kappa_lo) for lam in lams]
+    status, curves = _guard(backtrace, kernel, traced, lams, config.c,
+                            [z for _, z in keys], horizons)
+    if status != "ok":
+        return [(status, curves)] * len(keys)
     return [_guard(_measure, kernel, field, lam, curve, horizon) for
-            (field, lam, _), curve, horizon in zip(cells, curves, horizons)]
+            field, lam, curve, horizon in zip(traced, lams, curves, horizons)]
 
 
 def _measure(kernel, field, lam, curve, horizon):
@@ -537,8 +541,7 @@ def vanishing_discount_sweep(config: ExperimentConfig,
     keys = [(lam, probe) for lam in config.lambdas for probe in config.probes]
     sel_rows = []
     sel_values = []
-    traced = trace_measures(kernel, config, [(fields[lam], lam, probe)
-                                             for lam, probe in keys])
+    traced = trace_measures(kernel, config, fields, keys)
     for (lam, probe), (status, payload) in zip(keys, traced):
         if status != "ok":
             sel_rows.append([lam, _probe_label(probe), "nan", 0.0, payload])
@@ -686,8 +689,7 @@ def measure_study(config: ExperimentConfig,
     keys = [(lam, probe) for lam in config.lambdas for probe in probes]
     defect_rows = []
     measures_by_probe = {p: {} for p in probes}
-    traced = trace_measures(kernel, config, [(fields[lam], lam, probe)
-                                             for lam, probe in keys])
+    traced = trace_measures(kernel, config, fields, keys)
     for (lam, probe), (status, payload) in zip(keys, traced):
         if status == "ok":
             curve, idx, mu, horizon = payload

@@ -4,7 +4,7 @@ A curve is traced by greedy one-step descent of the dynamic programming
 operator on a converged field; the per-step defect is recorded rather than
 assumed zero, and a curve that settles costs only its transient. The
 curves of one kernel are traced together, one step of all of them at a
-time (see backtrace_batch). Discount indices are difference quotients of
+time (see backtrace). Discount indices are difference quotients of
 the Lagrangian in its u slot between the field level and a reference
 level, one lattice sup per distinct (speed, level) pair for p-coupled
 models. One left-Riemann convention for their cumulative integrals weights
@@ -20,8 +20,8 @@ from .grid import GridField, atomic_write_rows
 from .hamiltonian import LagrangianEvaluator
 from .solver import SolverError, SweepKernel
 
-__all__ = ["Curve", "IndexSeries", "backtrace", "backtrace_batch",
-           "compute_indices", "exponential_action", "write_curve_csv"]
+__all__ = ["Curve", "IndexSeries", "Traces", "backtrace", "compute_indices",
+           "exponential_action", "write_curve_csv"]
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,28 @@ class IndexSeries:
         return np.exp(lam * self.cumulative)
 
 
-def backtrace(kernel: SweepKernel, field: GridField, lam: float, c: float, z,
-              horizon: float, defect_tol: float = None) -> Curve:
-    """Trace the greedy backward minimizer of the DPP from z: a batch of one
-    (see backtrace_batch), whose error is raised."""
-    (curve,) = backtrace_batch(kernel, [(field, lam, z, horizon)], c,
-                               defect_tol)
-    if isinstance(curve, Exception):
-        raise curve
-    return curve
+class Traces(tuple):
+    """A backtrace batch's entries, in cell order: each cell's Curve, or the
+    SolverError that ended it."""
+
+    @property
+    def segments(self) -> int:
+        """Steps of all the batch's curves."""
+        return sum(e.segments for e in self if isinstance(e, Curve))
 
 
-def backtrace_batch(kernel: SweepKernel, cells, c: float,
-                    defect_tol: float = None) -> list:
-    """Trace the greedy backward minimizer of every (field, lam, z, horizon)
-    cell in one loop over the step index.
+def backtrace(kernel: SweepKernel, field, lam, c: float, z, horizon,
+              defect_tol: float = None):
+    """Trace the greedy backward minimizer of the DPP from z on field.
+
+    One cell when field is a GridField: returns its Curve and raises the
+    SolverError (bad start, no admissible control) that ended it. A batch
+    when field is a list of fields and lam, z and horizon are lists of the
+    same length, one entry per cell: all cells are traced in one loop over
+    the step index, and a Traces holds each cell's Curve or SolverError, so
+    one cell's error leaves the others running. A lattice sup's ModelError
+    ends the batch; on a solved field it cannot occur, since the levels lie
+    in the range the solve's sup table covered on the same lattice.
 
     Every field lives on the kernel's grid; the evaluator, controls and time
     step are the kernel's. At each point the control minimizing
@@ -92,13 +99,18 @@ def backtrace_batch(kernel: SweepKernel, cells, c: float,
     control, its foot and its defect count. Each step does its numpy work
     once for the live points of all cells, elementwise, so a cell's curve
     does not depend on the other cells of its batch.
-
-    Returns one entry per cell, in order: its Curve, or the SolverError
-    (bad start, no admissible control) that ended it, which leaves the
-    other cells running. A lattice sup's ModelError ends the batch; on a
-    solved field it cannot occur, since the levels lie in the range the
-    solve's sup table covered on the same lattice.
     """
+    if not isinstance(field, GridField):
+        cells = list(zip(field, lam, z, horizon, strict=True))
+        return _lockstep(kernel, cells, c, defect_tol)
+    (curve,) = _lockstep(kernel, [(field, lam, z, horizon)], c, defect_tol)
+    if isinstance(curve, Exception):
+        raise curve
+    return curve
+
+
+def _lockstep(kernel, cells, c, defect_tol) -> Traces:
+    """backtrace's loop over the (field, lam, z, horizon) cells."""
     grid, evaluator, dt = kernel.grid, kernel.evaluator, kernel.dt
     model, dim = evaluator.model, grid.dim
     if defect_tol is None:
@@ -121,7 +133,7 @@ def backtrace_batch(kernel: SweepKernel, cells, c: float,
             ids.append(i)
             starts.append(z)
     if not ids:
-        return out
+        return Traces(out)
     lams = np.array([cells[i][1] for i in ids], dtype=float)
     n_steps = np.array([int(math.ceil(cells[i][3] / dt - 1e-12))
                         for i in ids])
@@ -196,7 +208,7 @@ def backtrace_batch(kernel: SweepKernel, cells, c: float,
         out[i] = Curve(times=-dt * np.arange(n + 1), points=pts[p, :n + 1],
                        velocities=vel[p, :n], dt=dt,
                        defect_max=float(defect_max[p]), warning=warning)
-    return out
+    return Traces(out)
 
 
 def compute_indices(curve: Curve, evaluator: LagrangianEvaluator,

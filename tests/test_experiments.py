@@ -11,7 +11,9 @@ from contact_hj.experiments import (ConfigError, ExperimentConfig, _guard,
                                     make_run_dir, measure_study,
                                     read_config_file, run_assumption_check,
                                     vanishing_discount_sweep)
-from contact_hj.hamiltonian import HamiltonianModel, LagrangianEvaluator
+from contact_hj.grid import GridField
+from contact_hj.hamiltonian import (ExtentError, HamiltonianModel,
+                                    LagrangianEvaluator)
 from contact_hj.solver import SweepKernel, aubry_indicator
 
 QL_MODEL = {"dim": 1, "kinetic": {"type": "quadratic"},
@@ -307,15 +309,14 @@ def test_drivers_build_one_kernel_per_grid(tmp_path, monkeypatch):
 
 
 def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
-    real = experiments.backtrace_batch
+    real = experiments.backtrace
 
-    def warn_at_small_lambda(kernel, cells, *args):
-        curves = real(kernel, cells, *args)
+    def warn_at_small_lambda(kernel, fields, lams, *args):
+        curves = real(kernel, fields, lams, *args)
         return [dataclasses.replace(curve, warning="3/9 steps exceeded")
-                if lam == 0.2 else curve
-                for (_, lam, _, _), curve in zip(cells, curves)]
+                if lam == 0.2 else curve for lam, curve in zip(lams, curves)]
 
-    monkeypatch.setattr(experiments, "backtrace_batch", warn_at_small_lambda)
+    monkeypatch.setattr(experiments, "backtrace", warn_at_small_lambda)
     cfg = coarse(tmp_path, grid={"box": [[-10.0, 10.0]], "shape": [41]},
                  lambdas=[0.4, 0.2], probes=[0.0, 1.5], horizon=2.0,
                  window=[[-1.0, 1.0]])
@@ -329,6 +330,30 @@ def test_trace_warnings_land_in_report_notes(tmp_path, monkeypatch):
         assert trace_notes == expected, name
         with open(os.path.join(run_dir, "report.json")) as handle:
             assert json.load(handle)["notes"] == report.notes
+
+
+def test_a_batch_error_fails_every_traced_cell_not_the_run(tmp_path,
+                                                          monkeypatch):
+    cfg = coarse(tmp_path, grid={"box": [[-10.0, 10.0]], "shape": [41]},
+                 horizon=2.0, window=[[-1.0, 1.0]])
+    kernel = experiments.setup(cfg)
+    elsewhere = cfg.build_grid(kind="ball", radius=5.0)
+    field = GridField(elsewhere, np.zeros(elsewhere.shape))
+    keys = [(0.2, 0.0), (0.2, 1.0)]
+    assert experiments.trace_measures(kernel, cfg, {0.2: field}, keys) == [
+        ("error", "ValueError: traced fields must live on the kernel's grid")
+    ] * 2
+
+    def out_of_range(*args):
+        raise ExtentError("level 9 outside the sup table")
+
+    monkeypatch.setattr(experiments, "backtrace", out_of_range)
+    measures = measure_study(cfg, run_dir=os.path.join(tmp_path, "measures"))
+    sweep = vanishing_discount_sweep(cfg,
+                                     run_dir=os.path.join(tmp_path, "sweep"))
+    status = "ExtentError: level 9 outside the sup table"
+    assert [r[-1] for r in measures.tables["defects"]["rows"]] == [status] * 4
+    assert [r[-1] for r in sweep.tables["selection"]["rows"]] == [status] * 4
 
 
 # ---------------------------------------------------------------------------

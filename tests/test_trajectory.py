@@ -9,9 +9,8 @@ from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, QuadraticKinetic)
 from contact_hj.solver import (ControlSet, SolveParams, SolverError,
                                SweepKernel, solve_state_constraint)
-from contact_hj.trajectory import (backtrace, backtrace_batch,
-                                   compute_indices, exponential_action,
-                                   write_curve_csv)
+from contact_hj.trajectory import (Traces, backtrace, compute_indices,
+                                   exponential_action, write_curve_csv)
 
 from conftest import window_residual
 
@@ -197,15 +196,18 @@ def stationary_from_the_start(curve) -> bool:
 
 
 def check_lockstep_batch(kernel, c, cells, well, outside):
-    """One backtrace_batch over cells plus a start at the well and one
+    """One backtrace batch over cells plus a start at the well and one
     outside the mask: each good curve is reference_backtrace's, bit for bit,
-    and the bad start alone fails, with backtrace's message."""
+    and the bad start alone fails, with the one-cell message."""
     field, lam = cells[0][0], cells[0][1]
     batch = list(cells)
     batch.insert(1, (field, lam, well, 3.0))
     batch.insert(3, (field, lam, outside, 3.0))
-    curves = backtrace_batch(kernel, batch, c)
-    assert len(curves) == len(batch)
+    fields, lams, zs, horizons = (list(col) for col in zip(*batch))
+    curves = backtrace(kernel, fields, lams, c, zs, horizons)
+    assert isinstance(curves, Traces) and len(curves) == len(batch)
+    assert curves.segments == sum(curve.segments for k, curve
+                                  in enumerate(curves) if k != 3)
     for k, ((field, lam, z, horizon), curve) in enumerate(zip(batch, curves)):
         if k == 3:
             assert isinstance(curve, SolverError)
