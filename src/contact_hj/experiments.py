@@ -580,8 +580,10 @@ def localization_study(config: ExperimentConfig, z=None,
                        run_dir=None) -> ConvergenceReport:
     """Tabulate the truncated-maximal vs constrained-ball gap over (lam, R).
 
-    Detects the empirical plateau radius per discount: the first radius where
-    the probe gap stays within gap_tol on two consecutive radii.
+    Each radius's ball solve starts from its field at the previous discount
+    when that cell ended ok, as discount_chain does. Detects the empirical
+    plateau radius per discount: the first radius where the probe gap
+    stays within gap_tol on two consecutive radii.
     """
     t_start = time.monotonic()
     if z is None:
@@ -605,6 +607,7 @@ def localization_study(config: ExperimentConfig, z=None,
                                    "iterations", "residual"], trunc_rows)
 
     ball_kernels = {}
+    warm = {}  # radius -> field of its last cell, while that cell is ok
 
     def cell(lam, radius):
         # built on first use, so a grid or kernel error fails the cell, and
@@ -615,8 +618,10 @@ def localization_study(config: ExperimentConfig, z=None,
                 config.localization_grid(radius), kernel.evaluator,
                 kernel.controls, kernel.dt)
         out = solve_state_constraint(ball_kernels[radius], lam, config.c,
-                                     params)
-        return float(out.field.interpolate(at_z)[0])
+                                     params, v0=warm.pop(radius, None))
+        theta = float(out.field.interpolate(at_z)[0])
+        warm[radius] = out.field.values
+        return theta
 
     keys = [(lam, r) for lam in config.lambdas for r in config.radii]
     gap_rows = []

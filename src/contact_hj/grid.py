@@ -86,23 +86,25 @@ class Domain:
         for k, (lo, hi) in enumerate(self.box):
             inside &= (pts[:, k] >= lo - slack) & (pts[:, k] <= hi + slack)
         if self.kind == "ball":
-            d2 = np.sum(np.square(pts - np.asarray(self.center)), axis=1)
+            d = pts - np.asarray(self.center)
+            d2 = np.sum(np.square(d, out=d), axis=1)
             inside &= d2 <= (self.radius + slack) ** 2 + 1e-12
         return inside
 
 
-def _axis_nearest_in_mask(mask_line: np.ndarray) -> np.ndarray:
-    """Per position, index of the nearest True along a 1D line (-1 if none)."""
-    n = len(mask_line)
-    idx = np.arange(n)
-    fwd = np.where(mask_line, idx, -1)
-    np.maximum.accumulate(fwd, out=fwd)  # nearest True at or before i
-    bwd = np.where(mask_line[::-1], idx[::-1], 2 * n)
-    np.minimum.accumulate(bwd, out=bwd)
-    bwd = bwd[::-1]  # nearest True at or after i
+def _axis_nearest_in_mask(mask: np.ndarray, axis: int) -> np.ndarray:
+    """Per node, index along axis of the nearest True on its axis line (-1
+    if the line has none); ties prefer the lower index."""
+    n = mask.shape[axis]
+    idx = np.arange(n).reshape([-1 if k == axis else 1
+                                for k in range(mask.ndim)])
+    # nearest True at or before, and at or after, each node
+    fwd = np.maximum.accumulate(np.where(mask, idx, -1), axis=axis)
+    bwd = np.flip(np.minimum.accumulate(
+        np.flip(np.where(mask, idx, 2 * n), axis), axis=axis), axis)
     dist_f = np.where(fwd >= 0, idx - fwd, n + 1)
     dist_b = np.where(bwd < 2 * n, bwd - idx, n + 1)
-    out = np.where(dist_f <= dist_b, fwd, bwd)  # tie prefers the lower index
+    out = np.where(dist_f <= dist_b, fwd, bwd)
     out[(fwd < 0) & (bwd >= 2 * n)] = -1
     return out
 
@@ -163,33 +165,23 @@ class UniformGrid:
     def replacement_map(self) -> np.ndarray:
         """Flat index map: node -> nearest in-mask node along a grid axis.
 
-        Out-of-mask nodes take the closer of the two axis-nearest in-mask
+        Out-of-mask nodes take the closest of their axis-nearest in-mask
         nodes, preferring the first axis on ties. Nodes with no in-mask
-        node on either axis line map to themselves and keep their own,
-        out-of-mask value. Sweep stencils on thin balls can reach such
+        node on any of their axis lines map to themselves and keep their
+        own, out-of-mask value. Sweep stencils on thin balls can reach such
         nodes; SweepKernel rejects those grids.
         """
-        if self._rmap is not None:
-            return self._rmap
-        mask = self.mask
-        flat = np.arange(self.size)
-        if self.dim == 1:
-            near = _axis_nearest_in_mask(mask)
-            rmap = np.where(near >= 0, near, flat)
-        else:
-            nx, ny = self.shape
-            near_x = np.apply_along_axis(_axis_nearest_in_mask, 0, mask)
-            near_y = np.apply_along_axis(_axis_nearest_in_mask, 1, mask)
-            ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-            dist_x = np.where(near_x >= 0, np.abs(near_x - ii), nx + ny)
-            dist_y = np.where(near_y >= 0, np.abs(near_y - jj), nx + ny)
-            use_x = dist_x <= dist_y
-            rep = np.where(use_x, near_x * ny + jj, ii * ny + near_y)
-            none = (near_x < 0) & (near_y < 0)
-            rmap = np.where(none.ravel(), flat, rep.ravel())
-        rmap = np.where(self.mask.ravel(), flat, rmap)
-        self._rmap = rmap
-        return rmap
+        if self._rmap is None:
+            idx = np.indices(self.shape)
+            near = np.stack([_axis_nearest_in_mask(self.mask, k)
+                             for k in range(self.dim)])
+            dist = np.where(near >= 0, np.abs(near - idx), self.size)
+            axes = np.arange(self.dim).reshape((-1,) + (1,) * self.dim)
+            along = axes == np.argmin(dist, axis=0)  # ties: the first axis
+            keep = self.mask | np.all(near < 0, axis=0)
+            moved = np.where(along & ~keep, near, idx)
+            self._rmap = np.ravel_multi_index(tuple(moved), self.shape).ravel()
+        return self._rmap
 
     def multilinear(self, table: np.ndarray, pts: np.ndarray,
                     base=0) -> np.ndarray:

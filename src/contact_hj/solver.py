@@ -201,17 +201,17 @@ class SweepKernel:
             self.weights *= (np.where(o == b, 1.0 - t, 0.0)
                              + np.where(o == b + 1, t, 0.0))
 
-        admissible = np.empty((len(in_pts), len(ctrl)), dtype=bool)
-        for j, a in enumerate(ctrl):
-            admissible[:, j] = grid.domain.contains(in_pts - self.dt * a,
-                                                    slack=1e-9)
-        covered = np.any(admissible, axis=1)
-        if not np.all(covered):
-            bad = in_pts[np.argmin(covered)]
+        self.blocked = np.empty((len(in_pts), len(ctrl)), dtype=bool)
+        for lo in range(0, len(in_pts), _ROW_CHUNK):
+            feet = in_pts[lo:lo + _ROW_CHUNK, None] - self.dt * ctrl[None]
+            self.blocked[lo:lo + _ROW_CHUNK] = ~grid.domain.contains(
+                feet.reshape(-1, grid.dim), slack=1e-9).reshape(len(feet), -1)
+        stuck = np.all(self.blocked, axis=1)
+        if np.any(stuck):
+            bad = in_pts[np.argmax(stuck)]
             raise SolverError(
                 f"no admissible control at node {bad.tolist()}; "
                 "mask too thin for this control set")
-        self.blocked = ~admissible
         # every stencil stays within `bandwidth` positions of its node, so
         # blocks of at least that many rows couple only to their neighbours
         self.bandwidth = int(np.max(np.abs(

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 # one BLAS thread for the dense policy solves: OpenBLAS reads it when numpy
 # loads, and a loaded 2-core machine runs them many times slower with more
@@ -16,6 +17,16 @@ from contact_hj.hamiltonian import (HamiltonianModel, LagrangianEvaluator,
 from contact_hj.solver import (ControlSet, SolveParams, SweepKernel,
                                mane_potential, solve_ergodic,
                                solve_state_constraint)
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced bytes allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_ql_model() -> HamiltonianModel:

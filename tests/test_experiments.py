@@ -249,6 +249,87 @@ def test_localization_validates_truncation_radius(tmp_path):
                            run_dir=os.path.join(tmp_path, "run"))
 
 
+def _localize_recording(monkeypatch, cfg, run_dir, fail=None):
+    """localization_study with every ball solve recorded as (lam, R, kernel,
+    warm-started?, iterations); fail=(lam, R) makes that cell's solve raise.
+    """
+    real = experiments.solve_state_constraint
+    calls = []
+
+    def recording(kernel, lam, c, params, v0=None):
+        radius = kernel.grid.domain.radius
+        if (lam, radius) == fail:
+            raise experiments.SolverError("planted failure")
+        out = real(kernel, lam, c, params, v0=v0)
+        if radius in cfg.radii:
+            calls.append((lam, radius, kernel, v0 is not None,
+                          out.iterations))
+        return out
+
+    monkeypatch.setattr(experiments, "solve_state_constraint", recording)
+    report = localization_study(cfg, run_dir=run_dir)
+    monkeypatch.undo()
+    return report, calls
+
+
+def _cold_gap_rows(cfg, report, calls):
+    """The gaps rows from cold solves on the recorded ball kernels, and
+    their total policy iterations."""
+    at_z = np.array([cfg.probes[0]])
+    u_z = {row[0]: row[2] for row in report.tables["truncated"]["rows"]}
+    rows, iterations = [], 0
+    for lam, radius, kernel, _, _ in calls:
+        out = experiments.solve_state_constraint(kernel, lam, cfg.c,
+                                                 cfg.build_params())
+        iterations += out.iterations
+        theta = float(out.field.interpolate(at_z)[0])
+        rows.append([lam, radius, theta, u_z[lam], theta - u_z[lam], "ok"])
+    return rows, iterations
+
+
+def test_localization_warm_starts_each_radius_along_the_schedule(
+        tmp_path, monkeypatch):
+    cfg = coarse(tmp_path, lambdas=[0.4, 0.2, 0.1], probes=[1.0])
+    report, calls = _localize_recording(monkeypatch, cfg,
+                                        str(tmp_path / "run"))
+    assert [(lam, r) for lam, r, *_ in calls] == [
+        (lam, r) for lam in cfg.lambdas for r in cfg.radii]
+    assert [warm for _, _, _, warm, _ in calls] == [
+        lam != cfg.lambdas[0] for lam in cfg.lambdas for _ in cfg.radii]
+    cold_rows, cold_iterations = _cold_gap_rows(cfg, report, calls)
+    # the same floats, so the same gaps.csv bytes
+    assert report.tables["gaps"]["rows"] == cold_rows
+    assert sum(it for *_, it in calls) < cold_iterations
+
+
+def test_localization_warm_start_keeps_arctan_gaps(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(
+        builtin_models()["arctan"], outdir=str(tmp_path),
+        grid={"box": [[-10.0, 10.0]], "shape": [61], "kind": "box"},
+        controls={"da": 0.5}, lambdas=(0.2, 0.1, 0.05), radii=(2.0, 3.0, 4.0))
+    report, calls = _localize_recording(monkeypatch, cfg,
+                                        str(tmp_path / "run"))
+    cold_rows, _ = _cold_gap_rows(cfg, report, calls)
+    rows = report.tables["gaps"]["rows"]
+    assert [r[:2] + r[5:] for r in rows] == [r[:2] + r[5:] for r in cold_rows]
+    np.testing.assert_allclose([r[4] for r in rows],
+                               [r[4] for r in cold_rows], rtol=0, atol=1e-13)
+
+
+def test_localization_failed_cell_hands_no_start_on(tmp_path, monkeypatch):
+    cfg = coarse(tmp_path, lambdas=[0.4, 0.2, 0.1], probes=[1.0])
+    report, calls = _localize_recording(monkeypatch, cfg,
+                                        str(tmp_path / "run"),
+                                        fail=(0.4, 4.0))
+    status = {(r[0], r[1]): r[5] for r in report.tables["gaps"]["rows"]}
+    assert status.pop((0.4, 4.0)) == "SolverError: planted failure"
+    assert set(status.values()) == {"ok"}
+    warm = {(lam, r): w for lam, r, _, w, _ in calls}
+    assert warm == {(lam, r): lam != 0.4 and (lam, r) != (0.2, 4.0)
+                    for lam in cfg.lambdas for r in cfg.radii
+                    if (lam, r) != (0.4, 4.0)}
+
+
 @pytest.fixture(scope="module")
 def measures_report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("measures")

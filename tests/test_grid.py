@@ -82,6 +82,44 @@ def test_ball_interpolation_uses_replacement_inside_stencil():
     assert fld.interpolate(1.0) == pytest.approx(7.0)
 
 
+def _replacement_map_reference(mask):
+    """Per axis line, the nearest in-mask node by np.apply_along_axis (lower
+    index on ties); each out-of-mask node moves along the axis with the
+    closest one (first axis on ties), or stays if no line has one."""
+    def nearest(line):
+        hits = np.flatnonzero(line)
+        if not len(hits):
+            return np.full(len(line), -1)
+        return np.array([hits[np.argmin(np.abs(hits - i))]
+                         for i in range(len(line))])
+
+    near = [np.apply_along_axis(nearest, k, mask) for k in range(mask.ndim)]
+    rmap = np.arange(mask.size).reshape(mask.shape)
+    for node in zip(*np.nonzero(~mask)):
+        dist = [abs(n[node] - node[k]) if n[node] >= 0 else np.inf
+                for k, n in enumerate(near)]
+        if np.isfinite(min(dist)):
+            k = int(np.argmin(dist))
+            moved = node[:k] + (near[k][node],) + node[k + 1:]
+            rmap[node] = np.ravel_multi_index(moved, mask.shape)
+    return rmap.ravel()
+
+
+@pytest.mark.parametrize("shape", [(9,), (40,), (7, 11), (11, 7)])
+def test_replacement_map_matches_a_per_line_reference(shape):
+    rng = np.random.default_rng(5)
+    grid = UniformGrid(Domain.full_box([(0.0, 1.0)] * len(shape)), shape)
+    for density in (0.1, 0.3, 0.7):
+        for _ in range(20):
+            mask = rng.random(shape) < density
+            mask[(0,) * len(shape)] = True
+            if len(shape) == 2:  # a row and a column with no in-mask node
+                mask[2, :] = mask[:, 3] = False
+            grid.mask, grid._rmap = mask, None
+            np.testing.assert_array_equal(grid.replacement_map,
+                                          _replacement_map_reference(mask))
+
+
 def test_2d_interpolation_bilinear():
     grid = UniformGrid(Domain.full_box([(0.0, 1.0)] * 2), (11, 11))
     gx, gy = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ from contact_hj.hamiltonian import (
     check_assumptions,
     lower_bound_m0,
 )
+
+from conftest import peak_bytes
 
 
 @pytest.fixture
@@ -462,22 +463,13 @@ def test_coupling_table_matches_stacked_reference(arctan_model):
 _PEAK_BYTES = 4 << 20
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_lattice_sup_memory_is_bounded(arctan_model):
     ev = LagrangianEvaluator(arctan_model)
     speeds = np.linspace(0.0, 6.0, 830)
     x = np.zeros(830)
-    assert _peak_bytes(lambda: ev.legendre(x, speeds, 0.4)) < _PEAK_BYTES
-    assert _peak_bytes(lambda: ev.partial_u_l(x, speeds, 0.4)) < _PEAK_BYTES
-    assert _peak_bytes(lambda: ev.coupling_table(
+    assert peak_bytes(lambda: ev.legendre(x, speeds, 0.4)) < _PEAK_BYTES
+    assert peak_bytes(lambda: ev.partial_u_l(x, speeds, 0.4)) < _PEAK_BYTES
+    assert peak_bytes(lambda: ev.coupling_table(
         speeds[:97], -1.0, 1.0)) < _PEAK_BYTES
 
 

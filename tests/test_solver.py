@@ -9,16 +9,16 @@ from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, LinearCoupling,
                                     NoCoupling, QuadraticKinetic)
-from contact_hj.solver import (CMismatchError, ControlSet, SolveParams,
-                               SolverError, SweepKernel, _ensure_table,
-                               aubry_indicator,
+from contact_hj.solver import (_ROW_CHUNK, CMismatchError, ControlSet,
+                               SolveParams, SolverError, SweepKernel,
+                               _ensure_table, aubry_indicator,
                                estimate_critical_value,
                                lax_oleinik_step, mane_potential, solve_ergodic,
                                solve_maximal_global, solve_state_constraint)
 
 from contact_hj.trajectory import backtrace
 
-from conftest import quadrature_mane
+from conftest import peak_bytes, quadrature_mane
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +313,17 @@ def test_nonconvergence_reported_not_raised(kernel201):
     assert out.iterations == 5
 
 
+def _quadratic_2d_model():
+    return HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
+                            potential=parse("1 - exp(-(x^2 + y^2))"),
+                            coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+
+
 def test_thin_ball_mask_raises():
     # The mask's bounding-square corners are in-mask here, so the diagonal
     # stencil neighbour of such a corner has no in-mask node on either of
     # its grid lines; a solve would read that node's out-of-mask start value.
-    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
-                             potential=parse("1 - exp(-(x^2 + y^2))"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+    model = _quadratic_2d_model()
     grid = UniformGrid(Domain.ball(((-1.0, 1.0),) * 2, 0.55,
                                    center=(0.1, 0.05)), (9, 9))
     cs = ControlSet.build(2, max_speed=1.0, da=0.25)
@@ -351,6 +355,46 @@ def test_no_admissible_control_raises(ql_model, ql_evaluator, grid201):
                            controls=np.array([[6.0]]))
     with pytest.raises(SolverError, match="no admissible control"):
         SweepKernel(grid201, ql_evaluator, one_sided)
+
+
+def _blocked_per_control(kernel):
+    """SweepKernel.blocked by one Domain.contains call per control."""
+    pts = kernel.grid.points()[kernel.in_idx]
+    return np.column_stack([
+        ~kernel.grid.domain.contains(pts - kernel.dt * a, slack=1e-9)
+        for a in kernel.controls.controls])
+
+
+def test_kernel_blocked_matches_a_per_control_domain_test(kernel201):
+    ball = _ball_kernel_2d((21, 21), 3.0, 0.8)
+    wide = _ball_kernel_2d((61, 61), 3.0, 0.8)  # rows span two chunks
+    assert len(ball.controls.controls) == 81
+    assert len(wide.in_idx) > _ROW_CHUNK
+    for kernel in (kernel201, ball, wide):
+        want = _blocked_per_control(kernel)
+        assert np.any(want)
+        np.testing.assert_array_equal(kernel.blocked, want)
+
+
+def test_ball_too_thin_for_the_control_set_raises():
+    # controls along x alone: at the ball's nodes (0, +-R) both feet leave
+    # the ball, while every stencil finds in-mask nodes
+    grid = UniformGrid(Domain.ball(((-4.0, 4.0),) * 2, 2.0), (21, 21))
+    along_x = ControlSet(max_speed=1.0, da=1.0,
+                         controls=np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    message = (r"no admissible control at node \[0\.0, -2\.0\]; "
+               "mask too thin for this control set")
+    with pytest.raises(SolverError, match=message):
+        SweepKernel(grid, LagrangianEvaluator(_quadratic_2d_model()), along_x)
+
+
+def test_kernel_build_memory_is_bounded():
+    # a 161^2 ball with the 797 default controls: its 13,965 x 797 feet alone
+    # take 170 MB; built _ROW_CHUNK rows at a time the peak is near 47 MB
+    grid = UniformGrid(Domain.ball(((-6.0, 6.0),) * 2, 5.0), (161, 161))
+    ev = LagrangianEvaluator(_quadratic_2d_model())
+    controls = ControlSet.build(2)
+    assert peak_bytes(lambda: SweepKernel(grid, ev, controls)) < 64 << 20
 
 
 def test_shared_kernel_carries_no_state_between_solves():
@@ -455,11 +499,8 @@ def _dense_policy_matrix(kernel, policy, diag, scale):
 
 
 def _ball_kernel_2d(shape, radius, da):
-    model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
-                             potential=parse("1 - exp(-(x^2 + y^2))"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
     grid = UniformGrid(Domain.ball(((-4.0, 4.0),) * 2, radius), shape)
-    return SweepKernel(grid, LagrangianEvaluator(model),
+    return SweepKernel(grid, LagrangianEvaluator(_quadratic_2d_model()),
                        ControlSet.build(2, da=da))
 
 
