@@ -31,7 +31,7 @@ from .trajectory import backtrace, compute_indices
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
            "vanishing_discount_sweep", "localization_study", "measure_study",
-           "builtin_models", "setup", "discount_chain",
+           "builtin_models", "setup", "truncation_kernel", "discount_chain",
            "trace_curve", "trace_measures"]
 
 
@@ -249,16 +249,16 @@ class ExperimentConfig:
     def build_model(self) -> HamiltonianModel:
         return HamiltonianModel.from_json(self.model)
 
-    def build_grid(self, kind=None, radius=None) -> UniformGrid:
+    def build_grid(self, radius=None) -> UniformGrid:
+        """The main grid, or the ball of the given radius on its lattice."""
         box = tuple(tuple(b) for b in self.grid["box"])
         shape = tuple(int(s) for s in self.grid["shape"])
-        kind = kind or self.grid["kind"]
-        if kind == "ball":
-            radius = radius if radius is not None else self.grid.get("radius")
-            if radius is None:
-                raise ConfigError("ball grid needs a radius")
-            return UniformGrid(Domain.ball(box, float(radius)), shape)
-        return UniformGrid(Domain.full_box(box), shape)
+        if radius is None and self.grid["kind"] == "box":
+            return UniformGrid(Domain.full_box(box), shape)
+        radius = self.grid.get("radius") if radius is None else radius
+        if radius is None:
+            raise ConfigError("ball grid needs a radius")
+        return UniformGrid(Domain.ball(box, float(radius)), shape)
 
     def build_params(self) -> SolveParams:
         return SolveParams(tol=self.solver["tol"],
@@ -268,24 +268,9 @@ class ExperimentConfig:
         return ControlSet.build(dim, max_speed=self.controls.get("max_speed"),
                                 da=self.controls.get("da"))
 
-    def node_density(self) -> float:
-        """Nodes per unit length along the first axis of the main grid."""
-        lo, hi = self.grid["box"][0]
-        return (int(self.grid["shape"][0]) - 1) / (hi - lo)
-
     def trunc_radius(self) -> float:
         """The truncation radius: the configured one, else max(radii) + 2."""
         return self.truncation_radius or max(self.radii) + 2.0
-
-    def localization_grid(self, radius: float) -> UniformGrid:
-        """Ball of the given radius in a box two units wider, at the main
-        grid's node density; the grids the localization study solves on.
-        Each axis has an odd node count, so the centre is a node."""
-        half = radius + 2.0
-        n = 2 * int(round(half * self.node_density())) + 1
-        dim = len(self.grid["box"])
-        return UniformGrid(Domain.ball(((-half, half),) * dim, radius),
-                           (n,) * dim)
 
     def trace_horizon(self, lam: float, kappa_lo: float) -> float:
         """Horizon keeping the tail weight e^{lam*beta(-T)} at or below 0.1."""
@@ -379,9 +364,9 @@ def make_run_dir(outdir, experiment: str, stamp: str = None) -> str:
     return path
 
 
-def _window_points(window, density: float) -> np.ndarray:
+def _window_points(window, dx: float) -> np.ndarray:
     return tensor_points([
-        np.linspace(lo, hi, max(3, int(round((hi - lo) * density)) + 1))
+        np.linspace(lo, hi, max(3, int(round((hi - lo) / dx)) + 1))
         for lo, hi in window])
 
 
@@ -399,23 +384,41 @@ def _note_trace_warning(report, lam, probe, curve) -> None:
 # pipeline stages shared by the drivers and the CLI
 
 
-def setup(config: ExperimentConfig, grid: UniformGrid = None) -> SweepKernel:
-    """The sweep kernel of a config on grid (default: the config's main
-    grid), at the config's solver.dt or else the kernel's default."""
+def setup(config: ExperimentConfig, radius: float = None) -> SweepKernel:
+    """The sweep kernel of a config on build_grid(radius), at the config's
+    solver.dt or else the kernel's default."""
     model = config.build_model()
     evaluator = LagrangianEvaluator(model)
     controls = config.build_controls(model.dim)
-    grid = config.build_grid() if grid is None else grid
-    return SweepKernel(grid, evaluator, controls, config.solver["dt"])
+    return SweepKernel(config.build_grid(radius), evaluator, controls,
+                       config.solver["dt"])
+
+
+def truncation_kernel(config: ExperimentConfig) -> SweepKernel:
+    """The kernel on the truncation ball, which sweep and localize share;
+    ConfigError naming its radius's key unless the ball fits grid.box."""
+    radius = config.trunc_radius()
+    try:
+        return setup(config, radius)
+    except DomainError as exc:
+        key = "truncation_radius" if config.truncation_radius else "radii"
+        raise ConfigError(f"{key!r} sets a truncation ball of radius "
+                          f"{radius:g} on grid.box: {exc}") from None
+
+
+def _settled_solve(kernel: SweepKernel, lam: float, config, v0=None):
+    """The state-constraint solve at lam; SolverError unless it settled."""
+    out = solve_state_constraint(kernel, lam, config.c, config.build_params(),
+                                 v0=v0)
+    return out.settled(f"state-constraint solve at lam={lam:g}")
 
 
 def discount_chain(kernel: SweepKernel, config: ExperimentConfig):
-    """Yield (lam, outcome) of the state-constraint solves over the discount
-    schedule, each warm-started from the previous field."""
-    params = config.build_params()
+    """Yield (lam, outcome) of the settled state-constraint solves over the
+    discount schedule, each warm-started from the previous field."""
     warm = None
     for lam in config.lambdas:
-        out = solve_state_constraint(kernel, lam, config.c, params, v0=warm)
+        out = _settled_solve(kernel, lam, config, v0=warm)
         warm = out.field.values
         yield lam, out
 
@@ -469,8 +472,7 @@ def vanishing_discount_sweep(config: ExperimentConfig,
     against every traced measure.
     """
     t_start = time.monotonic()
-    kernel = setup(config, config.build_grid(kind="ball",
-                                             radius=config.trunc_radius()))
+    kernel = truncation_kernel(config)
     evaluator = kernel.evaluator
     params = config.build_params()
 
@@ -484,7 +486,7 @@ def vanishing_discount_sweep(config: ExperimentConfig,
     report.add_table("solves", ["lambda", "iterations", "residual",
                                 "converged"], solve_rows)
 
-    pts = _window_points(config.window, config.node_density())
+    pts = _window_points(config.window, kernel.grid.dx[0])
     vals = {lam: fields[lam].interpolate(pts) for lam in config.lambdas}
 
     cauchy_rows = []
@@ -580,20 +582,20 @@ def localization_study(config: ExperimentConfig, z=None,
                        run_dir=None) -> ConvergenceReport:
     """Tabulate the truncated-maximal vs constrained-ball gap over (lam, R).
 
-    Each radius's ball solve starts from its field at the previous discount
-    when that cell ended ok, as discount_chain does. Detects the empirical
+    Every ball, the truncation ball included, sits on the main grid's
+    lattice, so the truncated field is the one sweep solves. Each radius's
+    ball solve starts from its field at the previous discount when that
+    cell ended ok, as discount_chain does. Detects the empirical
     plateau radius per discount: the first radius where the probe gap
     stays within gap_tol on two consecutive radii.
     """
     t_start = time.monotonic()
-    if z is None:
-        z = config.probes[0]
+    z = config.probes[0] if z is None else z
     z = tuple(z) if isinstance(z, (list, tuple)) else (float(z),)
     r_trunc = config.trunc_radius()
     if r_trunc <= max(config.radii):
         raise ConfigError("truncation radius must exceed every scheduled R")
-    kernel = setup(config, config.localization_grid(r_trunc))
-    params = config.build_params()
+    kernel = truncation_kernel(config)
     at_z = np.array([z])
 
     report = ConvergenceReport("localization", config.to_dict())
@@ -610,48 +612,41 @@ def localization_study(config: ExperimentConfig, z=None,
     warm = {}  # radius -> field of its last cell, while that cell is ok
 
     def cell(lam, radius):
-        # built on first use, so a grid or kernel error fails the cell, and
-        # at the truncation kernel's dt: a ball's dx, and so its default
-        # dt, differs from the truncation grid's in the last bits
+        # built on first use, so a grid or kernel error fails the cell
         if radius not in ball_kernels:
             ball_kernels[radius] = SweepKernel(
-                config.localization_grid(radius), kernel.evaluator,
-                kernel.controls, kernel.dt)
-        out = solve_state_constraint(ball_kernels[radius], lam, config.c,
-                                     params, v0=warm.pop(radius, None))
+                config.build_grid(radius), kernel.evaluator, kernel.controls,
+                config.solver["dt"])
+        out = _settled_solve(ball_kernels[radius], lam, config,
+                            v0=warm.pop(radius, None))
         theta = float(out.field.interpolate(at_z)[0])
         warm[radius] = out.field.values
         return theta
 
     keys = [(lam, r) for lam in config.lambdas for r in config.radii]
     gap_rows = []
-    sign_ok = True
-    worst_sign = 0.0
     for lam, radius in keys:
         status, payload = _guard(cell, lam, radius)
         if status != "ok":
             gap_rows.append([lam, radius, "nan", u_z[lam], "nan", payload])
             continue
-        gap = payload - u_z[lam]
-        worst_sign = min(worst_sign, gap)
-        if gap < -2 * params.tol:
-            sign_ok = False
-        gap_rows.append([lam, radius, payload, u_z[lam], gap, "ok"])
+        gap_rows.append([lam, radius, payload, u_z[lam], payload - u_z[lam],
+                         "ok"])
     report.add_table("gaps", ["lambda", "R", "theta_at_z", "u_at_z", "gap",
                               "status"], gap_rows)
-    report.add_verdict("comparison_sign", sign_ok, worst_sign,
+    worst_sign = min([0.0] + [row[4] for row in gap_rows if row[5] == "ok"])
+    report.add_verdict("comparison_sign",
+                       worst_sign >= -2 * config.solver["tol"], worst_sign,
                        ">= -2*tol", "gaps", range(len(gap_rows)))
 
     plateau_rows = []
     for lam in config.lambdas:
         gaps = [(r, row[4]) for (l, r), row in zip(keys, gap_rows)
                 if l == lam and row[5] == "ok"]
-        r_z = None
-        for (r1, g1), (r2, g2) in zip(gaps, gaps[1:]):
-            if abs(g1) <= config.gap_tol and abs(g2) <= config.gap_tol:
-                r_z = r1
-                break
-        plateau_rows.append([lam, "none" if r_z is None else r_z])
+        plateau_rows.append([lam, next(
+            (r1 for (r1, g1), (_, g2) in zip(gaps, gaps[1:])
+             if abs(g1) <= config.gap_tol and abs(g2) <= config.gap_tol),
+            "none")])
     report.add_table("plateau", ["lambda", "R_z"], plateau_rows)
     found = [row for row in plateau_rows if row[1] != "none"]
     report.add_verdict("plateau_detected", len(found) > 0,

@@ -57,6 +57,7 @@ __all__ = [
 
 _FLOAT_FLOOR = 1e-13
 _ROW_CHUNK = 1024  # in-mask rows per block of a sweep; bounds its temporaries
+_FOOT_CHUNK = 1 << 16  # feet per block of the kernel's admissibility test
 _SOLVE_BLOCK = 256  # rows per block of the frozen-policy solve, at most n
 
 
@@ -139,6 +140,14 @@ class SolveOutcome:
                 "residual": self.final_residual,
                 "converged": self.converged}
 
+    def settled(self, what: str) -> "SolveOutcome":
+        """self, or SolverError naming the residual and iteration count."""
+        if not self.converged:
+            raise SolverError(f"{what} did not settle (residual "
+                              f"{self.final_residual:g} after "
+                              f"{self.iterations} policy iterations)")
+        return self
+
 
 class SweepKernel:
     """Stencil and weight tables of the one-cell sweep for one grid setup:
@@ -202,9 +211,10 @@ class SweepKernel:
                              + np.where(o == b + 1, t, 0.0))
 
         self.blocked = np.empty((len(in_pts), len(ctrl)), dtype=bool)
-        for lo in range(0, len(in_pts), _ROW_CHUNK):
-            feet = in_pts[lo:lo + _ROW_CHUNK, None] - self.dt * ctrl[None]
-            self.blocked[lo:lo + _ROW_CHUNK] = ~grid.domain.contains(
+        rows = max(1, _FOOT_CHUNK // len(ctrl))
+        for lo in range(0, len(in_pts), rows):
+            feet = in_pts[lo:lo + rows, None] - self.dt * ctrl[None]
+            self.blocked[lo:lo + rows] = ~grid.domain.contains(
                 feet.reshape(-1, grid.dim), slack=1e-9).reshape(len(feet), -1)
         stuck = np.all(self.blocked, axis=1)
         if np.any(stuck):
@@ -512,10 +522,8 @@ def estimate_critical_value(kernel: SweepKernel, lam_sequence,
     for lam in lams:
         # λv + H(x, Dv, 0) = 0: the sweep at level 0 with discount λ
         out = _policy_iterate(kernel, start, 0.0, 0.0, params, {
-            "kind": "discounted", "lambda": lam, "c": 0.0}, discount=lam)
-        if not out.converged:
-            raise SolverError(f"discounted solve at lam={lam:g} stalled at "
-                              f"residual {out.final_residual:g}")
+            "kind": "discounted", "lambda": lam, "c": 0.0},
+            discount=lam).settled(f"discounted solve at lam={lam:g}")
         c_est = -lam * out.field.interpolate(np.reshape(x0, (1, -1)))[0]
         table.append((lam, float(c_est)))
         outcomes.append(out)
@@ -618,13 +626,9 @@ def mane_potential(kernel: SweepKernel, y, c: float,
         raise CMismatchError(rate)
     start = np.full(kernel.grid.size, 1e6)
     start[pin] = 0.0
-    out = _policy_iterate(kernel, start, 0.0, c, params, {
-        "kind": "mane", "lambda": 0.0, "c": c}, held=[pin_pos])
-    if not out.converged:
-        raise SolverError(
-            f"pinned solve did not settle (residual {out.final_residual:g} "
-            f"after {out.iterations} policy iterations)")
-    return out.field
+    return _policy_iterate(kernel, start, 0.0, c, params, {
+        "kind": "mane", "lambda": 0.0, "c": c},
+        held=[pin_pos]).settled("pinned solve").field
 
 
 def aubry_indicator(kernel: SweepKernel, c: float, sample_points,

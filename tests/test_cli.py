@@ -351,3 +351,31 @@ def test_sweep_exit_1_on_failed_verdict(cfg_file, capsys):
     assert "FAIL" in out
     assert "FAILED" in out
     assert "PASS proxy_matches_mane" in out
+
+
+@pytest.mark.parametrize("command", ["localize", "measures-study"])
+def test_unsettled_driver_solve_is_exit_2(tmp_path, capsys, command):
+    # two policy iterations cannot reach the tolerance: a failure, not a
+    # table row marked converged = false
+    rc = main([command, "--preset", "quadratic-linear", "--out",
+               str(tmp_path), "--stamp", "t", "--set", "solver.max_iters=2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "runtime error: state-constraint solve at lam=0.2 did not " \
+           "settle (residual " in err
+    assert "after 2 policy iterations" in err
+
+
+@pytest.mark.parametrize("command, pair, key", [
+    ("sweep", "truncation_radius=9.99", "truncation_radius"),
+    ("localize", "radii=[2,8]", "radii")])
+def test_truncation_ball_outside_the_box_is_exit_2(tmp_path, capsys, command,
+                                                   pair, key):
+    # dx = 0.05 on [-10, 10]: a ball past 9.95 has no cell to spare
+    rc = main([command, "--preset", "quadratic-linear", "--out",
+               str(tmp_path), "--stamp", "t", "--set", pair])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: '{key}' sets a truncation "
+                          "ball of radius")
+    assert "one-cell margin" in err

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -105,9 +106,9 @@ def test_config_builders(tmp_path):
     assert model.dim == 1
     grid = cfg.build_grid()
     assert grid.shape == (101,)
-    ball = cfg.build_grid(kind="ball", radius=7.0)
+    ball = cfg.build_grid(7.0)
     assert not bool(ball.mask[0])  # corners cut off
-    assert cfg.node_density() == pytest.approx(5.0)
+    assert ball.shape == grid.shape and ball.dx == grid.dx
     assert cfg.build_params().tol == 1e-6
     assert cfg.build_controls(1).max_speed == 6.0
     # horizon rule: the configured floor or the tail-weight bound
@@ -227,6 +228,51 @@ def test_2d_drivers_run_every_cell(tmp_path):
     assert [r[4] for r in sweep.tables["selection"]["rows"]] == ["ok"] * 4
 
 
+def _quadratic_2d_41(tmp_path):
+    model = dict(QL_MODEL, dim=2, potential="1 - exp(-(x^2 + y^2))")
+    return coarse(tmp_path, model=model,
+                  grid={"box": [[-6.0, 6.0]] * 2, "shape": [41, 41]},
+                  lambdas=[0.4, 0.2], radii=[2.0, 3.0], probes=[[1.0, 0.0]],
+                  controls={"da": 1.0})
+
+
+def test_2d_localization_gaps_are_round_off_where_balls_hold_the_path(
+        tmp_path):
+    # from (1, 0) the minimizing path runs to the origin inside every ball,
+    # so on one lattice theta_R and the truncated u agree to round-off
+    cfg = _quadratic_2d_41(tmp_path)
+    report = localization_study(cfg, run_dir=str(tmp_path / "run"))
+    assert report.verdict("comparison_sign")["passed"]
+    rows = report.tables["gaps"]["rows"]
+    assert [r[5] for r in rows] == ["ok"] * 4
+    assert max(abs(r[4]) for r in rows) <= 1e-13
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: coarse(tmp, probes=[1.0]), _quadratic_2d_41],
+    ids=["1d", "2d"])
+def test_localize_reads_sweeps_truncated_field(tmp_path, make):
+    cfg = make(tmp_path)
+    report = localization_study(cfg, run_dir=str(tmp_path / "run"))
+    at_z = np.array([cfg.probes[0]])
+    kernel = experiments.truncation_kernel(cfg)
+    assert kernel.grid.shape == cfg.build_grid().shape
+    assert [row[2] for row in report.tables["truncated"]["rows"]] == [
+        float(out.field.interpolate(at_z)[0])
+        for _, out in experiments.discount_chain(kernel, cfg)]
+
+
+def test_truncation_ball_must_fit_the_box(tmp_path):
+    # dx = 0.2 on [-10, 10]: a radius-9.9 ball leaves no spare cell
+    for cfg, key in ((coarse(tmp_path, truncation_radius=9.9),
+                      "truncation_radius"),
+                     (coarse(tmp_path, radii=[3.0, 7.9]), "radii")):
+        for driver in (vanishing_discount_sweep, localization_study):
+            with pytest.raises(ConfigError, match=f"'{key}' sets a "
+                               "truncation ball of radius 9.9"):
+                driver(cfg, run_dir=str(tmp_path / "run"))
+
+
 def test_guard_records_extent_errors():
     # tabulated p^2/2 on [0, 1]: speeds beyond 1 push the maximizer out
     model = HamiltonianModel.from_json(dict(
@@ -249,9 +295,10 @@ def test_localization_validates_truncation_radius(tmp_path):
                            run_dir=os.path.join(tmp_path, "run"))
 
 
-def _localize_recording(monkeypatch, cfg, run_dir, fail=None):
+def _localize_recording(monkeypatch, cfg, run_dir, fail=None, stall=None):
     """localization_study with every ball solve recorded as (lam, R, kernel,
-    warm-started?, iterations); fail=(lam, R) makes that cell's solve raise.
+    warm-started?, iterations); fail=(lam, R) makes that cell's solve raise,
+    stall=(lam, R) makes it return unconverged.
     """
     real = experiments.solve_state_constraint
     calls = []
@@ -261,6 +308,8 @@ def _localize_recording(monkeypatch, cfg, run_dir, fail=None):
         if (lam, radius) == fail:
             raise experiments.SolverError("planted failure")
         out = real(kernel, lam, c, params, v0=v0)
+        if (lam, radius) == stall:
+            out = dataclasses.replace(out, converged=False)
         if radius in cfg.radii:
             calls.append((lam, radius, kernel, v0 is not None,
                           out.iterations))
@@ -330,6 +379,22 @@ def test_localization_failed_cell_hands_no_start_on(tmp_path, monkeypatch):
                     if (lam, r) != (0.4, 4.0)}
 
 
+def test_localization_records_an_unsettled_cell(tmp_path, monkeypatch):
+    cfg = coarse(tmp_path, lambdas=[0.4, 0.2, 0.1], probes=[1.0])
+    report, calls = _localize_recording(monkeypatch, cfg,
+                                        str(tmp_path / "run"),
+                                        stall=(0.4, 4.0))
+    status = {(r[0], r[1]): r[5] for r in report.tables["gaps"]["rows"]}
+    [iterations] = [it for lam, r, *_, it in calls if (lam, r) == (0.4, 4.0)]
+    assert re.fullmatch(
+        r"SolverError: state-constraint solve at lam=0\.4 did not settle "
+        rf"\(residual \S+ after {iterations} policy iterations\)",
+        status.pop((0.4, 4.0)))
+    assert set(status.values()) == {"ok"}
+    warm = {(lam, r): w for lam, r, _, w, _ in calls}
+    assert not warm[(0.2, 4.0)]
+
+
 @pytest.fixture(scope="module")
 def measures_report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("measures")
@@ -382,7 +447,8 @@ def test_drivers_build_one_kernel_per_grid(tmp_path, monkeypatch):
                           (localization_study, 1 + len(cfg.radii))):
         built.clear()
         driver(cfg, run_dir=str(tmp_path / driver.__name__))
-        assert len(built) == count, driver.__name__
+        # every ball sits on the config's own lattice
+        assert built == [(41,)] * count, driver.__name__
     built.clear()
     kernel = experiments.setup(cfg)
     aubry_indicator(kernel, 0.0, [0.0, 1.0, -1.0], cfg.build_params())
@@ -418,7 +484,7 @@ def test_a_batch_error_fails_every_traced_cell_not_the_run(tmp_path,
     cfg = coarse(tmp_path, grid={"box": [[-10.0, 10.0]], "shape": [41]},
                  horizon=2.0, window=[[-1.0, 1.0]])
     kernel = experiments.setup(cfg)
-    elsewhere = cfg.build_grid(kind="ball", radius=5.0)
+    elsewhere = cfg.build_grid(5.0)
     field = GridField(elsewhere, np.zeros(elsewhere.shape))
     keys = [(0.2, 0.0), (0.2, 1.0)]
     assert experiments.trace_measures(kernel, cfg, {0.2: field}, keys) == [
@@ -453,25 +519,28 @@ def test_builtin_model_roster():
 
 
 def test_preset_grids_build():
-    # the truncated grid sweep solves on, and the ball grids localize solves on
+    # the truncation ball sweep and localize solve on, and localize's balls,
+    # all on the main grid's lattice
     for name, cfg in builtin_models().items():
         r_trunc = cfg.trunc_radius()
         assert r_trunc > max(cfg.radii), name
-        assert cfg.build_grid(kind="ball", radius=r_trunc).mask.any(), name
+        main = cfg.build_grid()
         for radius in cfg.radii + (r_trunc,):
-            assert cfg.localization_grid(radius).mask.any(), (name, radius)
+            grid = cfg.build_grid(radius)
+            assert grid.mask.any(), (name, radius)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(grid.axes, main.axes)), (name, radius)
 
 
-def test_preset_localization_grids_have_a_centre_node():
-    # an odd node count per axis puts a node at the centre of every ball
+def test_preset_main_grids_have_a_centre_node():
+    # every ball is centred at the origin of the main grid's lattice, so an
+    # odd node count per axis of a symmetric box puts a node at its centre
     for name, cfg in builtin_models().items():
-        for radius in cfg.radii + (cfg.trunc_radius(),):
-            grid = cfg.localization_grid(radius)
-            node = grid.nearest_node(np.zeros(grid.dim))
-            point = [axis[i] for axis, i in zip(grid.axes, node)]
-            assert np.array_equal(point, np.zeros(grid.dim)), (
-                name, radius, grid.shape)
-            assert grid.mask[tuple(node)], (name, radius)
+        grid = cfg.build_grid()
+        node = grid.nearest_node(np.zeros(grid.dim))
+        point = [axis[i] for axis, i in zip(grid.axes, node)]
+        assert np.array_equal(point, np.zeros(grid.dim)), (name, grid.shape)
+        assert grid.mask[tuple(node)], name
 
 
 VERIFIED = dict.fromkeys(("H1", "H2", "H3", "H4", "P1", "P2", "P3"),

@@ -9,7 +9,7 @@ from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, LinearCoupling,
                                     NoCoupling, QuadraticKinetic)
-from contact_hj.solver import (_ROW_CHUNK, CMismatchError, ControlSet,
+from contact_hj.solver import (_FOOT_CHUNK, CMismatchError, ControlSet,
                                SolveParams, SolverError, SweepKernel,
                                _ensure_table, aubry_indicator,
                                estimate_critical_value,
@@ -367,9 +367,9 @@ def _blocked_per_control(kernel):
 
 def test_kernel_blocked_matches_a_per_control_domain_test(kernel201):
     ball = _ball_kernel_2d((21, 21), 3.0, 0.8)
-    wide = _ball_kernel_2d((61, 61), 3.0, 0.8)  # rows span two chunks
+    wide = _ball_kernel_2d((61, 61), 3.0, 0.8)  # feet span two chunks
     assert len(ball.controls.controls) == 81
-    assert len(wide.in_idx) > _ROW_CHUNK
+    assert len(wide.in_idx) > _FOOT_CHUNK // 81
     for kernel in (kernel201, ball, wide):
         want = _blocked_per_control(kernel)
         assert np.any(want)
@@ -390,11 +390,24 @@ def test_ball_too_thin_for_the_control_set_raises():
 
 def test_kernel_build_memory_is_bounded():
     # a 161^2 ball with the 797 default controls: its 13,965 x 797 feet alone
-    # take 170 MB; built _ROW_CHUNK rows at a time the peak is near 47 MB
+    # take 170 MB; built _FOOT_CHUNK feet at a time the peak is near 18 MB
     grid = UniformGrid(Domain.ball(((-6.0, 6.0),) * 2, 5.0), (161, 161))
     ev = LagrangianEvaluator(_quadratic_2d_model())
     controls = ControlSet.build(2)
     assert peak_bytes(lambda: SweepKernel(grid, ev, controls)) < 64 << 20
+
+
+def test_kernel_build_temporaries_are_sized_by_feet():
+    # an 81^2 ball with the 797 default controls: 1,024 rows of feet per
+    # block took 38 MB, blocks of _FOOT_CHUNK feet leave under 4 MB beside
+    # the 2.8 MB admissibility table the kernel keeps
+    grid = UniformGrid(Domain.ball(((-6.0, 6.0),) * 2, 5.0), (81, 81))
+    ev = LagrangianEvaluator(_quadratic_2d_model())
+    controls = ControlSet.build(2)
+    kernel = SweepKernel(grid, ev, controls)
+    assert kernel.blocked.shape == (3505, 797)
+    peak = peak_bytes(lambda: SweepKernel(grid, ev, controls))
+    assert peak < kernel.blocked.nbytes + (8 << 20)
 
 
 def test_shared_kernel_carries_no_state_between_solves():
