@@ -15,12 +15,15 @@ candidates of a sweep are one matrix product, stencil values times a
 One fixed-point loop, policy iteration (Howard's algorithm), runs every
 solve and builds its outcome. Each iteration is one argmin sweep, which
 gives the policy and the Bellman residual, and one direct solve of the
-frozen-policy system by block-tridiagonal elimination
-(SweepKernel.policy_solve); see _policy_iterate. The iteration count does
-not grow as λ shrinks, where value iteration's sweep count grows like
-1/(λΔt). Rows that would make that system singular are held at the node's
-current value: the pin of the pinned solve, the Aubry nodes of the ergodic
-one, and nodes whose undiscounted sweep stays put and returns its own value
+frozen-policy system (SweepKernel.policy_solve; see _policy_iterate). That
+solve is block-tridiagonal elimination over blocks sized to the grid's own
+bandwidth, the reach of the stencil entries whose neighbour lies in the
+mask, plus one small Woodbury correction for the boundary entries that the
+mask replacement sends further. The iteration count does not grow as λ
+shrinks, where value iteration's sweep count grows like 1/(λΔt). Rows
+that would make that system singular are held at the node's current
+value: the pin of the pinned solve, the Aubry nodes of the ergodic one,
+and nodes whose undiscounted sweep stays put and returns its own value
 bit for bit (φ = 0 at λ > 0, rounding ties at a well), which value
 iteration leaves where they are too. At λ = 0 the least cost per unit time
 of staying put is the exact drift rate, zero at the grid's critical value;
@@ -58,7 +61,8 @@ __all__ = [
 _FLOAT_FLOOR = 1e-13
 _ROW_CHUNK = 1024  # in-mask rows per block of a sweep; bounds its temporaries
 _FOOT_CHUNK = 1 << 16  # feet per block of the kernel's admissibility test
-_SOLVE_BLOCK = 256  # rows per block of the frozen-policy solve, at most n
+_SOLVE_BLOCK = 64  # rows per block of the frozen-policy solve, at most n
+_SINGULAR_COND = 1e12  # condition of a far-entry correction taken as singular
 
 
 class SolverError(RuntimeError):
@@ -184,10 +188,10 @@ class SweepKernel:
         node = np.column_stack(np.unravel_index(self.in_idx, grid.shape))
         nbrs = np.clip(node[:, None, :] + offsets,
                        0, np.array(grid.shape) - 1)
+        raw = np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid.shape)
         position = np.full(grid.size, -1)
         position[self.in_idx] = np.arange(len(self.in_idx))
-        self.stencil = position[grid.replacement_map[
-            np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid.shape)]]
+        self.stencil = position[grid.replacement_map[raw]]
         outside = np.any(self.stencil < 0, axis=1)
         if np.any(outside):
             bad = in_pts[np.argmax(outside)]
@@ -222,11 +226,7 @@ class SweepKernel:
             raise SolverError(
                 f"no admissible control at node {bad.tolist()}; "
                 "mask too thin for this control set")
-        # every stencil stays within `bandwidth` positions of its node, so
-        # blocks of at least that many rows couple only to their neighbours
-        self.bandwidth = int(np.max(np.abs(
-            self.stencil - np.arange(len(self.in_idx))[:, None]), initial=0))
-        self.block = max(self.bandwidth, min(len(self.in_idx), _SOLVE_BLOCK))
+        self._solve_layout(grid.mask.ravel()[raw])
 
         with np.errstate(all="ignore"):
             self.f_in = model.f(in_pts)
@@ -282,53 +282,119 @@ class SweepKernel:
 
     # -- one frozen-policy solve -------------------------------------------
 
+    def _solve_layout(self, natural: np.ndarray):
+        """Bandwidth, blocks and far entries of the frozen-policy solve.
+
+        natural marks the stencil entries whose raw neighbour lies in the
+        mask. They reach at most `bandwidth` positions from their node;
+        entries that replacement_map sends further are far, and
+        policy_solve corrects for them. Blocks hold _SOLVE_BLOCK rows, or
+        the bandwidth where that is wider, so a block couples only to its
+        neighbours. Each block's scatter indices are fixed here: stencil
+        entries, then the diagonal, with far entries sent to a spare slot
+        past the block.
+        """
+        n = len(self.stencil)
+        index = np.arange(n)
+        reach = np.abs(self.stencil - index[:, None])
+        bw = self.bandwidth = int(reach[natural].max(initial=0))
+        rows, slots = (reach > bw).nonzero()
+        self.far = rows, slots, self.stencil[rows, slots]
+        b = self.block = max(bw, min(n, _SOLVE_BLOCK))
+        # first row, end row, first column and width of each block row
+        self._blocks = [(lo, min(lo + b, n), max(lo - bw, 0),
+                         min(lo + b + bw, n) - max(lo - bw, 0))
+                        for lo in range(0, n, b)]
+        lo, hi, c0, width = np.repeat(
+            self._blocks, [hi - lo for lo, hi, _, _ in self._blocks],
+            axis=0).T
+        flat = np.concatenate((self.stencil, index[:, None]), axis=1)
+        flat += ((index - lo) * width - c0)[:, None]
+        flat[rows, slots] = ((hi - lo) * width)[rows]
+        self._flat = flat.ravel()
+
     def policy_solve(self, policy: np.ndarray, diag: np.ndarray,
                      scale: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (diag - scale*P) v = rhs on the in-mask positions.
+        """Solve A v = rhs, A = diag - scale*P, on the in-mask positions.
 
         Row i of P holds the hat weights of control policy[i] at stencil[i].
-        With diag > scale > 0 the matrix is strictly row-diagonally dominant
-        (the rows of P are nonnegative and sum to 1), so block-tridiagonal
-        elimination over blocks of self.block rows needs no pivoting across
-        blocks. A block couples to its neighbours only through the
-        bandwidth columns next to it, so the eliminated factors are
-        block x bandwidth each. Block rows are assembled one at a time.
-        A singular block raises SolverError.
+        A is its banded part N plus the m far entries that this policy
+        weighs, A = N + U V^T, with U's column e holding entry e's value in
+        its row and V's column e the unit vector of its column.
+        Block-tridiagonal elimination of N solves for rhs and U at once,
+        y = N^-1 rhs and Z = N^-1 U, and one m x m Woodbury correction
+        (Hager, SIAM Rev. 1989) gives v = y - Z (I + V^T Z)^-1 V^T y; m = 0
+        leaves v = y.
+
+        With diag >= scale > 0, A is weakly diagonally dominant with
+        nonpositive off-diagonal entries, and so is N, which drops some of
+        them. Such a matrix is nonsingular exactly when every row reaches a
+        strictly dominant row along its entries (Azimzadeh & Forsyth, SIAM
+        J. Numer. Anal. 2016), and a row that loses a weighed far entry
+        becomes strictly dominant, so N is singular only where A is. The
+        blocks need no pivoting across them, and (I + V^T Z)^-1 =
+        I - V^T A^-1 U is nonnegative. A singular block, or a correction
+        singular to working precision, raises SolverError naming the rows.
         """
-        n, b, bw = len(rhs), self.block, self.bandwidth
+        n, bw = len(rhs), self.bandwidth
+        rows, slots, cols = self.far
+        far_vals = self.weights[slots, policy[rows]] * -scale
+        live = far_vals.nonzero()[0]
+        rows, cols, m = rows[live], cols[live], len(live)
+        # the right-hand sides: rhs, then U
+        rhs_u = np.zeros((n, 1 + m))
+        rhs_u[:, 0] = rhs
+        rhs_u[rows, np.arange(1, m + 1)] = far_vals[live]
+        # per row, the entries that the blocks' scatter indices place
+        per_row = self.stencil.shape[1] + 1
+        entries = np.empty((n, per_row))
+        np.multiply(self.weights.T[policy], -scale, out=entries[:, :-1])
+        entries[:, -1] = diag
         factors = []
         u_prev = z_prev = None
-        for lo in range(0, n, b):
-            hi = min(lo + b, n)
-            c0 = max(lo - bw, 0)
-            width = min(hi + bw, n) - c0
-            rows = np.arange(hi - lo)
+        for lo, hi, c0, width in self._blocks:
+            size = (hi - lo) * width
             # block row [left | mid | right] over columns c0 .. c0 + width
-            flat = rows[:, None] * width + (self.stencil[lo:hi] - c0)
-            vals = self.weights[:, policy[lo:hi]].T * -scale
-            a = np.bincount(flat.ravel(), weights=vals.ravel(),
-                            minlength=len(rows) * width).reshape(-1, width)
-            a[rows, rows + (lo - c0)] += diag[lo:hi]
+            a = np.bincount(self._flat[lo * per_row:hi * per_row],
+                            weights=entries[lo:hi].ravel(),
+                            minlength=size + 1)[:size].reshape(-1, width)
             left, mid = a[:, :lo - c0], a[:, lo - c0:hi - c0]
-            y = rhs[lo:hi]
+            y = rhs_u[lo:hi]
             if u_prev is not None:
                 # left meets the last rows of the previous block only
                 mid[:, :u_prev.shape[1]] -= left @ u_prev[len(u_prev) - bw:]
                 y = y - left @ z_prev[len(z_prev) - bw:]
             try:
                 sol = np.linalg.solve(
-                    mid, np.column_stack([a[:, hi - c0:], y]))
+                    mid, np.concatenate((a[:, hi - c0:], y), axis=1))
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"frozen-policy system is singular in rows {lo}..{hi - 1}"
                     f" ({exc})") from exc
-            u_prev, z_prev = sol[:, :-1], sol[:, -1]
+            u_prev, z_prev = sol[:, :width - hi + c0], sol[:, width - hi + c0:]
             factors.append((lo, u_prev, z_prev))
-        v = np.empty(n)
-        for lo, u, z in reversed(factors):
-            hi = lo + len(z)
-            v[lo:hi] = z - u @ v[hi:hi + u.shape[1]]
-        return v
+        x = np.empty((n, 1 + m))
+        for lo, u_blk, z_blk in reversed(factors):
+            hi = lo + len(z_blk)
+            x[lo:hi] = z_blk - u_blk @ x[hi:hi + u_blk.shape[1]]
+        y, z = x[:, 0], x[:, 1:]
+        if not m:
+            return y
+        cap = np.eye(m) + z[cols]
+        # the second column is (I + V^T Z)^-1 1, whose largest entry is the
+        # inverse's max-norm, as the inverse is nonnegative
+        try:
+            t, w = np.linalg.solve(
+                cap, np.column_stack([y[cols], np.ones(m)])).T
+            cond = (float(np.max(np.sum(np.abs(cap), axis=1)))
+                    * float(np.max(np.abs(w))))
+        except np.linalg.LinAlgError:
+            cond = math.inf
+        if not cond < _SINGULAR_COND:
+            raise SolverError(
+                f"frozen-policy system is singular in rows "
+                f"{rows.tolist()} (far-entry correction)")
+        return y - z @ t
 
 
 def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):

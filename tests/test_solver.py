@@ -517,6 +517,31 @@ def _ball_kernel_2d(shape, radius, da):
                        ControlSet.build(2, da=da))
 
 
+def _heading_policy(kernel, target):
+    """The argmin policy of a sweep at 1e6 times the distance to the in-mask
+    position target: every other node heads toward it."""
+    pts = kernel.grid.points()[kernel.in_idx]
+    policy = np.empty(len(pts), dtype=np.intp)
+    kernel.step(1e6 * np.linalg.norm(pts - pts[target], axis=1), 0.0, 0.0,
+                policy=policy)
+    return policy
+
+
+def _weigh_far_entry(kernel, policy, row):
+    """Switch row's control to the first one that weighs its far entry."""
+    rows, slots, _ = kernel.far
+    slot = slots[np.flatnonzero(rows == row)[0]]
+    policy[row] = np.flatnonzero(kernel.weights[slot] > 0)[0]
+
+
+def _assert_matches_dense(kernel, policy, diag, scale, rhs):
+    got = kernel.policy_solve(policy, diag, scale, rhs)
+    want = np.linalg.solve(
+        _dense_policy_matrix(kernel, policy, diag, scale), rhs)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-9 * np.max(np.abs(want)))
+
+
 def test_policy_solve_multi_block_matches_dense(kernel401):
     rng = np.random.RandomState(11)
     ball = _ball_kernel_2d((41, 41), 3.0, 0.8)
@@ -527,18 +552,62 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
         node[:, None, :] + np.array([[-1, -1], [1, 1]]), 0, 40), -1, 0)),
         grid2.shape)
     assert not np.all(grid2.mask.ravel()[raw])
+    # and some of them reach past the bandwidth: the far entries, which
+    # every far row below weighs, so the Woodbury correction runs
+    assert len(ball.far[0]) > 0
     for kernel in (kernel401, ball):
         n = len(kernel.in_idx)
         assert n > 256 and kernel.block < n  # several blocks
+        far_rows = np.unique(kernel.far[0])
         for scale in (1.0, 0.97):
             policy = rng.randint(0, kernel.weights.shape[1], n)
+            for row in far_rows:
+                _weigh_far_entry(kernel, policy, row)
             diag = 1.0 + rng.uniform(1e-4, 0.1, n)
-            rhs = rng.uniform(-1.0, 1.0, n)
-            got = kernel.policy_solve(policy, diag, scale, rhs)
-            want = np.linalg.solve(
-                _dense_policy_matrix(kernel, policy, diag, scale), rhs)
-            np.testing.assert_allclose(got, want, rtol=0,
-                                       atol=1e-9 * np.max(np.abs(want)))
+            _assert_matches_dense(kernel, policy, diag, scale,
+                                  rng.uniform(-1.0, 1.0, n))
+            # held rows: the stay control with diag = scale + 1
+            held = rng.rand(n) < 0.1
+            policy[held], diag[held] = kernel.stay, scale + 1.0
+            _assert_matches_dense(kernel, policy, diag, scale,
+                                  rng.uniform(-1.0, 1.0, n))
+        # the λ = 0 shape: diag = scale = 1 but one held row, which every
+        # other row heads toward, the far rows through their far entries
+        centre = n // 2
+        policy = _heading_policy(kernel, centre)
+        for row in far_rows:
+            _weigh_far_entry(kernel, policy, row)
+        policy[centre] = kernel.stay
+        diag = np.ones(n)
+        diag[centre] = 2.0
+        _assert_matches_dense(kernel, policy, diag, 1.0,
+                              rng.uniform(-1.0, 1.0, n))
+
+
+@pytest.mark.parametrize("path", ["block", "correction"])
+def test_policy_solve_singular_2d_ball_names_rows(path):
+    ball = _ball_kernel_2d((41, 41), 3.0, 0.8)
+    n = len(ball.in_idx)
+    if path == "block":
+        # one row stays put undiscounted: a zero row inside one block
+        row = n // 2
+        policy = np.full(n, ball.stay)
+        diag = np.full(n, 2.0)
+        diag[row] = 1.0
+        lo = row - row % ball.block
+        match = rf"singular in rows {lo}\.\.{lo + ball.block - 1} "
+    else:
+        # nothing is discounted or held and every row heads toward one far
+        # row, which leaves through its far entry: the rows of A sum to 0,
+        # while the banded part keeps that far row strictly dominant, so
+        # only the correction sees the singular system
+        row = int(ball.far[0][0])
+        policy = _heading_policy(ball, row)
+        _weigh_far_entry(ball, policy, row)
+        diag = np.ones(n)
+        match = rf"singular in rows \[{row}\b.*far-entry correction"
+    with pytest.raises(SolverError, match=match):
+        ball.policy_solve(policy, diag, 1.0, np.ones(n))
 
 
 def _value_iterate(kernel, v, lam, c, tol, discount=0.0, pin=None,
