@@ -13,10 +13,11 @@ import sys
 
 import numpy as np
 
-from .experiments import (ConfigError, ExperimentConfig, builtin_models,
-                          localization_study, make_run_dir, measure_study,
-                          read_config_file, run_assumption_check, setup,
-                          trace_curve, vanishing_discount_sweep)
+from .experiments import (ConfigError, ExperimentConfig, _numbers, _positive,
+                          builtin_models, localization_study, make_run_dir,
+                          measure_study, read_config_file,
+                          run_assumption_check, setup, trace_curve,
+                          vanishing_discount_sweep)
 from .grid import atomic_write_text
 from .hamiltonian import ModelError
 from .measures import (closedness_defect, default_battery,
@@ -66,6 +67,9 @@ def _load_config(args) -> ExperimentConfig:
     _apply_overrides(data, args.set)
     if args.out:
         data["outdir"] = args.out
+    for flag in ("lam", "horizon"):
+        if getattr(args, flag, None) is not None:
+            _positive(getattr(args, flag), "--" + flag)
     # re-validate after overrides; unknown keys die here, before compute
     return ExperimentConfig.from_dict(data)
 
@@ -83,10 +87,7 @@ def _pick_lam(args, config: ExperimentConfig) -> float:
 
 def _pick_z(args, config: ExperimentConfig, dim: int):
     if getattr(args, "z", None) is not None:
-        try:
-            parts = [float(v) for v in args.z.split(",")]
-        except ValueError:
-            raise ConfigError(f"--z needs numbers, got {args.z!r}") from None
+        parts = _numbers(args.z.split(","), "--z")
         if len(parts) != dim:
             raise ConfigError(f"--z needs {dim} coordinate(s)")
         return tuple(parts) if dim == 2 else parts[0]

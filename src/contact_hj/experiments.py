@@ -151,8 +151,8 @@ class ExperimentConfig:
             grid["box"] = [[-10.0, 10.0]] if dim == 1 else [[-6.0, 6.0]] * 2
         if "shape" not in grid:
             grid["shape"] = [401] if dim == 1 else [161, 161]
-        for side in _items(grid["box"], "grid.box"):
-            _numbers(side, "grid.box")
+        grid["box"] = [list(_numbers(side, "grid.box"))
+                       for side in _items(grid["box"], "grid.box")]
         if not all(n.is_integer() for n in _numbers(grid["shape"],
                                                      "grid.shape")):
             raise ConfigError(f"'grid.shape' needs whole node counts, got "
@@ -193,10 +193,9 @@ class ExperimentConfig:
 
         probes = _items(data.get("probes", [0.0, 1.0] if dim == 1
                                  else [[0.0, 0.0]]), "probes")
-        probes = tuple(tuple(p) if isinstance(p, (list, tuple))
-                       else (_number(p, "probes"),) for p in probes)
+        probes = tuple(_numbers(p if isinstance(p, (list, tuple)) else [p],
+                                "probes") for p in probes)
         for p in probes:
-            _numbers(p, "probes")
             if len(p) != dim:
                 raise ConfigError(f"probe {p} does not match model dim")
 
@@ -427,7 +426,7 @@ def trace_curve(kernel: SweepKernel, config: ExperimentConfig, field,
                 lam: float, z, horizon: float = None):
     """(curve, index series, horizon) of the backtrace from z on field; a
     falsy horizon means the config's tail rule."""
-    horizon = horizon or config.trace_horizon(lam, kernel.kappa_lo)
+    horizon = horizon or config.trace_horizon(lam, kernel.trace_kappa)
     curve = backtrace(kernel, field, lam, config.c, z, horizon)
     idx = compute_indices(curve, kernel.evaluator, field, lam)
     return curve, idx, horizon
@@ -441,7 +440,7 @@ def trace_measures(kernel: SweepKernel, config: ExperimentConfig, fields,
     the whole batch is every key's."""
     lams = [lam for lam, _ in keys]
     traced = [fields[lam] for lam in lams]
-    horizons = [config.trace_horizon(lam, kernel.kappa_lo) for lam in lams]
+    horizons = [config.trace_horizon(lam, kernel.trace_kappa) for lam in lams]
     status, curves = _guard(backtrace, kernel, traced, lams, config.c,
                             [z for _, z in keys], horizons)
     if status != "ok":
@@ -790,24 +789,21 @@ def builtin_models() -> dict:
     add("quadratic-linear", {
         "model": {"dim": 1, "kinetic": {"type": "quadratic"},
                   "potential": gauss,
-                  "coupling": {"type": "linear", "phi": "1",
-                               "bounds": {"kappa_lo": 1.0, "kappa_hi": 1.0}}},
+                  "coupling": {"type": "linear", "phi": "1"}},
         "c": 0.0,
         "expect_assumptions": dict(base_expect),
     })
     add("quadratic-phi", {
         "model": {"dim": 1, "kinetic": {"type": "quadratic"},
                   "potential": gauss,
-                  "coupling": {"type": "linear", "phi": "2 + sin(x)",
-                               "bounds": {"kappa_lo": 1.0, "kappa_hi": 3.0}}},
+                  "coupling": {"type": "linear", "phi": "2 + sin(x)"}},
         "c": 0.0,
         "expect_assumptions": dict(base_expect),
     })
     add("power-tau", {
         "model": {"dim": 1, "kinetic": {"type": "power", "tau": 3.0},
                   "potential": gauss,
-                  "coupling": {"type": "linear", "phi": "1",
-                               "bounds": {"kappa_lo": 1.0, "kappa_hi": 1.0}}},
+                  "coupling": {"type": "linear", "phi": "1"}},
         "c": 0.0,
         "expect_assumptions": dict(base_expect),
     })
@@ -825,8 +821,7 @@ def builtin_models() -> dict:
     add("quadratic-2d", {
         "model": {"dim": 2, "kinetic": {"type": "quadratic"},
                   "potential": "1 - exp(-(x^2 + y^2))",
-                  "coupling": {"type": "linear", "phi": "1",
-                               "bounds": {"kappa_lo": 1.0, "kappa_hi": 1.0}}},
+                  "coupling": {"type": "linear", "phi": "1"}},
         "c": 0.0,
         # the truncation ball, max(radii) + 2, must fit the [-6, 6]^2 box
         "radii": [1.0, 2.0, 3.0],

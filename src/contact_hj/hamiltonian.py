@@ -76,10 +76,6 @@ class QuadraticKinetic:
     def conjugate_speed(self, s):
         return 0.5 * np.square(s)
 
-    @property
-    def homogeneity(self):
-        return 2.0
-
     def to_json(self):
         return {"type": "quadratic"}
 
@@ -98,10 +94,6 @@ class PowerKinetic:
     def conjugate_speed(self, s):
         tau_star = self.tau / (self.tau - 1.0)
         return np.power(np.abs(s), tau_star) / tau_star
-
-    @property
-    def homogeneity(self):
-        return self.tau
 
     def to_json(self):
         return {"type": "power", "tau": self.tau}
@@ -129,10 +121,6 @@ class TabulatedKinetic:
         vals = np.asarray(self.values, dtype=float)
         return np.interp(r, self.dp * np.arange(len(vals)), vals)
 
-    @property
-    def homogeneity(self):
-        return None
-
     def to_json(self):
         return {"type": "tabulated", "dp": self.dp, "values": list(self.values)}
 
@@ -141,64 +129,45 @@ class TabulatedKinetic:
 # couplings
 #
 # Each coupling gives its outer factor phi at points (outer), its momentum
-# term m(r, u) inside the Legendre sup (momentum_term), whether that term is
-# free of u (separable), its value and u-derivative inside H (term, du) and
-# the bounds of du_H over |p| <= p_radius (kappa_bounds).
+# term m(r, u) (momentum_term) with its u-derivative (momentum_du), and
+# whether m is free of u (separable): H = kinetic - f + phi*u + m. Each m is
+# nondecreasing in u (m_u = 0, or (r^2 + 1)/(1 + u^2) for arctan), so the
+# sweep takes min phi over its nodes as the lower bound kappa_lo of du_H.
 
 
-@dataclass(frozen=True)
-class NoCoupling:
-    kind = "none"
+class _NoMomentum:
     separable = True
-
-    def outer(self, pts):
-        return 0.0
 
     def momentum_term(self, r, u):
         return 0.0
 
-    def term(self, phi_x, p_norm2, u):
+    def momentum_du(self, r, u):
+        return np.zeros(np.broadcast(r, u).shape)
+
+
+@dataclass(frozen=True)
+class NoCoupling(_NoMomentum):
+    kind = "none"
+
+    def outer(self, pts):
         return 0.0
-
-    def du(self, phi_x, p_norm2, u):
-        return np.zeros(np.broadcast(phi_x, p_norm2, u).shape)
-
-    def kappa_bounds(self, p_radius):
-        return (0.0, 0.0)
 
     def to_json(self):
         return {"type": "none"}
 
 
 @dataclass(frozen=True)
-class LinearCoupling:
-    """Coupling phi(x) * u with recorded bounds kappa_lo < phi <= kappa_hi."""
+class LinearCoupling(_NoMomentum):
+    """Coupling phi(x) * u."""
 
     phi: Expr
-    kappa_lo: float = 0.0
-    kappa_hi: float = 1.0
     kind = "linear"
-    separable = True
 
     def outer(self, pts):
         return self.phi(**point_env(pts))
 
-    def momentum_term(self, r, u):
-        return 0.0
-
-    def term(self, phi_x, p_norm2, u):
-        return phi_x * u
-
-    def du(self, phi_x, p_norm2, u):
-        return np.broadcast_to(np.asarray(phi_x, dtype=float),
-                               np.broadcast(phi_x, p_norm2, u).shape)
-
-    def kappa_bounds(self, p_radius):
-        return (self.kappa_lo, self.kappa_hi)
-
     def to_json(self):
-        return {"type": "linear", "phi": str(self.phi),
-                "bounds": {"kappa_lo": self.kappa_lo, "kappa_hi": self.kappa_hi}}
+        return {"type": "linear", "phi": str(self.phi)}
 
 
 @dataclass(frozen=True)
@@ -213,16 +182,10 @@ class ArctanCoupling:
         return 1.0
 
     def momentum_term(self, r, u):
-        return (np.square(r) + 1.0) * (math.atan(u) + self.shift)
+        return (np.square(r) + 1.0) * (np.arctan(u) + self.shift)
 
-    def term(self, phi_x, p_norm2, u):
-        return (p_norm2 + 1.0) * (np.arctan(u) + self.shift) + u
-
-    def du(self, phi_x, p_norm2, u):
-        return (p_norm2 + 1.0) / (1.0 + np.square(u)) + 1.0
-
-    def kappa_bounds(self, p_radius):
-        return (1.0, p_radius ** 2 + 2.0)
+    def momentum_du(self, r, u):
+        return (np.square(r) + 1.0) / (1.0 + np.square(u))
 
     def to_json(self):
         return {"type": "arctan", "shift": self.shift}
@@ -264,6 +227,14 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _own_keys(spec: dict, part, where: str, ignored=()):
+    """part, or ModelError for a key of spec that part.to_json() lacks."""
+    extra = sorted(set(spec) - set(part.to_json()) - set(ignored))
+    if extra:
+        raise ModelError(f"unknown key {where}{extra[0]}")
+    return part
+
+
 @dataclass(frozen=True)
 class HamiltonianModel:
     dim: int
@@ -298,39 +269,28 @@ class HamiltonianModel:
     # -- evaluation --------------------------------------------------------
 
     def eval_h(self, x, p, u):
-        """H(x, p, u), broadcast over batched inputs."""
-        mom = _as_points(p, self.dim)
+        """H(x, p, u) = kinetic(|p|) - f(x) + phi(x)*u + m(|p|, u), batched."""
+        r = np.sqrt(np.sum(np.square(_as_points(p, self.dim)), axis=-1))
         u = np.asarray(u, dtype=float)
-        p_norm2 = np.sum(np.square(mom), axis=-1)
-        kin = self.kinetic.radial(np.sqrt(p_norm2))
-        val = kin - self.f(x) + self.coupling.term(self.phi(x), p_norm2, u)
+        val = (self.kinetic.radial(r) - self.f(x)
+               + (self.phi(x) * u + self.coupling.momentum_term(r, u)))
         return val if np.ndim(val) else float(val)
 
     def du_h(self, x, p, u):
-        """Partial derivative of H in the u slot."""
-        mom = _as_points(p, self.dim)
-        u = np.asarray(u, dtype=float)
-        p_norm2 = np.sum(np.square(mom), axis=-1)
-        val = self.coupling.du(self.phi(x), p_norm2, u)
+        """Partial derivative of H in the u slot, phi(x) + m_u(|p|, u)."""
+        r = np.sqrt(np.sum(np.square(_as_points(p, self.dim)), axis=-1))
+        val = self.phi(x) + self.coupling.momentum_du(r, u)
         return val if np.ndim(val) else float(val)
-
-    def kappa_bounds(self, p_radius: float) -> tuple:
-        """Bounds on du_H over momenta |p| <= p_radius (all x, u)."""
-        return self.coupling.kappa_bounds(p_radius)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "dim": self.dim,
             "kinetic": self.kinetic.to_json(),
             "potential": str(self.potential),
             "coupling": self.coupling.to_json(),
         }
-        if self.coupling.kind == "linear":
-            data["bounds"] = {"kappa_lo": self.coupling.kappa_lo,
-                              "kappa_hi": self.coupling.kappa_hi}
-        return data
 
     @staticmethod
     def from_json(data) -> "HamiltonianModel":
@@ -355,26 +315,22 @@ class HamiltonianModel:
         if ckind == "none":
             coupling = NoCoupling()
         elif ckind == "linear":
-            bounds = _object(cpl_spec.get("bounds", data.get("bounds", {})),
-                             "coupling bounds")
-            coupling = LinearCoupling(
-                phi=parse(cpl_spec["phi"]),
-                kappa_lo=_number(bounds.get("kappa_lo", 0.0),
-                                 "coupling.bounds.kappa_lo"),
-                kappa_hi=_number(bounds.get("kappa_hi", 1.0),
-                                 "coupling.bounds.kappa_hi"),
-            )
+            coupling = LinearCoupling(phi=parse(cpl_spec["phi"]))
         elif ckind == "arctan":
             coupling = ArctanCoupling(
                 shift=_number(cpl_spec.get("shift", math.pi), "coupling.shift"))
         else:
             raise ModelError(f"unknown coupling type {ckind!r}")
-        return HamiltonianModel(
+        # coupling.bounds is accepted and ignored: kappa_lo comes from phi
+        _own_keys(kin_spec, kinetic, "model.kinetic.")
+        _own_keys(cpl_spec, coupling, "model.coupling.", ignored=("bounds",))
+        model = HamiltonianModel(
             dim=_number(data["dim"], "dim", int),
             kinetic=kinetic,
             potential=parse(data["potential"]),
             coupling=coupling,
         )
+        return _own_keys(data, model, "model.")
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +717,7 @@ def check_assumptions(model: HamiltonianModel) -> AssumptionReport:
     worst_p1, (i, k, j) = _first(np.argmax, hv[0] - hv[1])
     wit_p1 = {"x": x_sub[j].tolist(), "p": p_sub[i].tolist(),
               "u": float(levels[k])}
-    if model.kinetic.homogeneity is None:
+    if isinstance(model.kinetic, TabulatedKinetic):  # not homogeneous
         c_theta, p1_ok = max(0.0, worst_p1), True
         p1_note = f"empirical constant at theta={_THETA}"
     else:  # C_theta = (1 - theta^tau) * min kinetic, and that minimum is 0

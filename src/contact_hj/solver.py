@@ -32,9 +32,10 @@ a c off it raises CMismatchError before any sweep.
 The loop stops when the residual |Tv - v| falls below tol*min(1, gain),
 gain the contraction margin of one sweep, or to the float floor, and
 reports residual/gain as "error_bound". It bounds the error where one
-sweep contracts (λ > 0 with κ_lo > 0, or δ > 0). At λ = δ = 0 and for
-vanishing φ gain is 1 and it is the residual of the discrete fixed point,
-not a contraction bound.
+sweep contracts (λ > 0 with κ_lo > 0, or δ > 0), κ_lo the least φ over
+the in-mask nodes. At λ = δ = 0 and for φ that vanishes on a node gain is
+1 and it is the residual of the discrete fixed point, not a contraction
+bound.
 
 The iterate is the vector of in-mask values alone, and stencils point at
 positions in it; out-of-mask values pass through from v0. A stencil that
@@ -240,8 +241,18 @@ class SweepKernel:
         # per-control sup term at u = 0: the whole cost for separable
         # couplings, the λ = 0 and explicit-discount cost for p-coupled ones
         self.cost = evaluator.conjugate_speeds(self.speeds)
-        kappa = model.kappa_bounds(controls.max_speed)
-        self.kappa_lo = max(kappa[0], 0.0)
+        # du_H >= phi on the nodes, every momentum term nondecreasing in u
+        self.kappa_lo = max(float(np.min(self.phi_in)), 0.0)
+        # Curves read phi between nodes, where it may dip below the node
+        # minimum by up to about an eighth of its second differences. A node
+        # minimum no larger than their sum over the axes may hide a zero, so
+        # the traces' tail rule takes no margin there.
+        phi = np.full(grid.size, np.nan)
+        phi[self.in_idx] = self.phi_in
+        d2 = [np.abs(np.diff(phi.reshape(grid.shape), n=2, axis=k))
+              for k in range(grid.dim)]  # nan where a node leaves the mask
+        curv = sum(float(np.max(d, initial=0.0, where=d >= 0)) for d in d2)
+        self.trace_kappa = self.kappa_lo if self.kappa_lo > curv else 0.0
         self.stay = int(np.flatnonzero(~np.any(ctrl, axis=1))[0])  # a = 0
 
     # -- one sweep ---------------------------------------------------------

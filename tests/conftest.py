@@ -35,7 +35,7 @@ def make_ql_model() -> HamiltonianModel:
         dim=1,
         kinetic=QuadraticKinetic(),
         potential=parse("1 - exp(-x^2)"),
-        coupling=LinearCoupling(parse("1"), 1.0, 1.0),
+        coupling=LinearCoupling(parse("1")),
     )
 
 
@@ -118,7 +118,7 @@ def ball_2d():
     # reaches the boundary there, and controls leaving the ball are blocked
     model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
                              potential=parse("2 + x"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+                             coupling=LinearCoupling(parse("1")))
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.0), (25, 25))
     controls = ControlSet.build(2, da=1.0)

@@ -310,7 +310,7 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["check", "--config", "CFG", "--set", "model=3"],
     ["check", "--config", "CFG", "--set", "model.kinetic=3"],
     ["check", "--config", "CFG", "--set", "model.coupling=3"],
-    ["check", "--config", "CFG", "--set", "model.coupling.bounds=3"],
+    ["check", "--config", "CFG", "--set", "model.coupling.kappa=3"],
     ["check", "--config", "CFG", "--set", 'model.coupling.phi="1 + y"'],
     ["solve", "--config", "CFG", "--set", "model.coupling.phi=1/x"],
     ["check", "--preset", "power-tau", "--set", "model.kinetic.tau=[1]"],
@@ -318,6 +318,14 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["check", "--config", "CFG", "--set", "model.dim=[1]"],
     ["localize", "--config", "CFG", "--set", "radii=[]"],
     ["sweep", "--config", "CFG", "--set", "window=[[]]"],
+    ["check", "--config", "CFG", "--set", "model.foo=1"],
+    ["check", "--preset", "quadratic-linear", "--set", "model.kinetic.tau=3"],
+    ["check", "--preset", "arctan", "--set", 'model.coupling.phi="1"'],
+    ["solve", "--config", "CFG", "--lam", "nan"],
+    ["trace", "--config", "CFG", "--lam", "-0.1"],
+    ["mane", "--config", "CFG", "--z", "nan"],
+    ["trace", "--config", "CFG", "--horizon", "-1"],
+    ["measure", "--config", "CFG", "--horizon", "inf"],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file
@@ -325,10 +333,13 @@ def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     assert main(argv + ["--out", out, "--stamp", "t"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    # the message names the overridden key, or the function it defines
+    # the message names the overridden key, or the function it defines,
+    # or the flag
     for flag, pair in zip(argv, argv[1:]):
         if flag == "--set":
             assert pair.partition("=")[0].rpartition(".")[2] in err
+        elif flag in ("--lam", "--z", "--horizon"):
+            assert flag in err
 
 
 def test_localize_passes_at_the_origin(cfg_file, capsys):

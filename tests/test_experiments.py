@@ -15,7 +15,8 @@ from contact_hj.experiments import (ConfigError, ExperimentConfig, _guard,
 from contact_hj.grid import GridField
 from contact_hj.hamiltonian import (ExtentError, HamiltonianModel,
                                     LagrangianEvaluator)
-from contact_hj.solver import SweepKernel, aubry_indicator
+from contact_hj.solver import (SweepKernel, aubry_indicator,
+                               solve_state_constraint)
 
 QL_MODEL = {"dim": 1, "kinetic": {"type": "quadratic"},
             "potential": "1 - exp(-x^2)",
@@ -66,6 +67,63 @@ def test_config_rejects_bad_model():
         ExperimentConfig.from_dict({"model": {"dim": 1,
                                               "kinetic": {"type": "cubic"},
                                               "potential": "0"}})
+
+
+def test_config_stores_validated_numbers(tmp_path):
+    # numeric strings and booleans pass _number; the config keeps its floats
+    cfg = coarse(tmp_path, probes=[["1"], [True]],
+                 grid={"box": [["-10", 10]], "shape": [101]})
+    assert cfg.probes == ((1.0,), (1.0,))
+    assert cfg.grid["box"] == [[-10.0, 10.0]]
+    assert all(type(v) is float for v in cfg.probes[0] + cfg.probes[1]
+               + tuple(cfg.grid["box"][0]))
+
+
+@pytest.mark.parametrize("bounds", [None, {"kappa_low": 1.0},
+                                    {"kappa_lo": 5.0, "kappa_hi": 9.0}, 3])
+def test_coupling_bounds_are_ignored(tmp_path, bounds):
+    # kappa_lo comes from phi on the kernel's nodes, whatever bounds say
+    coupling = {"type": "linear", "phi": "1"}
+    if bounds is not None:
+        coupling["bounds"] = bounds
+    cfg = coarse(tmp_path, model={**QL_MODEL, "coupling": coupling})
+    assert cfg == coarse(tmp_path)
+    assert "bounds" not in json.dumps(cfg.model)
+    kernel = experiments.setup(cfg)
+    assert kernel.kappa_lo == 1.0
+    assert cfg.trace_horizon(0.025, kernel.kappa_lo) == pytest.approx(
+        np.log(10.0) / 0.025)
+
+
+def test_vanishing_phi_override_gets_no_contraction_margin():
+    # phi = x^2 vanishes at the well: kappa_lo is 0, gain 1, and the
+    # error bound is the residual
+    data = builtin_models()["quadratic-linear"].to_dict()
+    data["model"]["coupling"]["phi"] = "x^2"
+    data["lambdas"] = [0.2]
+    cfg = ExperimentConfig.from_dict(data)
+    kernel = experiments.setup(cfg)
+    assert kernel.kappa_lo == 0.0
+    assert cfg.trace_horizon(0.2, kernel.kappa_lo) == 40.0
+    out = solve_state_constraint(kernel, 0.2, 0.0, cfg.build_params())
+    assert out.converged
+    assert out.extras["error_bound"] == out.final_residual
+
+
+@pytest.mark.parametrize("phi,shape", [("x^2", 400), ("(x - 0.33)^2", 401),
+                                       ("x^2 + 1e-6", 400)])
+def test_phi_vanishing_between_nodes_keeps_the_base_horizon(phi, shape):
+    # no node sits at phi's zero, so the node minimum is small but positive:
+    # the sweep keeps it as its exact margin, while the traces, which read
+    # phi between nodes, take none and keep the 40 horizon
+    data = builtin_models()["quadratic-linear"].to_dict()
+    data["model"]["coupling"]["phi"] = phi
+    data["grid"]["shape"] = [shape]
+    cfg = ExperimentConfig.from_dict(data)
+    kernel = experiments.setup(cfg)
+    assert 0.0 < kernel.kappa_lo < 1e-3
+    assert kernel.trace_kappa == 0.0
+    assert cfg.trace_horizon(0.025, kernel.trace_kappa) == 40.0
 
 
 def test_config_defaults():

@@ -4,6 +4,7 @@ Frozen values below were produced by brute-force maximization over dense
 momentum grids (2e6 points on [-50, 50]) independent of the evaluator.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -41,7 +42,7 @@ def quad_lin():
         dim=1,
         kinetic=QuadraticKinetic(),
         potential=parse("1 - exp(-x^2)"),
-        coupling=LinearCoupling(phi=parse("1"), kappa_lo=1.0, kappa_hi=1.0),
+        coupling=LinearCoupling(phi=parse("1")),
     )
 
 
@@ -69,6 +70,36 @@ def test_du_h(quad_lin, arctan_model):
     assert quad_lin.du_h(0.3, 1.0, 0.7) == pytest.approx(1.0)
     # (p^2+1)/(1+u^2) + 1 at p=2, u=1
     assert arctan_model.du_h(0.0, 2.0, 1.0) == pytest.approx(5.0 / 2.0 + 1.0)
+
+
+@pytest.mark.parametrize("coupling", [
+    NoCoupling(), LinearCoupling(parse("2 + sin(x)")), ArctanCoupling()],
+    ids=["none", "linear", "arctan"])
+def test_du_h_is_the_u_slope_of_eval_h(coupling):
+    # H and du_H read one u-part, phi(x)*u + m(|p|, u), of each coupling
+    model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-x^2)"),
+                             coupling=coupling)
+    x, p, u = np.linspace(-3, 3, 7), np.linspace(-2, 2, 5)[:, None], 0.3
+    slope = (model.eval_h(x, p[..., None], u + 1e-6)
+             - model.eval_h(x, p[..., None], u - 1e-6)) / 2e-6
+    du = np.broadcast_to(model.du_h(x, p[..., None], u), slope.shape)
+    np.testing.assert_allclose(du, slope, rtol=1e-7, atol=1e-7)
+    assert np.all(du >= model.phi(x))
+
+
+def test_from_json_rejects_unknown_keys_and_ignores_bounds(quad_lin):
+    for part, key in ((None, "foo"), ("kinetic", "tau"),
+                      ("coupling", "kappa")):
+        data = quad_lin.to_json()
+        (data if part is None else data[part])[key] = 3
+        where = "model." if part is None else f"model.{part}."
+        with pytest.raises(ModelError, match=f"unknown key {where}{key}$"):
+            HamiltonianModel.from_json(data)
+    data = quad_lin.to_json()
+    assert "bounds" not in json.dumps(data)
+    data["coupling"]["bounds"] = {"kappa_lo": 5.0}
+    assert HamiltonianModel.from_json(data) == quad_lin
 
 
 def test_closed_legendre_values(quad_lin):
@@ -241,7 +272,7 @@ def test_json_roundtrip_power_2d():
     model = HamiltonianModel(
         dim=2, kinetic=PowerKinetic(tau=3.0),
         potential=parse("1 - exp(-(x^2 + y^2))"),
-        coupling=LinearCoupling(phi=parse("1"), kappa_lo=1.0, kappa_hi=1.0))
+        coupling=LinearCoupling(phi=parse("1")))
     back = HamiltonianModel.from_json(model.to_json())
     assert back.eval_h((0.3, -0.4), (1.0, 2.0), 0.5) == pytest.approx(
         model.eval_h((0.3, -0.4), (1.0, 2.0), 0.5))
@@ -255,12 +286,6 @@ def test_model_validation():
                          potential=parse("1 - exp(-y^2)"))
     with pytest.raises(ModelError):
         PowerKinetic(tau=1.0)
-
-
-def test_kappa_bounds(quad_lin, arctan_model):
-    assert quad_lin.kappa_bounds(6.0) == (1.0, 1.0)
-    lo, hi = arctan_model.kappa_bounds(6.0)
-    assert lo == pytest.approx(1.0) and hi == pytest.approx(38.0)
 
 
 def test_assumptions_quadratic_linear(quad_lin):
@@ -286,8 +311,7 @@ def test_h4_probes_every_x_sample():
     # sampled phi, the same sample maximum that H3 reports
     model = HamiltonianModel(
         dim=1, kinetic=QuadraticKinetic(), potential=parse("1 - exp(-x^2)"),
-        coupling=LinearCoupling(phi=parse("2 + sin(x)"), kappa_lo=1.0,
-                                kappa_hi=3.0))
+        coupling=LinearCoupling(phi=parse("2 + sin(x)")))
     report = check_assumptions(model)
     assert report["H4"].status == "verified-on-samples"
     assert report["H4"].witness["kappa_hi"] == report["H3"].witness["kappa_hi"]
@@ -304,8 +328,7 @@ def test_ball_samples_2d_hold_the_origin_once():
 def test_assumptions_detect_nonmonotone():
     bad = HamiltonianModel(
         dim=1, kinetic=QuadraticKinetic(), potential=parse("1 - exp(-x^2)"),
-        coupling=LinearCoupling(phi=parse("0 - 1"), kappa_lo=-1.0,
-                                kappa_hi=-1.0))
+        coupling=LinearCoupling(phi=parse("0 - 1")))
     report = check_assumptions(bad)
     assert report["H1"].status == "violated"
     assert report["H3"].status == "violated"
@@ -329,7 +352,7 @@ def test_two_dimensional_eval():
     model = HamiltonianModel(
         dim=2, kinetic=QuadraticKinetic(),
         potential=parse("1 - exp(-(x^2 + y^2))"),
-        coupling=LinearCoupling(phi=parse("1"), kappa_lo=1.0, kappa_hi=1.0))
+        coupling=LinearCoupling(phi=parse("1")))
     # H(0, (3,4), 2) = 25/2 - 0 + 2
     assert model.eval_h((0.0, 0.0), (3.0, 4.0), 2.0) == pytest.approx(14.5)
     ev = LagrangianEvaluator(model)
@@ -384,8 +407,7 @@ _KINETICS = {
 }
 _COUPLINGS = {
     "none": NoCoupling(),
-    "linear": LinearCoupling(phi=parse("1 + x^2"), kappa_lo=1.0,
-                             kappa_hi=37.0),
+    "linear": LinearCoupling(phi=parse("1 + x^2")),
     "arctan": ArctanCoupling(shift=math.pi),
 }
 

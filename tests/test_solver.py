@@ -92,7 +92,7 @@ def test_kernel_rejects_non_finite_model(grid201, controls1d, potential, phi,
                                          name):
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse(potential),
-                             coupling=LinearCoupling(parse(phi), 1.0, 1.0))
+                             coupling=LinearCoupling(parse(phi)))
     with pytest.raises(SolverError,
                        match=rf"{name} is not finite at node \[0\.0\]"):
         SweepKernel(grid201, LagrangianEvaluator(model), controls1d)
@@ -102,12 +102,32 @@ def test_kernel_rejects_non_finite_model(grid201, controls1d, potential, phi,
 # one sweep of the operator
 
 
+@pytest.mark.parametrize("coupling, kappa", [
+    (LinearCoupling(parse("2 + sin(x)")), None), (ArctanCoupling(), 1.0),
+    (NoCoupling(), 0.0)], ids=["sin", "arctan", "none"])
+def test_kernel_kappa_lo_is_the_least_phi_on_its_nodes(controls1d, coupling,
+                                                       kappa):
+    # on a ball of radius 1.5 the least 2 + sin(x) is 2 + sin(-1.5); the
+    # box's least, 1.0004 near x = -pi/2, lies outside the mask
+    model = HamiltonianModel(
+        dim=1, kinetic=QuadraticKinetic(), potential=parse("1 - exp(-x^2)"),
+        coupling=coupling)
+    grid = UniformGrid(Domain.ball(((-10.0, 10.0),), 1.5), (201,))
+    kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
+    if kappa is None:
+        kappa = float(np.min(2.0 + np.sin(grid.points()[kernel.in_idx, 0])))
+        assert kappa == pytest.approx(2.0 + math.sin(-1.5))
+    assert kernel.kappa_lo == kappa
+    # well clear of phi's second differences, so the traces keep it too
+    assert kernel.trace_kappa == kappa
+
+
 def test_step_constant_field_exact():
     # f = 0, phi = 1: sitting still is optimal and the sweep multiplies a
     # constant field by exactly (1 - lam*dt)
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("0"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+                             coupling=LinearCoupling(parse("1")))
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
     kernel = SweepKernel(grid, ev, ControlSet.build(1))
@@ -198,7 +218,7 @@ def test_step_matches_bruteforce_enumeration(ql_model, ql_evaluator):
     # 2D ball mask
     model = HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
                              potential=parse("1 - exp(-(x^2 + y^2))"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+                             coupling=LinearCoupling(parse("1")))
     ev = LagrangianEvaluator(model)
     grid = UniformGrid(Domain.ball(((-1.5, 1.5),) * 2, 1.0), (13, 13))
     cs = ControlSet.build(2, max_speed=2.0, da=0.5)
@@ -316,7 +336,7 @@ def test_nonconvergence_reported_not_raised(kernel201):
 def _quadratic_2d_model():
     return HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
                             potential=parse("1 - exp(-(x^2 + y^2))"),
-                            coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+                            coupling=LinearCoupling(parse("1")))
 
 
 def test_thin_ball_mask_raises():
@@ -447,7 +467,7 @@ def test_critical_value_gaussian_well(kernel201):
 def test_critical_value_shifted_potential(ql_evaluator, controls1d):
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("(1 - exp(-x^2)) + 1"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+                             coupling=LinearCoupling(parse("1")))
     grid = UniformGrid(Domain.full_box(((-10.0, 10.0),)), (201,))
     kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
     est = estimate_critical_value(kernel, (0.2, 0.1, 0.05),
@@ -701,7 +721,7 @@ def test_vanishing_phi_policy_iteration_matches_value_iteration(
     # it where it is, and lands on value iteration's fixed point
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("1 - exp(-x^2)"),
-                             coupling=LinearCoupling(parse("x^2"), 0.0, 4.0))
+                             coupling=LinearCoupling(parse("x^2")))
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
     kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
     n = len(kernel.in_idx)
@@ -764,7 +784,7 @@ def test_ergodic_keeps_the_well_levels_of_v0(controls1d):
     model = HamiltonianModel(
         dim=1, kinetic=QuadraticKinetic(),
         potential=parse("(1 - exp(-(x-2)^2))*(1 - exp(-(x+2)^2))"),
-        coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+        coupling=LinearCoupling(parse("1")))
     grid = UniformGrid(Domain.full_box(((-6.0, 6.0),)), (121,))
     kernel = SweepKernel(grid, LagrangianEvaluator(model), controls1d)
     v0 = np.where(grid.axes[0] > 0.0, 0.3, 0.0)
@@ -840,7 +860,7 @@ def test_two_dimensional_radial_oracle_solve_and_trace():
     model = HamiltonianModel(
         dim=2, kinetic=QuadraticKinetic(),
         potential=parse("1 - exp(-(x^2 + y^2))"),
-        coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+        coupling=LinearCoupling(parse("1")))
     ev = LagrangianEvaluator(model)
     controls = ControlSet.build(2)
     grid = UniformGrid(Domain.ball(((-3.0, 3.0),) * 2, 2.5), (31, 31))
@@ -881,7 +901,7 @@ def test_aubry_indicator_separates_the_well(kernel201):
 def test_aubry_indicator_flat_potential_vanishes():
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("0"),
-                             coupling=LinearCoupling(parse("1"), 1.0, 1.0))
+                             coupling=LinearCoupling(parse("1")))
     grid = UniformGrid(Domain.full_box(((-2.0, 2.0),)), (41,))
     kernel = SweepKernel(grid, LagrangianEvaluator(model), ControlSet.build(1))
     delta = aubry_indicator(kernel, 0.0, [0.5, -1.0],
