@@ -88,13 +88,11 @@ def _section(data: dict, key: str) -> dict:
     return dict(value)
 
 
-def _check_keys(data: dict, allowed: set, where: str, numeric=()) -> None:
-    """ConfigError for an unknown key or a non-number under a numeric key."""
-    for key, value in data.items():
+def _check_keys(data: dict, allowed: set, where: str) -> None:
+    """ConfigError for an unknown key."""
+    for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown config key {where}{key!r}")
-        if key in numeric and value is not None:
-            _number(value, where + key)
 
 
 def read_config_file(path) -> dict:
@@ -146,17 +144,20 @@ class ExperimentConfig:
         dim = model.dim
 
         grid = _section(data, "grid")
-        _check_keys(grid, _GRID_KEYS, "grid.", numeric={"radius"})
+        _check_keys(grid, _GRID_KEYS, "grid.")
         if "box" not in grid:
             grid["box"] = [[-10.0, 10.0]] if dim == 1 else [[-6.0, 6.0]] * 2
         if "shape" not in grid:
             grid["shape"] = [401] if dim == 1 else [161, 161]
         grid["box"] = [list(_numbers(side, "grid.box"))
                        for side in _items(grid["box"], "grid.box")]
-        if not all(n.is_integer() for n in _numbers(grid["shape"],
-                                                     "grid.shape")):
+        shape = _numbers(grid["shape"], "grid.shape")
+        if not all(n.is_integer() for n in shape):
             raise ConfigError(f"'grid.shape' needs whole node counts, got "
                               f"{grid['shape']!r}")
+        grid["shape"] = [int(n) for n in shape]
+        if grid.get("radius") is not None:
+            grid["radius"] = _positive(grid["radius"], "grid.radius")
         if len(grid["box"]) != dim or len(grid["shape"]) != dim:
             raise ConfigError("grid box/shape rank does not match model dim")
         grid.setdefault("kind", "box")
@@ -186,8 +187,8 @@ class ExperimentConfig:
             raise ConfigError("lambdas must be positive")
         if any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigError("lambdas must be strictly decreasing")
-        radii = _numbers(_items(data.get("radii", (2, 3, 4, 5, 6)), "radii"),
-                         "radii")
+        radii = tuple(_positive(r, "radii") for r in _items(
+            data.get("radii", (2, 3, 4, 5, 6)), "radii"))
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing")
 
@@ -251,13 +252,13 @@ class ExperimentConfig:
     def build_grid(self, radius=None) -> UniformGrid:
         """The main grid, or the ball of the given radius on its lattice."""
         box = tuple(tuple(b) for b in self.grid["box"])
-        shape = tuple(int(s) for s in self.grid["shape"])
+        shape = tuple(self.grid["shape"])
         if radius is None and self.grid["kind"] == "box":
             return UniformGrid(Domain.full_box(box), shape)
         radius = self.grid.get("radius") if radius is None else radius
         if radius is None:
             raise ConfigError("ball grid needs a radius")
-        return UniformGrid(Domain.ball(box, float(radius)), shape)
+        return UniformGrid(Domain.ball(box, radius), shape)
 
     def build_params(self) -> SolveParams:
         return SolveParams(tol=self.solver["tol"],

@@ -18,9 +18,11 @@ gives the policy and the Bellman residual, and one direct solve of the
 frozen-policy system (SweepKernel.policy_solve; see _policy_iterate). That
 solve is block-tridiagonal elimination over blocks sized to the grid's own
 bandwidth, the reach of the stencil entries whose neighbour lies in the
-mask, plus one small Woodbury correction for the boundary entries that the
-mask replacement sends further. The iteration count does not grow as λ
-shrinks, where value iteration's sweep count grows like 1/(λΔt). Rows
+mask; a policy that weighs a boundary entry the mask replacement sends
+further widens the band to it for that solve. The same elimination solves
+for A^-1 1, which bounds the system's condition, and a system singular to
+working precision raises SolverError. The iteration count does not grow as
+λ shrinks, where value iteration's sweep count grows like 1/(λΔt). Rows
 that would make that system singular are held at the node's current
 value: the pin of the pinned solve, the Aubry nodes of the ergodic one,
 and nodes whose undiscounted sweep stays put and returns its own value
@@ -63,7 +65,7 @@ _FLOAT_FLOOR = 1e-13
 _ROW_CHUNK = 1024  # in-mask rows per block of a sweep; bounds its temporaries
 _FOOT_CHUNK = 1 << 16  # feet per block of the kernel's admissibility test
 _SOLVE_BLOCK = 64  # rows per block of the frozen-policy solve, at most n
-_SINGULAR_COND = 1e12  # condition of a far-entry correction taken as singular
+_SINGULAR_COND = 1e12  # condition bound of a solve taken as singular
 
 
 class SolverError(RuntimeError):
@@ -227,7 +229,15 @@ class SweepKernel:
             raise SolverError(
                 f"no admissible control at node {bad.tolist()}; "
                 "mask too thin for this control set")
-        self._solve_layout(grid.mask.ravel()[raw])
+        # the bandwidth of the frozen-policy solve: the farthest reach of a
+        # stencil entry whose raw neighbour lies in the mask. The entries
+        # that replacement_map sends further are far (see policy_solve).
+        reach = np.abs(self.stencil - np.arange(len(in_pts))[:, None])
+        bw = self.bandwidth = int(reach[grid.mask.ravel()[raw]].max(initial=0))
+        rows, slots = (reach > bw).nonzero()
+        self.far = rows, slots, self.stencil[rows, slots]
+        self._layout = self._band_layout(bw)
+        self.block = self._layout[0][0][1]  # rows per block, the last aside
 
         with np.errstate(all="ignore"):
             self.f_in = model.f(in_pts)
@@ -293,84 +303,75 @@ class SweepKernel:
 
     # -- one frozen-policy solve -------------------------------------------
 
-    def _solve_layout(self, natural: np.ndarray):
-        """Bandwidth, blocks and far entries of the frozen-policy solve.
+    def _band_layout(self, bw: int):
+        """Blocks and scatter indices of the frozen-policy solve at band
+        width bw, at least the bandwidth.
 
-        natural marks the stencil entries whose raw neighbour lies in the
-        mask. They reach at most `bandwidth` positions from their node;
-        entries that replacement_map sends further are far, and
-        policy_solve corrects for them. Blocks hold _SOLVE_BLOCK rows, or
-        the bandwidth where that is wider, so a block couples only to its
-        neighbours. Each block's scatter indices are fixed here: stencil
-        entries, then the diagonal, with far entries sent to a spare slot
-        past the block.
+        Blocks hold _SOLVE_BLOCK rows, or bw where that is wider, so a block
+        couples only to its neighbours. Each block's scatter indices place
+        stencil entries, then the diagonal, with the far entries that reach
+        past bw sent to a spare slot past the block.
         """
         n = len(self.stencil)
         index = np.arange(n)
-        reach = np.abs(self.stencil - index[:, None])
-        bw = self.bandwidth = int(reach[natural].max(initial=0))
-        rows, slots = (reach > bw).nonzero()
-        self.far = rows, slots, self.stencil[rows, slots]
-        b = self.block = max(bw, min(n, _SOLVE_BLOCK))
+        b = max(bw, min(n, _SOLVE_BLOCK))
         # first row, end row, first column and width of each block row
-        self._blocks = [(lo, min(lo + b, n), max(lo - bw, 0),
-                         min(lo + b + bw, n) - max(lo - bw, 0))
-                        for lo in range(0, n, b)]
+        blocks = [(lo, min(lo + b, n), max(lo - bw, 0),
+                   min(lo + b + bw, n) - max(lo - bw, 0))
+                  for lo in range(0, n, b)]
         lo, hi, c0, width = np.repeat(
-            self._blocks, [hi - lo for lo, hi, _, _ in self._blocks],
-            axis=0).T
+            blocks, [hi - lo for lo, hi, _, _ in blocks], axis=0).T
         flat = np.concatenate((self.stencil, index[:, None]), axis=1)
         flat += ((index - lo) * width - c0)[:, None]
+        rows, slots, cols = self.far
+        beyond = np.abs(cols - rows) > bw
+        rows, slots = rows[beyond], slots[beyond]
         flat[rows, slots] = ((hi - lo) * width)[rows]
-        self._flat = flat.ravel()
+        return blocks, flat.ravel()
 
     def policy_solve(self, policy: np.ndarray, diag: np.ndarray,
                      scale: float, rhs: np.ndarray) -> np.ndarray:
         """Solve A v = rhs, A = diag - scale*P, on the in-mask positions.
 
         Row i of P holds the hat weights of control policy[i] at stencil[i].
-        A is its banded part N plus the m far entries that this policy
-        weighs, A = N + U V^T, with U's column e holding entry e's value in
-        its row and V's column e the unit vector of its column.
-        Block-tridiagonal elimination of N solves for rhs and U at once,
-        y = N^-1 rhs and Z = N^-1 U, and one m x m Woodbury correction
-        (Hager, SIAM Rev. 1989) gives v = y - Z (I + V^T Z)^-1 V^T y; m = 0
-        leaves v = y.
+        Block-tridiagonal elimination solves it over blocks sized to the
+        bandwidth. A far entry that this policy weighs widens the band to
+        its reach, for this solve only; the far entries left past the band
+        then weigh 0.
 
-        With diag >= scale > 0, A is weakly diagonally dominant with
-        nonpositive off-diagonal entries, and so is N, which drops some of
-        them. Such a matrix is nonsingular exactly when every row reaches a
-        strictly dominant row along its entries (Azimzadeh & Forsyth, SIAM
-        J. Numer. Anal. 2016), and a row that loses a weighed far entry
-        becomes strictly dominant, so N is singular only where A is. The
-        blocks need no pivoting across them, and (I + V^T Z)^-1 =
-        I - V^T A^-1 U is nonnegative. A singular block, or a correction
-        singular to working precision, raises SolverError naming the rows.
+        With diag >= scale > 0, A is a weakly diagonally dominant Z-matrix.
+        Such a matrix is nonsingular exactly when every row reaches a
+        strictly dominant row along its entries, and then A^-1 >= 0
+        (Azimzadeh & Forsyth, SIAM J. Numer. Anal. 2016), so the blocks need
+        no pivoting across them. The elimination also solves A w = 1: max w
+        is the max-norm of A^-1, and max(diag) + scale bounds that of A. A
+        singular block, or rows where (max(diag) + scale)*|w| is not below
+        _SINGULAR_COND, raise SolverError naming the rows.
         """
-        n, bw = len(rhs), self.bandwidth
+        n = len(rhs)
         rows, slots, cols = self.far
-        far_vals = self.weights[slots, policy[rows]] * -scale
-        live = far_vals.nonzero()[0]
-        rows, cols, m = rows[live], cols[live], len(live)
-        # the right-hand sides: rhs, then U
-        rhs_u = np.zeros((n, 1 + m))
-        rhs_u[:, 0] = rhs
-        rhs_u[rows, np.arange(1, m + 1)] = far_vals[live]
+        live = self.weights[slots, policy[rows]] > 0
+        bw, (blocks, flat) = self.bandwidth, self._layout
+        if np.any(live):
+            bw = int(np.max(np.abs(cols[live] - rows[live])))
+            blocks, flat = self._band_layout(bw)
         # per row, the entries that the blocks' scatter indices place
         per_row = self.stencil.shape[1] + 1
         entries = np.empty((n, per_row))
         np.multiply(self.weights.T[policy], -scale, out=entries[:, :-1])
         entries[:, -1] = diag
+        rhs_w = np.ones((n, 2))  # the right-hand sides of v and w
+        rhs_w[:, 0] = rhs
         factors = []
         u_prev = z_prev = None
-        for lo, hi, c0, width in self._blocks:
+        for lo, hi, c0, width in blocks:
             size = (hi - lo) * width
             # block row [left | mid | right] over columns c0 .. c0 + width
-            a = np.bincount(self._flat[lo * per_row:hi * per_row],
+            a = np.bincount(flat[lo * per_row:hi * per_row],
                             weights=entries[lo:hi].ravel(),
                             minlength=size + 1)[:size].reshape(-1, width)
             left, mid = a[:, :lo - c0], a[:, lo - c0:hi - c0]
-            y = rhs_u[lo:hi]
+            y = rhs_w[lo:hi]
             if u_prev is not None:
                 # left meets the last rows of the previous block only
                 mid[:, :u_prev.shape[1]] -= left @ u_prev[len(u_prev) - bw:]
@@ -384,28 +385,21 @@ class SweepKernel:
                     f" ({exc})") from exc
             u_prev, z_prev = sol[:, :width - hi + c0], sol[:, width - hi + c0:]
             factors.append((lo, u_prev, z_prev))
-        x = np.empty((n, 1 + m))
+        x = np.empty((n, 2))
         for lo, u_blk, z_blk in reversed(factors):
             hi = lo + len(z_blk)
             x[lo:hi] = z_blk - u_blk @ x[hi:hi + u_blk.shape[1]]
-        y, z = x[:, 0], x[:, 1:]
-        if not m:
-            return y
-        cap = np.eye(m) + z[cols]
-        # the second column is (I + V^T Z)^-1 1, whose largest entry is the
-        # inverse's max-norm, as the inverse is nonnegative
-        try:
-            t, w = np.linalg.solve(
-                cap, np.column_stack([y[cols], np.ones(m)])).T
-            cond = (float(np.max(np.sum(np.abs(cap), axis=1)))
-                    * float(np.max(np.abs(w))))
-        except np.linalg.LinAlgError:
-            cond = math.inf
-        if not cond < _SINGULAR_COND:
+        v, w = x.T
+        norm = float(diag.max()) + scale
+        if not norm * np.abs(w).max() < _SINGULAR_COND:  # nan counts as over
+            cond = norm * np.abs(w)
+            bad = np.flatnonzero(~(cond < _SINGULAR_COND))
+            more = f" and {bad.size - 10} more" if bad.size > 10 else ""
             raise SolverError(
                 f"frozen-policy system is singular in rows "
-                f"{rows.tolist()} (far-entry correction)")
-        return y - z @ t
+                f"{bad[:10].tolist()}{more} (condition bound "
+                f"{np.max(cond):.3g})")
+        return v
 
 
 def _ensure_table(kernel: SweepKernel, table, lam: float, v: np.ndarray):

@@ -326,6 +326,9 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["mane", "--config", "CFG", "--z", "nan"],
     ["trace", "--config", "CFG", "--horizon", "-1"],
     ["measure", "--config", "CFG", "--horizon", "inf"],
+    ["solve", "--config", "CFG", "--set", 'grid={"kind": "ball", "radius": -3}'],
+    ["solve", "--config", "CFG", "--set", "grid.radius=0"],
+    ["localize", "--config", "CFG", "--set", "radii=[-2,4,6]"],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file
@@ -340,6 +343,18 @@ def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
             assert pair.partition("=")[0].rpartition(".")[2] in err
         elif flag in ("--lam", "--z", "--horizon"):
             assert flag in err
+
+
+def test_report_config_holds_the_validated_grid(tmp_path):
+    rc = main(["measures-study", "--preset", "quadratic-linear", "--out",
+               str(tmp_path), "--stamp", "t", "--set", 'grid.shape=["201"]',
+               "--set", 'grid.radius="3"'])
+    assert rc == 0
+    with open(tmp_path / "measures" / "t" / "report.json") as fh:
+        grid = json.load(fh)["config"]["grid"]
+    # JSON keeps the int apart from 201.0, which == would not
+    assert grid["shape"] == [201] and type(grid["shape"][0]) is int
+    assert grid["radius"] == 3.0 and type(grid["radius"]) is float
 
 
 def test_localize_passes_at_the_origin(cfg_file, capsys):

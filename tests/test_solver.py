@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contact_hj.experiments import builtin_models
+from contact_hj.experiments import builtin_models, setup
 from contact_hj.expressions import parse
 from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
@@ -573,7 +573,7 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
         grid2.shape)
     assert not np.all(grid2.mask.ravel()[raw])
     # and some of them reach past the bandwidth: the far entries, which
-    # every far row below weighs, so the Woodbury correction runs
+    # every far row below weighs, so each solve widens its band to them
     assert len(ball.far[0]) > 0
     for kernel in (kernel401, ball):
         n = len(kernel.in_idx)
@@ -604,7 +604,7 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
                               rng.uniform(-1.0, 1.0, n))
 
 
-@pytest.mark.parametrize("path", ["block", "correction"])
+@pytest.mark.parametrize("path", ["block", "far_row", "moving_sink"])
 def test_policy_solve_singular_2d_ball_names_rows(path):
     ball = _ball_kernel_2d((41, 41), 3.0, 0.8)
     n = len(ball.in_idx)
@@ -617,17 +617,39 @@ def test_policy_solve_singular_2d_ball_names_rows(path):
         lo = row - row % ball.block
         match = rf"singular in rows {lo}\.\.{lo + ball.block - 1} "
     else:
-        # nothing is discounted or held and every row heads toward one far
-        # row, which leaves through its far entry: the rows of A sum to 0,
-        # while the banded part keeps that far row strictly dominant, so
-        # only the correction sees the singular system
-        row = int(ball.far[0][0])
+        # nothing is discounted or held and every row heads toward one row,
+        # which moves on: the rows of A sum to 0, yet rounding leaves every
+        # pivot nonzero, so only the condition test sees the singular
+        # system, and must without a RuntimeWarning. The far row leaves
+        # through its far entry; the interior sink weighs none
+        rows, slots, _ = ball.far
+        row = int(rows[0]) if path == "far_row" else n // 2
         policy = _heading_policy(ball, row)
-        _weigh_far_entry(ball, policy, row)
+        if path == "far_row":
+            _weigh_far_entry(ball, policy, row)
+        else:
+            # the first control that moves along both axes; some others, the
+            # first control (-4, 0) among them, leave an exactly zero pivot,
+            # which the block solve reports
+            policy[row] = np.flatnonzero(
+                np.all(ball.controls.controls != 0, axis=1))[0]
+            assert not ball.blocked[row, policy[row]]
+            assert not np.any(ball.weights[slots, policy[rows]])
         diag = np.ones(n)
-        match = rf"singular in rows \[{row}\b.*far-entry correction"
+        match = (rf"singular in rows \[0, 1, 2, .*\] and {n - 10} more "
+                 r"\(condition bound")
     with pytest.raises(SolverError, match=match):
         ball.policy_solve(policy, diag, 1.0, np.ones(n))
+
+
+def test_tiny_discount_is_not_taken_as_singular():
+    # at lam = 1e-8 on the preset's 401 nodes, max A^-1 1 is about
+    # 1/(lam*dt*kappa_lo), so the condition bound reads about 4.8e10
+    cfg = builtin_models()["quadratic-linear"]
+    kernel = setup(cfg)
+    assert kernel.grid.shape == (401,)
+    out = solve_state_constraint(kernel, 1e-8, cfg.c, cfg.build_params())
+    assert out.converged
 
 
 def _value_iterate(kernel, v, lam, c, tol, discount=0.0, pin=None,
