@@ -13,12 +13,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
 from .grid import (Domain, DomainError, UniformGrid, atomic_write_text,
                    tensor_points)
+from .expressions import ParseError
 from .hamiltonian import (HamiltonianModel, LagrangianEvaluator, ModelError,
                           check_assumptions)
 from .measures import (closedness_defect, default_battery, discounted_measure,
@@ -42,9 +43,6 @@ class ConfigError(ValueError):
 _GRID_KEYS = {"box", "shape", "kind", "radius"}
 _SOLVER_KEYS = {"dt", "tol", "max_iters"}
 _CONTROL_KEYS = {"max_speed", "da"}
-_TOP_KEYS = {"name", "model", "c", "grid", "lambdas", "radii", "probes",
-             "horizon", "window", "solver", "controls", "truncation_radius",
-             "gap_tol", "outdir", "expect_assumptions"}
 
 
 def _number(value, key: str) -> float:
@@ -80,19 +78,16 @@ def _items(value, key: str):
     return value
 
 
-def _section(data: dict, key: str) -> dict:
-    """A copy of the object under key ({} when absent), or ConfigError."""
+def _section(data: dict, key: str, allowed=None) -> dict:
+    """A copy of the object under key ({} when absent), or ConfigError; with
+    allowed, also ConfigError for a key outside it."""
     value = data.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key!r} needs a JSON object, got {value!r}")
+    for name in value:
+        if allowed is not None and name not in allowed:
+            raise ConfigError(f"unknown config key {key}.{name!r}")
     return dict(value)
-
-
-def _check_keys(data: dict, allowed: set, where: str) -> None:
-    """ConfigError for an unknown key."""
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {where}{key!r}")
 
 
 def read_config_file(path) -> dict:
@@ -134,17 +129,20 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        _check_keys(data, _TOP_KEYS, "")
+        for key in data:
+            if key not in _TOP_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
         if "model" not in data:
             raise ConfigError("config needs a 'model' descriptor")
         try:
             model = HamiltonianModel.from_json(data["model"])
-        except (ModelError, KeyError, ValueError) as exc:
+        except (ModelError, ParseError) as exc:
             raise ConfigError(f"bad model descriptor: {exc}") from exc
         dim = model.dim
+        values = {"name": str(data.get("name", "custom")),
+                  "model": model.to_json()}
 
-        grid = _section(data, "grid")
-        _check_keys(grid, _GRID_KEYS, "grid.")
+        grid = values["grid"] = _section(data, "grid", _GRID_KEYS)
         if "box" not in grid:
             grid["box"] = [[-10.0, 10.0]] if dim == 1 else [[-6.0, 6.0]] * 2
         if "shape" not in grid:
@@ -152,9 +150,9 @@ class ExperimentConfig:
         grid["box"] = [list(_numbers(side, "grid.box"))
                        for side in _items(grid["box"], "grid.box")]
         shape = _numbers(grid["shape"], "grid.shape")
-        if not all(n.is_integer() for n in shape):
-            raise ConfigError(f"'grid.shape' needs whole node counts, got "
-                              f"{grid['shape']!r}")
+        if not all(n.is_integer() and n >= 3 for n in shape):
+            raise ConfigError(f"'grid.shape' needs whole node counts of at "
+                              f"least 3, got {grid['shape']!r}")
         grid["shape"] = [int(n) for n in shape]
         if grid.get("radius") is not None:
             grid["radius"] = _positive(grid["radius"], "grid.radius")
@@ -163,9 +161,12 @@ class ExperimentConfig:
         grid.setdefault("kind", "box")
         if grid["kind"] not in ("box", "ball"):
             raise ConfigError(f"grid.kind must be box or ball, got {grid['kind']!r}")
+        if grid["kind"] == "box" and grid.get("radius") is not None:
+            raise ConfigError("'grid.radius' needs 'grid.kind' ball")
+        if grid["kind"] == "ball" and grid.get("radius") is None:
+            raise ConfigError("'grid.kind' ball needs a 'grid.radius'")
 
-        solver = _section(data, "solver")
-        _check_keys(solver, _SOLVER_KEYS, "solver.")
+        solver = values["solver"] = _section(data, "solver", _SOLVER_KEYS)
         solver["tol"] = _positive(solver.get("tol", 1e-8), "solver.tol")
         iters = _number(solver.get("max_iters", 50000), "solver.max_iters")
         if not (iters >= 1 and iters.is_integer()):
@@ -175,27 +176,28 @@ class ExperimentConfig:
         if solver.setdefault("dt", None) is not None:
             solver["dt"] = _positive(solver["dt"], "solver.dt")
 
-        controls = _section(data, "controls")
-        _check_keys(controls, _CONTROL_KEYS, "controls.")
+        controls = values["controls"] = _section(data, "controls",
+                                                 _CONTROL_KEYS)
         for key in sorted(_CONTROL_KEYS):
             if controls.get(key) is not None:
                 controls[key] = _positive(controls[key], "controls." + key)
 
-        lams = _numbers(_items(data.get("lambdas", (0.2, 0.1, 0.05, 0.025)),
-                               "lambdas"), "lambdas")
+        lams = values["lambdas"] = _numbers(_items(
+            data.get("lambdas", (0.2, 0.1, 0.05, 0.025)), "lambdas"), "lambdas")
         if any(l <= 0 for l in lams):
             raise ConfigError("lambdas must be positive")
         if any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigError("lambdas must be strictly decreasing")
-        radii = tuple(_positive(r, "radii") for r in _items(
+        radii = values["radii"] = tuple(_positive(r, "radii") for r in _items(
             data.get("radii", (2, 3, 4, 5, 6)), "radii"))
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing")
 
         probes = _items(data.get("probes", [0.0, 1.0] if dim == 1
                                  else [[0.0, 0.0]]), "probes")
-        probes = tuple(_numbers(p if isinstance(p, (list, tuple)) else [p],
-                                "probes") for p in probes)
+        probes = values["probes"] = tuple(
+            _numbers(p if isinstance(p, (list, tuple)) else [p], "probes")
+            for p in probes)
         for p in probes:
             if len(p) != dim:
                 raise ConfigError(f"probe {p} does not match model dim")
@@ -204,45 +206,26 @@ class ExperimentConfig:
                                  else [[-2, 2], [-2, 2]]), "window")
         if dim == 1 and not isinstance(window[0], (list, tuple)):
             window = [window]
-        window = tuple(_numbers(w, "window") for w in window)
+        window = values["window"] = tuple(_numbers(w, "window")
+                                          for w in window)
         if any(len(w) != 2 for w in window):
             raise ConfigError(f"'window' rows need [lo, hi], got "
                               f"{[list(w) for w in window]!r}")
         if len(window) != dim:
             raise ConfigError("window rank does not match model dim")
 
-        horizon = data.get("horizon")
-        return ExperimentConfig(
-            name=str(data.get("name", "custom")),
-            model=model.to_json(),
-            c=_number(data.get("c", 0.0), "c"),
-            grid=grid,
-            lambdas=lams,
-            radii=radii,
-            probes=probes,
-            horizon=None if horizon is None else _positive(horizon, "horizon"),
-            window=window,
-            solver=solver,
-            controls=controls,
-            truncation_radius=(None if data.get("truncation_radius") is None
-                               else _positive(data["truncation_radius"],
-                                              "truncation_radius")),
-            gap_tol=_positive(data.get("gap_tol", 1e-3), "gap_tol"),
-            outdir=str(data.get("outdir", "out")),
-            expect_assumptions=_section(data, "expect_assumptions"),
-        )
+        values["c"] = _number(data.get("c", 0.0), "c")
+        for key in ("horizon", "truncation_radius"):
+            values[key] = (None if data.get(key) is None
+                           else _positive(data[key], key))
+        values["gap_tol"] = _positive(data.get("gap_tol", 1e-3), "gap_tol")
+        values["outdir"] = str(data.get("outdir", "out"))
+        values["expect_assumptions"] = _section(data, "expect_assumptions")
+        return ExperimentConfig(**values)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "model": self.model, "c": self.c,
-            "grid": self.grid, "lambdas": list(self.lambdas),
-            "radii": list(self.radii), "probes": [list(p) for p in self.probes],
-            "horizon": self.horizon, "window": [list(w) for w in self.window],
-            "solver": self.solver, "controls": self.controls,
-            "truncation_radius": self.truncation_radius,
-            "gap_tol": self.gap_tol, "outdir": self.outdir,
-            "expect_assumptions": self.expect_assumptions,
-        }
+        """A deep copy of the fields: editing it leaves the config as is."""
+        return asdict(self)
 
     # -- runtime objects ----------------------------------------------------
 
@@ -252,13 +235,10 @@ class ExperimentConfig:
     def build_grid(self, radius=None) -> UniformGrid:
         """The main grid, or the ball of the given radius on its lattice."""
         box = tuple(tuple(b) for b in self.grid["box"])
-        shape = tuple(self.grid["shape"])
-        if radius is None and self.grid["kind"] == "box":
-            return UniformGrid(Domain.full_box(box), shape)
         radius = self.grid.get("radius") if radius is None else radius
-        if radius is None:
-            raise ConfigError("ball grid needs a radius")
-        return UniformGrid(Domain.ball(box, radius), shape)
+        domain = (Domain.full_box(box) if radius is None
+                  else Domain.ball(box, radius))
+        return UniformGrid(domain, tuple(self.grid["shape"]))
 
     def build_params(self) -> SolveParams:
         return SolveParams(tol=self.solver["tol"],
@@ -278,6 +258,9 @@ class ExperimentConfig:
         if kappa_lo > 0:
             return max(base, math.log(10.0) / (lam * kappa_lo))
         return base
+
+
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,14 @@ class Domain:
     @staticmethod
     def ball(box, radius: float, center=None) -> "Domain":
         box = tuple((float(lo), float(hi)) for lo, hi in box)
+        radius = float(radius)
+        if not (math.isfinite(radius) and radius > 0):
+            raise DomainError(f"ball radius must be finite and > 0, "
+                              f"got {radius!r}")
         if center is None:
             center = (0.0,) * len(box)
         return Domain(box=box, kind="ball", center=tuple(map(float, center)),
-                      radius=float(radius))
+                      radius=radius)
 
     @property
     def dim(self) -> int:

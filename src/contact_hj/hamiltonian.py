@@ -30,7 +30,6 @@ potential or coupling factor that is not finite on the x lattice is a
 ModelError, not a check result.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -227,6 +226,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _required(spec: dict, key: str, where: str):
+    """spec[key], or ModelError naming the missing descriptor key."""
+    if key not in spec:
+        raise ModelError(f"missing key {where}{key}")
+    return spec[key]
+
+
 def _own_keys(spec: dict, part, where: str, ignored=()):
     """part, or ModelError for a key of spec that part.to_json() lacks."""
     extra = sorted(set(spec) - set(part.to_json()) - set(ignored))
@@ -293,9 +299,7 @@ class HamiltonianModel:
         }
 
     @staticmethod
-    def from_json(data) -> "HamiltonianModel":
-        if isinstance(data, str):
-            data = json.loads(data)
+    def from_json(data: dict) -> "HamiltonianModel":
         data = _object(data, "model")
         kin_spec = _object(data.get("kinetic", {"type": "quadratic"}),
                            "kinetic")
@@ -303,11 +307,13 @@ class HamiltonianModel:
         if kind == "quadratic":
             kinetic = QuadraticKinetic()
         elif kind == "power":
-            kinetic = PowerKinetic(tau=_number(kin_spec["tau"], "kinetic.tau"))
+            kinetic = PowerKinetic(tau=_number(
+                _required(kin_spec, "tau", "model.kinetic."), "kinetic.tau"))
         elif kind == "tabulated":
             kinetic = TabulatedKinetic(
-                dp=_number(kin_spec["dp"], "kinetic.dp"),
-                values=tuple(kin_spec["values"]))
+                dp=_number(_required(kin_spec, "dp", "model.kinetic."),
+                           "kinetic.dp"),
+                values=tuple(_required(kin_spec, "values", "model.kinetic.")))
         else:
             raise ModelError(f"unknown kinetic type {kind!r}")
         cpl_spec = _object(data.get("coupling", {"type": "none"}), "coupling")
@@ -315,7 +321,8 @@ class HamiltonianModel:
         if ckind == "none":
             coupling = NoCoupling()
         elif ckind == "linear":
-            coupling = LinearCoupling(phi=parse(cpl_spec["phi"]))
+            coupling = LinearCoupling(
+                phi=parse(_required(cpl_spec, "phi", "model.coupling.")))
         elif ckind == "arctan":
             coupling = ArctanCoupling(
                 shift=_number(cpl_spec.get("shift", math.pi), "coupling.shift"))
@@ -325,9 +332,9 @@ class HamiltonianModel:
         _own_keys(kin_spec, kinetic, "model.kinetic.")
         _own_keys(cpl_spec, coupling, "model.coupling.", ignored=("bounds",))
         model = HamiltonianModel(
-            dim=_number(data["dim"], "dim", int),
+            dim=_number(_required(data, "dim", "model."), "dim", int),
             kinetic=kinetic,
-            potential=parse(data["potential"]),
+            potential=parse(_required(data, "potential", "model.")),
             coupling=coupling,
         )
         return _own_keys(data, model, "model.")

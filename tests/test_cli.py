@@ -329,6 +329,12 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["solve", "--config", "CFG", "--set", 'grid={"kind": "ball", "radius": -3}'],
     ["solve", "--config", "CFG", "--set", "grid.radius=0"],
     ["localize", "--config", "CFG", "--set", "radii=[-2,4,6]"],
+    ["solve", "--preset", "quadratic-linear", "--set", "grid.radius=3"],
+    ["solve", "--config", "CFG", "--set", "grid.kind=ball"],
+    ["solve", "--preset", "quadratic-linear", "--set", "grid.shape=[2]"],
+    ["check", "--config", "CFG", "--set", "grid.shape=[-5]"],
+    ["check", "--preset", "power-tau", "--set",
+     'model.kinetic={"type": "power"}'],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file
@@ -348,7 +354,7 @@ def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
 def test_report_config_holds_the_validated_grid(tmp_path):
     rc = main(["measures-study", "--preset", "quadratic-linear", "--out",
                str(tmp_path), "--stamp", "t", "--set", 'grid.shape=["201"]',
-               "--set", 'grid.radius="3"'])
+               "--set", "grid.kind=ball", "--set", 'grid.radius="3"'])
     assert rc == 0
     with open(tmp_path / "measures" / "t" / "report.json") as fh:
         grid = json.load(fh)["config"]["grid"]

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -142,6 +144,44 @@ def test_config_roundtrip(tmp_path):
     cfg = coarse(tmp_path)
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def _shipped_configs():
+    """Every preset, then every perfbench workload config, full and toy,
+    with its first probe set."""
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = dict(builtin_models())
+    for name in workloads.WORKLOADS:
+        probes = workloads.probe_sets(name)[0]
+        for toy, size in ((False, "full"), (True, "toy")):
+            data = workloads.build_config(name, probes, toy)
+            configs[f"{name}-{size}"] = ExperimentConfig.from_dict(data)
+    return configs
+
+
+def _scribble(node):
+    """Overwrite every value held in node's dicts and lists, in place."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        if isinstance(node[key], (dict, list)):
+            _scribble(node[key])
+        else:
+            node[key] = "scribbled"
+
+
+SHIPPED = _shipped_configs()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_to_dict_is_a_copy_that_round_trips(name):
+    cfg = SHIPPED[name]
+    kept = copy.deepcopy(cfg)
+    _scribble(cfg.to_dict())
+    assert cfg == kept
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_from_file(tmp_path):

@@ -73,6 +73,13 @@ def test_ball_mask_symmetry_and_margin():
         UniformGrid(Domain.ball([(-2.0, 2.0)] * 2, radius=1.95), (41, 41))
 
 
+@pytest.mark.parametrize("radius", [-3.0, 0.0, np.inf, np.nan])
+def test_ball_radius_must_be_finite_and_positive(radius):
+    # contains squares the radius, so -3 would hold x = 2
+    with pytest.raises(DomainError, match="ball radius"):
+        Domain.ball(((-4.0, 4.0),), radius)
+
+
 def test_ball_interpolation_uses_replacement_inside_stencil():
     grid = UniformGrid(Domain.ball([(-2.0, 2.0)], radius=1.0), 41)
     vals = np.where(grid.mask, 7.0, -999.0)  # junk outside the mask

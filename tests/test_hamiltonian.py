@@ -102,6 +102,26 @@ def test_from_json_rejects_unknown_keys_and_ignores_bounds(quad_lin):
     assert HamiltonianModel.from_json(data) == quad_lin
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"dim": 1, "potential": "x", "kinetic": {"type": "power"}},
+     "model.kinetic.tau"),
+    ({"dim": 1, "potential": "x", "kinetic": {"type": "tabulated",
+                                              "values": [0, 1]}},
+     "model.kinetic.dp"),
+    ({"dim": 1, "potential": "x", "coupling": {"type": "linear"}},
+     "model.coupling.phi"),
+    ({"potential": "x"}, "model.dim"),
+    ({"dim": 1}, "model.potential")])
+def test_from_json_names_a_missing_key(data, key):
+    with pytest.raises(ModelError, match=f"missing key {key}$"):
+        HamiltonianModel.from_json(data)
+
+
+def test_from_json_takes_only_an_object(quad_lin):
+    with pytest.raises(ModelError, match="must be a JSON object"):
+        HamiltonianModel.from_json(json.dumps(quad_lin.to_json()))
+
+
 def test_closed_legendre_values(quad_lin):
     ev = LagrangianEvaluator(quad_lin)
     assert ev.uses_closed_form

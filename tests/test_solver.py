@@ -333,9 +333,9 @@ def test_nonconvergence_reported_not_raised(kernel201):
     assert out.iterations == 5
 
 
-def _quadratic_2d_model():
+def _quadratic_2d_model(potential="1 - exp(-(x^2 + y^2))"):
     return HamiltonianModel(dim=2, kinetic=QuadraticKinetic(),
-                            potential=parse("1 - exp(-(x^2 + y^2))"),
+                            potential=parse(potential),
                             coupling=LinearCoupling(parse("1")))
 
 
@@ -531,9 +531,10 @@ def _dense_policy_matrix(kernel, policy, diag, scale):
     return mat
 
 
-def _ball_kernel_2d(shape, radius, da):
+def _ball_kernel_2d(shape, radius, da, potential="1 - exp(-(x^2 + y^2))"):
     grid = UniformGrid(Domain.ball(((-4.0, 4.0),) * 2, radius), shape)
-    return SweepKernel(grid, LagrangianEvaluator(_quadratic_2d_model()),
+    return SweepKernel(grid,
+                       LagrangianEvaluator(_quadratic_2d_model(potential)),
                        ControlSet.build(2, da=da))
 
 
@@ -602,6 +603,29 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
         diag[centre] = 2.0
         _assert_matches_dense(kernel, policy, diag, 1.0,
                               rng.uniform(-1.0, 1.0, n))
+
+
+def test_tilted_ball_solve_weighs_far_entries(monkeypatch):
+    # potential x draws the curves to the ball's rim, whose rows hold the
+    # far entries, so the solve's own frozen policies weigh some of them
+    ball = _ball_kernel_2d((41, 41), 3.0, 0.8, potential="x")
+    rows, slots, _ = ball.far
+    solve = ball.policy_solve
+    weighed = []
+
+    def checked(policy, diag, scale, rhs):
+        got = solve(policy, diag, scale, rhs)
+        if np.any(ball.weights[slots, policy[rows]] > 0):
+            weighed.append(True)
+            want = np.linalg.solve(
+                _dense_policy_matrix(ball, policy, diag, scale), rhs)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(want)))
+        return got
+
+    monkeypatch.setattr(ball, "policy_solve", checked)
+    assert solve_state_constraint(ball, 0.2, 0.0, SolveParams()).converged
+    assert weighed
 
 
 @pytest.mark.parametrize("path", ["block", "far_row", "moving_sink"])
