@@ -20,8 +20,8 @@ import numpy as np
 from .grid import (Domain, DomainError, UniformGrid, atomic_write_text,
                    tensor_points)
 from .expressions import ParseError
-from .hamiltonian import (HamiltonianModel, LagrangianEvaluator, ModelError,
-                          check_assumptions)
+from .hamiltonian import (ASSUMPTIONS, HamiltonianModel, LagrangianEvaluator,
+                          ModelError, check_assumptions)
 from .measures import (closedness_defect, default_battery, discounted_measure,
                        mather_defect, selection_functional,
                        weak_limit_diagnostics, write_measure_csv)
@@ -220,7 +220,8 @@ class ExperimentConfig:
                            else _positive(data[key], key))
         values["gap_tol"] = _positive(data.get("gap_tol", 1e-3), "gap_tol")
         values["outdir"] = str(data.get("outdir", "out"))
-        values["expect_assumptions"] = _section(data, "expect_assumptions")
+        values["expect_assumptions"] = _section(data, "expect_assumptions",
+                                                ASSUMPTIONS)
         return ExperimentConfig(**values)
 
     def to_dict(self) -> dict:
@@ -761,9 +762,7 @@ def measure_study(config: ExperimentConfig,
 def builtin_models() -> dict:
     """Named desk-scale presets covering the structural variants."""
     verified = "verified-on-samples"
-    base_expect = {"H1": verified, "H2": verified, "H3": verified,
-                   "H4": verified, "P1": verified, "P2": verified,
-                   "P3": verified}
+    base_expect = dict.fromkeys(ASSUMPTIONS, verified)
     presets = {}
 
     def add(name, data):

@@ -18,9 +18,11 @@ with outer factor phi = 0 for none, phi(x) for linear and 1 for arctan.
 Only arctan has a momentum term, (r^2 + 1)*(arctan(u) + shift); the other
 couplings are separable: W does not depend on u, and closed-form kinetics
 give it as their conjugate. Otherwise the grid-based evaluator maximizes
-r*s - kinetic(r) - m(r, u) over a uniform r-lattice once per distinct pair
-(s, u) of a broadcast mix, in blocks of bounded size, doubling a pair's
-lattice extent while its maximizer lands on the boundary.
+r*s - kinetic(r) - m(r, u) over a uniform r-lattice, in blocks of bounded
+size, doubling a pair's lattice extent while its maximizer lands on the
+boundary: once per distinct pair (s, u) of a broadcast mix, or over a
+speeds x levels tensor (the sup-term tables of p-coupled sweeps) with the
+products r*s formed once.
 
 check_assumptions samples the structure hypotheses on H (H1-H4, P1-P3) on
 fixed lattices of momenta p, levels u and points x. Each check is one
@@ -52,6 +54,7 @@ __all__ = [
     "check_assumptions",
     "ModelError",
     "ExtentError",
+    "ASSUMPTIONS",
 ]
 
 
@@ -219,6 +222,22 @@ def _number(value, key: str, cast=float):
         raise ModelError(f"model.{key} needs a number, got {value!r}") from None
 
 
+def _numbers(value, key: str) -> tuple:
+    """The list value as a tuple of floats, or ModelError naming the key."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"model.{key} needs a list of numbers, got {value!r}")
+    return tuple(_number(item, key) for item in value)
+
+
+def _expression(spec: dict, key: str, where: str) -> Expr:
+    """spec[key] parsed, or ModelError naming the key unless it is a string."""
+    text = _required(spec, key, where)
+    if not isinstance(text, str):
+        raise ModelError(f"{where}{key} needs an expression string, "
+                         f"got {text!r}")
+    return parse(text)
+
+
 def _object(value, what: str) -> dict:
     """value if it is a JSON object, else ModelError naming the part."""
     if not isinstance(value, dict):
@@ -313,7 +332,8 @@ class HamiltonianModel:
             kinetic = TabulatedKinetic(
                 dp=_number(_required(kin_spec, "dp", "model.kinetic."),
                            "kinetic.dp"),
-                values=tuple(_required(kin_spec, "values", "model.kinetic.")))
+                values=_numbers(_required(kin_spec, "values", "model.kinetic."),
+                                "kinetic.values"))
         else:
             raise ModelError(f"unknown kinetic type {kind!r}")
         cpl_spec = _object(data.get("coupling", {"type": "none"}), "coupling")
@@ -322,7 +342,7 @@ class HamiltonianModel:
             coupling = NoCoupling()
         elif ckind == "linear":
             coupling = LinearCoupling(
-                phi=parse(_required(cpl_spec, "phi", "model.coupling.")))
+                phi=_expression(cpl_spec, "phi", "model.coupling."))
         elif ckind == "arctan":
             coupling = ArctanCoupling(
                 shift=_number(cpl_spec.get("shift", math.pi), "coupling.shift"))
@@ -334,7 +354,7 @@ class HamiltonianModel:
         model = HamiltonianModel(
             dim=_number(_required(data, "dim", "model."), "dim", int),
             kinetic=kinetic,
-            potential=parse(_required(data, "potential", "model.")),
+            potential=_expression(data, "potential", "model."),
             coupling=coupling,
         )
         return _own_keys(data, model, "model.")
@@ -368,6 +388,12 @@ class LagrangianEvaluator:
     lattice is a prefix of the next and, under H1, the payoff is concave in
     r: a first maximum inside one is first on all longer ones, so the sup is
     exact for models that satisfy H1. Blocks hold at most _BLOCK payoffs.
+
+    Over a speeds x levels tensor (coupling_table, and the p-coupled sup of
+    backtrace) the products speed*r of the distinct speeds are formed once
+    on the first lattice and each numpy call takes a block of levels; only
+    the pairs with an edge maximizer there go on to the pairwise sup. Both
+    give the same bits.
     """
 
     def __init__(self, model: HamiltonianModel):
@@ -377,9 +403,29 @@ class LagrangianEvaluator:
 
     # -- radial grid supremum ----------------------------------------------
 
-    def _radial_sup(self, speeds, u) -> np.ndarray:
+    def _extents(self):
+        """(r, kinetic(r)) on radial lattices of growing extent: from
+        P_EXTENT/8, doubled up to the cap; asked for more after the cap, it
+        raises ExtentError."""
+        kinetic = self.model.kinetic
+        tabulated = isinstance(kinetic, TabulatedKinetic)
+        cap = min(P_EXTENT, kinetic.extent) if tabulated else _EXTENT_CAP
+        extent = min(_EXTENT_START, cap)
+        while True:
+            r = _lattice(extent)
+            yield r, kinetic.radial(r)
+            if extent >= cap:
+                raise ExtentError(
+                    "maximizer on the tabulated kinetic boundary" if tabulated
+                    else f"Legendre maximizer escaped the momentum lattice at "
+                         f"extent {extent:g} (cap {_EXTENT_CAP:g})")
+            extent = min(2.0 * extent, cap)
+
+    def _radial_sup(self, speeds, u, extents=None) -> np.ndarray:
         """max over the r-lattice of r*s - kinetic(r) - m(r, u), elementwise
-        over the broadcast (speeds, u), one payoff row per distinct pair."""
+        over the broadcast (speeds, u), one payoff row per distinct pair.
+
+        extents, a _extents() iterator, gives the lattices to try in turn."""
         speeds, u = np.broadcast_arrays(np.asarray(speeds, dtype=float), u)
         out = np.empty(speeds.shape)
         if not out.size:
@@ -394,14 +440,9 @@ class LagrangianEvaluator:
         pair_s, pair_u = bits.view(float)[first], level_u[first]
         del bits, level_u  # full-size, freed before the payoff blocks
         sup = np.empty(len(pair_s))
-        kinetic, coupling = self.model.kinetic, self.model.coupling
-        tabulated = isinstance(kinetic, TabulatedKinetic)
-        cap = min(P_EXTENT, kinetic.extent) if tabulated else _EXTENT_CAP
-        extent = min(_EXTENT_START, cap)
+        coupling = self.model.coupling
         pending = np.arange(len(pair_s))
-        while True:
-            r = _lattice(extent)
-            kin = kinetic.radial(r)
+        for r, kin in extents or self._extents():
             edge = np.empty(len(pending), dtype=bool)
             # blocks of at most _BLOCK payoff elements, each at one level
             levels = pair_u[pending]
@@ -421,14 +462,53 @@ class LagrangianEvaluator:
             if not np.any(edge):
                 out.reshape(-1)[order] = sup[np.cumsum(first) - 1]
                 return out
-            if extent >= cap:
-                raise ExtentError(
-                    "maximizer on the tabulated kinetic boundary" if tabulated
-                    else f"Legendre maximizer escaped the momentum lattice at "
-                         f"extent {extent:g} (cap {_EXTENT_CAP:g})")
             # only the pairs with an edge maximizer go on to double extent
             pending = pending[edge]
-            extent = min(2.0 * extent, cap)
+
+    def _table_sup(self, speeds, levels) -> np.ndarray:
+        """_radial_sup(speeds, levels[:, None]) for 1-D speeds and levels.
+
+        The products s*r of the distinct speeds (by their bits) are formed
+        once on the first lattice. Each numpy call then takes a block of
+        levels, at most _BLOCK payoffs, and one argmax over r; the rows
+        kinetic + m of the levels come in chunks of at most _BLOCK values.
+        Only the pairs whose maximizer is on the lattice edge go on to
+        _radial_sup, at the next extent."""
+        speeds = np.asarray(speeds, dtype=float)
+        levels = np.asarray(levels, dtype=float)
+        if not (speeds.size and levels.size):
+            return np.empty((len(levels), len(speeds)))
+        bits, inverse = np.unique(speeds.view(np.int64), return_inverse=True)
+        distinct = bits.view(float)
+        n = len(distinct)
+        extents = self._extents()
+        r, kin = next(extents)
+        per_block = max(1, _BLOCK // len(r))  # speeds or levels per _BLOCK
+        if n > per_block:  # one level's payoffs would exceed a block
+            return np.hstack([self._table_sup(distinct[a:a + per_block], levels)
+                              for a in range(0, n, per_block)])[:, inverse]
+        sr = np.multiply.outer(distinct, r)
+        step = _BLOCK // sr.size  # levels per payoff block
+        coupling = self.model.coupling
+        sup = np.empty(len(levels) * n)  # row-major (level, speed) pairs
+        edge = np.empty(len(sup), dtype=bool)
+        for c in range(0, len(levels), per_block):
+            chunk = levels[c:c + per_block]
+            rows = np.broadcast_to(
+                kin + coupling.momentum_term(r, chunk[:, None]),
+                (len(chunk), len(r)))
+            for lo in range(0, len(chunk), step):
+                payoff = (sr - rows[lo:lo + step, None, :]).reshape(-1, len(r))
+                best = payoff.argmax(axis=1)
+                at = slice((c + lo) * n, (c + lo) * n + len(payoff))
+                sup[at] = payoff[np.arange(len(payoff)), best]
+                edge[at] = best == len(r) - 1
+                del payoff  # the next block reuses its memory, not new pages
+        pending = np.flatnonzero(edge)
+        if len(pending):
+            sup[pending] = self._radial_sup(distinct[pending % n],
+                                            levels[pending // n], extents)
+        return sup.reshape(-1, n)[:, inverse]
 
     def _sup_term(self, speeds: np.ndarray, u) -> np.ndarray:
         """W(|v|, u) for |v| = speeds at level(s) u."""
@@ -507,7 +587,7 @@ class _ConjugateTable:
         n = int(math.ceil((hi - lo) / _TABLE_DU)) + 1
         self.u_grid = lo + _TABLE_DU * np.arange(n)
         # w[i, j] = W(speeds[j], u_grid[i])
-        self.w = evaluator._radial_sup(speeds, self.u_grid[:, None])
+        self.w = evaluator._table_sup(speeds, self.u_grid)
 
     def covers(self, u_lo: float, u_hi: float) -> bool:
         return self.u_grid[0] <= u_lo and u_hi <= self.u_grid[-1]
@@ -581,6 +661,8 @@ def _first(pick, vals):
     return float(vals[k]), k
 
 
+# names of the checks of check_assumptions, in the order it reports them
+ASSUMPTIONS = ("H1", "H2", "H3", "H4", "P1", "P2", "P3")
 # sample sizes of check_assumptions: x box half-width, momentum radius, u
 # range, x and p samples per axis, P1 contraction factor, H2 momentum radius
 _CHECK_HALF = 6.0

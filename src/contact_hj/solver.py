@@ -447,7 +447,8 @@ def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
     their value bit for bit) become the stay control with diag = scale + 1
     and rhs the current value. params None means the defaults. The
     outcome's field is a copy of v0 with the in-mask values replaced and
-    carries meta.
+    carries meta; its extras hold the error bound and the number of
+    sup-table builds ("table_builds").
     """
     params = params or SolveParams()
     v = np.asarray(v0, dtype=float).ravel()[kernel.in_idx]
@@ -467,11 +468,14 @@ def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
     base = dt * (kernel.f_in + c)
     policy = np.empty(len(v), dtype=np.intp)
     table = None
+    builds = 0
     res = math.inf
     converged = False
     it = 0
     for it in range(1, params.max_iters + 1):
-        table = _ensure_table(kernel, table, lam, v)
+        new = _ensure_table(kernel, table, lam, v)
+        builds += new is not table
+        table = new
         v_new = kernel.step(v, lam, c, discount, table=table, policy=policy)
         v_new[named] = fixed
         res = float(np.max(np.abs(v_new - v)))
@@ -495,7 +499,8 @@ def _policy_iterate(kernel: SweepKernel, v0: np.ndarray, lam: float,
     out = np.array(v0, dtype=float).ravel()
     out[kernel.in_idx] = v
     return SolveOutcome(GridField(kernel.grid, out, meta=meta), it, res,
-                        converged, {"error_bound": res / gain})
+                        converged, {"error_bound": res / gain,
+                                    "table_builds": builds})
 
 
 def _staying_cost(kernel: SweepKernel, c: float):

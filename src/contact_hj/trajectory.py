@@ -157,8 +157,8 @@ def _lockstep(kernel, cells, c, defect_tol) -> Traces:
             break
         r = np.arange(len(live))
         level = lams[live] * v
-        sup = row if row is not None else evaluator._radial_sup(
-            kernel.speeds, level[:, None])
+        sup = row if row is not None else evaluator._table_sup(
+            kernel.speeds, level)
         lvals = sup + model.f(x)[:, None] - (model.phi(x) * level)[:, None]
         feet = x[:, None, :] - step
         ok = grid.domain.contains(feet.reshape(-1, dim),

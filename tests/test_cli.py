@@ -335,6 +335,14 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
     ["check", "--config", "CFG", "--set", "grid.shape=[-5]"],
     ["check", "--preset", "power-tau", "--set",
      'model.kinetic={"type": "power"}'],
+    ["check", "--preset", "quadratic-linear", "--set", "model.potential=5"],
+    ["check", "--preset", "quadratic-linear", "--set", "model.coupling.phi=5"],
+    ["check", "--preset", "quadratic-linear", "--set",
+     'model.kinetic={"type": "tabulated", "dp": 0.1, "values": 5}'],
+    ["check", "--preset", "quadratic-linear", "--set",
+     'model.kinetic={"type": "tabulated", "dp": 0.1, "values": [0, "a"]}'],
+    ["check", "--preset", "quadratic-linear", "--set",
+     "expect_assumptions.H9=verified"],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file

@@ -15,8 +15,8 @@ from contact_hj.experiments import (ConfigError, ExperimentConfig, _guard,
                                     read_config_file, run_assumption_check,
                                     vanishing_discount_sweep)
 from contact_hj.grid import GridField
-from contact_hj.hamiltonian import (ExtentError, HamiltonianModel,
-                                    LagrangianEvaluator)
+from contact_hj.hamiltonian import (ASSUMPTIONS, ExtentError,
+                                    HamiltonianModel, LagrangianEvaluator)
 from contact_hj.solver import (SweepKernel, aubry_indicator,
                                solve_state_constraint)
 
@@ -49,6 +49,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         coarse(tmp_path, solver={"tolerance": 1e-6})
     with pytest.raises(ConfigError, match="controls.'speed'"):
         coarse(tmp_path, controls={"speed": 2.0})
+    with pytest.raises(ConfigError, match="expect_assumptions.'H9'"):
+        coarse(tmp_path, expect_assumptions={"H9": "verified-on-samples"})
 
 
 def test_config_rejects_bad_schedules(tmp_path):
@@ -660,4 +662,6 @@ def test_preset_assumption_split(name):
     assert res["mismatches"] == {}
     statuses = {c["name"]: c["status"] for c in res["report"]["checks"]}
     assert statuses == PRESET_SPLITS[name]
+    # the names expect_assumptions accepts, in report order
+    assert list(statuses) == list(ASSUMPTIONS)
     json.dumps(res, allow_nan=False)  # strict JSON: no inf or NaN margin

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -487,9 +488,90 @@ def test_radial_sup_on_a_table_shorter_than_the_first_extent(coupling):
                      for s, u in zip(speeds, levels)])
     got = ev._radial_sup(speeds, levels[:, None])
     assert got.tobytes() == want.tobytes()
-    with pytest.raises(ExtentError):
-        ev._radial_sup(np.array([_speed_with_maximizer(model, 2.2, 0.0)]),
-                       0.0)
+    # the quadratic twin gives the speed: the table stops short of r = 2.2
+    speed = _speed_with_maximizer(replace(model, kinetic=QuadraticKinetic()),
+                                  2.2, 0.0)
+    with pytest.raises(ExtentError, match="tabulated kinetic boundary"):
+        ev._radial_sup(np.array([speed]), 0.0)
+
+
+def _first_extent_lattice():
+    return _lattice(hamiltonian._EXTENT_START)
+
+
+@pytest.mark.parametrize("coupling", sorted(_COUPLINGS))
+@pytest.mark.parametrize("kinetic", sorted(_KINETICS))
+def test_table_sup_matches_the_pairwise_sup(kinetic, coupling, monkeypatch):
+    model = HamiltonianModel(dim=1, kinetic=_KINETICS[kinetic],
+                             potential=parse("0"),
+                             coupling=_COUPLINGS[coupling])
+    ev = LagrangianEvaluator(model)
+    # |a| over a symmetric control axis: every speed but 0 twice, bit for
+    # bit; at u = 0 the last two maximizers, r = 3 and 7, sit on the second
+    # and third extents, 5 and 10 (arctan moves them out further at u < 0)
+    speeds = np.concatenate([np.sqrt(np.square(0.25 * np.arange(-12, 13))),
+                             [_speed_with_maximizer(model, r, 0.0)
+                              for r in (3.0, 7.0)]])
+    levels = np.array([-10.0, -0.75, -0.0, 0.0, 0.3, 2.5, 0.0, -1.5, 1.0,
+                       0.7, -0.2])
+    n_distinct = len(set(speeds.tolist()))
+    assert n_distinct == 15
+    # the payoff blocks split the level list
+    step = hamiltonian._BLOCK // (n_distinct * len(_first_extent_lattice()))
+    assert step < len(levels) and len(levels) % step
+    extents = []
+
+    def recording_lattice(extent):
+        extents.append(extent)
+        return _lattice(extent)
+
+    monkeypatch.setattr(hamiltonian, "_lattice", recording_lattice)
+    got = ev._table_sup(speeds, levels)
+    assert extents[:3] == [2.5, 5.0, 10.0]
+    monkeypatch.undo()
+    assert got.shape == (len(levels), len(speeds))
+    pairwise = ev._radial_sup(speeds, levels[:, None])
+    assert got.tobytes() == pairwise.tobytes()
+    want = np.stack([reference_radial_sup(model, speeds, float(u))[0]
+                     for u in levels])
+    assert got.tobytes() == want.tobytes()
+    assert ev._table_sup(speeds[:0], levels).shape == (len(levels), 0)
+    assert ev._table_sup(speeds, levels[:0]).shape == (0, len(speeds))
+
+
+def test_table_sup_over_many_levels_and_speeds(arctan_model):
+    ev = LagrangianEvaluator(arctan_model)
+    # one level's payoffs over these speeds, and the rows kinetic + m of
+    # these levels, each exceed one block
+    speeds = np.linspace(0.0, 6.0, 301)
+    levels = np.linspace(-2.0, 2.0, 263)
+    width = len(_first_extent_lattice())
+    assert min(len(speeds), len(levels)) * width > hamiltonian._BLOCK
+    got = ev._table_sup(speeds, levels)
+    assert got.tobytes() == ev._radial_sup(speeds, levels[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("kinetic, top, match", [
+    # p^2/2 tabulated on [0, 2], below P_EXTENT/8 = 2.5
+    (TabulatedKinetic(dp=0.05, values=tuple(0.5 * (0.05 * k) ** 2
+                                            for k in range(41))), 2.2,
+     "maximizer on the tabulated kinetic boundary"),
+    (QuadraticKinetic(), 200.0,
+     "escaped the momentum lattice at extent 160 \\(cap 160\\)"),
+])
+def test_table_sup_raises_the_pairwise_extent_error(kinetic, top, match):
+    model = HamiltonianModel(dim=1, kinetic=kinetic, potential=parse("0"),
+                             coupling=ArctanCoupling(shift=math.pi))
+    ev = LagrangianEvaluator(model)
+    # the quadratic twin gives the speed: the table stops short of top
+    speeds = np.array([0.0, 0.5, _speed_with_maximizer(
+        replace(model, kinetic=QuadraticKinetic()), top, 0.0)])
+    levels = np.array([-0.5, 0.0, 0.5])
+    with pytest.raises(ExtentError, match=match) as pairwise:
+        ev._radial_sup(speeds, levels[:, None])
+    with pytest.raises(ExtentError) as tensor:
+        ev._table_sup(speeds, levels)
+    assert str(tensor.value) == str(pairwise.value)
 
 
 def test_coupling_table_matches_stacked_reference(arctan_model):
@@ -513,6 +595,11 @@ def test_lattice_sup_memory_is_bounded(arctan_model):
     assert peak_bytes(lambda: ev.partial_u_l(x, speeds, 0.4)) < _PEAK_BYTES
     assert peak_bytes(lambda: ev.coupling_table(
         speeds[:97], -1.0, 1.0)) < _PEAK_BYTES
+    # a wide u-range: a table over more than 400 levels
+    tables = []
+    assert peak_bytes(lambda: tables.append(ev.coupling_table(
+        speeds[:97], -1.0, 1.2))) < _PEAK_BYTES
+    assert len(tables[0].u_grid) >= 400
 
 
 def test_arctan_legendre_does_not_load_numpy_ma():

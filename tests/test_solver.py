@@ -498,6 +498,32 @@ def test_critical_value_builds_no_sup_table(monkeypatch):
     assert est.richardson >= est.m0 - est.margin
 
 
+def test_solve_reports_its_table_builds(monkeypatch):
+    # extras["table_builds"] counts the solve's coupling_table calls: a
+    # p-coupled solve at lam > 0 builds at least one, a separable one none
+    builds = []
+    build = LagrangianEvaluator.coupling_table
+
+    def counting_build(self, *args):
+        builds.append(args)
+        return build(self, *args)
+
+    monkeypatch.setattr(LagrangianEvaluator, "coupling_table", counting_build)
+    grid = UniformGrid(Domain.full_box(((-3.0, 3.0),)), (31,))
+    controls = ControlSet.build(1, da=0.5)
+    for coupling, c in ((ArctanCoupling(shift=math.pi), math.pi),
+                        (LinearCoupling(parse("1")), 0.0)):
+        model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
+                                 potential=parse("1 - exp(-x^2)"),
+                                 coupling=coupling)
+        kernel = SweepKernel(grid, LagrangianEvaluator(model), controls)
+        del builds[:]
+        out = solve_state_constraint(kernel, 0.2, c, SolveParams(tol=1e-8))
+        assert out.converged
+        assert out.extras["table_builds"] == len(builds)
+        assert (len(builds) >= 1) == (coupling.kind == "arctan")
+
+
 def test_critical_value_rejects_bad_sequence(kernel201):
     with pytest.raises(SolverError, match="strictly decreasing"):
         estimate_critical_value(kernel201, (0.1,))
