@@ -253,11 +253,14 @@ class ExperimentConfig:
         """The truncation radius: the configured one, else max(radii) + 2."""
         return self.truncation_radius or max(self.radii) + 2.0
 
-    def trace_horizon(self, lam: float, kappa_lo: float) -> float:
-        """Horizon keeping the tail weight e^{lam*beta(-T)} at or below 0.1."""
+    def trace_horizon(self, lam: float, kappa: float) -> float:
+        """Horizon keeping the tail weight e^{lam*beta(-T)} at or below 0.1.
+
+        kappa is the decay rate the traces may count on, the kernel's
+        trace_kappa: its kappa_lo, or 0 where phi may vanish between nodes."""
         base = 40.0 if self.horizon is None else self.horizon
-        if kappa_lo > 0:
-            return max(base, math.log(10.0) / (lam * kappa_lo))
+        if kappa > 0:
+            return max(base, math.log(10.0) / (lam * kappa))
         return base
 
 

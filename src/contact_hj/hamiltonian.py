@@ -18,11 +18,11 @@ with outer factor phi = 0 for none, phi(x) for linear and 1 for arctan.
 Only arctan has a momentum term, (r^2 + 1)*(arctan(u) + shift); the other
 couplings are separable: W does not depend on u, and closed-form kinetics
 give it as their conjugate. Otherwise the grid-based evaluator maximizes
-r*s - kinetic(r) - m(r, u) over a uniform r-lattice, in blocks of bounded
-size, doubling a pair's lattice extent while its maximizer lands on the
-boundary: once per distinct pair (s, u) of a broadcast mix, or over a
-speeds x levels tensor (the sup-term tables of p-coupled sweeps) with the
-products r*s formed once.
+r*s - kinetic(r) - m(r, u) over a uniform r-lattice, as one table over the
+distinct levels x distinct speeds, in blocks of bounded size with the
+products r*s formed once. The pairs asked for whose maximizer lands on the
+lattice boundary go on, as a smaller table, to a lattice of twice the
+extent.
 
 check_assumptions samples the structure hypotheses on H (H1-H4, P1-P3) on
 fixed lattices of momenta p, levels u and points x. Each check is one
@@ -215,11 +215,14 @@ def _as_points(z, dim: int) -> np.ndarray:
 
 
 def _number(value, key: str, cast=float):
-    """cast(value), or ModelError naming the descriptor key."""
+    """cast(value), or ModelError naming the descriptor key unless finite."""
     try:
-        return cast(value)
-    except (TypeError, ValueError):
+        x = cast(value)
+    except (TypeError, ValueError, OverflowError):
         raise ModelError(f"model.{key} needs a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ModelError(f"model.{key} must be finite, got {x!r}")
+    return x
 
 
 def _numbers(value, key: str) -> tuple:
@@ -382,18 +385,13 @@ class LagrangianEvaluator:
 
     W is the kinetic conjugate when the kinetic has one and the coupling is
     separable. Otherwise it is a sup over the radial momentum lattice of
-    spacing P_SPACING, once per distinct (speed, level) pair, from extent
-    P_EXTENT/8 doubled while the pair's maximizer is on the lattice edge, up
-    to a hard cap (tabulated kinetics: min(P_EXTENT, table extent)). Each
-    lattice is a prefix of the next and, under H1, the payoff is concave in
-    r: a first maximum inside one is first on all longer ones, so the sup is
-    exact for models that satisfy H1. Blocks hold at most _BLOCK payoffs.
-
-    Over a speeds x levels tensor (coupling_table, and the p-coupled sup of
-    backtrace) the products speed*r of the distinct speeds are formed once
-    on the first lattice and each numpy call takes a block of levels; only
-    the pairs with an edge maximizer there go on to the pairwise sup. Both
-    give the same bits.
+    spacing P_SPACING, taken by _table_sup over a levels x speeds table:
+    from extent P_EXTENT/8, doubled for the pairs asked for whose maximizer
+    is on the lattice edge, up to a hard cap (for tabulated kinetics
+    min(P_EXTENT, table extent)). Each lattice is a prefix of the next and,
+    under H1, the payoff is concave in r: a first maximum inside one is
+    first on all longer ones, so the sup is exact for models that satisfy
+    H1. Blocks hold at most _BLOCK payoffs.
     """
 
     def __init__(self, model: HamiltonianModel):
@@ -421,59 +419,17 @@ class LagrangianEvaluator:
                          f"extent {extent:g} (cap {_EXTENT_CAP:g})")
             extent = min(2.0 * extent, cap)
 
-    def _radial_sup(self, speeds, u, extents=None) -> np.ndarray:
-        """max over the r-lattice of r*s - kinetic(r) - m(r, u), elementwise
-        over the broadcast (speeds, u), one payoff row per distinct pair.
+    def _table_sup(self, speeds, levels, asked=True, extents=None):
+        """W(speeds[j], levels[i]) as a (levels, speeds) table, 1-D inputs.
 
-        extents, a _extents() iterator, gives the lattices to try in turn."""
-        speeds, u = np.broadcast_arrays(np.asarray(speeds, dtype=float), u)
-        out = np.empty(speeds.shape)
-        if not out.size:
-            return out
-        # pairs grouped by level; speeds compare bitwise, levels by value,
-        # so -0.0 and 0.0 share a level (momentum_term gives them equal bits)
-        bits = speeds.reshape(-1).view(np.int64)
-        order = np.lexsort((bits, u.reshape(-1)))
-        level_u, bits = u.reshape(-1)[order], bits[order]
-        first = np.concatenate(([True], (level_u[1:] != level_u[:-1])
-                                | (bits[1:] != bits[:-1])))
-        pair_s, pair_u = bits.view(float)[first], level_u[first]
-        del bits, level_u  # full-size, freed before the payoff blocks
-        sup = np.empty(len(pair_s))
-        coupling = self.model.coupling
-        pending = np.arange(len(pair_s))
-        for r, kin in extents or self._extents():
-            edge = np.empty(len(pending), dtype=bool)
-            # blocks of at most _BLOCK payoff elements, each at one level
-            levels = pair_u[pending]
-            starts = np.concatenate(([True], levels[1:] != levels[:-1]))
-            brk = starts.copy()
-            brk[::max(1, _BLOCK // len(r))] = True
-            cuts = np.flatnonzero(brk).tolist()
-            for lo, hi in zip(cuts, cuts[1:] + [len(pending)]):
-                if starts[lo]:
-                    row = kin + coupling.momentum_term(r, float(levels[lo]))
-                payoff = np.multiply.outer(pair_s[pending[lo:hi]], r)
-                payoff -= row
-                best = payoff.argmax(axis=1)
-                sup[pending[lo:hi]] = payoff[np.arange(hi - lo), best]
-                edge[lo:hi] = best == len(r) - 1
-                del payoff  # the next block reuses its memory, not new pages
-            if not np.any(edge):
-                out.reshape(-1)[order] = sup[np.cumsum(first) - 1]
-                return out
-            # only the pairs with an edge maximizer go on to double extent
-            pending = pending[edge]
-
-    def _table_sup(self, speeds, levels) -> np.ndarray:
-        """_radial_sup(speeds, levels[:, None]) for 1-D speeds and levels.
-
-        The products s*r of the distinct speeds (by their bits) are formed
-        once on the first lattice. Each numpy call then takes a block of
-        levels, at most _BLOCK payoffs, and one argmax over r; the rows
-        kinetic + m of the levels come in chunks of at most _BLOCK values.
-        Only the pairs whose maximizer is on the lattice edge go on to
-        _radial_sup, at the next extent."""
+        asked, a (levels, speeds) mask, names the pairs the caller needs
+        (True: all); the others may hold a maximum on too short a lattice.
+        Each numpy call takes a block of levels against a group of distinct
+        speeds (by their bits), whose products s*r it forms once: at most
+        _BLOCK payoffs and one argmax over r. The rows kinetic + m of the
+        levels come in chunks of at most _BLOCK values. Only the asked pairs
+        whose maximizer is on the lattice edge go on, as a table of their
+        own, to the next lattice of extents, a _extents() iterator."""
         speeds = np.asarray(speeds, dtype=float)
         levels = np.asarray(levels, dtype=float)
         if not (speeds.size and levels.size):
@@ -481,47 +437,74 @@ class LagrangianEvaluator:
         bits, inverse = np.unique(speeds.view(np.int64), return_inverse=True)
         distinct = bits.view(float)
         n = len(distinct)
-        extents = self._extents()
+        extents = extents or self._extents()
         r, kin = next(extents)
         per_block = max(1, _BLOCK // len(r))  # speeds or levels per _BLOCK
-        if n > per_block:  # one level's payoffs would exceed a block
-            return np.hstack([self._table_sup(distinct[a:a + per_block], levels)
-                              for a in range(0, n, per_block)])[:, inverse]
-        sr = np.multiply.outer(distinct, r)
-        step = _BLOCK // sr.size  # levels per payoff block
         coupling = self.model.coupling
-        sup = np.empty(len(levels) * n)  # row-major (level, speed) pairs
-        edge = np.empty(len(sup), dtype=bool)
-        for c in range(0, len(levels), per_block):
-            chunk = levels[c:c + per_block]
-            rows = np.broadcast_to(
-                kin + coupling.momentum_term(r, chunk[:, None]),
-                (len(chunk), len(r)))
-            for lo in range(0, len(chunk), step):
-                payoff = (sr - rows[lo:lo + step, None, :]).reshape(-1, len(r))
-                best = payoff.argmax(axis=1)
-                at = slice((c + lo) * n, (c + lo) * n + len(payoff))
-                sup[at] = payoff[np.arange(len(payoff)), best]
-                edge[at] = best == len(r) - 1
-                del payoff  # the next block reuses its memory, not new pages
-        pending = np.flatnonzero(edge)
-        if len(pending):
-            sup[pending] = self._radial_sup(distinct[pending % n],
-                                            levels[pending // n], extents)
-        return sup.reshape(-1, n)[:, inverse]
+        sup = np.empty((len(levels), n))
+        edge = np.empty(sup.shape, dtype=bool)
+        for a in range(0, n, per_block):
+            group = slice(a, a + per_block)
+            sr = np.multiply.outer(distinct[group], r)
+            step = _BLOCK // sr.size  # levels per payoff block
+            for c in range(0, len(levels), per_block):
+                chunk = levels[c:c + per_block]
+                rows = np.broadcast_to(
+                    kin + coupling.momentum_term(r, chunk[:, None]),
+                    (len(chunk), len(r)))
+                for lo in range(0, len(chunk), step):
+                    block = rows[lo:lo + step]
+                    payoff = (sr - block[:, None, :]).reshape(-1, len(r))
+                    best = payoff.argmax(axis=1)
+                    at = (slice(c + lo, c + lo + len(block)), group)
+                    sup[at] = payoff[np.arange(len(best)), best].reshape(
+                        len(block), -1)
+                    edge[at] = (best == len(r) - 1).reshape(len(block), -1)
+                    del payoff  # the next block reuses its memory
+        sup = sup[:, inverse]
+        if np.any(edge):
+            edge = edge[:, inverse] & asked
+            li = np.flatnonzero(edge.any(axis=1))
+            si = np.flatnonzero(edge.any(axis=0))
+            at = np.ix_(li, si)
+            longer = self._table_sup(speeds[si], levels[li], edge[at], extents)
+            sup[at] = np.where(edge[at], longer, sup[at])
+        return sup
 
     def _sup_term(self, speeds: np.ndarray, u) -> np.ndarray:
-        """W(|v|, u) for |v| = speeds at level(s) u."""
+        """W(|v|, u) for |v| = speeds at level(s) u: one table over the
+        distinct levels x distinct speeds of the broadcast pairs."""
         speeds = np.atleast_1d(np.asarray(speeds, dtype=float))
         if self.uses_closed_form:
             return self.model.kinetic.conjugate_speed(speeds)
-        return self._radial_sup(
+        speeds, u = np.broadcast_arrays(
             speeds, 0.0 if self.model.coupling.separable else u)
+        out = np.empty(speeds.shape)
+        if not out.size:
+            return out
+        # the pairs sorted by level, then speed: levels compare by value, so
+        # -0.0 and 0.0 share a level (momentum_term gives them equal bits),
+        # speeds by their bits
+        bits, u = speeds.reshape(-1).view(np.int64), u.reshape(-1)
+        order = np.lexsort((bits, u))
+        bits, u = bits[order], u[order]
+        level = np.concatenate(([True], u[1:] != u[:-1]))
+        first = level | np.concatenate(([True], bits[1:] != bits[:-1]))
+        distinct, s_at = np.unique(bits[first], return_inverse=True)
+        u_at = np.cumsum(level[first]) - 1
+        asked = np.zeros((u_at[-1] + 1, len(distinct)), dtype=bool)
+        asked[u_at, s_at] = True
+        table = self._table_sup(distinct.view(float), u[level], asked)
+        out.reshape(-1)[order] = table[u_at, s_at][np.cumsum(first) - 1]
+        return out
 
     # -- public operations ---------------------------------------------------
 
     def legendre(self, x, v, u):
-        """L(x, v, u); inputs broadcast, scalar in gives scalar out."""
+        """L(x, v, u); inputs broadcast, scalar in gives scalar out.
+
+        Without a closed form, the sup costs distinct levels x distinct
+        speeds payoff rows, not one row per pair."""
         model = self.model
         vel = _as_points(v, model.dim)
         u_arr = np.asarray(u, dtype=float)

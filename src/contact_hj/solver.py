@@ -237,7 +237,6 @@ class SweepKernel:
         rows, slots = (reach > bw).nonzero()
         self.far = rows, slots, self.stencil[rows, slots]
         self._layout = self._band_layout(bw)
-        self.block = self._layout[0][0][1]  # rows per block, the last aside
 
         with np.errstate(all="ignore"):
             self.f_in = model.f(in_pts)

@@ -6,9 +6,10 @@ assumed zero, and a curve that settles costs only its transient. The
 curves of one kernel are traced together, one step of all of them at a
 time (see backtrace). Discount indices are difference quotients of
 the Lagrangian in its u slot between the field level and a reference
-level, one lattice sup per distinct (speed, level) pair for p-coupled
-models. One left-Riemann convention for their cumulative integrals weights
-both the representation formulas and the discounted measures.
+level, for p-coupled models one lattice sup table over the distinct
+levels x distinct speeds. One left-Riemann convention for their
+cumulative integrals weights both the representation formulas and the
+discounted measures.
 """
 
 import math

@@ -343,6 +343,15 @@ def test_z_dimension_mismatch_is_exit_2(cfg_file, capsys):
      'model.kinetic={"type": "tabulated", "dp": 0.1, "values": [0, "a"]}'],
     ["check", "--preset", "quadratic-linear", "--set",
      "expect_assumptions.H9=verified"],
+    ["check", "--preset", "power-tau", "--set", "model.kinetic.tau=nan"],
+    ["solve", "--preset", "arctan", "--set", "model.coupling.shift=nan"],
+    ["check", "--preset", "arctan", "--set", "model.coupling.shift=1e999"],
+    ["check", "--preset", "arctan", "--set", "model.dim=1e999"],
+    ["check", "--preset", "quadratic-linear", "--set",
+     'model.kinetic={"type": "tabulated", "dp": "nan", "values": [0, 1]}'],
+    ["check", "--preset", "quadratic-linear", "--set",
+     'model.kinetic={"type": "tabulated", "dp": 1, '
+     '"values": [0, 0.5, 2, "nan", 8, 12.5, 18, 24.5]}'],
 ])
 def test_malformed_input_is_exit_2(cfg_file, capsys, argv):
     path, out = cfg_file

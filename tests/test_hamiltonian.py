@@ -16,6 +16,7 @@ import pytest
 
 from contact_hj import hamiltonian
 from contact_hj.expressions import parse
+from contact_hj.grid import Domain, UniformGrid
 from contact_hj.hamiltonian import (
     _EXTENT_CAP,
     P_EXTENT,
@@ -33,6 +34,9 @@ from contact_hj.hamiltonian import (
     check_assumptions,
     lower_bound_m0,
 )
+from contact_hj.solver import (ControlSet, SolveParams, SweepKernel,
+                               solve_state_constraint)
+from contact_hj.trajectory import backtrace
 
 from conftest import peak_bytes
 
@@ -141,23 +145,31 @@ def test_fenchel_young(quad_lin):
         assert lhs >= p * v - 1e-12
 
 
+def lattice_evaluator(model):
+    """An evaluator that takes the lattice sup even where a closed form
+    exists."""
+    ev = LagrangianEvaluator(model)
+    ev.uses_closed_form = False
+    return ev
+
+
 def test_gridsup_matches_closed_form(quad_lin):
     ev = LagrangianEvaluator(quad_lin)
     assert ev.uses_closed_form
+    grid_ev = lattice_evaluator(quad_lin)
     rng = np.random.RandomState(5)
     for _ in range(25):
         x, v, u = rng.uniform(-2.5, 2.5, size=3)
-        lattice = (ev._radial_sup(np.array([abs(v)]), u)[0]
-                   + float(quad_lin.f(x)) - float(quad_lin.phi(x)) * u)
-        assert lattice == pytest.approx(ev.legendre(x, v, u), abs=5e-5)
+        assert grid_ev.legendre(x, v, u) == pytest.approx(
+            ev.legendre(x, v, u), abs=5e-5)
 
 
 def test_gridsup_power_kinetic():
     model = HamiltonianModel(dim=1, kinetic=PowerKinetic(tau=3.0),
                              potential=parse("0"), coupling=NoCoupling())
-    ev = LagrangianEvaluator(model)
+    ev = lattice_evaluator(model)
     # sup_p [1.7 p - |p|^3/3] = |1.7|^{1.5}/1.5
-    assert ev._radial_sup(np.array([1.7]), 0.0)[0] == pytest.approx(
+    assert ev.legendre(0.0, 1.7, 0.0) == pytest.approx(
         abs(1.7) ** 1.5 / 1.5, abs=5e-5)
 
 
@@ -260,22 +272,21 @@ def test_tabulated_kinetic_interp_and_extent():
                              potential=parse("0"))
     assert model.eval_h(0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-3)
     ev = LagrangianEvaluator(model)
-    assert ev._radial_sup(np.array([1.0]), 0.0)[0] == pytest.approx(
-        0.5, abs=1e-3)
+    assert not ev.uses_closed_form
+    assert ev.legendre(0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-3)
     with pytest.raises(ExtentError):
-        ev._radial_sup(np.array([10.0]), 0.0)  # maximizer beyond the table
+        ev.legendre(0.0, 10.0, 0.0)  # maximizer beyond the table
 
 
 def test_extent_doubling_and_cap():
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("0"))
-    ev = LagrangianEvaluator(model)
+    ev = lattice_evaluator(model)
     # maximizer p = v = 30 lies beyond the initial extent 20; doubling
     # reaches it
-    assert ev._radial_sup(np.array([30.0]), 0.0)[0] == pytest.approx(
-        450.0, abs=5e-5)
+    assert ev.legendre(0.0, 30.0, 0.0) == pytest.approx(450.0, abs=5e-5)
     with pytest.raises(ExtentError):
-        ev._radial_sup(np.array([200.0]), 0.0)  # beyond the hard cap 160
+        ev.legendre(0.0, 200.0, 0.0)  # beyond the hard cap 160
 
 
 def test_json_roundtrip(quad_lin, arctan_model):
@@ -439,7 +450,7 @@ def test_radial_sup_matches_per_level_reference(kinetic, coupling):
     model = HamiltonianModel(dim=1, kinetic=_KINETICS[kinetic],
                              potential=parse("0"),
                              coupling=_COUPLINGS[coupling])
-    ev = LagrangianEvaluator(model)
+    ev = lattice_evaluator(model)
     # -0.0 and 0.0 are one level of the evaluator, two of the reference
     levels = np.array([-10.0, -0.75, 0.0, 0.3, 2.5, -0.0])
     # fastest maximizer per level: 0, 1 and 2 doublings of the reference's
@@ -460,14 +471,14 @@ def test_radial_sup_matches_per_level_reference(kinetic, coupling):
     extents = {extent for _, extent in refs}
     assert extents == ({20.0} if kinetic == "tabulated" else {20.0, 40.0, 80.0})
     want = np.stack([vals for vals, _ in refs])
-    got = ev._radial_sup(speeds, levels[:, None])
+    got = ev._sup_term(speeds, levels[:, None])
     assert got.tobytes() == want.tobytes()
     # every pair three times over, shuffled into one flat call: each pair
     # still doubles on its own
     perm = np.random.RandomState(3).permutation(np.tile(np.arange(want.size),
                                                         3))
     flat_u = np.broadcast_to(levels[:, None], want.shape).reshape(-1)
-    got = ev._radial_sup(speeds.reshape(-1)[perm], flat_u[perm])
+    got = ev._sup_term(speeds.reshape(-1)[perm], flat_u[perm])
     assert got.tobytes() == want.reshape(-1)[perm].tobytes()
 
 
@@ -486,13 +497,13 @@ def test_radial_sup_on_a_table_shorter_than_the_first_extent(coupling):
                        for u in levels])
     want = np.stack([reference_radial_sup(model, s, float(u))[0]
                      for s, u in zip(speeds, levels)])
-    got = ev._radial_sup(speeds, levels[:, None])
+    got = ev._sup_term(speeds, levels[:, None])
     assert got.tobytes() == want.tobytes()
     # the quadratic twin gives the speed: the table stops short of r = 2.2
     speed = _speed_with_maximizer(replace(model, kinetic=QuadraticKinetic()),
                                   2.2, 0.0)
     with pytest.raises(ExtentError, match="tabulated kinetic boundary"):
-        ev._radial_sup(np.array([speed]), 0.0)
+        ev._sup_term(np.array([speed]), 0.0)
 
 
 def _first_extent_lattice():
@@ -530,7 +541,8 @@ def test_table_sup_matches_the_pairwise_sup(kinetic, coupling, monkeypatch):
     assert extents[:3] == [2.5, 5.0, 10.0]
     monkeypatch.undo()
     assert got.shape == (len(levels), len(speeds))
-    pairwise = ev._radial_sup(speeds, levels[:, None])
+    pairwise = lattice_evaluator(model)._sup_term(
+        np.broadcast_to(speeds, got.shape), levels[:, None])
     assert got.tobytes() == pairwise.tobytes()
     want = np.stack([reference_radial_sup(model, speeds, float(u))[0]
                      for u in levels])
@@ -548,7 +560,10 @@ def test_table_sup_over_many_levels_and_speeds(arctan_model):
     width = len(_first_extent_lattice())
     assert min(len(speeds), len(levels)) * width > hamiltonian._BLOCK
     got = ev._table_sup(speeds, levels)
-    assert got.tobytes() == ev._radial_sup(speeds, levels[:, None]).tobytes()
+    assert got.tobytes() == ev._sup_term(speeds, levels[:, None]).tobytes()
+    want = np.stack([reference_radial_sup(arctan_model, speeds, float(u))[0]
+                     for u in levels])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kinetic, top, match", [
@@ -568,7 +583,7 @@ def test_table_sup_raises_the_pairwise_extent_error(kinetic, top, match):
         replace(model, kinetic=QuadraticKinetic()), top, 0.0)])
     levels = np.array([-0.5, 0.0, 0.5])
     with pytest.raises(ExtentError, match=match) as pairwise:
-        ev._radial_sup(speeds, levels[:, None])
+        ev._sup_term(speeds, levels[:, None])
     with pytest.raises(ExtentError) as tensor:
         ev._table_sup(speeds, levels)
     assert str(tensor.value) == str(pairwise.value)
@@ -581,6 +596,58 @@ def test_coupling_table_matches_stacked_reference(arctan_model):
     want = np.stack([reference_radial_sup(arctan_model, speeds, float(u))[0]
                      for u in table.u_grid])
     assert np.array_equal(table.w, want)
+
+
+def test_unasked_pairs_of_the_table_neither_double_nor_raise():
+    # shift 0: at u = -0.45 the payoff of speed 30 peaks beyond the cap, but
+    # the table over {0, -0.45} x {1, 30} is asked only (30, 0), (1, -0.45)
+    model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
+                             potential=parse("0"),
+                             coupling=ArctanCoupling(shift=0.0))
+    ev = LagrangianEvaluator(model)
+    speeds, levels = np.array([30.0, 1.0]), np.array([0.0, -0.45])
+    x = np.zeros(2)
+    got = ev.legendre(x, speeds, levels)
+    sup = np.array([reference_radial_sup(model, [s], u)[0][0]
+                    for s, u in zip(speeds, levels)])
+    want = sup + model.f(x) - model.phi(x) * levels
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, [450.0, 4.11345943], rtol=1e-8)
+    with pytest.raises(ExtentError, match="escaped the momentum lattice"):
+        ev.legendre(0.0, 30.0, -0.45)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_legendre_and_discount_index_on_empty_inputs(dim):
+    model = HamiltonianModel(dim=dim, kinetic=QuadraticKinetic(),
+                             potential=parse("0"), coupling=ArctanCoupling())
+    ev = LagrangianEvaluator(model)
+    pts, levels = np.empty((0, dim)), np.empty(0)
+    for out in (ev.legendre(pts, pts, levels),
+                ev.discount_index(pts, pts, levels, levels)):
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_legendre_on_a_traced_arctan_curve_matches_the_reference(
+        arctan_model):
+    # the (velocity, level) pairs of a trace: few control speeds against
+    # many levels, so most entries of the table are not asked for
+    ev = LagrangianEvaluator(arctan_model)
+    grid = UniformGrid(Domain.full_box(((-6.0, 6.0),)), (61,))
+    kernel = SweepKernel(grid, ev, ControlSet.build(1))
+    lam = 0.2
+    out = solve_state_constraint(kernel, lam, math.pi, SolveParams(tol=1e-6))
+    curve = backtrace(kernel, out.field, lam, math.pi, 1.5, 10.0)
+    x = curve.points[:curve.segments]
+    levels = lam * out.field.interpolate(x)
+    speeds = np.sqrt(np.sum(np.square(curve.velocities), axis=-1))
+    assert (len(np.unique(speeds)) * len(np.unique(levels))
+            > 2 * len(set(zip(speeds.tolist(), levels.tolist()))))
+    sup = np.array([reference_radial_sup(arctan_model, [s], u)[0][0]
+                    for s, u in zip(speeds, levels)])
+    want = sup + arctan_model.f(x) - arctan_model.phi(x) * levels
+    got = ev.legendre(x, curve.velocities, levels)
+    assert got.tobytes() == want.tobytes()
 
 
 # one speeds x lattice payoff for 830 speeds alone takes 13 MB
@@ -603,8 +670,9 @@ def test_lattice_sup_memory_is_bounded(arctan_model):
 
 
 def test_arctan_legendre_does_not_load_numpy_ma():
-    # np.unique and the set routines import numpy.ma on first use, ~8 ms in
-    # every fresh process; the lattice sup builds its block cuts without them
+    # numpy.ma costs ~8 ms to import in every fresh process; some numpy
+    # set routines load it on first use, but np.unique, which the lattice
+    # sup dedupes its speeds and levels with, does not (numpy 2.4.6)
     code = (
         "import math, sys\n"
         "import numpy as np\n"

@@ -9,9 +9,9 @@ from contact_hj.grid import Domain, GridField, UniformGrid
 from contact_hj.hamiltonian import (ArctanCoupling, HamiltonianModel,
                                     LagrangianEvaluator, LinearCoupling,
                                     NoCoupling, QuadraticKinetic)
-from contact_hj.solver import (_FOOT_CHUNK, CMismatchError, ControlSet,
-                               SolveParams, SolverError, SweepKernel,
-                               _ensure_table, aubry_indicator,
+from contact_hj.solver import (_FOOT_CHUNK, _SOLVE_BLOCK, CMismatchError,
+                               ControlSet, SolveParams, SolverError,
+                               SweepKernel, _ensure_table, aubry_indicator,
                                estimate_critical_value,
                                lax_oleinik_step, mane_potential, solve_ergodic,
                                solve_maximal_global, solve_state_constraint)
@@ -604,7 +604,8 @@ def test_policy_solve_multi_block_matches_dense(kernel401):
     assert len(ball.far[0]) > 0
     for kernel in (kernel401, ball):
         n = len(kernel.in_idx)
-        assert n > 256 and kernel.block < n  # several blocks
+        block = max(kernel.bandwidth, min(n, _SOLVE_BLOCK))
+        assert n > 256 and block < n  # several blocks
         far_rows = np.unique(kernel.far[0])
         for scale in (1.0, 0.97):
             policy = rng.randint(0, kernel.weights.shape[1], n)
@@ -664,8 +665,9 @@ def test_policy_solve_singular_2d_ball_names_rows(path):
         policy = np.full(n, ball.stay)
         diag = np.full(n, 2.0)
         diag[row] = 1.0
-        lo = row - row % ball.block
-        match = rf"singular in rows {lo}\.\.{lo + ball.block - 1} "
+        block = max(ball.bandwidth, min(n, _SOLVE_BLOCK))
+        lo = row - row % block
+        match = rf"singular in rows {lo}\.\.{lo + block - 1} "
     else:
         # nothing is discounted or held and every row heads toward one row,
         # which moves on: the rows of A sum to 0, yet rounding leaves every
