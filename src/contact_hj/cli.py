@@ -193,7 +193,7 @@ def _cmd_trace(args) -> int:
     write_curve_csv(os.path.join(run_dir, "curve.csv"), curve, idx)
     action = exponential_action(curve, idx, kernel.evaluator, lam,
                                 config.c, boundary_field=field)
-    vz = float(field.interpolate(np.reshape(z, (1, -1)))[0])
+    vz = float(field.interpolate(z))
     summary = {"z": list(z) if isinstance(z, tuple) else z, "lambda": lam,
                "horizon": horizon, "defect_max": curve.defect_max,
                "warning": curve.warning, "field_at_z": vz, "exponential_action": action,

@@ -517,8 +517,7 @@ def vanishing_discount_sweep(config: ExperimentConfig,
     gap = float(np.max(np.abs(proxy_w - mane_w)))
     report.add_table("limit_proxy", ["quantity", "value"],
                      [["proxy_vs_mane_window_sup", gap],
-                      ["proxy_at_origin",
-                       float(proxy.interpolate(np.array([origin]))[0])],
+                      ["proxy_at_origin", float(proxy.interpolate(origin))],
                       ["ergodic_residual", proxy_out.final_residual]])
     report.add_verdict("proxy_matches_mane", gap <= 5e-2, gap, "<= 5e-2",
                        "limit_proxy", [0])
@@ -583,13 +582,12 @@ def localization_study(config: ExperimentConfig, z=None,
     if r_trunc <= max(config.radii):
         raise ConfigError("truncation radius must exceed every scheduled R")
     kernel = truncation_kernel(config)
-    at_z = np.array([z])
 
     report = ConvergenceReport("localization", config.to_dict())
     u_z = {}
     trunc_rows = []
     for lam, out in discount_chain(kernel, config):
-        u_z[lam] = float(out.field.interpolate(at_z)[0])
+        u_z[lam] = float(out.field.interpolate(z))
         trunc_rows.append([lam, r_trunc, u_z[lam], out.iterations,
                            out.final_residual])
     report.add_table("truncated", ["lambda", "R_trunc", "u_at_z",
@@ -606,7 +604,7 @@ def localization_study(config: ExperimentConfig, z=None,
                 config.solver["dt"])
         out = _settled_solve(ball_kernels[radius], lam, config,
                             v0=warm.pop(radius, None))
-        theta = float(out.field.interpolate(at_z)[0])
+        theta = float(out.field.interpolate(z))
         warm[radius] = out.field.values
         return theta
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Domain", "UniformGrid", "GridField", "DomainError",
-           "atomic_write_text", "atomic_write_rows", "tensor_points"]
+           "as_points", "atomic_write_text", "atomic_write_rows",
+           "tensor_points"]
 
 
 class DomainError(ValueError):
@@ -46,6 +47,15 @@ def atomic_write_rows(path, header, rows) -> None:
     fmt = ",".join(["{:.17g}"] * rows.shape[1]).format
     lines = list(header) + [fmt(*row) for row in rows.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def as_points(points, dim: int, error=DomainError) -> np.ndarray:
+    """points as floats with their dim coordinates on the last axis; a bare
+    number is one 1D point. Any other last axis raises error."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != dim:
+        raise error(f"expected points of shape (..., {dim}), got {pts.shape}")
+    return pts
 
 
 def tensor_points(axes) -> np.ndarray:
@@ -83,15 +93,15 @@ class Domain:
         return len(self.box)
 
     def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if self.dim == 1 else pts[None, :]
-        inside = np.ones(pts.shape[0], dtype=bool)
+        """Whether each point (..., dim) lies within slack of the domain, in
+        the points' leading shape (see as_points)."""
+        pts = as_points(points, self.dim)
+        inside = np.ones(pts.shape[:-1], dtype=bool)
         for k, (lo, hi) in enumerate(self.box):
-            inside &= (pts[:, k] >= lo - slack) & (pts[:, k] <= hi + slack)
+            inside &= (pts[..., k] >= lo - slack) & (pts[..., k] <= hi + slack)
         if self.kind == "ball":
             d = pts - np.asarray(self.center)
-            d2 = np.sum(np.square(d, out=d), axis=1)
+            d2 = np.sum(np.square(d, out=d), axis=-1)
             inside &= d2 <= (self.radius + slack) ** 2 + 1e-12
         return inside
 
@@ -240,26 +250,22 @@ class GridField:
     # -- interpolation -------------------------------------------------------
 
     def interpolate(self, points) -> np.ndarray:
-        """Multilinear interpolation with mask replacement at stencil corners.
+        """Multilinear interpolation at points (..., dim), with mask
+        replacement at stencil corners, in the points' leading shape (see
+        as_points).
 
         Queries may sit up to half a cell outside the mask (backtraced feet
         graze boundaries by a ulp); anything farther raises DomainError.
         """
         grid = self.grid
-        pts = np.asarray(points, dtype=float)
-        squeeze = False
-        if pts.ndim == 0 or (pts.ndim == 1 and grid.dim == 2):
-            pts = pts.reshape(1, -1) if grid.dim == 2 else pts.reshape(1)
-            squeeze = True
-        if grid.dim == 1:
-            pts = pts.reshape(-1, 1)
-        slack = 0.5 * max(grid.dx)
-        ok = grid.domain.contains(pts, slack=slack)
+        pts = as_points(points, grid.dim)
+        flat = pts.reshape(-1, grid.dim)
+        ok = grid.domain.contains(flat, slack=0.5 * max(grid.dx))
         if not np.all(ok):
-            bad = pts[np.argmin(ok)]
+            bad = flat[np.argmin(ok)]
             raise DomainError(f"query point {bad.tolist()} outside the domain")
-        out = grid.multilinear(self.values.ravel()[grid.replacement_map], pts)
-        return float(out[0]) if squeeze else out
+        return grid.multilinear(self.values.ravel()[grid.replacement_map],
+                                flat).reshape(pts.shape[:-1])
 
     # -- persistence -----------------------------------------------------------
 

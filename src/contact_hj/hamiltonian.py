@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import Expr, coordinate_names, parse, point_env
-from .grid import tensor_points
+from .grid import as_points, tensor_points
 
 __all__ = [
     "QuadraticKinetic",
@@ -198,20 +198,9 @@ class ArctanCoupling:
 
 
 def _as_points(z, dim: int) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if dim == 1:
-        if z.ndim == 0:
-            z = z[None]
-        if z.shape[-1] != 1:
-            z = z[..., None]
-    else:
-        if z.ndim == 1:
-            if z.shape[0] != dim:
-                raise ModelError(f"expected point of dimension {dim}")
-            z = z[None, :]
-        if z.shape[-1] != dim:
-            raise ModelError(f"expected points of dimension {dim}")
-    return z
+    """z with its dim coordinates on the last axis (a bare number is one 1D
+    point), or ModelError naming its shape; see grid.as_points."""
+    return as_points(z, dim, ModelError)
 
 
 def _number(value, key: str, cast=float):
@@ -300,15 +289,13 @@ class HamiltonianModel:
         """H(x, p, u) = kinetic(|p|) - f(x) + phi(x)*u + m(|p|, u), batched."""
         r = np.sqrt(np.sum(np.square(_as_points(p, self.dim)), axis=-1))
         u = np.asarray(u, dtype=float)
-        val = (self.kinetic.radial(r) - self.f(x)
-               + (self.phi(x) * u + self.coupling.momentum_term(r, u)))
-        return val if np.ndim(val) else float(val)
+        return (self.kinetic.radial(r) - self.f(x)
+                + (self.phi(x) * u + self.coupling.momentum_term(r, u)))
 
     def du_h(self, x, p, u):
         """Partial derivative of H in the u slot, phi(x) + m_u(|p|, u)."""
         r = np.sqrt(np.sum(np.square(_as_points(p, self.dim)), axis=-1))
-        val = self.phi(x) + self.coupling.momentum_du(r, u)
-        return val if np.ndim(val) else float(val)
+        return self.phi(x) + self.coupling.momentum_du(r, u)
 
     # -- serialization -----------------------------------------------------
 
@@ -474,47 +461,32 @@ class LagrangianEvaluator:
     def _sup_term(self, speeds: np.ndarray, u) -> np.ndarray:
         """W(|v|, u) for |v| = speeds at level(s) u: one table over the
         distinct levels x distinct speeds of the broadcast pairs."""
-        speeds = np.atleast_1d(np.asarray(speeds, dtype=float))
+        speeds = np.asarray(speeds, dtype=float)
         if self.uses_closed_form:
             return self.model.kinetic.conjugate_speed(speeds)
         speeds, u = np.broadcast_arrays(
             speeds, 0.0 if self.model.coupling.separable else u)
-        out = np.empty(speeds.shape)
-        if not out.size:
-            return out
-        # the pairs sorted by level, then speed: levels compare by value, so
-        # -0.0 and 0.0 share a level (momentum_term gives them equal bits),
-        # speeds by their bits
-        bits, u = speeds.reshape(-1).view(np.int64), u.reshape(-1)
-        order = np.lexsort((bits, u))
-        bits, u = bits[order], u[order]
-        level = np.concatenate(([True], u[1:] != u[:-1]))
-        first = level | np.concatenate(([True], bits[1:] != bits[:-1]))
-        distinct, s_at = np.unique(bits[first], return_inverse=True)
-        u_at = np.cumsum(level[first]) - 1
-        asked = np.zeros((u_at[-1] + 1, len(distinct)), dtype=bool)
+        # levels compare by value, so -0.0 and 0.0 share a level
+        # (momentum_term gives them equal bits), speeds by their bits
+        levels, u_at = np.unique(u, return_inverse=True)
+        bits, s_at = np.unique(speeds.view(np.int64), return_inverse=True)
+        asked = np.zeros((len(levels), len(bits)), dtype=bool)
         asked[u_at, s_at] = True
-        table = self._table_sup(distinct.view(float), u[level], asked)
-        out.reshape(-1)[order] = table[u_at, s_at][np.cumsum(first) - 1]
-        return out
+        table = self._table_sup(bits.view(float), levels, asked)
+        return table[u_at, s_at].reshape(speeds.shape)
 
     # -- public operations ---------------------------------------------------
 
     def legendre(self, x, v, u):
-        """L(x, v, u); inputs broadcast, scalar in gives scalar out.
+        """L(x, v, u) at points x and velocities v (..., dim) and levels u,
+        all broadcast: one point (a bare number in 1D) gives a 0-d result.
 
         Without a closed form, the sup costs distinct levels x distinct
         speeds payoff rows, not one row per pair."""
         model = self.model
-        vel = _as_points(v, model.dim)
-        u_arr = np.asarray(u, dtype=float)
-        speeds = np.sqrt(np.sum(np.square(vel), axis=-1))
-        val = np.asarray(self._sup_term(speeds, u_arr) + model.f(x)
-                         - model.phi(x) * u_arr)
-        scalar_in = (val.size == 1 and np.ndim(u) == 0
-                     and np.asarray(x, dtype=float).ndim <= 1
-                     and np.asarray(v, dtype=float).ndim <= 1)
-        return float(val.reshape(-1)[0]) if scalar_in else val
+        u = np.asarray(u, dtype=float)
+        speeds = np.sqrt(np.sum(np.square(_as_points(v, model.dim)), axis=-1))
+        return self._sup_term(speeds, u) + model.f(x) - model.phi(x) * u
 
     def conjugate_speeds(self, speeds: np.ndarray) -> np.ndarray:
         """W(speeds, 0): the sup term at u = 0, at every u if separable."""
@@ -528,8 +500,7 @@ class LagrangianEvaluator:
         """Derivative of L in the u slot: -phi(x) for separable couplings,
         a forward difference of step _DU_EPS otherwise."""
         if self.model.coupling.separable:
-            out = -self.model.phi(x)
-            return float(out) if np.size(out) == 1 and np.ndim(u) == 0 else out
+            return -self.model.phi(x)
         u = np.asarray(u, dtype=float)
         hi = self.legendre(x, v, u + _DU_EPS)
         return (hi - self.legendre(x, v, u)) / _DU_EPS
@@ -551,7 +522,7 @@ class LagrangianEvaluator:
         same = np.abs(a - b) < _DU_EPS
         if np.any(same):
             out = np.where(same, self.partial_u_l(x, v, b), out)
-        return float(out) if np.ndim(out) == 0 else out
+        return out
 
 
 class _ConjugateTable:

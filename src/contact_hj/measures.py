@@ -123,8 +123,7 @@ def closedness_defect(mu: WeightedSampleMeasure, battery) -> float:
 def mather_defect(mu: WeightedSampleMeasure, evaluator: LagrangianEvaluator,
                   c: float) -> float:
     """<mu, L(x, v, 0)> + c; tends to 0 for measures from minimizers."""
-    lvals = np.asarray(evaluator.legendre(mu.points, mu.velocities, 0.0),
-                       dtype=float)
+    lvals = evaluator.legendre(mu.points, mu.velocities, 0.0)
     return float(np.sum(mu.weights * lvals)) + c
 
 
@@ -135,10 +134,9 @@ def selection_functional(mu: WeightedSampleMeasure, w_field: GridField,
     Raises DomainError (from interpolation) when the measure's support
     escapes the field's mask.
     """
-    wvals = np.asarray(w_field.interpolate(mu.points), dtype=float)
-    du = np.asarray(evaluator.partial_u_l(mu.points, mu.velocities,
-                                          np.zeros(len(mu.weights))),
-                    dtype=float)
+    wvals = w_field.interpolate(mu.points)
+    du = evaluator.partial_u_l(mu.points, mu.velocities,
+                               np.zeros(len(mu.weights)))
     return float(np.sum(mu.weights * wvals * du))
 
 
@@ -157,8 +155,7 @@ def weak_limit_diagnostics(measures: dict, battery,
 
     def pairings(mu):
         out = [mu.pair(lambda p, v, phi=phi: phi(p)) for phi, _ in battery]
-        out.append(mu.pair(lambda p, v: np.asarray(
-            evaluator.legendre(p, v, 0.0), dtype=float)))
+        out.append(mu.pair(lambda p, v: evaluator.legendre(p, v, 0.0)))
         return np.asarray(out)
 
     tables = {l: pairings(measures[l]) for l in lams}

@@ -112,12 +112,12 @@ class ControlSet:
             raise SolverError("control spacing must lie in (0, max_speed]")
         k = int(math.floor(max_speed / da + 1e-12))
         controls = tensor_points([da * np.arange(-k, k + 1)] * dim)
-        if dim > 1:  # cut the square to the ball; 1D keeps its whole axis
-            # relative slack: k*da may round just above max_speed
-            keep = (np.sum(np.square(controls), axis=1)
-                    <= max_speed ** 2 * (1.0 + 1e-12))
-            controls = controls[keep]
-        return ControlSet(max_speed=max_speed, da=da, controls=controls)
+        # cut the square to the ball of radius max_speed, or k*da where the
+        # floor's slack put k*da past it, so the cut keeps every point of an
+        # axis (all of a 1D lattice); relative slack for the rounding of |a|^2
+        radius = max(max_speed, k * da)
+        keep = np.sum(np.square(controls), axis=1) <= radius ** 2 * (1 + 1e-12)
+        return ControlSet(max_speed=max_speed, da=da, controls=controls[keep])
 
     @property
     def dim(self) -> int:
@@ -222,7 +222,7 @@ class SweepKernel:
         for lo in range(0, len(in_pts), rows):
             feet = in_pts[lo:lo + rows, None] - self.dt * ctrl[None]
             self.blocked[lo:lo + rows] = ~grid.domain.contains(
-                feet.reshape(-1, grid.dim), slack=1e-9).reshape(len(feet), -1)
+                feet, slack=1e-9)
         stuck = np.all(self.blocked, axis=1)
         if np.any(stuck):
             bad = in_pts[np.argmax(stuck)]
@@ -599,7 +599,7 @@ def estimate_critical_value(kernel: SweepKernel, lam_sequence,
         out = _policy_iterate(kernel, start, 0.0, 0.0, params, {
             "kind": "discounted", "lambda": lam, "c": 0.0},
             discount=lam).settled(f"discounted solve at lam={lam:g}")
-        c_est = -lam * out.field.interpolate(np.reshape(x0, (1, -1)))[0]
+        c_est = -lam * out.field.interpolate(x0)
         table.append((lam, float(c_est)))
         outcomes.append(out)
         start = out.field.values  # warm start the next, smaller λ
@@ -661,7 +661,6 @@ def solve_maximal_global(evaluator: LagrangianEvaluator, controls: ControlSet,
     radii = [float(r) for r in r_schedule]
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise SolverError("r_schedule must be strictly increasing, >= 2 long")
-    probe = np.atleast_1d(np.asarray(probe, dtype=float))
     history = []
     outcome = stabilized_at = prev_bound = None
     for r in radii:
@@ -671,7 +670,7 @@ def solve_maximal_global(evaluator: LagrangianEvaluator, controls: ControlSet,
         # ball start from the zeros of the first start vector
         v0 = None if outcome is None else outcome.field.values
         outcome = solve_state_constraint(kernel, lam, c, params=params, v0=v0)
-        val = float(outcome.field.interpolate(probe[None, :])[0])
+        val = float(outcome.field.interpolate(probe))
         history.append((r, val))
         bound = outcome.extras["error_bound"]
         if prev_bound is not None and abs(history[-1][1] - history[-2][1]) \

@@ -128,7 +128,7 @@ def _lockstep(kernel, cells, c, defect_tol) -> Traces:
         if len(z) != dim:
             out[i] = SolverError(f"start point has dimension {len(z)}, "
                                  f"grid has {dim}")
-        elif not grid.domain.contains(z[None, :], slack=1e-9)[0]:
+        elif not grid.domain.contains(z, slack=1e-9):
             out[i] = SolverError(f"start point {z.tolist()} outside the mask")
         else:
             ids.append(i)
@@ -162,8 +162,7 @@ def _lockstep(kernel, cells, c, defect_tol) -> Traces:
             kernel.speeds, level)
         lvals = sup + model.f(x)[:, None] - (model.phi(x) * level)[:, None]
         feet = x[:, None, :] - step
-        ok = grid.domain.contains(feet.reshape(-1, dim),
-                                  slack=1e-9).reshape(len(live), -1)
+        ok = grid.domain.contains(feet, slack=1e-9)
         for q in np.flatnonzero(~ok.any(axis=1)):
             dead[live[q]] = True
             out[ids[live[q]]] = SolverError(
@@ -223,9 +222,9 @@ def compute_indices(curve: Curve, evaluator: LagrangianEvaluator,
     """
     n = curve.segments
     xk = curve.points[:n]
-    a_levels = lam * np.asarray(field.interpolate(xk), dtype=float)
-    values = np.asarray(evaluator.discount_index(
-        xk, curve.velocities, a_levels, np.full(n, -lam * c0)), dtype=float)
+    a_levels = lam * field.interpolate(xk)
+    values = evaluator.discount_index(xk, curve.velocities, a_levels,
+                                      np.full(n, -lam * c0))
     cumulative = np.concatenate([[0.0], np.cumsum(curve.dt * values)])
     return IndexSeries(values=values, cumulative=cumulative)
 
@@ -242,13 +241,12 @@ def exponential_action(curve: Curve, indices: IndexSeries,
     right-hand side of the representation formulas.
     """
     n = curve.segments
-    lvals = np.asarray(evaluator.legendre(
-        curve.points[:n], curve.velocities, -lam * c0), dtype=float)
+    lvals = evaluator.legendre(curve.points[:n], curve.velocities, -lam * c0)
     w = indices.weights(lam)[:n]
     total = float(np.sum(w * (lvals + c) * curve.dt))
     if boundary_field is not None:
         tail_w = math.exp(lam * float(indices.cumulative[-1]))
-        tail_v = float(boundary_field.interpolate(curve.points[-1:])[0])
+        tail_v = float(boundary_field.interpolate(curve.points[-1]))
         total += tail_w * tail_v
     return total
 

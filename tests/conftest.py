@@ -29,6 +29,25 @@ def peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+def shaped_points(dim, rng, lo=-1.0, hi=1.0) -> list:
+    """One point (a bare number in 1D), (4, dim) and (3, 4, dim) points in
+    [lo, hi]^dim, each with the leading shape of the results at them."""
+    one = rng.uniform(lo, hi) if dim == 1 else rng.uniform(lo, hi, dim)
+    return [(one, ()), (rng.uniform(lo, hi, (4, dim)), (4,)),
+            (rng.uniform(lo, hi, (3, 4, dim)), (3, 4))]
+
+
+def check_shape_rule(fn, shape, *args) -> None:
+    """fn(*args) is a numpy value of the given shape, never a Python float,
+    and each of its values has the bytes of fn at that point alone."""
+    out = fn(*args)
+    assert isinstance(out, (np.ndarray, np.generic)) and np.shape(out) == shape
+    for idx in np.ndindex(*shape) if shape else ():
+        one = fn(*(np.asarray(a)[idx] for a in args))
+        assert isinstance(one, (np.ndarray, np.generic)) and np.shape(one) == ()
+        assert np.asarray(one).tobytes() == out[idx].tobytes()
+
+
 def make_ql_model() -> HamiltonianModel:
     """Quadratic kinetic, Gaussian well potential, unit linear coupling."""
     return HamiltonianModel(

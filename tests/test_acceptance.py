@@ -100,7 +100,7 @@ def test_critical_value_recovery_and_radius_monotonicity(
 def test_pinned_semidistance_quadrature_and_triangle(grid401, mane_pool):
     field = mane_pool[0.0]
     xs = np.linspace(-3.0, 3.0, 601)
-    sup = float(np.max(np.abs(np.asarray(field.interpolate(xs))
+    sup = float(np.max(np.abs(np.asarray(field.interpolate(xs[:, None]))
                               - quadrature_mane(xs))))
     assert sup <= 5e-2
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from contact_hj.grid import (Domain, DomainError, GridField, UniformGrid,
                              atomic_write_rows)
 
-from conftest import read_field_csv
+from conftest import check_shape_rule, read_field_csv, shaped_points
 
 
 def line_grid(n=41, lo=-2.0, hi=2.0):
@@ -17,7 +18,8 @@ def test_constant_field_interpolates_to_constant():
     grid = line_grid()
     fld = GridField(grid, np.full(grid.shape, 3.25))
     pts = np.linspace(-2, 2, 17)
-    np.testing.assert_array_equal(fld.interpolate(pts), np.full(17, 3.25))
+    np.testing.assert_array_equal(fld.interpolate(pts[:, None]),
+                                  np.full(17, 3.25))
 
 
 def test_linear_field_exact_at_cell_center():
@@ -37,7 +39,7 @@ def test_interpolation_at_nodes_is_exact():
     rng = np.random.RandomState(0)
     vals = rng.uniform(-5, 5, size=grid.shape)
     fld = GridField(grid, vals)
-    out = fld.interpolate(grid.axes[0])
+    out = fld.interpolate(grid.axes[0][:, None])
     np.testing.assert_array_equal(out, vals)
 
 
@@ -47,7 +49,7 @@ def test_interpolation_monotone_between_stencil_values():
     vals = rng.uniform(-1, 1, size=grid.shape)
     fld = GridField(grid, vals)
     q = rng.uniform(-2, 2, size=200)
-    out = fld.interpolate(q)
+    out = fld.interpolate(q[:, None])
     lo = (q - grid.axes[0][0]) / grid.dx[0]
     i0 = np.clip(np.floor(lo).astype(int), 0, grid.shape[0] - 2)
     v0, v1 = vals[i0], vals[i0 + 1]
@@ -62,6 +64,23 @@ def test_query_outside_domain_raises():
     fld.interpolate(2.0 + 0.4 * grid.dx[0])
     with pytest.raises(DomainError):
         fld.interpolate(2.0 + 0.6 * grid.dx[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_points_carry_their_coordinates_on_the_last_axis(dim):
+    domain = Domain.ball([(-2.0, 2.0)] * dim, radius=1.5)
+    grid = UniformGrid(domain, (21,) * dim)
+    rng = np.random.default_rng(dim)
+    fld = GridField(grid, rng.uniform(-1.0, 1.0, grid.shape))
+    # [-1, 1]^dim lies in the ball; [-2.5, 2.5]^dim reaches out of the box
+    for (x, shape), (y, _) in zip(shaped_points(dim, rng),
+                                  shaped_points(dim, rng, -2.5, 2.5)):
+        check_shape_rule(fld.interpolate, shape, x)
+        check_shape_rule(domain.contains, shape, y)
+    bad = np.zeros(5 if dim == 1 else 3)
+    for fn in (fld.interpolate, domain.contains):
+        with pytest.raises(DomainError, match=re.escape(str(bad.shape))):
+            fn(bad)
 
 
 def test_ball_mask_symmetry_and_margin():

@@ -7,6 +7,7 @@ momentum grids (2e6 points on [-50, 50]) independent of the evaluator.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -38,7 +39,7 @@ from contact_hj.solver import (ControlSet, SolveParams, SweepKernel,
                                solve_state_constraint)
 from contact_hj.trajectory import backtrace
 
-from conftest import peak_bytes
+from conftest import check_shape_rule, peak_bytes, shaped_points
 
 
 @pytest.fixture
@@ -85,7 +86,8 @@ def test_du_h_is_the_u_slope_of_eval_h(coupling):
     model = HamiltonianModel(dim=1, kinetic=QuadraticKinetic(),
                              potential=parse("1 - exp(-x^2)"),
                              coupling=coupling)
-    x, p, u = np.linspace(-3, 3, 7), np.linspace(-2, 2, 5)[:, None], 0.3
+    x, u = np.linspace(-3, 3, 7)[:, None], 0.3
+    p = np.linspace(-2, 2, 5)[:, None]
     slope = (model.eval_h(x, p[..., None], u + 1e-6)
              - model.eval_h(x, p[..., None], u - 1e-6)) / 2e-6
     du = np.broadcast_to(model.du_h(x, p[..., None], u), slope.shape)
@@ -216,11 +218,42 @@ def test_discount_index_resolves_nearby_levels(arctan_model):
         assert ev.discount_index(0.0, 0.0, a, 0.0) == want
 
 
+@pytest.mark.parametrize("coupling", ["linear", "arctan"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_points_carry_their_coordinates_on_the_last_axis(dim, coupling):
+    coupling = (LinearCoupling(parse("2 + sin(x)" if dim == 1 else "2 + x*y"))
+                if coupling == "linear" else ArctanCoupling())
+    model = HamiltonianModel(dim=dim, kinetic=QuadraticKinetic(),
+                             potential=parse("1 - exp(-x^2)"),
+                             coupling=coupling)
+    ev = LagrangianEvaluator(model)
+    rng = np.random.default_rng(dim)
+    for (x, shape), (v, _) in zip(shaped_points(dim, rng),
+                                  shaped_points(dim, rng)):
+        u = rng.uniform(-0.5, 0.5, shape) if shape else 0.3
+        # every other pair of levels is one level twice
+        b = u + 0.3 * (np.arange(np.size(u)).reshape(np.shape(u)) % 2)
+        check_shape_rule(model.f, shape, x)
+        check_shape_rule(model.phi, shape, x)
+        check_shape_rule(model.eval_h, shape, x, v, u)
+        check_shape_rule(model.du_h, shape, x, v, u)
+        check_shape_rule(ev.legendre, shape, x, v, u)
+        check_shape_rule(ev.partial_u_l, shape, x, v, u)
+        check_shape_rule(ev.discount_index, shape, x, v, u, b)
+    bad = np.zeros(5 if dim == 1 else 3)
+    for fn, args in ((model.f, ()), (model.phi, ()),
+                     (model.eval_h, (bad, 0.3)), (model.du_h, (bad, 0.3)),
+                     (ev.legendre, (bad, 0.3)), (ev.partial_u_l, (bad, 0.3)),
+                     (ev.discount_index, (bad, 0.3, 0.6))):
+        with pytest.raises(ModelError, match=re.escape(str(bad.shape))):
+            fn(bad, *args)
+
+
 def test_discount_index_batched(quad_lin):
     ev = LagrangianEvaluator(quad_lin)
     a = np.array([0.7, 0.3, -0.1])
     b = np.array([0.2, 0.3, 0.4])
-    out = ev.discount_index(np.ones(3), 0.5 * np.ones(3), a, b)
+    out = ev.discount_index(np.ones((3, 1)), 0.5 * np.ones((3, 1)), a, b)
     np.testing.assert_allclose(out, -np.ones(3), atol=1e-12)
 
 
@@ -606,8 +639,8 @@ def test_unasked_pairs_of_the_table_neither_double_nor_raise():
                              coupling=ArctanCoupling(shift=0.0))
     ev = LagrangianEvaluator(model)
     speeds, levels = np.array([30.0, 1.0]), np.array([0.0, -0.45])
-    x = np.zeros(2)
-    got = ev.legendre(x, speeds, levels)
+    x = np.zeros((2, 1))
+    got = ev.legendre(x, speeds[:, None], levels)
     sup = np.array([reference_radial_sup(model, [s], u)[0][0]
                     for s, u in zip(speeds, levels)])
     want = sup + model.f(x) - model.phi(x) * levels
@@ -657,9 +690,9 @@ _PEAK_BYTES = 4 << 20
 def test_lattice_sup_memory_is_bounded(arctan_model):
     ev = LagrangianEvaluator(arctan_model)
     speeds = np.linspace(0.0, 6.0, 830)
-    x = np.zeros(830)
-    assert peak_bytes(lambda: ev.legendre(x, speeds, 0.4)) < _PEAK_BYTES
-    assert peak_bytes(lambda: ev.partial_u_l(x, speeds, 0.4)) < _PEAK_BYTES
+    x, v = np.zeros((830, 1)), speeds[:, None]
+    assert peak_bytes(lambda: ev.legendre(x, v, 0.4)) < _PEAK_BYTES
+    assert peak_bytes(lambda: ev.partial_u_l(x, v, 0.4)) < _PEAK_BYTES
     assert peak_bytes(lambda: ev.coupling_table(
         speeds[:97], -1.0, 1.0)) < _PEAK_BYTES
     # a wide u-range: a table over more than 400 levels

@@ -46,9 +46,14 @@ def test_control_lattice_2d_ball_and_order():
     assert keys == sorted(keys)
 
 
+# max_speed / da rounds to 2 - 1e-12: the floor's slack takes k = 2, and
+# (2·da)^2 lies just past max_speed^2 * (1 + 1e-12)
+_EDGE = (3.3682216747933804, 1.6841108373975324)
+
+
 @pytest.mark.parametrize("max_speed, da", [
     (123.4, 123.4 / 51), (4.0, 0.25), (4.0, 0.8), (1.0, 0.1), (2.0, 1.0),
-    (6.0, 6.0 / 48.0), (0.3, 0.1), (7.0, 0.7)])
+    (6.0, 6.0 / 48.0), (0.3, 0.1), (7.0, 0.7), _EDGE])
 def test_control_lattice_2d_reaches_the_1d_tips(max_speed, da):
     # the 2D ball cut keeps (±k·da, 0) and (0, ±k·da) whenever the 1D axis
     # reaches ±k·da, even when k·da rounds just above max_speed
@@ -56,6 +61,19 @@ def test_control_lattice_2d_reaches_the_1d_tips(max_speed, da):
     pts = {tuple(row) for row in ControlSet.build(2, max_speed, da).controls}
     for a in (-tip, tip):
         assert (a, 0.0) in pts and (0.0, a) in pts
+
+
+@pytest.mark.parametrize("max_speed, da", [
+    (None, None), (6.0, 0.5), (6.0, 0.25), (3.0, 3.0), (0.7, 0.7),
+    (4.0, np.nextafter(2.0, 3.0)), (1.0, 0.5000001), (123.4, 123.4 / 51),
+    (0.3, 0.1), (7.0, 0.7), _EDGE])
+def test_control_lattice_1d_keeps_the_whole_axis(max_speed, da):
+    # the defaults, the 1D workload spacings, da = max_speed, da just above
+    # max_speed / 2, and k·da rounding past max_speed
+    cs = ControlSet.build(1, max_speed, da)
+    k = int(math.floor(cs.max_speed / cs.da + 1e-12))
+    np.testing.assert_array_equal(
+        cs.controls, (cs.da * np.arange(-k, k + 1))[:, None])
 
 
 def test_control_lattice_rejects_bad_inputs():
@@ -816,7 +834,7 @@ def test_vanishing_phi_policy_iteration_matches_value_iteration(
 
 def test_ergodic_matches_quadrature(ergodic201):
     xs = np.linspace(-3.0, 3.0, 121)
-    diff = ergodic201.field.interpolate(xs) - quadrature_mane(xs)
+    diff = ergodic201.field.interpolate(xs[:, None]) - quadrature_mane(xs)
     assert np.max(np.abs(diff)) <= 1e-1
 
 
@@ -864,7 +882,7 @@ def test_ergodic_keeps_the_well_levels_of_v0(controls1d):
     v0 = np.where(grid.axes[0] > 0.0, 0.3, 0.0)
     out = solve_ergodic(kernel, 0.0, SolveParams(tol=1e-8), anchor=-2.0, v0=v0)
     assert out.converged
-    wells = out.field.interpolate(np.array([-2.0, 2.0]))
+    wells = out.field.interpolate(np.array([[-2.0], [2.0]]))
     assert wells[0] == 0.0
     assert abs(wells[1] - 0.3) <= 1e-12
     ref, _, _ = _value_iterate(kernel, v0, 0.0, 0.0, 1e-14, anchor=40)
@@ -887,7 +905,7 @@ def test_mane_zero_at_pin_and_nonnegative(kernel201):
     assert float(fld.interpolate(0.0)) == 0.0
     assert np.min(fld.values) >= -1e-12
     xs = np.linspace(-3.0, 3.0, 121)
-    diff = fld.interpolate(xs) - quadrature_mane(xs)
+    diff = fld.interpolate(xs[:, None]) - quadrature_mane(xs)
     assert np.max(np.abs(diff)) <= 1e-1
 
 
@@ -897,8 +915,8 @@ def test_mane_triangle_inequality(kernel201):
     rng = np.random.RandomState(5)
     xs = rng.uniform(-4.0, 4.0, size=40)
     for y, z in ((0.0, 1.0), (0.0, -2.0), (1.0, -2.0)):
-        lhs = pins[y].interpolate(xs)
-        rhs = pins[z].interpolate(xs) + float(pins[y].interpolate(z))
+        lhs = pins[y].interpolate(xs[:, None])
+        rhs = pins[z].interpolate(xs[:, None]) + float(pins[y].interpolate(z))
         assert np.all(lhs <= rhs + 0.15)
 
 
@@ -921,7 +939,7 @@ def test_mane_observed_order_against_quadrature(ql_model, ql_evaluator,
             SweepKernel(grid, ql_evaluator, controls1d), 0.0, 0.0,
             params_tight)
         xs = grid.axes[0][np.abs(grid.axes[0]) <= 3.0 + 1e-9]
-        err = fld.interpolate(xs) - quadrature_mane(xs)
+        err = fld.interpolate(xs[:, None]) - quadrature_mane(xs)
         assert np.min(err) >= 0.0  # the scheme overestimates S
         errors.append(float(np.max(err)))
     assert errors[-1] > 0.0
